@@ -374,8 +374,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        gen_ready = args  # parse/validate inputs first so failures count as usage
-        return args.fn(gen_ready)
+        return args.fn(args)
     except (SpecError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .generators import Generator, NonRegularError, dual_coord, portfolio_theta
-from .simplex import coord_array, point_array, psi, softmax_with_tail, to_primal
+from .simplex import (
+    coord_array,
+    coord_rows,
+    from_primal_many,
+    point_array,
+    psi,
+    psi_many,
+    softmax_with_tail,
+    to_primal,
+)
 
 __all__ = [
     "DivergenceValue",
@@ -32,7 +41,6 @@ __all__ = [
     "l_divergence_dual",
     "bregman",
     "f_value",
-    "fenchel_conjugate_on_graph",
     "c_transform",
     "c_transform_argmin",
     "inverse_dual_coord",
@@ -97,9 +105,15 @@ def l_divergence_gradient_form(gen: Generator, q, p) -> float:
     return float(np.log1p(g @ (qa - pa)) - (gen.log_gen(qa) - gen.log_gen(pa)))
 
 
-def f_value(gen: Generator, theta) -> float:
-    """The c-concave potential f(theta) = phi(p(theta)) + psi(theta)."""
-    th = coord_array(theta)
+def f_value(gen: Generator, theta):
+    """The c-concave potential f(theta) = phi(p(theta)) + psi(theta).
+
+    ``theta`` of shape (m,) gives a float; an (N, m) array of rows gives the
+    N values as one array, through the generator's batch ``log_gen_many``.
+    """
+    th = coord_rows(theta)
+    if th.ndim == 2:
+        return gen.log_gen_many(from_primal_many(th)) + psi_many(th)
     return float(gen.log_gen(softmax_with_tail(th)) + psi(th))
 
 
@@ -257,19 +271,25 @@ def c_transform(gen: Generator, phi, x0=None) -> float:
 
 
 def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
-    """Exponential coordinate of the point whose dual coordinate is ``phi``."""
-    ph = coord_array(phi)
+    """Exponential coordinate of the point whose dual coordinate is ``phi``.
+
+    ``phi`` is one dual coordinate (m,) or an (N, m) array of rows, answered
+    row for row.  A family's closed-form inverse maps all rows at once.
+    Otherwise each row is a damped Newton solve (:func:`c_transform_argmin`):
+    ``x0`` seeds the first row and each row's solution warm-starts the next,
+    so rows ordered along a curve start close to their answers.
+    """
+    ph = coord_rows(phi)
     closed = gen.dual_map_inverse(ph)
     if closed is not None:
         return np.asarray(closed, dtype=float)
-    return c_transform_argmin(gen, ph, x0=x0)
-
-
-def fenchel_conjugate_on_graph(gen: Generator, theta) -> float:
-    """f*(phi) at phi = dual map of theta, via the equality f + f* = c."""
-    th = coord_array(theta)
-    ph = dual_coord(gen, th).phi
-    return float(psi(th - ph) - f_value(gen, th))
+    if ph.ndim == 1:
+        return c_transform_argmin(gen, ph, x0=x0)
+    out = np.empty_like(ph)
+    th = x0
+    for j, row in enumerate(ph):
+        th = out[j] = c_transform_argmin(gen, row, x0=th)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,11 @@ class Generator:
         return np.vstack([H, -H.sum(axis=0)])
 
     def dual_map_inverse(self, phi) -> np.ndarray | None:
-        """Closed-form inverse of the dual coordinate map, if the family has one."""
+        """Closed-form inverse of the dual coordinate map, if the family has one.
+
+        The closed forms are elementwise affine maps of plain ``(..., n-1)``
+        arrays; callers validate ``phi``.
+        """
         return None
 
     # -- batch variants (rows of P are simplex points) ---------------------
@@ -269,7 +273,7 @@ class UniformCrossEntropy(Generator):
         return np.zeros((m + 1, m))
 
     def dual_map_inverse(self, phi) -> np.ndarray:
-        return coord_array(phi).copy()
+        return np.array(phi, dtype=float)
 
     def log_gen_many(self, P) -> np.ndarray:
         return np.mean(np.log(P), axis=1)
@@ -311,7 +315,7 @@ class ConstantWeighted(Generator):
 
     def dual_map_inverse(self, phi) -> np.ndarray:
         w = self.weights
-        return coord_array(phi) + np.log(w[:-1] / w[-1])
+        return np.asarray(phi, dtype=float) + np.log(w[:-1] / w[-1])
 
     def log_gen_many(self, P) -> np.ndarray:
         return np.log(P) @ self.weights
@@ -362,7 +366,7 @@ class DiversityWeighted(Generator):
         return self.lam * pi[:, None] * (np.eye(pi.size)[:, :-1] - pi[None, :-1])
 
     def dual_map_inverse(self, phi) -> np.ndarray:
-        return coord_array(phi) / (1.0 - self.lam)
+        return np.asarray(phi, dtype=float) / (1.0 - self.lam)
 
     def log_gen_many(self, P) -> np.ndarray:
         return np.log(np.sum(P**self.lam, axis=1)) / self.lam
@@ -372,8 +376,7 @@ class DiversityWeighted(Generator):
         return Q / Q.sum(axis=1, keepdims=True)
 
     def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        P = _points_of(Theta)
-        Pi = self.portfolio_many(P)
+        Pi = self.portfolio_many(from_primal_many(Theta))
         n = Pi.shape[1]
         eye = np.eye(n)[:, :-1]
         return self.lam * Pi[:, :, None] * (eye[None] - Pi[:, None, :-1])
@@ -422,7 +425,7 @@ class GeneralizedDiversityWeighted(Generator):
 
     def dual_map_inverse(self, phi) -> np.ndarray:
         shift = np.log(self.w[:-1] / self.w[-1])
-        return (coord_array(phi) + shift) / (1.0 - self.lam)
+        return (np.asarray(phi, dtype=float) + shift) / (1.0 - self.lam)
 
     def log_gen_many(self, P) -> np.ndarray:
         return np.log(P**self.lam @ self.w) / self.lam
@@ -432,8 +435,7 @@ class GeneralizedDiversityWeighted(Generator):
         return Q / Q.sum(axis=1, keepdims=True)
 
     def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        P = _points_of(Theta)
-        Pi = self.portfolio_many(P)
+        Pi = self.portfolio_many(from_primal_many(Theta))
         n = Pi.shape[1]
         eye = np.eye(n)[:, :-1]
         return self.lam * Pi[:, :, None] * (eye[None] - Pi[:, None, :-1])
@@ -509,11 +511,6 @@ class CustomGenerator(Generator):
         if self._grad is not None:
             return np.asarray(self._grad(_pos(p)), dtype=float)
         return super().euclid_grad(p)
-
-
-def _points_of(Theta: np.ndarray) -> np.ndarray:
-    """Batch inverse exponential-coordinate map, max-shifted row-wise."""
-    return from_primal_many(Theta)
 
 
 # ---------------------------------------------------------------------------

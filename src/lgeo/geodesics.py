@@ -11,6 +11,9 @@ equivalently h'(t) proportional to exp(2 f(theta(t))).  That first-order
 reduction separates, so h is computed here by quadrature of
 exp(-2 f(theta(h))) and monotone inversion rather than by shooting; the
 dual geodesic is handled identically with f* and reciprocal coordinates.
+The log weight is one array function of h for both geodesics: the
+quadrature table on the dense grid and each Newton step of the polish of
+h(t) evaluate it on all their points at once.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
 time change, which yields inverse exponential maps for free.  The sign of
@@ -165,55 +168,55 @@ _GL_W = np.array([0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
                   0.47862867049936647, 0.23692688505618908])
 
 
-def _gauss_segment(w_func, a: float, b: float) -> float:
+def _gl_nodes(a: np.ndarray, b: np.ndarray):
+    """Gauss-Legendre nodes of the intervals [a_i, b_i], flattened in order,
+    and the half widths of the intervals."""
     mid, half = (a + b) / 2, (b - a) / 2
-    return half * float(_GL_W @ np.array([w_func(mid + half * x) for x in _GL_X]))
-
-
-def _gl_nodes(s_dense: np.ndarray):
-    """All Gauss-Legendre nodes of the dense intervals, flattened in order."""
-    mid = (s_dense[:-1] + s_dense[1:]) / 2
-    half = (s_dense[1:] - s_dense[:-1]) / 2
     return (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(), half
 
 
-def _reparam_from_weight(logw_at_nodes: np.ndarray, s_dense: np.ndarray,
-                         t_out: np.ndarray, logw_func):
+def _gauss_segment(w, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """5-point Gauss integrals of the weight ``w`` over each [a_i, b_i]."""
+    nodes, half = _gl_nodes(a, b)
+    return half * (w(nodes).reshape(-1, _GL_X.size) @ _GL_W)
+
+
+def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray):
     """Invert t(h) = int_0^h w / int_0^1 w with w = exp(logw - shift).
 
-    ``logw_at_nodes`` holds the log weight at the Gauss-Legendre nodes of
-    the dense intervals, so the anchor table is a per-interval 5-point
-    Gauss rule (accurate to rounding even for stiff weights).  Each
-    requested h is then polished by Newton steps anchored at the nearest
-    dense node; pointwise accuracy near machine precision keeps
-    spline-based residual oracles meaningful.
+    ``logw`` maps an array of chord parameters h in [0, 1] to the log weight
+    at each.  The anchor table is a per-interval 5-point Gauss rule on the
+    dense grid (accurate to rounding even for stiff weights).  All interior
+    output times are then polished together by at most four Newton steps,
+    each anchored at the dense node below its time; a row stops once its
+    residual |F| drops below 1e-15.  Pointwise accuracy near machine
+    precision keeps spline-based residual oracles meaningful.
     """
-    shift = logw_at_nodes.max()
-    _, half = _gl_nodes(s_dense)
-    w_nodes = np.exp(logw_at_nodes - shift).reshape(-1, _GL_X.size)
+    nodes, half = _gl_nodes(s_dense[:-1], s_dense[1:])
+    logw_nodes = logw(nodes)
+    shift = logw_nodes.max()
+    w = lambda x: np.exp(logw(x) - shift)
+    w_nodes = np.exp(logw_nodes - shift).reshape(-1, _GL_X.size)
     cum = np.concatenate([[0.0], np.cumsum(half * (w_nodes @ _GL_W))])
     W = cum[-1]
     t_of_s = cum / W
     h = np.interp(t_out, t_of_s, s_dense)
-    w_func = lambda x: np.exp(logw_func(x) - shift)
-    for i, t_star in enumerate(t_out):
-        if t_star <= 0.0 or t_star >= 1.0:
-            h[i] = min(max(t_star, 0.0), 1.0)
-            continue
-        j = min(np.searchsorted(t_of_s, t_star) - 1, s_dense.size - 2)
-        j = max(j, 0)
-        anchor_s, anchor_t = s_dense[j], cum[j]
-        x = h[i]
-        for _ in range(4):
-            Fx = (anchor_t + _gauss_segment(w_func, anchor_s, x)) / W - t_star
-            x = min(max(x - Fx / (w_func(x) / W), 1e-15), 1.0 - 1e-15)
-            if abs(Fx) < 1e-15:
-                break
-        h[i] = x
-    dh_dt = W / np.array([w_func(x) for x in h])
-    h[t_out <= 0] = 0.0
-    h[t_out >= 1] = 1.0
-    return h, dh_dt
+    h[t_out <= 0.0] = 0.0
+    h[t_out >= 1.0] = 1.0
+    rows = np.flatnonzero((t_out > 0.0) & (t_out < 1.0))
+    j = np.clip(np.searchsorted(t_of_s, t_out[rows]) - 1, 0, s_dense.size - 2)
+    anchor_s, anchor_t, t_star, x = s_dense[j], cum[j], t_out[rows], h[rows]
+    for _ in range(4):
+        if rows.size == 0:
+            break
+        F = (anchor_t + _gauss_segment(w, anchor_s, x)) / W - t_star
+        x = np.clip(x - F / (w(x) / W), 1e-15, 1.0 - 1e-15)
+        h[rows] = x
+        active = np.abs(F) >= 1e-15
+        rows, anchor_s, anchor_t, t_star, x = (
+            rows[active], anchor_s[active], anchor_t[active], t_star[active], x[active]
+        )
+    return h, W / w(h)
 
 
 def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
@@ -228,21 +231,8 @@ def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
     if np.allclose(th_q, th_r, atol=1e-14):
         pts = np.broadcast_to(th_q, (t_out.size, th_q.size)).copy()
         return Curve(t_out, pts, "primal", velocities=np.zeros_like(pts))
-    s_dense = np.linspace(0.0, 1.0, _DENSE)
-    nodes, _ = _gl_nodes(s_dense)
-    theta_nodes = _log_mix(nodes, th_q, th_r)
-    f_nodes = gen.log_gen_many(from_primal_many(theta_nodes)) + psi_many(theta_nodes)
-
-    def logw(hval: float) -> float:
-        if hval <= 0.0:
-            th = th_q
-        elif hval >= 1.0:
-            th = th_r
-        else:
-            th = np.logaddexp(np.log1p(-hval) + th_q, np.log(hval) + th_r)
-        return -2.0 * f_value(gen, th)
-
-    h, dh_dt = _reparam_from_weight(-2.0 * f_nodes, s_dense, t_out, logw_func=logw)
+    logw = lambda h: -2.0 * f_value(gen, _log_mix(h, th_q, th_r))
+    h, dh_dt = _reparam_from_weight(logw, np.linspace(0.0, 1.0, _DENSE), t_out)
     pts = _log_mix(h, th_q, th_r)
     # theta_dot_k = h'(t) (e^{theta^r_k} - e^{theta^q_k}) / A_k(h)
     B = np.exp(th_r) - np.exp(th_q)
@@ -266,30 +256,14 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
         pts = np.broadcast_to(ph_q, (t_out.size, ph_q.size)).copy()
         return Curve(t_out, pts, "dual", velocities=np.zeros_like(pts))
     n_dense = _DENSE if gen.dual_map_inverse(ph_q) is not None else 1025
-    s_dense = np.linspace(0.0, 1.0, n_dense)
-    nodes, _ = _gl_nodes(s_dense)
-    phi_nodes = -_log_mix(nodes, -ph_q, -ph_p)
-    # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image,
-    # marched with warm starts along the curve.
-    fstar = np.empty(nodes.size)
-    th = None
-    for j, ph in enumerate(phi_nodes):
-        th = inverse_dual_coord(gen, ph, x0=th)
-        fstar[j] = psi(th - ph) - f_value(gen, th)
-    hint = {"theta": None}
 
-    def logw(hval: float) -> float:
-        if hval <= 0.0:
-            ph = ph_q
-        elif hval >= 1.0:
-            ph = ph_p
-        else:
-            ph = -np.logaddexp(np.log1p(-hval) - ph_q, np.log(hval) - ph_p)
-        th_here = inverse_dual_coord(gen, ph, x0=hint["theta"])
-        hint["theta"] = th_here
-        return -2.0 * (psi(th_here - ph) - f_value(gen, th_here))
+    def logw(h):
+        # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
+        Ph = -_log_mix(h, -ph_q, -ph_p)
+        Th = inverse_dual_coord(gen, Ph)
+        return -2.0 * (psi_many(Th - Ph) - f_value(gen, Th))
 
-    h, dh_dt = _reparam_from_weight(-2.0 * fstar, s_dense, t_out, logw_func=logw)
+    h, dh_dt = _reparam_from_weight(logw, np.linspace(0.0, 1.0, n_dense), t_out)
     pts = -_log_mix(h, -ph_q, -ph_p)
     D = np.exp(-ph_p) - np.exp(-ph_q)
     vel = -dh_dt[:, None] * D[None, :] * np.exp(pts)
@@ -478,11 +452,22 @@ def _rk4_step(rhs, y, dt):
     return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _flow_slack(gen, th_target) -> float:
+    """Largest rise of T per step that the flows accept as rounding noise.
+
+    T is a difference of potentials of size |f(theta_target)|, so near the
+    target its computed value is noise of a few ulp of that size; a fixed
+    slack there would halve the step without end.
+    """
+    return 1e-15 + 16.0 * np.finfo(float).eps * (1.0 + abs(f_value(gen, th_target)))
+
+
 def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -> Curve:
     """Gradient flow of T(r | .) from q; a time change of the primal geodesic.
 
-    The divergence to the target must decrease along the discrete flow;
-    steps that would increase it are halved and retried.
+    The divergence to the target must not increase along the discrete flow
+    beyond rounding noise (:func:`_flow_slack`); steps that would increase
+    it more are halved and retried.
     """
     from .divergence import l_divergence_primal
 
@@ -493,6 +478,7 @@ def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -
     pts = [th.copy()]
     vels = [rhs(th)]
     value = l_divergence_primal(gen, th_r, th).value
+    slack = _flow_slack(gen, th_r)
     dt = horizon / steps
     t = 0.0
     while t < horizon - 1e-12:
@@ -500,7 +486,7 @@ def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -
         for _ in range(50):
             cand = _rk4_step(rhs, th, step)
             cand_val = l_divergence_primal(gen, th_r, cand).value
-            if cand_val <= value + 1e-15:
+            if cand_val <= value + slack:
                 break
             step *= 0.5
         th, value, t = cand, cand_val, t + step
@@ -514,7 +500,7 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     """Gradient flow of T(. | p) from q; a time change of the dual geodesic.
 
     Integrated in primal state coordinates but reported, like the dual
-    geodesic, in dual coordinates.
+    geodesic, in dual coordinates.  Step control as in :func:`primal_flow`.
     """
     from .divergence import l_divergence_primal
 
@@ -524,6 +510,7 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     rhs = lambda x: _dual_flow_rhs(gen, x, ph_p)[0]
     t = 0.0
     value = l_divergence_primal(gen, th, th_p).value
+    slack = _flow_slack(gen, th_p)
     times = [0.0]
     pts = [dual_coord(gen, th).phi]
     vels = [_dual_flow_rhs(gen, th, ph_p)[1]]
@@ -533,7 +520,7 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
         for _ in range(50):
             cand = _rk4_step(rhs, th, step)
             cand_val = l_divergence_primal(gen, cand, th_p).value
-            if cand_val <= value + 1e-15:
+            if cand_val <= value + slack:
                 break
             step *= 0.5
         th, value, t = cand, cand_val, t + step
@@ -624,10 +611,7 @@ class RegionSample:
     in_region: np.ndarray    # gap <= tolerance
     boundary: np.ndarray     # bool mask: sign change among lattice neighbors
     boundary_polyline: np.ndarray  # (M, n) interpolated zero crossings
-
-    @property
-    def resolution(self) -> int:
-        return int(getattr(self, "_resolution", 0))
+    resolution: int          # lattice subdivisions per simplex edge
 
 
 def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
@@ -698,10 +682,9 @@ def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSamp
     in_region = np.concatenate([in_region, np.abs(extra_gap) <= 1e-9])
     boundary = np.concatenate([boundary, np.abs(extra_gap) <= 1e-9])
     poly = np.array(segments) if segments else np.empty((0, 3))
-    out = RegionSample(points=points, gap=gaps, in_region=in_region,
-                       boundary=boundary, boundary_polyline=poly)
-    out._resolution = grid_resolution
-    return out
+    return RegionSample(points=points, gap=gaps, in_region=in_region,
+                        boundary=boundary, boundary_polyline=poly,
+                        resolution=grid_resolution)
 
 
 # ---------------------------------------------------------------------------

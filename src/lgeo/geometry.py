@@ -52,8 +52,6 @@ __all__ = [
     "riem_gradient_primal_ratio_form",
     "riem_gradient_dual_ratio_form",
     "dual_connection_in_primal_coords",
-    "pushforward_vector",
-    "pullback_form",
     "pullback_metric",
     "fd_metric_from_divergence",
     "fd_lowered_primal_connection",
@@ -414,16 +412,6 @@ def riem_gradient_dual_ratio_form(gen: Generator, p, q) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # coordinate transport of tensors
-
-def pushforward_vector(jacobian: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Components of a tangent vector in the target coordinates: J v."""
-    return np.asarray(jacobian) @ np.asarray(v)
-
-
-def pullback_form(jacobian: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Components of a covector pulled back to the source coordinates: J^T w."""
-    return np.asarray(jacobian).T @ np.asarray(w)
-
 
 def pullback_metric(jacobian: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Bilinear form pulled back to the source coordinates: J^T g J."""

@@ -146,6 +146,18 @@ def coord_array(x) -> np.ndarray:
     return _as_vector(x, "coordinate")
 
 
+def coord_rows(x) -> np.ndarray:
+    """Like :func:`coord_array`, but also accepts an (N, n-1) array of rows."""
+    if isinstance(x, (PrimalCoord, DualCoord)):
+        return coord_array(x)
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2:
+        return _as_vector(arr, "coordinate")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coordinate rows must have finite entries")
+    return arr
+
+
 def point_array(x) -> np.ndarray:
     """Coerce a SimplexPoint or array-like to a plain 1-d probability array."""
     if isinstance(x, SimplexPoint):

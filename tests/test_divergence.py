@@ -3,7 +3,7 @@ import pytest
 
 from lgeo import generators as G
 from lgeo import divergence as D
-from lgeo.simplex import from_primal, psi, to_primal
+from lgeo.simplex import from_primal, psi, psi_many, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
 
@@ -162,6 +162,26 @@ class TestCTransform:
             ph = G.dual_coord(gen, th).phi
             back = D.inverse_dual_coord(gen, ph)
             assert np.max(np.abs(back - th)) < 1e-8
+
+    def test_row_arrays_match_row_calls(self, rng):
+        # (N, m) inputs answer row for row; the Newton family (mix) warm-starts
+        # each row from the previous one, so the reference chains x0 the same way
+        eps = np.finfo(float).eps
+        for n in (3, 10):
+            Th = rng.normal(size=(12, n - 1)) * 0.8
+            for name, gen in builtin_zoo(n).items():
+                f_rows = D.f_value(gen, Th)
+                f_ref = np.array([D.f_value(gen, th) for th in Th])
+                assert f_rows.shape == (12,), name
+                assert np.all(np.abs(f_rows - f_ref) <= 16 * eps * (1 + psi_many(Th))), name
+                Ph = np.array([G.dual_coord(gen, th).phi for th in Th])
+                ref, th = [], None
+                for ph in Ph:
+                    th = D.inverse_dual_coord(gen, ph, x0=th)
+                    ref.append(th)
+                rows = D.inverse_dual_coord(gen, Ph)
+                assert rows.shape == Ph.shape, name
+                assert np.array_equal(rows, np.array(ref)), name
 
 
 class TestCDivergence:

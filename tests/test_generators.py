@@ -267,20 +267,32 @@ class TestProperties:
             assert np.max(np.abs(grad - pi[:-1])) < 1e-6, name
 
     def test_batch_apis_match_scalar(self, rng):
-        P = dirichlet_points(rng, 4, 32)
-        Theta = rng.normal(size=(8, 3)) * 0.5
-        for name, gen in builtin_zoo(4).items():
-            assert np.allclose(
-                gen.log_gen_many(P), [gen.log_gen(p) for p in P], atol=1e-13
-            ), name
-            assert np.allclose(
-                gen.portfolio_many(P), [gen.portfolio(p) for p in P], atol=1e-13
-            ), name
-            assert np.allclose(
-                gen.dpi_dtheta_many(Theta),
-                [gen.dpi_dtheta(t) for t in Theta],
-                atol=1e-8,
-            ), name
+        for n in (4, 3, 10):
+            P = dirichlet_points(rng, n, 32)
+            Theta = rng.normal(size=(8, n - 1)) * 0.5
+            for name, gen in builtin_zoo(n).items():
+                assert np.allclose(
+                    gen.log_gen_many(P), [gen.log_gen(p) for p in P], atol=1e-13
+                ), name
+                assert np.allclose(
+                    gen.portfolio_many(P), [gen.portfolio(p) for p in P], atol=1e-13
+                ), name
+                assert np.allclose(
+                    gen.dpi_dtheta_many(Theta),
+                    [gen.dpi_dtheta(t) for t in Theta],
+                    atol=1e-8,
+                ), name
+                # the closed-form dual inverses are elementwise: rows map exactly
+                rows = gen.dual_map_inverse(Theta)
+                if name == "mix":
+                    assert rows is None
+                else:
+                    ref = [gen.dual_map_inverse(t) for t in Theta]
+                    assert np.array_equal(rows, ref), name
+        for gen in (G.UniformCrossEntropy(),
+                    G.convex_combination([G.diversity_weighted(0.5)], [1.0])):
+            ref = [gen.dual_map_inverse(t) for t in Theta]
+            assert np.array_equal(gen.dual_map_inverse(Theta), ref), gen.name
 
 
 class TestConfig:

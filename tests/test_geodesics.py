@@ -230,6 +230,32 @@ class TestFlows:
             assert d2 < 1e-5, name
 
 
+    def test_flow_finishes_when_divergence_is_rounding_noise(self, monkeypatch):
+        # Near the target T(r | .) is rounding noise of a few ulp of f(theta_r)
+        # (here -1.3e-15 at t = 18.3); a fixed 1e-15 acceptance slack halved
+        # this step down to 1.5e-9 and the flow never reached its horizon.
+        gen = G.generalized_diversity_weighted([0.5, 0.875, 1.25, 1.625, 2.0], 0.4)
+        q = np.array([0.11778326405148865, 0.39472939220760395, 0.0821531987110853,
+                      0.15298074874072848, 0.25235339628909376])
+        r = np.array([0.3140016220541149, 0.24460781570134407, 0.10171520919066944,
+                      0.1399603425586504, 0.19971501049522106])
+        steps = 800
+        rk4_step, calls = gd._rk4_step, []
+
+        def bounded_rk4_step(*args):
+            calls.append(None)
+            if len(calls) > 20 * steps:
+                raise AssertionError("flow stalled in step halving")
+            return rk4_step(*args)
+
+        monkeypatch.setattr(gd, "_rk4_step", bounded_rk4_step)
+        c = gd.primal_flow(gen, q / q.sum(), r / r.sum(), horizon=20.0, steps=steps)
+        assert c.times[-1] == pytest.approx(20.0, abs=1e-12)
+        th_r = to_primal(r / r.sum()).theta
+        vals = np.array([l_divergence_primal(gen, th_r, th).value for th in c.points])
+        assert np.all(np.diff(vals) <= gd._flow_slack(gen, th_r))
+
+
 class TestInverseExp:
     def test_zero_at_target(self):
         gen = G.diversity_weighted(0.5)
@@ -326,6 +352,7 @@ class TestRegion:
     def test_region_nonempty_and_bounded(self):
         gen = G.equal_weighted(3)
         sample = gd.region_sample(gen, P3, R3, grid_resolution=40)
+        assert sample.resolution == 40
         inside = sample.in_region.sum()
         assert 0 < inside < sample.points.shape[0]
         assert sample.boundary_polyline.shape[0] > 0

@@ -7,6 +7,7 @@ from lgeo.simplex import (
     CostValue,
     PrimalCoord,
     SimplexPoint,
+    coord_rows,
     cost,
     from_primal,
     psi,
@@ -157,3 +158,10 @@ class TestPrimalCoordType:
 
     def test_dimension_property(self):
         assert PrimalCoord([0.1, 0.2]).n == 3
+
+    def test_coordinate_rows_validated(self):
+        assert coord_rows(np.zeros((4, 2))).shape == (4, 2)
+        assert coord_rows(PrimalCoord([0.1, 0.2])).shape == (2,)
+        for bad in (np.array([[0.0, np.nan]]), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                coord_rows(bad)
