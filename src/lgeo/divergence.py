@@ -53,7 +53,12 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Inner minimization failed to converge."""
+    """Inner minimization failed to converge; ``row`` is the failing row of
+    a row-array call, if any."""
+
+    def __init__(self, msg, row=None):
+        super().__init__(msg)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -165,74 +170,164 @@ def bregman(gen, q, p) -> float:
 # ---------------------------------------------------------------------------
 # c-transform and the dual potential
 
-def _u_value_grad_hess(gen: Generator, th: np.ndarray, ph: np.ndarray):
-    """Value/gradient/Hessian of u(theta) = f(theta) - psi(theta - phi).
+def _softmax_psi(X: np.ndarray):
+    """Rows of ``from_primal_many(X)`` and ``psi_many(X)`` from one shifted exp."""
+    Z = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
+    top = Z.max(axis=1, keepdims=True)
+    W = np.exp(Z - top)
+    total = W.sum(axis=1, keepdims=True)
+    return W / total, (top + np.log(total))[:, 0]
 
-    Total on all of R^(n-1): iterates that graze the simplex boundary give
-    u = -inf (rejected by the line search) instead of raising.
+
+def _u_value_grad_hess(gen: Generator, Th: np.ndarray, Ph: np.ndarray):
+    """Value/gradient/Hessian of u(theta) = f(theta) - psi(theta - phi), row by row.
+
+    ``Th`` and ``Ph`` are (N, m) rows; returns u (N,), the gradient (N, m)
+    and the Hessian (N, m, m).  Total on all of R^m: iterates that graze the
+    simplex boundary give u = -inf (rejected by the line search) instead of
+    raising.
     """
-    x = th - ph
+    P, psi_th = _softmax_psi(Th)
+    S, psi_x = _softmax_psi(Th - Ph)
+    S = S[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = f_value(gen, th) - psi(x)
-    sigma_full = softmax_with_tail(x)
-    sigma = sigma_full[:-1]
-    pi = portfolio_theta(gen, th)
-    grad = pi[:-1] - sigma
-    dpi = gen.dpi_dtheta(th)[:-1, :]
-    hess = dpi - (np.diag(sigma) - np.outer(sigma, sigma))
+        u = gen.log_gen_many(P) + psi_th - psi_x
+    grad = gen.portfolio_many(P)[:, :-1] - S
+    # diag(S) - S S^T, one row at a time
+    hess = gen.dpi_dtheta_many(Th)[:, :-1] - S[:, :, None] * (np.eye(S.shape[1]) - S[:, None, :])
     return u, grad, hess
 
 
-def _newton_max_u(gen: Generator, ph: np.ndarray, x0: np.ndarray, gtol=1e-10, maxiter=200):
-    th = x0.astype(float).copy()
+# rows per block of the batched Newton solve: bounds the (rows, m, m) Hessians
+_NEWTON_BLOCK = 512
+
+
+def _newton_max_u(gen: Generator, Ph: np.ndarray, X0: np.ndarray, gtol=1e-10, maxiter=200):
+    """Damped Newton ascent of u(theta) = f(theta) - psi(theta - phi), per row.
+
+    ``Ph`` holds (N, m) dual coordinates and ``X0`` the start of each row.
+    Rows are solved together, in blocks of ``_NEWTON_BLOCK``, but each row
+    follows its own iteration: a Newton step on the Hessian, shifted when it
+    is not negative definite (the gradient if that step is not an ascent
+    direction), and an Armijo backtracking line search of up to 60 halvings.
+    Below |grad| < 1e-6 an unshifted row takes the full step, since
+    objective differences underflow there.  Returns the rows, their u values
+    and a per-row mask of the rows that converged (|grad| < gtol, or
+    stagnation at the float floor with |grad| < 1e-8).
+    """
+    if Ph.shape[0] <= _NEWTON_BLOCK:
+        return _newton_block(gen, Ph, X0, gtol, maxiter)
+    blocks = [
+        _newton_block(gen, Ph[lo : lo + _NEWTON_BLOCK], X0[lo : lo + _NEWTON_BLOCK], gtol, maxiter)
+        for lo in range(0, Ph.shape[0], _NEWTON_BLOCK)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (np.linalg.norm(X, axis=1) in three calls)."""
+    return np.sqrt((X * X).sum(axis=1))
+
+
+def _newton_block(gen, Ph, X0, gtol, maxiter):
+    """One block of :func:`_newton_max_u`; rows leave the iteration as they end."""
+    N, m = Ph.shape
+    Th, U, ok = np.empty((N, m)), np.empty(N), np.zeros(N, dtype=bool)
+    idx, th, ph = np.arange(N), np.array(X0, dtype=float), Ph
     u, grad, hess = _u_value_grad_hess(gen, th, ph)
-    for _ in range(maxiter):
-        gnorm = np.linalg.norm(grad)
-        if gnorm < gtol:
-            return th, u, True
-        # Newton step on the concavified Hessian; shift if not negative definite
-        tau = 0.0
-        eigmax = np.linalg.eigvalsh((hess + hess.T) / 2).max()
-        if eigmax > -1e-12:
-            tau = eigmax + 1e-8
-        try:
-            step = np.linalg.solve(hess - tau * np.eye(th.size), -grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        if step @ grad < 0:
-            step = grad
-        if gnorm < 1e-6 and tau == 0.0:
-            # quadratic convergence zone: objective differences underflow,
-            # so skip the line search and trust the full Newton step
-            cand = th + step
-            u_new, grad_new, hess_new = _u_value_grad_hess(gen, cand, ph)
-            if np.linalg.norm(grad_new) >= gnorm:
-                # stagnating at the float floor counts as converged
-                return th, u, gnorm < 1e-8
-            th, u, grad, hess = cand, u_new, grad_new, hess_new
-            continue
-        alpha = 1.0
-        for _ in range(60):
-            cand = th + alpha * step
-            u_new, grad_new, hess_new = _u_value_grad_hess(gen, cand, ph)
-            if u_new >= u + 1e-4 * alpha * (grad @ step):
-                th, u, grad, hess = cand, u_new, grad_new, hess_new
+    eye = np.eye(m)
+
+    def retire(rows, converged):
+        """Write out the ending rows; the others stay in the iteration."""
+        nonlocal idx, th, ph, u, grad, hess
+        out = idx[rows]
+        Th[out], U[out], ok[out] = th[rows], u[rows], converged[rows]
+        keep = ~rows
+        idx, th, ph = idx[keep], th[keep], ph[keep]
+        u, grad, hess = u[keep], grad[keep], hess[keep]
+        return keep
+
+    for it in range(maxiter + 1):
+        if idx.size == 0:
+            break
+        gnorm = _row_norms(grad)
+        if it == maxiter:
+            Th[idx], U[idx], ok[idx] = th, u, gnorm < gtol
+            break
+        gmin = gnorm.min()
+        if gmin < gtol:
+            conv = gnorm < gtol
+            if conv.all():
+                Th[idx], U[idx], ok[idx] = th, u, True
                 break
-            alpha *= 0.5
+            gnorm = gnorm[retire(conv, conv)]
+        # Newton step on the concavified Hessian; shift if not negative definite
+        eigmax = np.linalg.eigvalsh((hess + hess.transpose(0, 2, 1)) / 2)[:, -1]
+        A = hess
+        if eigmax.max() > -1e-12:
+            A = hess - np.where(eigmax > -1e-12, eigmax + 1e-8, 0.0)[:, None, None] * eye
+        try:
+            step = np.linalg.solve(A, -grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = grad.copy()
+        slope = (step * grad).sum(axis=1)
+        if slope.min() < 0:
+            uphill = slope < 0
+            step[uphill] = grad[uphill]
+            slope = (step * grad).sum(axis=1)
+        cand = th + step
+        u_new, grad_new, hess_new = _u_value_grad_hess(gen, cand, ph)
+        take = u_new >= u + 1e-4 * slope
+        # rows that end this iteration, and whether they count as converged
+        ends, conv = np.zeros(idx.size, dtype=bool), np.zeros(idx.size, dtype=bool)
+        # quadratic convergence zone: objective differences underflow, so
+        # skip the line search and trust the full Newton step
+        quad = np.zeros(idx.size, dtype=bool)
+        if gmin < 1e-6:
+            quad = (gnorm < 1e-6) & (eigmax <= -1e-12)
+            # stagnating at the float floor counts as converged
+            ends = quad & (_row_norms(grad_new) >= gnorm)
+            conv = ends & (gnorm < 1e-8)
+            take = np.where(quad, ~ends, take)
+        if take.all():
+            th, u, grad, hess = cand, u_new, grad_new, hess_new
         else:
-            return th, u, np.linalg.norm(grad) < 1e-8
-        if not np.all(np.isfinite(th)) or np.linalg.norm(th) > 1e6:
-            return th, u, False
-    return th, u, np.linalg.norm(grad) < gtol
+            th[take], u[take], grad[take], hess[take] = (
+                cand[take], u_new[take], grad_new[take], hess_new[take]
+            )
+            pending = np.flatnonzero(~take & ~quad)
+            alpha = 1.0
+            for _ in range(59):
+                if pending.size == 0:
+                    break
+                alpha *= 0.5
+                cand = th[pending] + alpha * step[pending]
+                uc, gc, hc = _u_value_grad_hess(gen, cand, ph[pending])
+                hit = uc >= u[pending] + 1e-4 * alpha * slope[pending]
+                rows = pending[hit]
+                th[rows], u[rows], grad[rows], hess[rows] = cand[hit], uc[hit], gc[hit], hc[hit]
+                take[rows] = True
+                pending = pending[~hit]
+            # line search exhausted
+            ends[pending] = True
+            conv[pending] = _row_norms(grad[pending]) < 1e-8
+        # a line-search row that runs off past |theta| = 1e6 (or to nan) fails;
+        # rows are looked at one by one only when the block's total is that large
+        if not (th * th).sum() <= 1e12:
+            ends |= take & ~quad & ~(_row_norms(th) <= 1e6)
+        if ends.any():
+            retire(ends, conv)
+    return Th, U, ok
 
 
 def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
     """Minimizer theta of psi(theta - phi) - f(theta).
 
-    Damped Newton from the barycenter and, when available, from the family's
-    closed-form inverse; Nelder-Mead as a last resort.  The objective is the
-    negative of a strictly quasi-concave function, so the minimizer is unique
-    when it exists.
+    Damped Newton (:func:`_newton_max_u` on one row) from ``x0``, from the
+    family's closed-form inverse when available, and from the barycenter;
+    Nelder-Mead as a last resort.  The objective is the negative of a
+    strictly quasi-concave function, so the minimizer is unique when it
+    exists.
     """
     ph = coord_array(phi)
     starts = [np.zeros_like(ph)]
@@ -243,11 +338,11 @@ def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
         starts.insert(0, coord_array(x0))
     best = None
     for s in starts:
-        th, u, ok = _newton_max_u(gen, ph, s)
-        if ok:
-            return th
-        if best is None or u > best[1]:
-            best = (th, u)
+        th, u, ok = _newton_max_u(gen, ph[None], s[None])
+        if ok[0]:
+            return th[0]
+        if best is None or u[0] > best[1]:
+            best = (th[0], u[0])
     res = minimize(
         lambda t: psi(t - ph) - f_value(gen, t),
         best[0],
@@ -255,7 +350,7 @@ def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
     )
     th = res.x
-    _, grad, _ = _u_value_grad_hess(gen, th, ph)
+    _, grad, _ = _u_value_grad_hess(gen, th[None], ph[None])
     if np.linalg.norm(grad) > 1e-7:
         raise ConvergenceError(
             f"{gen.name}: c-transform minimization did not converge at phi={ph}"
@@ -275,9 +370,13 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
 
     ``phi`` is one dual coordinate (m,) or an (N, m) array of rows, answered
     row for row.  A family's closed-form inverse maps all rows at once.
-    Otherwise each row is a damped Newton solve (:func:`c_transform_argmin`):
-    ``x0`` seeds the first row and each row's solution warm-starts the next,
-    so rows ordered along a curve start close to their answers.
+    Without one, a single point is solved by :func:`c_transform_argmin`,
+    started at ``x0`` if given.  Rows are solved together by one batched
+    damped Newton (:func:`_newton_max_u`); each row starts at ``x0`` (one
+    start for every row, or one per row) or, by default, at its own dual
+    coordinate.  The rows that the batch leaves unconverged go to
+    :func:`c_transform_argmin` one at a time; if one of them still fails,
+    the :class:`ConvergenceError` carries its ``row``.
     """
     ph = coord_rows(phi)
     closed = gen.dual_map_inverse(ph)
@@ -285,11 +384,14 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
         return np.asarray(closed, dtype=float)
     if ph.ndim == 1:
         return c_transform_argmin(gen, ph, x0=x0)
-    out = np.empty_like(ph)
-    th = x0
-    for j, row in enumerate(ph):
-        th = out[j] = c_transform_argmin(gen, row, x0=th)
-    return out
+    start = ph if x0 is None else np.broadcast_to(coord_rows(x0), ph.shape)
+    th, _, ok = _newton_max_u(gen, ph, start)
+    for j in np.flatnonzero(~ok):
+        try:
+            th[j] = c_transform_argmin(gen, ph[j], x0=th[j])
+        except ConvergenceError as exc:
+            raise ConvergenceError(str(exc), row=int(j)) from exc
+    return th
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ class ConstantWeighted(Generator):
         return np.log(P) @ self.weights
 
     def portfolio_many(self, P) -> np.ndarray:
-        return np.broadcast_to(self.weights, P.shape).copy()
+        return np.tile(self.weights, (P.shape[0], 1))
 
     def dpi_dtheta_many(self, Theta) -> np.ndarray:
         n = self.weights.size
@@ -376,9 +376,9 @@ class DiversityWeighted(Generator):
         return Q / Q.sum(axis=1, keepdims=True)
 
     def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        Pi = self.portfolio_many(from_primal_many(Theta))
-        n = Pi.shape[1]
-        eye = np.eye(n)[:, :-1]
+        # as dpi_dtheta: pi in exponential coordinates is a softmax of lam * theta
+        Pi = from_primal_many(self.lam * Theta)
+        eye = np.eye(Pi.shape[1])[:, :-1]
         return self.lam * Pi[:, :, None] * (eye[None] - Pi[:, None, :-1])
 
     def to_config(self) -> dict:
@@ -435,9 +435,8 @@ class GeneralizedDiversityWeighted(Generator):
         return Q / Q.sum(axis=1, keepdims=True)
 
     def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        Pi = self.portfolio_many(from_primal_many(Theta))
-        n = Pi.shape[1]
-        eye = np.eye(n)[:, :-1]
+        Pi = from_primal_many(self.lam * Theta + np.log(self.w[:-1] / self.w[-1]))
+        eye = np.eye(Pi.shape[1])[:, :-1]
         return self.lam * Pi[:, :, None] * (eye[None] - Pi[:, None, :-1])
 
     def to_config(self) -> dict:
@@ -459,20 +458,28 @@ class ConvexCombination(Generator):
         self.coeffs = c
         self.name = "+".join(f"{ck:g}*{g.name}" for ck, g in zip(c, self.parts))
 
+    def _blend(self, values):
+        """sum_k c_k v_k over the parts' values v_k, in part order; unlike
+        sum(), it starts at the first term instead of adding it to 0."""
+        total = None
+        for c, v in zip(self.coeffs, values):
+            total = c * v if total is None else total + c * v
+        return total
+
     def log_gen(self, p) -> float:
-        return float(sum(c * g.log_gen(p) for c, g in zip(self.coeffs, self.parts)))
+        return float(self._blend(g.log_gen(p) for g in self.parts))
 
     def euclid_grad(self, p) -> np.ndarray:
-        return sum(c * g.euclid_grad(p) for c, g in zip(self.coeffs, self.parts))
+        return self._blend(g.euclid_grad(p) for g in self.parts)
 
     def euclid_hess_phi(self, p) -> np.ndarray:
-        return sum(c * g.euclid_hess_phi(p) for c, g in zip(self.coeffs, self.parts))
+        return self._blend(g.euclid_hess_phi(p) for g in self.parts)
 
     def portfolio(self, p) -> np.ndarray:
-        return sum(c * g.portfolio(p) for c, g in zip(self.coeffs, self.parts))
+        return self._blend(g.portfolio(p) for g in self.parts)
 
     def dpi_dtheta(self, theta) -> np.ndarray:
-        return sum(c * g.dpi_dtheta(theta) for c, g in zip(self.coeffs, self.parts))
+        return self._blend(g.dpi_dtheta(theta) for g in self.parts)
 
     def dual_map_inverse(self, phi):
         if len(self.parts) == 1:
@@ -480,13 +487,13 @@ class ConvexCombination(Generator):
         return None
 
     def log_gen_many(self, P) -> np.ndarray:
-        return sum(c * g.log_gen_many(P) for c, g in zip(self.coeffs, self.parts))
+        return self._blend(g.log_gen_many(P) for g in self.parts)
 
     def portfolio_many(self, P) -> np.ndarray:
-        return sum(c * g.portfolio_many(P) for c, g in zip(self.coeffs, self.parts))
+        return self._blend(g.portfolio_many(P) for g in self.parts)
 
     def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        return sum(c * g.dpi_dtheta_many(Theta) for c, g in zip(self.coeffs, self.parts))
+        return self._blend(g.dpi_dtheta_many(Theta) for g in self.parts)
 
     def to_config(self) -> dict:
         return {

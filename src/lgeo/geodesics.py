@@ -13,10 +13,15 @@ exp(-2 f(theta(h))) and monotone inversion rather than by shooting; the
 dual geodesic is handled identically with f* and reciprocal coordinates.
 The log weight is one array function of h for both geodesics: the
 quadrature table on the dense grid and each Newton step of the polish of
-h(t) evaluate it on all their points at once.
+h(t) evaluate it on all their points at once.  The dual range guard checks
+the Fenchel equality at all output nodes of a dual geodesic at once, and
+the geodesic-equation residual evaluates its spline at all times at once.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
-time change, which yields inverse exponential maps for free.  The sign of
+time change, which yields inverse exponential maps for free.  They take
+fixed RK4 steps, halved while T would rise; the right-hand side is
+evaluated once per accepted point and serves both as its stored velocity
+and as the first stage of the next step.  The sign of
 T(q|p) + T(r|q) - T(r|p) is the sign of the Riemannian angle defect at q
 between the two geodesics; `pythagorean_sign` evaluates the gap, the
 actual metric inner product, and the equivalent algebraic sign quantity
@@ -32,9 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .divergence import c_transform, f_value, inverse_dual_coord, l_divergence
-from .generators import Generator, dual_coord, portfolio_theta
+from . import divergence
+from .divergence import ConvergenceError, f_value, inverse_dual_coord, l_divergence
+from .generators import Generator, NonRegularError, dual_coord, portfolio_theta
 from .geometry import (
+    _jacobian_from_portfolio,
     metric_dual,
     metric_primal,
     pi_quantities,
@@ -247,7 +254,7 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     Euclidean images of q and p.  Along the way the curve must stay inside
     the range of the dual coordinate map; with ``check_range`` the Fenchel
     equality is re-verified through the conjugate minimization at every
-    output node.
+    output node, all nodes at once (:func:`_dual_range_guard`).
     """
     t_out = _grid(grid)
     ph_q = dual_coord(gen, to_primal(q).theta).phi
@@ -274,20 +281,34 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
 
 
 def _dual_range_guard(gen, curve):
-    th0 = None
-    for t, ph in zip(curve.times, curve.points):
-        try:
-            th0 = inverse_dual_coord(gen, ph, x0=th0)
-            fstar = c_transform(gen, ph, x0=th0)
-        except Exception as exc:
+    """Re-verify the Fenchel equality at every output node of a dual curve.
+
+    All nodes at once: one :func:`inverse_dual_coord` call on the curve
+    points, one batched conjugate minimization started at those rows, and
+    the gap f(theta) + f*(phi) - psi(theta - phi) against 1e-6.  Raises
+    :class:`DualRangeError` at the first output time whose row fails to
+    solve or breaks the bound.
+    """
+    times, Ph = curve.times, curve.points
+    solved = times.size  # rows ahead of the first one the inverse fails on
+    try:
+        Th0 = inverse_dual_coord(gen, Ph)
+    except ConvergenceError as exc:
+        solved = exc.row
+        Th0 = inverse_dual_coord(gen, Ph[:solved])
+    Ph = Ph[:solved]
+    Th, _, ok = divergence._newton_max_u(gen, Ph, Th0)
+    fstar = psi_many(Th - Ph) - f_value(gen, Th)
+    gap = np.abs(f_value(gen, Th0) + fstar - psi_many(Th0 - Ph))
+    bad = np.flatnonzero(~ok | ~(gap <= 1e-6))
+    first = bad[0] if bad.size else solved
+    if first < times.size:
+        t = times[first]
+        if first < solved and ok[first]:
             raise DualRangeError(
-                f"dual geodesic left the dual range near t={t:.6f}", last_valid_t=t
-            ) from exc
-        gap = abs(f_value(gen, th0) + fstar - psi(th0 - ph))
-        if gap > 1e-6:
-            raise DualRangeError(
-                f"Fenchel equality fails by {gap:.2e} at t={t:.6f}", last_valid_t=t
+                f"Fenchel equality fails by {gap[first]:.2e} at t={t:.6f}", last_valid_t=t
             )
+        raise DualRangeError(f"dual geodesic left the dual range near t={t:.6f}", last_valid_t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +389,21 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
 
 
 def _residual_values(gen, times, points, coord, eval_times, end_velocities=None) -> np.ndarray:
+    """Geodesic-equation residual of the spline through the points, one row
+    per evaluation time, all rows at once."""
     bc = "not-a-knot"
     if end_velocities is not None:
         bc = ((1, end_velocities[0]), (1, end_velocities[1]))
     spl = CubicSpline(times, points, axis=0, bc_type=bc)
-    d1, d2 = spl.derivative(1), spl.derivative(2)
-    out = np.empty((len(eval_times), points.shape[1]))
-    hint = None
-    for row, t in enumerate(eval_times):
-        xi = spl(t)
-        v = d1(t)
-        a = d2(t)
-        if coord == "dual":
-            hint = inverse_dual_coord(gen, xi, x0=hint)
-            pi = portfolio_theta(gen, hint)
-            sign = -1.0
-        else:
-            pi = portfolio_theta(gen, xi)
-            sign = 1.0
-        out[row] = a + sign * (v * v - 2.0 * v * (pi[:-1] @ v))
-    return out
+    xi, v, a = spl(eval_times), spl.derivative(1)(eval_times), spl.derivative(2)(eval_times)
+    if coord == "dual":
+        Pi = gen.portfolio_many(from_primal_many(inverse_dual_coord(gen, xi)))
+        sign = -1.0
+    else:
+        Pi = gen.portfolio_many(from_primal_many(xi))
+        sign = 1.0
+    mix = np.sum(Pi[:, :-1] * v, axis=1, keepdims=True)
+    return a + sign * (v * v - 2.0 * v * mix)
 
 
 def geodesic_residual(gen: Generator, curve: Curve, trim: int = 2,
@@ -432,20 +448,25 @@ def _primal_flow_rhs(gen, th, th_target):
 
 
 def _dual_flow_rhs(gen, th, ph_target):
-    from .geometry import dual_jacobian
-
-    ph = dual_coord(gen, th).phi
+    """Velocities (theta_dot, phi_dot) of the dual flow at ``th``, and its
+    dual coordinate phi; the portfolio and its derivative are taken once."""
     pi = portfolio_theta(gen, th)
+    if np.any(pi <= 0.0):
+        raise NonRegularError(
+            f"{gen.name}: portfolio touches the simplex boundary; dual map undefined"
+        )
+    ph = th - (np.log(pi[:-1]) - np.log(pi[-1]))
     delta = np.concatenate([ph - ph_target, [0.0]])
     m = delta.max()
     logZ = m + np.log(pi @ np.exp(delta - m))
     phi_dot = -(np.exp(delta[:-1] - logZ) - np.exp(-logZ))
-    theta_dot = np.linalg.solve(dual_jacobian(gen, th), phi_dot)
-    return theta_dot, phi_dot
+    J = _jacobian_from_portfolio(pi, gen.dpi_dtheta(th))
+    theta_dot = np.linalg.solve(J, phi_dot)
+    return theta_dot, phi_dot, ph
 
 
-def _rk4_step(rhs, y, dt):
-    k1 = rhs(y)
+def _rk4_step(rhs, y, dt, k1):
+    """One classical RK4 step from ``y``, where ``k1 = rhs(y)`` is given."""
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
@@ -467,16 +488,19 @@ def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -
 
     The divergence to the target must not increase along the discrete flow
     beyond rounding noise (:func:`_flow_slack`); steps that would increase
-    it more are halved and retried.
+    it more are halved and retried.  The right-hand side at each accepted
+    point is computed once: it is the stored velocity there and the first
+    RK4 stage of every try of the next step.
     """
     from .divergence import l_divergence_primal
 
     th_r = to_primal(r).theta
     th = to_primal(q).theta.copy()
     rhs = lambda x: _primal_flow_rhs(gen, x, th_r)
+    vel = rhs(th)
     times = [0.0]
     pts = [th.copy()]
-    vels = [rhs(th)]
+    vels = [vel]
     value = l_divergence_primal(gen, th_r, th).value
     slack = _flow_slack(gen, th_r)
     dt = horizon / steps
@@ -484,15 +508,16 @@ def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -
     while t < horizon - 1e-12:
         step = min(dt, horizon - t)
         for _ in range(50):
-            cand = _rk4_step(rhs, th, step)
+            cand = _rk4_step(rhs, th, step, vel)
             cand_val = l_divergence_primal(gen, th_r, cand).value
             if cand_val <= value + slack:
                 break
             step *= 0.5
         th, value, t = cand, cand_val, t + step
+        vel = rhs(th)
         times.append(t)
         pts.append(th.copy())
-        vels.append(rhs(th))
+        vels.append(vel)
     return Curve(np.array(times), np.array(pts), "primal", velocities=np.array(vels))
 
 
@@ -500,7 +525,9 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     """Gradient flow of T(. | p) from q; a time change of the dual geodesic.
 
     Integrated in primal state coordinates but reported, like the dual
-    geodesic, in dual coordinates.  Step control as in :func:`primal_flow`.
+    geodesic, in dual coordinates.  Step control as in :func:`primal_flow`;
+    one right-hand side evaluation per accepted point gives its dual
+    coordinate, its stored velocity and the next step's first RK4 stage.
     """
     from .divergence import l_divergence_primal
 
@@ -511,22 +538,24 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     t = 0.0
     value = l_divergence_primal(gen, th, th_p).value
     slack = _flow_slack(gen, th_p)
+    th_dot, ph_dot, ph = _dual_flow_rhs(gen, th, ph_p)
     times = [0.0]
-    pts = [dual_coord(gen, th).phi]
-    vels = [_dual_flow_rhs(gen, th, ph_p)[1]]
+    pts = [ph]
+    vels = [ph_dot]
     dt = horizon / steps
     while t < horizon - 1e-12:
         step = min(dt, horizon - t)
         for _ in range(50):
-            cand = _rk4_step(rhs, th, step)
+            cand = _rk4_step(rhs, th, step, th_dot)
             cand_val = l_divergence_primal(gen, cand, th_p).value
             if cand_val <= value + slack:
                 break
             step *= 0.5
         th, value, t = cand, cand_val, t + step
+        th_dot, ph_dot, ph = _dual_flow_rhs(gen, th, ph_p)
         times.append(t)
-        pts.append(dual_coord(gen, th).phi)
-        vels.append(_dual_flow_rhs(gen, th, ph_p)[1])
+        pts.append(ph)
+        vels.append(ph_dot)
     return Curve(np.array(times), np.array(pts), "dual", velocities=np.array(vels))
 
 

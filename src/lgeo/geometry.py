@@ -158,23 +158,23 @@ def metric_euclidean(gen: Generator, p, u, v) -> float:
 def dual_jacobian(gen: Generator, theta) -> np.ndarray:
     """Analytic Jacobian d phi / d theta of the dual coordinate map."""
     th = coord_array(theta)
-    pi = portfolio_theta(gen, th)
-    dpi = gen.dpi_dtheta(th)
-    m = th.size
-    return np.eye(m) - dpi[:-1, :] / pi[:-1, None] + dpi[-1, :] / pi[-1]
+    return _jacobian_from_portfolio(portfolio_theta(gen, th), gen.dpi_dtheta(th))
+
+
+def _jacobian_from_portfolio(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
+    """d phi / d theta from the portfolio pi and its derivative dpi / dtheta."""
+    return np.eye(dpi.shape[1]) - dpi[:-1, :] / pi[:-1, None] + dpi[-1, :] / pi[-1]
 
 
 def _metric_primal_parts(gen: Generator, th: np.ndarray):
     pi = portfolio_theta(gen, th)
     dpi = gen.dpi_dtheta(th)
-    m = th.size
     pit = pi[:-1]
     G = np.diag(pit) - np.outer(pit, pit) - dpi[:-1, :]
     if np.max(np.abs(G - G.T)) > 1e-8:
         raise NonRegularError(f"{gen.name}: metric candidate not symmetric")
     G = (G + G.T) / 2
-    J = np.eye(m) - dpi[:-1, :] / pit[:, None] + dpi[-1, :] / pi[-1]
-    return pi, G, J
+    return pi, G, _jacobian_from_portfolio(pi, dpi)
 
 
 def metric_primal(gen: Generator, theta) -> MetricMatrix:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from lgeo import divergence as D
 from lgeo import generators as G
 from lgeo import geodesics as gd
 from lgeo.divergence import l_divergence, l_divergence_primal, pyth_transport_gap
@@ -123,6 +124,72 @@ class TestDualGeodesic:
             assert gd.geodesic_residual(gen, c, trim=3) < 1e-5, name
 
 
+class TestDualRangeGuard:
+    """The range guard reports the first output time whose row fails."""
+
+    @staticmethod
+    def guard_error(gen, curve):
+        with pytest.raises(gd.DualRangeError) as info:
+            gd._dual_range_guard(gen, curve)
+        return info.value
+
+    def test_conjugate_solve_failure(self, monkeypatch):
+        # dw inverts in closed form, so the guard's own conjugate minimization
+        # is the only Newton solve; rows 40 and 90 report no convergence
+        gen = G.diversity_weighted(0.5)
+        curve = gd.dual_geodesic(gen, Q3, P3, check_range=False)
+        newton = D._newton_max_u
+
+        def failing(gen, Ph, X0):
+            Th, U, ok = newton(gen, Ph, X0)
+            ok[[90, 40]] = False
+            return Th, U, ok
+
+        monkeypatch.setattr(D, "_newton_max_u", failing)
+        err = self.guard_error(gen, curve)
+        assert err.last_valid_t == curve.times[40]
+        assert "left the dual range" in str(err)
+
+    def test_inverse_failure(self, monkeypatch):
+        # mix has no closed form: rows 70 and 30 fail the batched inverse and
+        # its per-row fallback, so the inverse raises at row 30
+        gen = builtin_zoo(3)["mix"]
+        curve = gd.dual_geodesic(gen, Q3, P3, check_range=False)
+        newton = D._newton_max_u
+
+        def failing(gen, Ph, X0):
+            Th, U, ok = newton(gen, Ph, X0)
+            if len(ok) == len(curve):
+                ok[[70, 30]] = False
+            return Th, U, ok
+
+        def no_argmin(gen, phi, x0=None):
+            raise D.ConvergenceError("forced")
+
+        monkeypatch.setattr(D, "_newton_max_u", failing)
+        monkeypatch.setattr(D, "c_transform_argmin", no_argmin)
+        err = self.guard_error(gen, curve)
+        assert err.last_valid_t == curve.times[30]
+        assert "left the dual range" in str(err)
+
+    def test_fenchel_gap_exceeds_bound(self, monkeypatch):
+        # a conjugate minimization that lands off the minimizer at rows 100
+        # and 60 leaves a Fenchel gap far above 1e-6 there
+        gen = G.diversity_weighted(0.5)
+        curve = gd.dual_geodesic(gen, Q3, P3, check_range=False)
+        newton = D._newton_max_u
+
+        def off_target(gen, Ph, X0):
+            Th, U, ok = newton(gen, Ph, X0)
+            Th[[100, 60]] += 0.1
+            return Th, U, ok
+
+        monkeypatch.setattr(D, "_newton_max_u", off_target)
+        err = self.guard_error(gen, curve)
+        assert err.last_valid_t == curve.times[60]
+        assert "Fenchel equality fails" in str(err)
+
+
 class TestIntegrateGeodesic:
     def test_zero_velocity_stays_put(self):
         gen = G.diversity_weighted(0.5)
@@ -229,6 +296,37 @@ class TestFlows:
             d2 = gd.polyline_hausdorff(dual_fl.euclidean_trace(), dual_geo.euclidean_trace())
             assert d2 < 1e-5, name
 
+
+    def test_stored_velocity_is_rhs_at_stored_point(self, monkeypatch):
+        # each step reuses the velocity stored at its start as RK4's k1, also
+        # after halved steps; so every stored velocity must be the right-hand
+        # side at its stored point, bit for bit (a stale k1 sends the flow off
+        # its path, into halving without end).  Equal weights make the dual
+        # coordinate equal to the primal one, so the dual flow's state is
+        # its stored point.
+        gen = G.equal_weighted(3)
+        rk4_step, calls = gd._rk4_step, []
+
+        def counted_rk4_step(*args):
+            calls.append(None)
+            if len(calls) > 100:
+                raise AssertionError("flow stalled in step halving")
+            return rk4_step(*args)
+
+        monkeypatch.setattr(gd, "_rk4_step", counted_rk4_step)
+        th_p = to_primal(P3).theta
+        c = gd.primal_flow(gen, Q3, P3, horizon=20.0, steps=4)
+        assert len(calls) > len(c) - 1  # some steps were halved
+        for th, v in zip(c.points, c.velocities):
+            assert np.array_equal(v, gd._primal_flow_rhs(gen, th, th_p))
+        calls.clear()
+        c = gd.dual_flow(gen, Q3, P3, horizon=20.0, steps=4)
+        assert len(calls) > len(c) - 1
+        ph_p = dual_coord(gen, th_p).phi
+        for ph, v in zip(c.points, c.velocities):
+            _, ph_dot, ph_again = gd._dual_flow_rhs(gen, ph, ph_p)
+            assert np.array_equal(v, ph_dot)
+            assert np.array_equal(ph, ph_again)
 
     def test_flow_finishes_when_divergence_is_rounding_noise(self, monkeypatch):
         # Near the target T(r | .) is rounding noise of a few ulp of f(theta_r)
