@@ -114,11 +114,11 @@ def f_value(gen: Generator, theta):
     """The c-concave potential f(theta) = phi(p(theta)) + psi(theta).
 
     ``theta`` of shape (m,) gives a float; an (N, m) array of rows gives the
-    N values as one array, through the generator's batch ``log_gen_many``.
+    N values as one array.
     """
     th = coord_rows(theta)
     if th.ndim == 2:
-        return gen.log_gen_many(from_primal_many(th)) + psi_many(th)
+        return gen.log_gen(from_primal_many(th)) + psi_many(th)
     return float(gen.log_gen(softmax_with_tail(th)) + psi(th))
 
 
@@ -191,10 +191,10 @@ def _u_value_grad_hess(gen: Generator, Th: np.ndarray, Ph: np.ndarray):
     S, psi_x = _softmax_psi(Th - Ph)
     S = S[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = gen.log_gen_many(P) + psi_th - psi_x
-    grad = gen.portfolio_many(P)[:, :-1] - S
+        u = gen.log_gen(P) + psi_th - psi_x
+    grad = gen.portfolio(P)[:, :-1] - S
     # diag(S) - S S^T, one row at a time
-    hess = gen.dpi_dtheta_many(Th)[:, :-1] - S[:, :, None] * (np.eye(S.shape[1]) - S[:, None, :])
+    hess = gen.dpi_dtheta(Th)[:, :-1] - S[:, :, None] * (np.eye(S.shape[1]) - S[:, None, :])
     return u, grad, hess
 
 

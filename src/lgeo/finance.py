@@ -205,13 +205,9 @@ def fernholz_decompose(gen: Generator, path: MarketPath) -> BacktestReport:
     and stays at rounding level for any interior path.
     """
     W = path.weights
-    phis = np.array([gen.log_gen(row) for row in W])
-    ratios = np.empty(len(path) - 1)
-    divs = np.empty(len(path) - 1)
-    for s in range(len(path) - 1):
-        pi = gen.portfolio(W[s])
-        ratios[s] = np.log(float(pi @ (W[s + 1] / W[s])))
-        divs[s] = ratios[s] - (phis[s + 1] - phis[s])
+    phis = gen.log_gen(W)
+    ratios = np.log(np.sum(gen.portfolio(W[:-1]) * (W[1:] / W[:-1]), axis=1))
+    divs = ratios - np.diff(phis)
     log_v = np.concatenate([[0.0], np.cumsum(ratios)])
     drift = phis - phis[0]
     residual = log_v - (drift + np.concatenate([[0.0], np.cumsum(divs)]))

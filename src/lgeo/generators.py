@@ -18,6 +18,15 @@ defined from ``phi`` alone falls back to central differences.
 A generator is *regular* when the tangent-restricted Hessian of ``Phi`` is
 strictly negative definite and the portfolio stays strictly inside the
 simplex; :func:`check_regularity` audits both conditions pointwise.
+
+Shapes: ``log_gen`` and ``portfolio`` take points as a plain ``(..., n)``
+array and ``dpi_dtheta`` exponential coordinates as a ``(..., n-1)`` array;
+each reduces over the last axis, so one point is the 1-d case (``log_gen``
+then returns a float) and a stack of points gives the stack of results.
+The generator methods take plain float arrays and do not validate them;
+inputs are checked at the public entry points, such as
+:class:`~lgeo.simplex.SimplexPoint`, :func:`portfolio_theta` and
+:func:`dual_coord`.
 """
 
 from __future__ import annotations
@@ -72,14 +81,6 @@ class NonRegularError(ValueError):
     """Raised when an operation needs regularity the generator lacks."""
 
 
-def _pos(x) -> np.ndarray:
-    """Lenient point coercion: generator internals must stay total so that
-    line searches can probe (and reject) iterates that graze the boundary."""
-    if isinstance(x, SimplexPoint):
-        return x.p
-    return np.asarray(x, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference fallbacks
 #
@@ -121,22 +122,47 @@ def _fd_hess_on_simplex(func, p: np.ndarray) -> np.ndarray:
     return H
 
 
+def _each_row(one, X):
+    """Apply ``one``, defined on a single point, to every row of ``X``.
+
+    The fallbacks below are defined one point at a time; this gives them the
+    ``(..., n)`` shape contract of the closed-form families.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        return one(X)
+    out = np.array([one(x) for x in X.reshape(-1, X.shape[-1])])
+    return out.reshape(X.shape[:-1] + out.shape[1:])
+
+
+def _softmax_dpi(pi: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    """Derivative, shape (..., n, n-1), of ``pi = softmax_with_tail(lam * theta + c)``."""
+    eye = np.eye(pi.shape[-1])[:, :-1]
+    return lam * pi[..., :, None] * (eye - pi[..., None, :-1])
+
+
 class Generator:
-    """Base class: implement ``log_gen``; everything else has a fallback."""
+    """Base class: implement ``log_gen``; everything else has a fallback.
+
+    ``log_gen`` and ``portfolio`` take a plain ``(..., n)`` array of points,
+    ``dpi_dtheta`` a plain ``(..., n-1)`` array of exponential coordinates;
+    each works over the last axis and none validates its input.  The
+    ``euclid_*`` derivatives take one point.
+    """
 
     name = "generator"
 
-    def log_gen(self, p) -> float:
-        """Value of the log generating function ``phi`` at ``p``."""
+    def log_gen(self, P):
+        """Value of the log generating function ``phi`` at each point."""
         raise NotImplementedError
 
     def euclid_grad(self, p) -> np.ndarray:
         """Euclidean gradient of ``phi`` (any smooth extension off the simplex)."""
-        return _fd_grad_on_simplex(self.log_gen, _pos(p))
+        return _fd_grad_on_simplex(self.log_gen, p)
 
     def euclid_hess_phi(self, p) -> np.ndarray:
         """Euclidean Hessian of ``phi``; only its tangent restriction is used."""
-        return _fd_hess_on_simplex(self.log_gen, _pos(p))
+        return _fd_hess_on_simplex(self.log_gen, p)
 
     def euclid_hess_Phi(self, p) -> np.ndarray:
         """Hessian of the generating function ``Phi = exp(phi)``.
@@ -144,45 +170,49 @@ class Generator:
         Meaningful on tangent directions ``sum(u) == 0`` only; regularity
         demands it be strictly negative definite there.
         """
-        arr = _pos(p)
-        g = self.euclid_grad(arr)
-        H = self.euclid_hess_phi(arr)
-        return np.exp(self.log_gen(arr)) * (H + np.outer(g, g))
+        g = self.euclid_grad(p)
+        H = self.euclid_hess_phi(p)
+        return np.exp(self.log_gen(p)) * (H + np.outer(g, g))
 
-    def portfolio(self, p) -> np.ndarray:
-        """Portfolio weights ``pi_i = p_i (1 + grad . (e_i - p))`` at ``p``."""
-        arr = _pos(p)
-        g = self.euclid_grad(arr)
-        return arr * (1.0 + g - g @ arr)
+    def portfolio(self, P) -> np.ndarray:
+        """Portfolio weights ``pi_i = p_i (1 + grad . (e_i - p))`` at each point."""
 
-    def dpi_dtheta(self, theta) -> np.ndarray:
-        """Derivative of the portfolio in exponential coordinates, shape (n, n-1).
+        def one(p):
+            g = self.euclid_grad(p)
+            return p * (1.0 + g - g @ p)
+
+        return _each_row(one, P)
+
+    def dpi_dtheta(self, Theta) -> np.ndarray:
+        """Derivative of the portfolio in exponential coordinates, shape (..., n, n-1).
 
         Generic route: the head rows are the Hessian of the potential
         f = phi + psi (whose gradient is the portfolio), taken by central
         second differences and symmetrized; the last row follows from the
         weights summing to one.
         """
-        th = coord_array(theta)
-        h = _fd_step(np.linalg.norm(th))
-        m = th.size
 
         def f(x):
             return self.log_gen(softmax_with_tail(x)) + _psi(x)
 
-        H = np.empty((m, m))
-        f0 = f(th)
-        for j in range(m):
-            ej = np.zeros(m)
-            ej[j] = h
-            H[j, j] = (f(th + ej) - 2 * f0 + f(th - ej)) / h**2
-            for i in range(j):
-                ei = np.zeros(m)
-                ei[i] = h
-                H[i, j] = H[j, i] = (
-                    f(th + ei + ej) - f(th + ei - ej) - f(th - ei + ej) + f(th - ei - ej)
-                ) / (4 * h * h)
-        return np.vstack([H, -H.sum(axis=0)])
+        def one(th):
+            h = _fd_step(np.linalg.norm(th))
+            m = th.size
+            H = np.empty((m, m))
+            f0 = f(th)
+            for j in range(m):
+                ej = np.zeros(m)
+                ej[j] = h
+                H[j, j] = (f(th + ej) - 2 * f0 + f(th - ej)) / h**2
+                for i in range(j):
+                    ei = np.zeros(m)
+                    ei[i] = h
+                    H[i, j] = H[j, i] = (
+                        f(th + ei + ej) - f(th + ei - ej) - f(th - ei + ej) + f(th - ei - ej)
+                    ) / (4 * h * h)
+            return np.vstack([H, -H.sum(axis=0)])
+
+        return _each_row(one, Theta)
 
     def dual_map_inverse(self, phi) -> np.ndarray | None:
         """Closed-form inverse of the dual coordinate map, if the family has one.
@@ -191,17 +221,6 @@ class Generator:
         arrays; callers validate ``phi``.
         """
         return None
-
-    # -- batch variants (rows of P are simplex points) ---------------------
-
-    def log_gen_many(self, P: np.ndarray) -> np.ndarray:
-        return np.array([self.log_gen(row) for row in P])
-
-    def portfolio_many(self, P: np.ndarray) -> np.ndarray:
-        return np.array([self.portfolio(row) for row in P])
-
-    def dpi_dtheta_many(self, Theta: np.ndarray) -> np.ndarray:
-        return np.array([self.dpi_dtheta(row) for row in Theta])
 
     # -- config -------------------------------------------------------------
 
@@ -217,28 +236,21 @@ class ZeroGenerator(Generator):
 
     name = "market"
 
-    def log_gen(self, p) -> float:
-        return 0.0
+    def log_gen(self, P):
+        # [()] turns the 0-d result of one point into a float
+        return np.zeros(P.shape[:-1])[()]
 
     def euclid_grad(self, p) -> np.ndarray:
-        return np.zeros(_pos(p).size)
+        return np.zeros(p.size)
 
     def euclid_hess_phi(self, p) -> np.ndarray:
-        n = _pos(p).size
-        return np.zeros((n, n))
+        return np.zeros((p.size, p.size))
 
-    def portfolio(self, p) -> np.ndarray:
-        return _pos(p).copy()
+    def portfolio(self, P) -> np.ndarray:
+        return np.array(P, dtype=float)
 
-    def dpi_dtheta(self, theta) -> np.ndarray:
-        pv = softmax_with_tail(coord_array(theta))
-        return pv[:, None] * (np.eye(pv.size)[:, :-1] - pv[None, :-1])
-
-    def log_gen_many(self, P) -> np.ndarray:
-        return np.zeros(P.shape[0])
-
-    def portfolio_many(self, P) -> np.ndarray:
-        return np.asarray(P, dtype=float).copy()
+    def dpi_dtheta(self, Theta) -> np.ndarray:
+        return _softmax_dpi(from_primal_many(Theta))
 
     def to_config(self) -> dict:
         return {"kind": "market"}
@@ -253,37 +265,24 @@ class UniformCrossEntropy(Generator):
 
     name = "equal"
 
-    def log_gen(self, p) -> float:
-        return float(np.mean(np.log(_pos(p))))
+    def log_gen(self, P):
+        return np.mean(np.log(P), axis=-1)
 
     def euclid_grad(self, p) -> np.ndarray:
-        arr = _pos(p)
-        return 1.0 / (arr.size * arr)
+        return 1.0 / (p.size * p)
 
     def euclid_hess_phi(self, p) -> np.ndarray:
-        arr = _pos(p)
-        return np.diag(-1.0 / (arr.size * arr**2))
+        return np.diag(-1.0 / (p.size * p**2))
 
-    def portfolio(self, p) -> np.ndarray:
-        n = _pos(p).size
-        return np.full(n, 1.0 / n)
+    def portfolio(self, P) -> np.ndarray:
+        return np.full(P.shape, 1.0 / P.shape[-1])
 
-    def dpi_dtheta(self, theta) -> np.ndarray:
-        m = coord_array(theta).size
-        return np.zeros((m + 1, m))
+    def dpi_dtheta(self, Theta) -> np.ndarray:
+        m = Theta.shape[-1]
+        return np.zeros(Theta.shape[:-1] + (m + 1, m))
 
     def dual_map_inverse(self, phi) -> np.ndarray:
         return np.array(phi, dtype=float)
-
-    def log_gen_many(self, P) -> np.ndarray:
-        return np.mean(np.log(P), axis=1)
-
-    def portfolio_many(self, P) -> np.ndarray:
-        return np.full_like(P, 1.0 / P.shape[1])
-
-    def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        N, m = Theta.shape
-        return np.zeros((N, m + 1, m))
 
     def to_config(self) -> dict:
         return {"kind": "equal"}
@@ -296,36 +295,25 @@ class ConstantWeighted(Generator):
         self.weights = point_array(weights)
         self.name = "cw[" + ",".join(f"{w:g}" for w in self.weights) + "]"
 
-    def log_gen(self, p) -> float:
-        return float(self.weights @ np.log(_pos(p)))
+    def log_gen(self, P):
+        return np.log(P) @ self.weights
 
     def euclid_grad(self, p) -> np.ndarray:
-        return self.weights / _pos(p)
+        return self.weights / p
 
     def euclid_hess_phi(self, p) -> np.ndarray:
-        return np.diag(-self.weights / _pos(p) ** 2)
+        return np.diag(-self.weights / p**2)
 
-    def portfolio(self, p) -> np.ndarray:
-        _pos(p)
-        return self.weights.copy()
+    def portfolio(self, P) -> np.ndarray:
+        return np.full(P.shape, self.weights)
 
-    def dpi_dtheta(self, theta) -> np.ndarray:
+    def dpi_dtheta(self, Theta) -> np.ndarray:
         n = self.weights.size
-        return np.zeros((n, n - 1))
+        return np.zeros(Theta.shape[:-1] + (n, n - 1))
 
     def dual_map_inverse(self, phi) -> np.ndarray:
         w = self.weights
         return np.asarray(phi, dtype=float) + np.log(w[:-1] / w[-1])
-
-    def log_gen_many(self, P) -> np.ndarray:
-        return np.log(P) @ self.weights
-
-    def portfolio_many(self, P) -> np.ndarray:
-        return np.tile(self.weights, (P.shape[0], 1))
-
-    def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        n = self.weights.size
-        return np.zeros((Theta.shape[0], n, n - 1))
 
     def to_config(self) -> dict:
         return {"kind": "constant", "weights": self.weights.tolist()}
@@ -340,46 +328,29 @@ class DiversityWeighted(Generator):
         self.lam = float(lam)
         self.name = f"dw[{self.lam:g}]"
 
-    def log_gen(self, p) -> float:
-        arr = _pos(p)
-        return float(np.log(np.sum(arr**self.lam)) / self.lam)
+    def log_gen(self, P):
+        return np.log(np.sum(P**self.lam, axis=-1)) / self.lam
 
     def euclid_grad(self, p) -> np.ndarray:
-        arr = _pos(p)
-        q = arr ** (self.lam - 1.0)
-        return q / (q @ arr)
+        q = p ** (self.lam - 1.0)
+        return q / (q @ p)
 
     def euclid_hess_phi(self, p) -> np.ndarray:
-        arr = _pos(p)
         lam = self.lam
-        S = np.sum(arr**lam)
-        q = arr ** (lam - 1.0)
-        return np.diag((lam - 1.0) * arr ** (lam - 2.0) / S) - lam * np.outer(q, q) / S**2
+        S = np.sum(p**lam)
+        q = p ** (lam - 1.0)
+        return np.diag((lam - 1.0) * p ** (lam - 2.0) / S) - lam * np.outer(q, q) / S**2
 
-    def portfolio(self, p) -> np.ndarray:
-        q = _pos(p) ** self.lam
-        return q / q.sum()
+    def portfolio(self, P) -> np.ndarray:
+        Q = P**self.lam
+        return Q / Q.sum(axis=-1, keepdims=True)
 
-    def dpi_dtheta(self, theta) -> np.ndarray:
+    def dpi_dtheta(self, Theta) -> np.ndarray:
         # pi in exponential coordinates is a softmax of lam * theta
-        pi = softmax_with_tail(self.lam * coord_array(theta))
-        return self.lam * pi[:, None] * (np.eye(pi.size)[:, :-1] - pi[None, :-1])
+        return _softmax_dpi(from_primal_many(self.lam * Theta), self.lam)
 
     def dual_map_inverse(self, phi) -> np.ndarray:
         return np.asarray(phi, dtype=float) / (1.0 - self.lam)
-
-    def log_gen_many(self, P) -> np.ndarray:
-        return np.log(np.sum(P**self.lam, axis=1)) / self.lam
-
-    def portfolio_many(self, P) -> np.ndarray:
-        Q = P**self.lam
-        return Q / Q.sum(axis=1, keepdims=True)
-
-    def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        # as dpi_dtheta: pi in exponential coordinates is a softmax of lam * theta
-        Pi = from_primal_many(self.lam * Theta)
-        eye = np.eye(Pi.shape[1])[:, :-1]
-        return self.lam * Pi[:, :, None] * (eye[None] - Pi[:, None, :-1])
 
     def to_config(self) -> dict:
         return {"kind": "diversity", "lam": self.lam}
@@ -398,46 +369,30 @@ class GeneralizedDiversityWeighted(Generator):
         self.lam = float(lam)
         self.name = f"gdw[{self.lam:g}]"
 
-    def log_gen(self, p) -> float:
-        arr = _pos(p)
-        return float(np.log(self.w @ arr**self.lam) / self.lam)
+    def log_gen(self, P):
+        return np.log(P**self.lam @ self.w) / self.lam
 
     def euclid_grad(self, p) -> np.ndarray:
-        arr = _pos(p)
-        q = self.w * arr ** (self.lam - 1.0)
-        return q / (q @ arr)
+        q = self.w * p ** (self.lam - 1.0)
+        return q / (q @ p)
 
     def euclid_hess_phi(self, p) -> np.ndarray:
-        arr = _pos(p)
         lam = self.lam
-        S = self.w @ arr**lam
-        q = self.w * arr ** (lam - 1.0)
-        return np.diag((lam - 1.0) * self.w * arr ** (lam - 2.0) / S) - lam * np.outer(q, q) / S**2
+        S = self.w @ p**lam
+        q = self.w * p ** (lam - 1.0)
+        return np.diag((lam - 1.0) * self.w * p ** (lam - 2.0) / S) - lam * np.outer(q, q) / S**2
 
-    def portfolio(self, p) -> np.ndarray:
-        q = self.w * _pos(p) ** self.lam
-        return q / q.sum()
+    def portfolio(self, P) -> np.ndarray:
+        Q = self.w * P**self.lam
+        return Q / Q.sum(axis=-1, keepdims=True)
 
-    def dpi_dtheta(self, theta) -> np.ndarray:
-        th = coord_array(theta)
-        pi = softmax_with_tail(self.lam * th + np.log(self.w[:-1] / self.w[-1]))
-        return self.lam * pi[:, None] * (np.eye(pi.size)[:, :-1] - pi[None, :-1])
+    def dpi_dtheta(self, Theta) -> np.ndarray:
+        shift = np.log(self.w[:-1] / self.w[-1])
+        return _softmax_dpi(from_primal_many(self.lam * Theta + shift), self.lam)
 
     def dual_map_inverse(self, phi) -> np.ndarray:
         shift = np.log(self.w[:-1] / self.w[-1])
         return (np.asarray(phi, dtype=float) + shift) / (1.0 - self.lam)
-
-    def log_gen_many(self, P) -> np.ndarray:
-        return np.log(P**self.lam @ self.w) / self.lam
-
-    def portfolio_many(self, P) -> np.ndarray:
-        Q = self.w * P**self.lam
-        return Q / Q.sum(axis=1, keepdims=True)
-
-    def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        Pi = from_primal_many(self.lam * Theta + np.log(self.w[:-1] / self.w[-1]))
-        eye = np.eye(Pi.shape[1])[:, :-1]
-        return self.lam * Pi[:, :, None] * (eye[None] - Pi[:, None, :-1])
 
     def to_config(self) -> dict:
         return {"kind": "generalized_diversity", "lam": self.lam, "weights": self.w.tolist()}
@@ -466,8 +421,8 @@ class ConvexCombination(Generator):
             total = c * v if total is None else total + c * v
         return total
 
-    def log_gen(self, p) -> float:
-        return float(self._blend(g.log_gen(p) for g in self.parts))
+    def log_gen(self, P):
+        return self._blend(g.log_gen(P) for g in self.parts)
 
     def euclid_grad(self, p) -> np.ndarray:
         return self._blend(g.euclid_grad(p) for g in self.parts)
@@ -475,25 +430,16 @@ class ConvexCombination(Generator):
     def euclid_hess_phi(self, p) -> np.ndarray:
         return self._blend(g.euclid_hess_phi(p) for g in self.parts)
 
-    def portfolio(self, p) -> np.ndarray:
-        return self._blend(g.portfolio(p) for g in self.parts)
+    def portfolio(self, P) -> np.ndarray:
+        return self._blend(g.portfolio(P) for g in self.parts)
 
-    def dpi_dtheta(self, theta) -> np.ndarray:
-        return self._blend(g.dpi_dtheta(theta) for g in self.parts)
+    def dpi_dtheta(self, Theta) -> np.ndarray:
+        return self._blend(g.dpi_dtheta(Theta) for g in self.parts)
 
     def dual_map_inverse(self, phi):
         if len(self.parts) == 1:
             return self.parts[0].dual_map_inverse(phi)
         return None
-
-    def log_gen_many(self, P) -> np.ndarray:
-        return self._blend(g.log_gen_many(P) for g in self.parts)
-
-    def portfolio_many(self, P) -> np.ndarray:
-        return self._blend(g.portfolio_many(P) for g in self.parts)
-
-    def dpi_dtheta_many(self, Theta) -> np.ndarray:
-        return self._blend(g.dpi_dtheta_many(Theta) for g in self.parts)
 
     def to_config(self) -> dict:
         return {
@@ -504,19 +450,20 @@ class ConvexCombination(Generator):
 
 
 class CustomGenerator(Generator):
-    """Generator defined by a callable phi; derivatives by central differences."""
+    """Generator defined by a callable phi of one point; derivatives by
+    central differences."""
 
     def __init__(self, func, grad=None, name="custom"):
         self._func = func
         self._grad = grad
         self.name = name
 
-    def log_gen(self, p) -> float:
-        return float(self._func(_pos(p)))
+    def log_gen(self, P):
+        return _each_row(lambda p: float(self._func(p)), P)
 
     def euclid_grad(self, p) -> np.ndarray:
         if self._grad is not None:
-            return np.asarray(self._grad(_pos(p)), dtype=float)
+            return np.asarray(self._grad(p), dtype=float)
         return super().euclid_grad(p)
 
 
@@ -577,7 +524,7 @@ class Portfolio:
 
 def portfolio(gen: Generator, p) -> Portfolio:
     """Portfolio of ``gen`` at ``p``, validated to sum to one."""
-    return Portfolio(gen.portfolio(p))
+    return Portfolio(gen.portfolio(np.asarray(p, dtype=float)))
 
 
 def portfolio_theta(gen: Generator, theta) -> np.ndarray:
@@ -671,7 +618,7 @@ def check_regularity(gen: Generator, sample_points) -> RegularityReport:
     records = []
     failures = []
     for idx, p in enumerate(sample_points):
-        arr = _pos(p)
+        arr = np.asarray(p, dtype=float)
         B = tangent_basis(arr.size)
         H = B.T @ gen.euclid_hess_Phi(arr) @ B
         H = (H + H.T) / 2

@@ -30,6 +30,7 @@ through three independent code paths.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -397,10 +398,10 @@ def _residual_values(gen, times, points, coord, eval_times, end_velocities=None)
     spl = CubicSpline(times, points, axis=0, bc_type=bc)
     xi, v, a = spl(eval_times), spl.derivative(1)(eval_times), spl.derivative(2)(eval_times)
     if coord == "dual":
-        Pi = gen.portfolio_many(from_primal_many(inverse_dual_coord(gen, xi)))
+        Pi = gen.portfolio(from_primal_many(inverse_dual_coord(gen, xi)))
         sign = -1.0
     else:
-        Pi = gen.portfolio_many(from_primal_many(xi))
+        Pi = gen.portfolio(from_primal_many(xi))
         sign = 1.0
     mix = np.sum(Pi[:, :-1] * v, axis=1, keepdims=True)
     return a + sign * (v * v - 2.0 * v * mix)
@@ -483,42 +484,70 @@ def _flow_slack(gen, th_target) -> float:
     return 1e-15 + 16.0 * np.finfo(float).eps * (1.0 + abs(f_value(gen, th_target)))
 
 
+def _flow(rhs, state, divergence, th, horizon: float, steps: int, slack: float):
+    """Step control shared by the flows; returns (times, points, velocities).
+
+    ``state(th)`` gives ``(k1, point, velocity)`` at an accepted state: the
+    first RK4 stage of every try of the next step, and the curve's point and
+    velocity there.  ``divergence(th)`` is T to the target.  A try is
+    accepted when it is finite and T rises by at most ``slack``; otherwise
+    the step is halved, up to 50 times.  A try whose T cannot be evaluated
+    counts as infinite: one that overflows (``coord_array`` raises
+    ValueError) or reaches the simplex boundary in floating point (the
+    portfolio raises NonRegularError, a ValueError).
+    """
+    k1, point, vel = state(th)
+    times, pts, vels = [0.0], [point], [vel]
+    value = divergence(th)
+    dt = horizon / steps
+    t = 0.0
+    # a long try may overflow before it is rejected; accepted states are finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while t < horizon - 1e-12:
+            step = min(dt, horizon - t)
+            for _ in range(50):
+                try:
+                    cand = _rk4_step(rhs, th, step, k1)
+                    cand_val = divergence(cand)
+                except ValueError:
+                    cand_val = np.inf
+                if cand_val <= value + slack:
+                    break
+                step *= 0.5
+            if not math.isfinite(cand_val):
+                raise GeodesicBlowupError(f"flow left the finite range at t={t:.6f}",
+                                          last_valid_t=t)
+            th, value, t = cand, cand_val, t + step
+            k1, point, vel = state(th)
+            times.append(t)
+            pts.append(point)
+            vels.append(vel)
+    return np.array(times), np.array(pts), np.array(vels)
+
+
 def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -> Curve:
     """Gradient flow of T(r | .) from q; a time change of the primal geodesic.
 
     The divergence to the target must not increase along the discrete flow
     beyond rounding noise (:func:`_flow_slack`); steps that would increase
-    it more are halved and retried.  The right-hand side at each accepted
-    point is computed once: it is the stored velocity there and the first
-    RK4 stage of every try of the next step.
+    it more, or leave the finite range, are halved and retried.  The
+    right-hand side at each accepted point is computed once: it is the
+    stored velocity there and the first RK4 stage of every try of the next
+    step.
     """
     from .divergence import l_divergence_primal
 
     th_r = to_primal(r).theta
-    th = to_primal(q).theta.copy()
     rhs = lambda x: _primal_flow_rhs(gen, x, th_r)
-    vel = rhs(th)
-    times = [0.0]
-    pts = [th.copy()]
-    vels = [vel]
-    value = l_divergence_primal(gen, th_r, th).value
-    slack = _flow_slack(gen, th_r)
-    dt = horizon / steps
-    t = 0.0
-    while t < horizon - 1e-12:
-        step = min(dt, horizon - t)
-        for _ in range(50):
-            cand = _rk4_step(rhs, th, step, vel)
-            cand_val = l_divergence_primal(gen, th_r, cand).value
-            if cand_val <= value + slack:
-                break
-            step *= 0.5
-        th, value, t = cand, cand_val, t + step
-        vel = rhs(th)
-        times.append(t)
-        pts.append(th.copy())
-        vels.append(vel)
-    return Curve(np.array(times), np.array(pts), "primal", velocities=np.array(vels))
+
+    def state(x):
+        vel = rhs(x)
+        return vel, x, vel
+
+    divergence = lambda x: l_divergence_primal(gen, th_r, x).value
+    times, pts, vels = _flow(rhs, state, divergence, to_primal(q).theta, horizon, steps,
+                             _flow_slack(gen, th_r))
+    return Curve(times, pts, "primal", velocities=vels)
 
 
 def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> Curve:
@@ -533,30 +562,16 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
 
     ph_p = dual_coord(gen, to_primal(p).theta).phi
     th_p = to_primal(p).theta
-    th = to_primal(q).theta.copy()
     rhs = lambda x: _dual_flow_rhs(gen, x, ph_p)[0]
-    t = 0.0
-    value = l_divergence_primal(gen, th, th_p).value
-    slack = _flow_slack(gen, th_p)
-    th_dot, ph_dot, ph = _dual_flow_rhs(gen, th, ph_p)
-    times = [0.0]
-    pts = [ph]
-    vels = [ph_dot]
-    dt = horizon / steps
-    while t < horizon - 1e-12:
-        step = min(dt, horizon - t)
-        for _ in range(50):
-            cand = _rk4_step(rhs, th, step, th_dot)
-            cand_val = l_divergence_primal(gen, cand, th_p).value
-            if cand_val <= value + slack:
-                break
-            step *= 0.5
-        th, value, t = cand, cand_val, t + step
-        th_dot, ph_dot, ph = _dual_flow_rhs(gen, th, ph_p)
-        times.append(t)
-        pts.append(ph)
-        vels.append(ph_dot)
-    return Curve(np.array(times), np.array(pts), "dual", velocities=np.array(vels))
+
+    def state(x):
+        th_dot, ph_dot, ph = _dual_flow_rhs(gen, x, ph_p)
+        return th_dot, ph, ph_dot
+
+    divergence = lambda x: l_divergence_primal(gen, x, th_p).value
+    times, pts, vels = _flow(rhs, state, divergence, to_primal(q).theta, horizon, steps,
+                             _flow_slack(gen, th_p))
+    return Curve(times, pts, "dual", velocities=vels)
 
 
 def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
@@ -646,11 +661,11 @@ class RegionSample:
 def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
     """Vectorized gap T(q|p) + T(r|q) - T(r|p) over rows q of Q."""
     pa, ra = point_array(p), point_array(r)
-    pi_p = np.asarray(gen.portfolio(pa), dtype=float)
+    pi_p = gen.portfolio(pa)
     logv_p = gen.log_gen(pa)
     logv_r = gen.log_gen(ra)
-    logv_Q = gen.log_gen_many(Q)
-    Pi_Q = gen.portfolio_many(Q)
+    logv_Q = gen.log_gen(Q)
+    Pi_Q = gen.portfolio(Q)
     t_qp = np.log((Q / pa) @ pi_p) - (logv_Q - logv_p)
     t_rq = np.log(np.sum(Pi_Q * (ra / Q), axis=1)) - (logv_r - logv_Q)
     t_rp = np.log((ra / pa) @ pi_p) - (logv_r - logv_p)

@@ -210,12 +210,13 @@ def to_primal_many(P: np.ndarray) -> np.ndarray:
 
 
 def from_primal_many(Theta: np.ndarray) -> np.ndarray:
-    """Row-wise inverse of :func:`to_primal_many`, max-shifted."""
+    """Inverse of :func:`to_primal_many` over the last axis of a (..., n-1)
+    array, max-shifted; a 1-d ``Theta`` gives one point."""
     Theta = np.asarray(Theta, dtype=float)
-    Z = np.concatenate([Theta, np.zeros((Theta.shape[0], 1))], axis=1)
-    Z = Z - Z.max(axis=1, keepdims=True)
+    Z = np.concatenate([Theta, np.zeros(Theta.shape[:-1] + (1,))], axis=-1)
+    Z = Z - Z.max(axis=-1, keepdims=True)
     W = np.exp(Z)
-    return W / W.sum(axis=1, keepdims=True)
+    return W / W.sum(axis=-1, keepdims=True)
 
 
 def from_primal(theta) -> SimplexPoint:

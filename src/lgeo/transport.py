@@ -256,7 +256,7 @@ class GaussianCheckReport:
 
 def _dual_map_batch(gen: Generator, Theta: np.ndarray) -> np.ndarray:
     P = from_primal_many(Theta)
-    Pi = gen.portfolio_many(P)
+    Pi = gen.portfolio(P)
     return Theta - (np.log(Pi[:, :-1]) - np.log(Pi[:, -1:]))
 
 

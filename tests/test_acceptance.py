@@ -46,18 +46,18 @@ def report(num, label, ok):
 
 def batch_T(gen, Q, P, logv_Q=None, logv_P=None):
     """Divergence T(q|p) row-wise through the portfolio form."""
-    pi_P = gen.portfolio_many(P)
+    pi_P = gen.portfolio(P)
     if logv_Q is None:
-        logv_Q = gen.log_gen_many(Q)
+        logv_Q = gen.log_gen(Q)
     if logv_P is None:
-        logv_P = gen.log_gen_many(P)
+        logv_P = gen.log_gen(P)
     return np.log(np.einsum("ij,ij->i", pi_P, Q / P)) - (logv_Q - logv_P)
 
 
 def batch_phi(gen, Theta, P=None):
     if P is None:
         P = from_primal_many(Theta)
-    Pi = gen.portfolio_many(P)
+    Pi = gen.portfolio(P)
     return Theta - (np.log(Pi[:, :-1]) - np.log(Pi[:, -1:]))
 
 
@@ -78,12 +78,12 @@ def test_criterion_01_divergence_identities():
         for name, gen in acceptance_zoo(n).items():
             P = rng.dirichlet(np.ones(n), size=N)
             Q = rng.dirichlet(np.ones(n), size=N)
-            logv_P = gen.log_gen_many(P)
-            logv_Q = gen.log_gen_many(Q)
+            logv_P = gen.log_gen(P)
+            logv_Q = gen.log_gen(Q)
             Tqp = batch_T(gen, Q, P, logv_Q, logv_P)
             ok &= bool(Tqp.min() > 0.0)
             # Bregman dominates: B = T + (ratio - 1 - log ratio) >= T >= 0
-            ratio = np.einsum("ij,ij->i", gen.portfolio_many(P), Q / P)
+            ratio = np.einsum("ij,ij->i", gen.portfolio(P), Q / P)
             breg = Tqp + (ratio - 1.0 - np.log(ratio))
             ok &= bool(np.all(breg >= Tqp - 1e-12) and breg.min() > 0.0)
             # diagonal vanishes
@@ -226,15 +226,15 @@ def test_criterion_06_pythagorean_theorem():
             P = rng.dirichlet(np.ones(n), size=N)
             Q = rng.dirichlet(np.ones(n), size=N)
             R = rng.dirichlet(np.ones(n), size=N)
-            logv = {id(X): gen.log_gen_many(X) for X in (P, Q, R)}
+            logv = {id(X): gen.log_gen(X) for X in (P, Q, R)}
             gap = (
                 batch_T(gen, Q, P, logv[id(Q)], logv[id(P)])
                 + batch_T(gen, R, Q, logv[id(R)], logv[id(Q)])
                 - batch_T(gen, R, P, logv[id(R)], logv[id(P)])
             )
             Th_P, Th_Q, Th_R = (to_primal_many(X) for X in (P, Q, R))
-            Pi_Q = gen.portfolio_many(Q)
-            Pi_P = gen.portfolio_many(P)
+            Pi_Q = gen.portfolio(Q)
+            Pi_P = gen.portfolio(P)
             # transport-perturbation gap equals the divergence gap
             Ph_P = Th_P - (np.log(Pi_P[:, :-1]) - np.log(Pi_P[:, -1:]))
             Ph_Q = Th_Q - (np.log(Pi_Q[:, :-1]) - np.log(Pi_Q[:, -1:]))
@@ -252,7 +252,7 @@ def test_criterion_06_pythagorean_theorem():
             eZ = np.exp(np.concatenate([Th_R - Th_Q, np.zeros((N, 1))], axis=1))
             Z = np.einsum("ij,ij->i", Pi_Q, eZ)
             v_primal = (eZ[:, :-1] - 1.0) / Z[:, None]
-            dpi = gen.dpi_dtheta_many(Th_Q)
+            dpi = gen.dpi_dtheta(Th_Q)
             head = Pi_Q[:, :-1]
             eye = np.eye(n - 1)
             J = eye[None] - dpi[:, :-1, :] / head[:, :, None] + dpi[:, -1:, :] / Pi_Q[:, -1:, None]

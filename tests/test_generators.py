@@ -255,8 +255,8 @@ class TestProperties:
             P = dirichlet_points(rng, n, 400)
             Q = dirichlet_points(rng, n, 400)
             for name, gen in builtin_zoo(n).items():
-                lhs = np.einsum("ij,ij->i", gen.portfolio_many(P), Q / P)
-                rhs = np.exp(gen.log_gen_many(Q) - gen.log_gen_many(P))
+                lhs = np.einsum("ij,ij->i", gen.portfolio(P), Q / P)
+                rhs = np.exp(gen.log_gen(Q) - gen.log_gen(P))
                 assert np.all(lhs >= rhs - 1e-12), name
 
     def test_potential_gradient_is_portfolio(self, rng):
@@ -267,32 +267,40 @@ class TestProperties:
             assert np.max(np.abs(grad - pi[:-1])) < 1e-6, name
 
     def test_batch_apis_match_scalar(self, rng):
+        # one method per family: calls on row arrays match per-row calls
         for n in (4, 3, 10):
             P = dirichlet_points(rng, n, 32)
             Theta = rng.normal(size=(8, n - 1)) * 0.5
-            for name, gen in builtin_zoo(n).items():
-                assert np.allclose(
-                    gen.log_gen_many(P), [gen.log_gen(p) for p in P], atol=1e-13
-                ), name
-                assert np.allclose(
-                    gen.portfolio_many(P), [gen.portfolio(p) for p in P], atol=1e-13
-                ), name
-                assert np.allclose(
-                    gen.dpi_dtheta_many(Theta),
-                    [gen.dpi_dtheta(t) for t in Theta],
-                    atol=1e-8,
-                ), name
+            gens = builtin_zoo(n)
+            gens["market"] = G.ZeroGenerator()
+            gens["uniform"] = G.UniformCrossEntropy()
+            gens["one-part mix"] = G.convex_combination([gens["diversity"]], [1.0])
+            # phi alone: rows of the finite-difference fallbacks
+            gens["custom"] = G.CustomGenerator(lambda p: 2.0 * np.log(np.sum(np.sqrt(p))))
+            for name, gen in gens.items():
+                assert isinstance(gen.log_gen(P[0]), float), name
+                phi_rows = gen.log_gen(P)
+                assert np.allclose(phi_rows, [gen.log_gen(p) for p in P], atol=1e-13), name
+                pi_rows = gen.portfolio(P)
+                assert np.allclose(pi_rows, [gen.portfolio(p) for p in P], atol=1e-13), name
+                dpi_rows = gen.dpi_dtheta(Theta)
+                assert np.allclose(dpi_rows, [gen.dpi_dtheta(t) for t in Theta], atol=1e-8), name
+                # a (2, 8, ...) stack of inputs gives the (2, 8, ...) stack of results
+                P_stack = P[:16].reshape(2, 8, n)
+                assert np.allclose(gen.log_gen(P_stack), phi_rows[:16].reshape(2, 8),
+                                   atol=1e-13), name
+                assert np.allclose(gen.portfolio(P_stack), pi_rows[:16].reshape(2, 8, n),
+                                   atol=1e-13), name
+                dpi_stack = gen.dpi_dtheta(np.stack([Theta, Theta]))
+                assert dpi_stack.shape == (2, 8, n, n - 1), name
+                assert np.allclose(dpi_stack, [dpi_rows, dpi_rows], atol=1e-8), name
                 # the closed-form dual inverses are elementwise: rows map exactly
                 rows = gen.dual_map_inverse(Theta)
-                if name == "mix":
+                if name in ("mix", "market", "custom"):
                     assert rows is None
                 else:
                     ref = [gen.dual_map_inverse(t) for t in Theta]
                     assert np.array_equal(rows, ref), name
-        for gen in (G.UniformCrossEntropy(),
-                    G.convex_combination([G.diversity_weighted(0.5)], [1.0])):
-            ref = [gen.dual_map_inverse(t) for t in Theta]
-            assert np.array_equal(gen.dual_map_inverse(Theta), ref), gen.name
 
 
 class TestConfig:

@@ -17,6 +17,22 @@ R3 = np.array([0.15, 0.35, 0.5])
 P3 = np.array([0.3, 0.5, 0.2])
 
 
+def bound_rk4_steps(monkeypatch, limit):
+    """Make the flows fail once they take more than ``limit`` RK4 tries, so
+    that a flow stuck in step halving fails instead of stalling; returns the
+    list that gets one entry per try."""
+    rk4_step, calls = gd._rk4_step, []
+
+    def bounded_rk4_step(*args):
+        calls.append(None)
+        if len(calls) > limit:
+            raise AssertionError("flow stalled in step halving")
+        return rk4_step(*args)
+
+    monkeypatch.setattr(gd, "_rk4_step", bounded_rk4_step)
+    return calls
+
+
 class TestCurve:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
@@ -305,15 +321,7 @@ class TestFlows:
         # coordinate equal to the primal one, so the dual flow's state is
         # its stored point.
         gen = G.equal_weighted(3)
-        rk4_step, calls = gd._rk4_step, []
-
-        def counted_rk4_step(*args):
-            calls.append(None)
-            if len(calls) > 100:
-                raise AssertionError("flow stalled in step halving")
-            return rk4_step(*args)
-
-        monkeypatch.setattr(gd, "_rk4_step", counted_rk4_step)
+        calls = bound_rk4_steps(monkeypatch, 100)
         th_p = to_primal(P3).theta
         c = gd.primal_flow(gen, Q3, P3, horizon=20.0, steps=4)
         assert len(calls) > len(c) - 1  # some steps were halved
@@ -338,20 +346,30 @@ class TestFlows:
         r = np.array([0.3140016220541149, 0.24460781570134407, 0.10171520919066944,
                       0.1399603425586504, 0.19971501049522106])
         steps = 800
-        rk4_step, calls = gd._rk4_step, []
-
-        def bounded_rk4_step(*args):
-            calls.append(None)
-            if len(calls) > 20 * steps:
-                raise AssertionError("flow stalled in step halving")
-            return rk4_step(*args)
-
-        monkeypatch.setattr(gd, "_rk4_step", bounded_rk4_step)
+        bound_rk4_steps(monkeypatch, 20 * steps)
         c = gd.primal_flow(gen, q / q.sum(), r / r.sum(), horizon=20.0, steps=steps)
         assert c.times[-1] == pytest.approx(20.0, abs=1e-12)
         th_r = to_primal(r / r.sum()).theta
         vals = np.array([l_divergence_primal(gen, th_r, th).value for th in c.points])
         assert np.all(np.diff(vals) <= gd._flow_slack(gen, th_r))
+
+    def test_flow_halves_a_try_that_leaves_the_finite_range(self, monkeypatch):
+        # with dt = 5 the first RK4 tries overflow or reach the simplex
+        # boundary in floating point, where T cannot be evaluated; they are
+        # halved like any rejected step
+        gen = G.diversity_weighted(0.5)
+        q, r = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.25, 0.15])
+        steps = 4
+        bound_rk4_steps(monkeypatch, 20 * steps)
+        c = gd.primal_flow(gen, q, r, horizon=20.0, steps=steps)
+        assert c.times[-1] == pytest.approx(20.0, abs=1e-12)
+        assert np.all(np.isfinite(c.points)) and np.all(np.isfinite(c.velocities))
+        th_r = to_primal(r).theta
+        vals = np.array([l_divergence_primal(gen, th_r, th).value for th in c.points])
+        assert np.all(np.diff(vals) <= gd._flow_slack(gen, th_r))
+        d = gd.dual_flow(gen, q, r, horizon=20.0, steps=steps)
+        assert d.times[-1] == pytest.approx(20.0, abs=1e-12)
+        assert np.all(np.isfinite(d.points))
 
 
 class TestInverseExp:
