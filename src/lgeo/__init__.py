@@ -62,6 +62,7 @@ from .divergence import (
     l_divergence,
     l_divergence_dual,
     l_divergence_primal,
+    optimal_assignment,
     pyth_transport_gap,
 )
 from .geometry import (
@@ -97,7 +98,6 @@ from .transport import (
     ActionValue,
     InterpolationFamily,
     action,
-    brute_force_optimal,
     coupling_cost,
     displacement_family,
     gaussian_example_check,

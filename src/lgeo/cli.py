@@ -116,6 +116,14 @@ def _vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
+def _resolution(text: str) -> int:
+    """A region lattice resolution; ``region_sample`` needs at least 3."""
+    value = int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # region emission
 
@@ -332,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("region", _cmd_region, help="emit the rebalancing region (n=3)")
     p.add_argument("--p", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--resolution", type=int, default=120)
+    p.add_argument("--resolution", type=_resolution, default=120)
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out", required=True)
 

@@ -8,16 +8,16 @@ the error of the sharpened first-order approximation available to
 exponentially concave ``phi``.  It admits three coordinate representations
 (Euclidean, primal, dual) that must agree, is reproduced by the cost-based
 divergence of the c-concave function ``f = phi + psi``, and certifies
-optimality of the induced transport map through cyclical monotonicity.
+optimality of the induced transport map through cyclical monotonicity,
+checked over every cycle by one optimal assignment.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linear_sum_assignment, minimize
 
 from .generators import Generator, NonRegularError, dual_coord, portfolio_theta
 from .simplex import (
@@ -46,6 +46,7 @@ __all__ = [
     "inverse_dual_coord",
     "c_divergence",
     "c_divergence_dual",
+    "optimal_assignment",
     "is_c_cyclical_monotone",
     "is_mcm",
     "pyth_transport_gap",
@@ -438,37 +439,36 @@ _CM_SLACK = 1e-10
 _MCM_SLACK = 1e-12
 
 
-def is_c_cyclical_monotone(sample: CouplingSample, m_max: int = 5) -> bool:
-    """Exhaustively test cyclical monotonicity on subsets up to size m_max.
+def optimal_assignment(P_support, Q_support):
+    """Optimal equal-mass assignment between two supports of N points each.
 
-    For every subset of pairs of size at most ``m_max`` (capped at 7) and
-    every permutation of its second coordinates, the diagonal coupling must
-    not cost more than the permuted one (up to 1e-10 slack).
+    Returns ``(assignment, cost)``: ``assignment[i]`` is the index of the
+    target point coupled to source i, and ``cost`` the total transport cost.
+    One O(N^3) solve by ``scipy.optimize.linear_sum_assignment``.
     """
-    if m_max > 7:
-        raise ValueError("m_max capped at 7: permutation enumeration is factorial")
-    pairs = sample.pairs
-    N = len(pairs)
-    thetas = np.array([np.asarray(t, dtype=float) for t, _ in pairs])
-    phis = np.array([np.asarray(f, dtype=float) for _, f in pairs])
+    P = np.atleast_2d(np.asarray(P_support, dtype=float))
+    Q = np.atleast_2d(np.asarray(Q_support, dtype=float))
+    if Q.shape[0] != P.shape[0]:
+        raise ValueError("equal-mass assignment needs equally sized supports")
     # cost matrix C[i, j] = c(theta_i, phi_j)
-    diff = thetas[:, None, :] - phis[None, :, :]
-    m = np.maximum(diff.max(axis=-1), 0.0)
-    C = m + np.log(np.exp(-m) + np.exp(diff - m[..., None]).sum(axis=-1))
-    rows = {}
-    for size in range(2, min(m_max, N) + 1):
-        if size not in rows:
-            rows[size] = np.array(list(itertools.permutations(range(size))))
-        perms = rows[size]
-        arange = np.arange(size)
-        for subset in itertools.combinations(range(N), size):
-            idx = np.array(subset)
-            M = C[np.ix_(idx, idx)]
-            base = M[arange, arange].sum()
-            permuted = M[arange[None, :], perms].sum(axis=1)
-            if base > permuted.min() + _CM_SLACK:
-                return False
-    return True
+    C = psi_many(P[:, None, :] - Q[None, :, :])
+    rows, cols = linear_sum_assignment(C)
+    return cols, float(C[rows, cols].sum())
+
+
+def is_c_cyclical_monotone(sample: CouplingSample) -> bool:
+    """Test c-cyclical monotonicity of a finite coupling over every cycle.
+
+    By Rockafellar (1966, Pacific J. Math. 17) a finite coupling is
+    c-cyclically monotone exactly when pairing each theta with its own phi
+    is an optimal assignment, so one :func:`optimal_assignment` solve checks
+    the cycles of every length at once.  The diagonal coupling may cost at
+    most 1e-10 more than the optimum.
+    """
+    thetas = np.array([np.asarray(t, dtype=float) for t, _ in sample.pairs])
+    phis = np.array([np.asarray(f, dtype=float) for _, f in sample.pairs])
+    _, best = optimal_assignment(thetas, phis)
+    return bool(psi_many(thetas - phis).sum() <= best + _CM_SLACK)
 
 
 def is_mcm(portfolio_map, cycle) -> bool:

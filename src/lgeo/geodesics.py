@@ -31,8 +31,6 @@ through three independent code paths.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -673,51 +671,52 @@ def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
 
 
 def _barycentric_lattice(resolution: int):
-    idx = []
-    for i in range(1, resolution):
-        for j in range(1, resolution - i):
-            idx.append((i, j, resolution - i - j))
-    idx = np.array(idx, dtype=int)
-    return idx, idx / resolution
+    """Interior lattice rows (i, j, k), i + j + k = resolution, i-major order.
+
+    Also returns the index map: ``index_map[i, j]`` is the row of (i, j, .)
+    and -1 off the interior, for i, j up to ``resolution``.
+    """
+    ij = np.arange(resolution + 1)
+    inside = (ij[:, None] > 0) & (ij[None, :] > 0) & (ij[:, None] + ij[None, :] < resolution)
+    i, j = np.nonzero(inside)
+    index_map = np.full(inside.shape, -1)
+    index_map[i, j] = np.arange(i.size)
+    idx = np.column_stack([i, j, resolution - i - j])
+    return idx, idx / resolution, index_map
 
 
 def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSample:
     """Classify a barycentric lattice by the sign of the rebalancing gap.
 
-    Only n = 3 is supported (the lattice lives on the 2-simplex); p and r
-    are appended to the sample and always classify as boundary points since
-    their gap vanishes identically.  Boundary lattice points are those with
-    a sign change toward some lattice neighbor; the polyline refines the
-    crossing by linear interpolation along lattice edges.
+    Only n = 3 is supported (the lattice lives on the 2-simplex) and
+    ``grid_resolution`` must be at least 3, the first with interior lattice
+    points; p and r are appended to the sample and always classify as
+    boundary points since their gap vanishes identically.  Boundary lattice
+    points are those with a sign change toward some lattice neighbor; the
+    polyline refines the crossing by linear interpolation along lattice
+    edges, one row per crossing edge, ordered by lattice point and then by
+    the edge directions (1, 0), (0, 1), (1, -1).
     """
+    if grid_resolution < 3:
+        raise ValueError(f"grid_resolution must be at least 3, got {grid_resolution}")
     pa, ra = point_array(p), point_array(r)
     if pa.size != 3:
         raise ValueError("region sampling draws on the 2-simplex: need n = 3")
-    idx, Q = _barycentric_lattice(grid_resolution)
-    workers = int(os.environ.get("LGEO_THREADS", "0") or 0)
-    if workers > 1:
-        chunks = np.array_split(np.arange(Q.shape[0]), workers)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda c: region_gap(gen, pa, ra, Q[c]), chunks))
-        gaps = np.concatenate(parts)
-    else:
-        gaps = region_gap(gen, pa, ra, Q)
-
+    idx, Q, index_map = _barycentric_lattice(grid_resolution)
+    gaps = region_gap(gen, pa, ra, Q)
     in_region = gaps <= 1e-12
-    index_map = {(i, j): k for k, (i, j, _) in enumerate(idx)}
+    # neighbours of each point along the three edge directions, -1 if none
+    nbr = index_map[idx[:, :1] + [1, 0, 1], idx[:, 1:2] + [0, 1, -1]]
+    g1, g2 = gaps[:, None], gaps[nbr]
+    crossing = (nbr >= 0) & (((g1 <= 0) & (g2 > 0)) | ((g2 <= 0) & (g1 > 0)))
+    k, d = np.nonzero(crossing)
+    k2 = nbr[k, d]
     boundary = np.zeros(Q.shape[0], dtype=bool)
-    segments = []
-    for k, (i, j, _) in enumerate(idx):
-        for di, dj in ((1, 0), (0, 1), (1, -1)):
-            k2 = index_map.get((i + di, j + dj))
-            if k2 is None:
-                continue
-            g1, g2 = gaps[k], gaps[k2]
-            if (g1 <= 0 < g2) or (g2 <= 0 < g1):
-                boundary[k] = boundary[k2] = True
-                if g1 != g2:
-                    lam = g1 / (g1 - g2)
-                    segments.append(Q[k] + lam * (Q[k2] - Q[k]))
+    boundary[k] = boundary[k2] = True
+    apart = gaps[k] != gaps[k2]
+    k, k2 = k[apart], k2[apart]
+    lam = gaps[k] / (gaps[k] - gaps[k2])
+    poly = Q[k] + lam[:, None] * (Q[k2] - Q[k])
     # p and r always lie on the boundary of the region (their gap is zero)
     extra = np.array([pa, ra])
     extra_gap = region_gap(gen, pa, ra, extra)
@@ -725,7 +724,6 @@ def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSamp
     gaps = np.concatenate([gaps, extra_gap])
     in_region = np.concatenate([in_region, np.abs(extra_gap) <= 1e-9])
     boundary = np.concatenate([boundary, np.abs(extra_gap) <= 1e-9])
-    poly = np.array(segments) if segments else np.empty((0, 3))
     return RegionSample(points=points, gap=gaps, in_region=in_region,
                         boundary=boundary, boundary_polyline=poly,
                         resolution=grid_resolution)

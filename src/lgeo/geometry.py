@@ -10,9 +10,8 @@ whose coefficients close in terms of the portfolio alone:
     R^l_ijk          = d_lj g_ik - d_li g_jk
 
 (Kronecker deltas written d).  Both connections have constant sectional
-curvature -1.  Every closed form here is validated elsewhere against
-finite differences of T itself; the helpers at the bottom build those
-oracles.
+curvature -1.  Every closed form here is validated by the test suite
+against finite differences of T itself.
 
 Index conventions: Christoffel arrays are stored as ``gamma[i, j, k]``
 meaning the raised symbol with lower pair (i, j); curvature arrays as
@@ -44,23 +43,12 @@ __all__ = [
     "christoffel_dual",
     "christoffel_lowered",
     "rc_curvature",
-    "rc_curvature_assembled",
     "ricci",
     "sectional_curvature",
     "riem_gradient_primal",
     "riem_gradient_dual",
-    "riem_gradient_primal_ratio_form",
-    "riem_gradient_dual_ratio_form",
-    "dual_connection_in_primal_coords",
     "pullback_metric",
-    "fd_metric_from_divergence",
-    "fd_lowered_primal_connection",
-    "fd_lowered_dual_connection",
 ]
-
-FD_STEP_FIRST = 1e-4
-FD_STEP_HIGH = 1e-3
-
 
 @dataclass(frozen=True)
 class MetricMatrix:
@@ -291,46 +279,9 @@ def _rc_closed(g: np.ndarray) -> np.ndarray:
     return R
 
 
-def rc_curvature_assembled(gen: Generator, point, which: str = "primal", h: float = FD_STEP_FIRST) -> np.ndarray:
-    """Curvature assembled as dGamma - dGamma + GammaGamma - GammaGamma.
-
-    The Christoffel field is the closed form; its coordinate derivatives are
-    taken by central differences, so this is an independent route to R.
-    """
-    xi = coord_array(point)
-    m = xi.size
-
-    if which == "primal":
-        gamma_at = lambda x: christoffel_primal(gen, x).gamma
-    else:
-        # Track theta alongside phi so each displaced inversion starts warm.
-        th0 = inverse_dual_coord(gen, xi)
-
-        def gamma_at(x):
-            th = inverse_dual_coord(gen, x, x0=th0)
-            pi = portfolio_theta(gen, th)
-            return _christoffel_raised(pi[:-1], -1.0)
-
-    G0 = gamma_at(xi)
-    dG = np.empty((m, m, m, m))  # dG[a, i, j, k] = d Gamma^k_ij / d xi_a
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = h
-        dG[a] = (gamma_at(xi + e) - gamma_at(xi - e)) / (2 * h)
-    # R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik,
-    # where dG[i, j, k, l] holds d_i Gamma^l_jk.
-    term_quad = np.einsum("iml,jkm->ijkl", G0, G0)
-    return dG - dG.transpose(1, 0, 2, 3) + term_quad - term_quad.transpose(1, 0, 2, 3)
-
-
-def ricci(gen: Generator, point, which: str = "primal", assembled: bool = False) -> np.ndarray:
+def ricci(gen: Generator, point, which: str = "primal") -> np.ndarray:
     """Ricci tensor Ric_jk = R^i_ijk (trace over the first slot)."""
-    R = (
-        rc_curvature_assembled(gen, point, which)
-        if assembled
-        else rc_curvature(gen, point, which)
-    )
-    return np.einsum("ijki->jk", R)
+    return np.einsum("ijki->jk", rc_curvature(gen, point, which))
 
 
 def sectional_curvature(gen: Generator, point, u, v, which: str = "primal") -> float:
@@ -367,17 +318,6 @@ def riem_gradient_primal(gen: Generator, r, q) -> np.ndarray:
     return (-np.exp(delta[:-1]) + 1.0) / Z
 
 
-def riem_gradient_primal_ratio_form(gen: Generator, r, q) -> np.ndarray:
-    """Equivalent expression -Pi_i/pi_i + Pi_n/pi_n via the two-point weights."""
-    from .simplex import to_primal
-
-    th_r = to_primal(r).theta
-    th_q = to_primal(q).theta
-    pi_q = portfolio_theta(gen, th_q)
-    Pi = pi_quantities(gen, th_r, th_q).values
-    return -Pi[:-1] / pi_q[:-1] + Pi[-1] / pi_q[-1]
-
-
 def riem_gradient_dual(gen: Generator, p, q) -> np.ndarray:
     """grad of T(. | p) at q, components in dual coordinates.
 
@@ -397,19 +337,6 @@ def riem_gradient_dual(gen: Generator, p, q) -> np.ndarray:
     return (np.exp(delta[:-1]) - 1.0) / Z
 
 
-def riem_gradient_dual_ratio_form(gen: Generator, p, q) -> np.ndarray:
-    """Equivalent expression Pi*_i/pi_i - Pi*_n/pi_n via the two-point weights."""
-    from .generators import dual_coord
-    from .simplex import to_primal
-
-    th_q = to_primal(q).theta
-    ph_q = dual_coord(gen, th_q).phi
-    ph_p = dual_coord(gen, to_primal(p).theta).phi
-    pi_q = portfolio_theta(gen, th_q)
-    Pi = _two_point_weights(pi_q, ph_q - ph_p)
-    return Pi[:-1] / pi_q[:-1] - Pi[-1] / pi_q[-1]
-
-
 # ---------------------------------------------------------------------------
 # coordinate transport of tensors
 
@@ -417,131 +344,3 @@ def pullback_metric(jacobian: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Bilinear form pulled back to the source coordinates: J^T g J."""
     J = np.asarray(jacobian)
     return J.T @ np.asarray(g) @ J
-
-
-def dual_connection_in_primal_coords(gen: Generator, theta, h: float = FD_STEP_HIGH) -> np.ndarray:
-    """Coefficients of the dual connection expressed in primal coordinates.
-
-    Applies the (non-tensorial) connection transformation law with the
-    analytic dual Jacobian and a finite-difference second derivative of the
-    dual coordinate map.
-    """
-    from .generators import dual_coord
-
-    th = coord_array(theta)
-    m = th.size
-    J = dual_jacobian(gen, th)  # d phi / d theta
-    A = np.linalg.inv(J)  # d theta / d phi
-    gamma_star = christoffel_dual(gen, theta=th).gamma  # in phi coordinates
-
-    # second derivatives d^2 phi_k / d theta_a d theta_b by central differences
-    def phi_at(x):
-        return dual_coord(gen, x).phi
-
-    D2 = np.empty((m, m, m))  # D2[k, a, b]
-    f0 = phi_at(th)
-    for a in range(m):
-        ea = np.zeros(m)
-        ea[a] = h
-        D2[:, a, a] = (phi_at(th + ea) - 2 * f0 + phi_at(th - ea)) / h**2
-        for b in range(a):
-            eb = np.zeros(m)
-            eb[b] = h
-            mixed = (
-                phi_at(th + ea + eb)
-                - phi_at(th + ea - eb)
-                - phi_at(th - ea + eb)
-                + phi_at(th - ea - eb)
-            ) / (4 * h**2)
-            D2[:, a, b] = mixed
-            D2[:, b, a] = mixed
-    # Gamma*(theta)^c_ab = A_ck [ Gamma*^k_ij J_ia J_jb + D2[k,a,b] ]
-    inner = np.einsum("ijk,ia,jb->abk", gamma_star, J, J) + D2.transpose(1, 2, 0)
-    return np.einsum("abk,ck->abc", inner, A)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracles on a two-argument divergence
-
-def fd_metric_from_divergence(T2, xi, h: float = FD_STEP_HIGH) -> np.ndarray:
-    """Metric oracle -d^2 T / d xi_i d xi'_j at the diagonal, 4-point mixed."""
-    xi = np.asarray(xi, dtype=float)
-    m = xi.size
-    G = np.empty((m, m))
-    for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h
-        for j in range(m):
-            ej = np.zeros(m)
-            ej[j] = h
-            G[i, j] = -(
-                T2(xi + ei, xi + ej)
-                - T2(xi + ei, xi - ej)
-                - T2(xi - ei, xi + ej)
-                + T2(xi - ei, xi - ej)
-            ) / (4 * h**2)
-    return G
-
-
-def fd_lowered_primal_connection(T2, xi, h: float = FD_STEP_HIGH) -> np.ndarray:
-    """Oracle Gamma_ijk = -d^3 T / d xi_i d xi_j d xi'_k at the diagonal."""
-    xi = np.asarray(xi, dtype=float)
-    m = xi.size
-
-    def dk(first, k):
-        ek = np.zeros(m)
-        ek[k] = h
-        return (T2(first, xi + ek) - T2(first, xi - ek)) / (2 * h)
-
-    out = np.empty((m, m, m))
-    for k in range(m):
-        base = dk(xi, k)
-        for i in range(m):
-            ei = np.zeros(m)
-            ei[i] = h
-            out[i, i, k] = -(dk(xi + ei, k) - 2 * base + dk(xi - ei, k)) / h**2
-            for j in range(i):
-                ej = np.zeros(m)
-                ej[j] = h
-                mixed = -(
-                    dk(xi + ei + ej, k)
-                    - dk(xi + ei - ej, k)
-                    - dk(xi - ei + ej, k)
-                    + dk(xi - ei - ej, k)
-                ) / (4 * h**2)
-                out[i, j, k] = mixed
-                out[j, i, k] = mixed
-    return out
-
-
-def fd_lowered_dual_connection(T2, xi, h: float = FD_STEP_HIGH) -> np.ndarray:
-    """Oracle Gamma*_ijk = -d^3 T / d xi_k d xi'_i d xi'_j at the diagonal."""
-    xi = np.asarray(xi, dtype=float)
-    m = xi.size
-
-    def second_in_prime(first, i, j):
-        ei = np.zeros(m)
-        ei[i] = h
-        if i == j:
-            return (T2(first, xi + ei) - 2 * T2(first, xi) + T2(first, xi - ei)) / h**2
-        ej = np.zeros(m)
-        ej[j] = h
-        return (
-            T2(first, xi + ei + ej)
-            - T2(first, xi + ei - ej)
-            - T2(first, xi - ei + ej)
-            + T2(first, xi - ei - ej)
-        ) / (4 * h**2)
-
-    out = np.empty((m, m, m))
-    for k in range(m):
-        ek = np.zeros(m)
-        ek[k] = h
-        for i in range(m):
-            for j in range(i + 1):
-                val = -(
-                    second_in_prime(xi + ek, i, j) - second_in_prime(xi - ek, i, j)
-                ) / (2 * h)
-                out[i, j, k] = val
-                out[j, i, k] = val
-    return out

@@ -16,8 +16,7 @@ traces a dual geodesic.
 The Gaussian product example gives the one closed-form transport pair:
 factorized normal marginals are pushed onto each other by an affine map
 arising from a weighted diversity portfolio, which this module verifies by
-seeded Monte Carlo.  A permutation-enumeration assignment solver provides
-the independent optimality oracle on small supports.
+seeded Monte Carlo.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "market_interpolation",
     "gaussian_example_check",
     "coupling_cost",
-    "brute_force_optimal",
 ]
 
 _ACTION_NODES = 129
@@ -326,67 +324,20 @@ def gaussian_example_check(a, b, sigma, lam, sample_size: int = 100_000,
     return report
 
 
-def _graph_is_monotone(gen, a, sigma, seed, n_points: int = 6, m_max: int = 5) -> bool:
+def _graph_is_monotone(gen, a, sigma, seed, n_points: int = 6) -> bool:
     rng = np.random.default_rng([seed, 0xC0])
     theta = a + sigma * rng.standard_normal(size=(n_points, a.size))
     phi = _dual_map_batch(gen, theta)
     sample = CouplingSample(pairs=[(t, f) for t, f in zip(theta, phi)])
-    return is_c_cyclical_monotone(sample, m_max=m_max)
+    return is_c_cyclical_monotone(sample)
 
 
 # ---------------------------------------------------------------------------
-# brute-force assignment oracle
+# coupling cost
 
 def coupling_cost(sample: CouplingSample) -> float:
-    """Total transport cost of a sampled coupling (equal masses)."""
-    return float(sum(psi(np.asarray(t) - np.asarray(f)) for t, f in sample.pairs))
+    """Total transport cost of a sampled coupling, each pair weighted equally.
 
-
-def brute_force_optimal(P_support, Q_support, masses=None):
-    """Optimal equal-mass assignment by permutation enumeration with pruning.
-
-    Supports of at most 8 points; returns ``(assignment, cost)`` where
-    ``assignment[i]`` is the index of the target point coupled to source i.
-    Kept deliberately brute force: it is the independent oracle against
-    which dual-map couplings are certified.
+    :func:`lgeo.divergence.optimal_assignment` gives the least such cost.
     """
-    P = np.atleast_2d(np.asarray(P_support, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q_support, dtype=float))
-    m = P.shape[0]
-    if Q.shape[0] != m:
-        raise ValueError("equal-mass assignment needs equally sized supports")
-    if m > 8:
-        raise ValueError("brute-force assignment limited to 8 support points")
-    if masses is not None:
-        masses = np.asarray(masses, dtype=float)
-        if not np.allclose(masses, masses[0]):
-            raise ValueError("only equal masses are supported")
-    diff = P[:, None, :] - Q[None, :, :]
-    mx = np.maximum(diff.max(axis=-1), 0.0)
-    C = mx + np.log(np.exp(-mx) + np.exp(diff - mx[..., None]).sum(axis=-1))
-
-    best_cost = np.inf
-    best_perm = None
-    used = np.zeros(m, dtype=bool)
-    perm = np.empty(m, dtype=int)
-    # cheapest completion bound: per remaining row, its minimal column cost
-    row_min = C.min(axis=1)
-
-    def recurse(i, acc):
-        nonlocal best_cost, best_perm
-        if i == m:
-            if acc < best_cost:
-                best_cost = acc
-                best_perm = perm.copy()
-            return
-        if acc + row_min[i:].sum() >= best_cost:
-            return
-        for j in range(m):
-            if not used[j]:
-                used[j] = True
-                perm[i] = j
-                recurse(i + 1, acc + C[i, j])
-                used[j] = False
-
-    recurse(0, 0.0)
-    return best_perm, float(best_cost)
+    return float(sum(psi(np.asarray(t) - np.asarray(f)) for t, f in sample.pairs))

@@ -183,6 +183,13 @@ class TestExitCodes:
     def test_numerical_error_nonpositive_point(self, capsys):
         assert run_cli("divergence", "--gen", "eq2", "--p", "1.0,0.0", "--q", ".5,.5") == 2
 
+    def test_usage_error_region_resolution_below_three(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("region", "--gen", "dw:0.5", "--p", "0.3,0.3,0.4",
+                       "--r", "0.5,0.2,0.3", "--resolution", "2", "--out", str(out)) == 1
+        assert "--resolution" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0
 
@@ -191,18 +198,3 @@ class TestExitCodes:
                            capture_output=True, text=True)
         assert r.returncode == 0
         assert r.stdout.startswith("lgeo ")
-
-
-class TestThreadCap:
-    def test_region_respects_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LGEO_THREADS", "2")
-        from lgeo.geodesics import region_sample
-
-        gen = G.equal_weighted(3)
-        p = np.array([0.5, 0.25, 0.25])
-        r = np.array([0.2, 0.3, 0.5])
-        threaded = region_sample(gen, p, r, grid_resolution=30)
-        monkeypatch.delenv("LGEO_THREADS")
-        serial = region_sample(gen, p, r, grid_resolution=30)
-        assert np.array_equal(threaded.gap, serial.gap)
-        assert np.array_equal(threaded.in_region, serial.in_region)

@@ -6,6 +6,7 @@ from lgeo import divergence as D
 from lgeo.simplex import from_primal, psi, psi_many, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
+from _oracles import enumerated_c_cyclical_monotone
 
 
 def theta_of(p):
@@ -226,13 +227,13 @@ class TestCDivergence:
 class TestCyclicalMonotonicity:
     def test_single_pair(self):
         sample = D.CouplingSample([(np.zeros(2), np.ones(2))])
-        assert D.is_c_cyclical_monotone(sample, m_max=5)
+        assert D.is_c_cyclical_monotone(sample)
 
     def test_dual_graph_is_monotone(self, rng):
         for name, gen in builtin_zoo(3).items():
             thetas = rng.normal(size=(6, 2))
             pairs = [(th, G.dual_coord(gen, th).phi) for th in thetas]
-            assert D.is_c_cyclical_monotone(D.CouplingSample(pairs), m_max=5), name
+            assert D.is_c_cyclical_monotone(D.CouplingSample(pairs)), name
 
     def test_swapped_assignment_fails(self, rng):
         gen = G.diversity_weighted(0.5)
@@ -240,12 +241,38 @@ class TestCyclicalMonotonicity:
         phis = [G.dual_coord(gen, th).phi for th in thetas]
         # swap the partners of the two far-apart points
         pairs = [(thetas[0], phis[1]), (thetas[1], phis[0]), (thetas[2], phis[2])]
-        assert not D.is_c_cyclical_monotone(D.CouplingSample(pairs), m_max=3)
+        assert not D.is_c_cyclical_monotone(D.CouplingSample(pairs))
 
-    def test_m_max_capped(self):
-        sample = D.CouplingSample([(np.zeros(2), np.zeros(2))])
-        with pytest.raises(ValueError):
-            D.is_c_cyclical_monotone(sample, m_max=8)
+    def test_agrees_with_full_enumeration(self):
+        # graphs, shuffled graphs and perturbed graphs of 2..8 pairs, each
+        # checked against every permutation of the whole sample
+        rng = np.random.default_rng(4242)
+        zoo = list(builtin_zoo(3).values())
+        non_monotone = 0
+        for k in range(350):
+            N = 2 + k % 7
+            gen = zoo[k % len(zoo)]
+            thetas = rng.normal(size=(N, 2)) * 1.2
+            phis = np.array([G.dual_coord(gen, th).phi for th in thetas])
+            if k % 3 == 1:
+                phis = phis[rng.permutation(N)]
+            elif k % 3 == 2:
+                phis = phis + 0.3 * rng.normal(size=phis.shape)
+            sample = D.CouplingSample(list(zip(thetas, phis)))
+            expected = enumerated_c_cyclical_monotone(sample, m_max=N)
+            assert D.is_c_cyclical_monotone(sample) == expected, k
+            non_monotone += not expected
+        assert non_monotone >= 100
+
+    def test_large_dual_graph(self, rng):
+        gen = G.diversity_weighted(0.5)
+        thetas = rng.normal(size=(200, 2)) * 1.2
+        phis = [G.dual_coord(gen, th).phi for th in thetas]
+        assert D.is_c_cyclical_monotone(D.CouplingSample(list(zip(thetas, phis))))
+        # swap the partners of the two points farthest apart along theta_1
+        i, j = np.argmin(thetas[:, 0]), np.argmax(thetas[:, 0])
+        phis[i], phis[j] = phis[j], phis[i]
+        assert not D.is_c_cyclical_monotone(D.CouplingSample(list(zip(thetas, phis))))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):

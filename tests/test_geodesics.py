@@ -11,6 +11,7 @@ from lgeo.geometry import metric_primal
 from lgeo.simplex import from_primal, psi, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
+from _oracles import region_sample_scan
 
 Q3 = np.array([0.6, 0.25, 0.15])
 R3 = np.array([0.15, 0.35, 0.5])
@@ -504,6 +505,29 @@ class TestRegion:
         gen = G.equal_weighted(4)
         with pytest.raises(ValueError):
             gd.region_sample(gen, np.full(4, 0.25), np.full(4, 0.25), 10)
+
+    def test_resolution_below_three_rejected(self):
+        gen = G.diversity_weighted(0.5)
+        for res in (2, 1, 0, -4):
+            with pytest.raises(ValueError, match="at least 3"):
+                gd.region_sample(gen, [0.3, 0.3, 0.4], [0.5, 0.2, 0.3], grid_resolution=res)
+
+    def test_matches_lattice_scan_bitwise(self):
+        placements = [
+            (G.diversity_weighted(0.5), [0.3, 0.3, 0.4], [0.5, 0.2, 0.3]),
+            (G.equal_weighted(3), [0.5, 0.25, 0.25], [0.2, 0.3, 0.5]),
+            (G.constant_weighted([0.2, 0.3, 0.5]), [0.6, 0.25, 0.15], [0.2, 0.5, 0.3]),
+        ]
+        for gen, p, r in placements:
+            for res in (3, 4, 24, 120):
+                got = gd.region_sample(gen, p, r, grid_resolution=res)
+                ref = region_sample_scan(gen, p, r, grid_resolution=res)
+                for field in ("points", "gap", "in_region", "boundary", "boundary_polyline"):
+                    a, b = getattr(got, field), getattr(ref, field)
+                    assert a.dtype == b.dtype and a.shape == b.shape, (gen.name, res, field)
+                    assert np.array_equal(a, b), (gen.name, res, field)
+                if res == 120:
+                    assert got.boundary_polyline.shape[0] > 0, gen.name
 
     def test_membership_gap_general_dimension(self, rng):
         # the gap formula answers membership queries in any dimension

@@ -4,10 +4,11 @@ import pytest
 from lgeo import generators as G
 from lgeo import geodesics as gd
 from lgeo import transport as T
-from lgeo.divergence import CouplingSample, is_c_cyclical_monotone
+from lgeo.divergence import CouplingSample, is_c_cyclical_monotone, optimal_assignment
 from lgeo.simplex import from_primal, from_primal_many, psi, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
+from _oracles import brute_force_optimal
 
 
 class TestAction:
@@ -143,7 +144,7 @@ class TestDisplacementFamily:
         for t in (0.25, 0.5, 0.75):
             thetas = rng.normal(size=(6, 2))
             pairs = [(th, fam.dual_map_at(t, th)) for th in thetas]
-            assert is_c_cyclical_monotone(CouplingSample(pairs), m_max=5)
+            assert is_c_cyclical_monotone(CouplingSample(pairs))
 
     def test_trajectory_traces_dual_geodesic(self, rng):
         gen = G.diversity_weighted(0.5)
@@ -166,7 +167,7 @@ class TestDisplacementFamily:
         assert np.max(np.abs(fam.portfolio_at(t, p) - fam.generator_at(t).portfolio(p))) < 1e-10
         thetas = rng.normal(size=(5, 2))
         pairs = [(th, fam.dual_map_at(t, th)) for th in thetas]
-        assert is_c_cyclical_monotone(CouplingSample(pairs), m_max=5)
+        assert is_c_cyclical_monotone(CouplingSample(pairs))
         th = thetas[0]
         traj = fam.trajectory(th, grid=65)
         a = from_primal_many((-th)[None])[0]
@@ -253,8 +254,10 @@ class TestGaussianExample:
 
 
 class TestBruteForce:
+    """``optimal_assignment``, also against the branch-and-bound oracle."""
+
     def test_single_point(self):
-        perm, cost = T.brute_force_optimal(np.zeros((1, 2)), np.ones((1, 2)))
+        perm, cost = optimal_assignment(np.zeros((1, 2)), np.ones((1, 2)))
         assert list(perm) == [0]
         assert cost == pytest.approx(psi(-np.ones(2)))
 
@@ -263,14 +266,14 @@ class TestBruteForce:
         for _ in range(10):
             thetas = rng.normal(size=(5, 2))
             phis = np.array([G.dual_coord(gen, th).phi for th in thetas])
-            perm, cost = T.brute_force_optimal(thetas, phis)
+            perm, cost = optimal_assignment(thetas, phis)
             diag = T.coupling_cost(CouplingSample(list(zip(thetas, phis))))
             assert diag <= cost + 1e-9
 
     def test_shuffled_coupling_costs_at_least_optimum(self, rng):
         thetas = rng.normal(size=(5, 2))
         phis = rng.normal(size=(5, 2))
-        perm, cost = T.brute_force_optimal(thetas, phis)
+        perm, cost = optimal_assignment(thetas, phis)
         for _ in range(10):
             shuffle = rng.permutation(5)
             shuffled = T.coupling_cost(
@@ -278,10 +281,20 @@ class TestBruteForce:
             )
             assert shuffled >= cost - 1e-12
 
-    def test_support_size_limit(self):
-        with pytest.raises(ValueError):
-            T.brute_force_optimal(np.zeros((9, 2)), np.zeros((9, 2)))
+    def test_cost_matches_branch_and_bound(self, rng):
+        # six instances per size: the oracle is factorial in m
+        for k in range(48):
+            m = 1 + k % 8
+            thetas = rng.normal(size=(m, 2)) * 1.5
+            phis = rng.normal(size=(m, 2)) * 1.5
+            perm, cost = optimal_assignment(thetas, phis)
+            _, best = brute_force_optimal(thetas, phis)
+            assert abs(cost - best) <= 1e-12, k
+            assert sorted(perm) == list(range(m))
+            assert T.coupling_cost(
+                CouplingSample([(thetas[i], phis[perm[i]]) for i in range(m)])
+            ) == pytest.approx(cost, abs=1e-12)
 
-    def test_unequal_masses_rejected(self):
+    def test_unequal_supports_rejected(self):
         with pytest.raises(ValueError):
-            T.brute_force_optimal(np.zeros((2, 1)), np.zeros((2, 1)), masses=[0.3, 0.7])
+            optimal_assignment(np.zeros((3, 2)), np.zeros((2, 2)))
