@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,11 +117,23 @@ def _vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def _resolution(text: str) -> int:
-    """A region lattice resolution; ``region_sample`` needs at least 3."""
-    value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError(f"must be at least 3, got {value}")
+def _int_at_least(minimum: int):
+    """Argument type: an integer of at least ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _horizon(text: str) -> float:
+    """A flow's time horizon; finite and positive."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -138,12 +151,13 @@ def emit_region(gen: Generator, p, r, resolution: int, out_path, fmt: str = "csv
     """Sample the rebalancing region and write it as CSV or standalone SVG."""
     sample = region_sample(gen, p, r, grid_resolution=resolution)
     if fmt == "csv":
+        table = np.column_stack([sample.points, sample.gap, sample.in_region])
         with open(out_path, "w") as fh:
             fh.write("q1,q2,q3,gap,in_region\n")
-            for q, gap, flag in zip(sample.points, sample.gap, sample.in_region):
-                fh.write(
-                    f"{q[0]:.17g},{q[1]:.17g},{q[2]:.17g},{gap:.17g},{int(flag)}\n"
-                )
+            # 4096 rows at a time, so that the text of the whole table is never held
+            for block in np.array_split(table, range(4096, len(table), 4096)):
+                rows = block.tolist()
+                fh.write("".join(["%.17g,%.17g,%.17g,%.17g,%d\n" % tuple(row) for row in rows]))
         return sample
     if fmt != "svg":
         raise ValueError(f"unknown region format {fmt!r}")
@@ -328,8 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--kind", choices=["primal", "dual"], default="primal")
-    p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--steps", type=int, default=800)
+    p.add_argument("--horizon", type=_horizon, default=20.0)
+    p.add_argument("--steps", type=_int_at_least(1), default=800)
     p.add_argument("--out", required=True)
 
     p = add("pyth", _cmd_pyth, help="three-point angle criterion")
@@ -340,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("region", _cmd_region, help="emit the rebalancing region (n=3)")
     p.add_argument("--p", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--resolution", type=_resolution, default=120)
+    # region_sample needs at least 3 subdivisions for an interior point
+    p.add_argument("--resolution", type=_int_at_least(3), default=120)
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out", required=True)
 

@@ -18,10 +18,10 @@ the Fenchel equality at all output nodes of a dual geodesic at once, and
 the geodesic-equation residual evaluates its spline at all times at once.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
-time change, which yields inverse exponential maps for free.  They take
-fixed RK4 steps, halved while T would rise; the right-hand side is
-evaluated once per accepted point and serves both as its stored velocity
-and as the first stage of the next step.  The sign of
+time change, which yields inverse exponential maps for free.  On the chord
+s -> x_r + (x_q - x_r) e^{-s} (x = e^theta, or e^{-phi} for the dual flow)
+the flow time is t(s) = int_0^s Z, inverted at uniform times by the same
+chord quadrature as the geodesics, unnormalized.  The sign of
 T(q|p) + T(r|q) - T(r|p) is the sign of the Riemannian angle defect at q
 between the two geodesics; `pythagorean_sign` evaluates the gap, the
 actual metric inner product, and the equivalent algebraic sign quantity
@@ -40,7 +40,6 @@ from . import divergence
 from .divergence import ConvergenceError, f_value, inverse_dual_coord, l_divergence
 from .generators import Generator, NonRegularError, dual_coord, portfolio_theta
 from .geometry import (
-    _jacobian_from_portfolio,
     metric_dual,
     metric_primal,
     pi_quantities,
@@ -78,6 +77,7 @@ __all__ = [
 
 DEFAULT_GRID = 129
 _DENSE = 4097
+_FLOW_DU = 0.08     # flow grid spacing in log of the weight's length scale
 
 
 class DualRangeError(RuntimeError):
@@ -187,16 +187,20 @@ def _gauss_segment(w, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return half * (w(nodes).reshape(-1, _GL_X.size) @ _GL_W)
 
 
-def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray):
-    """Invert t(h) = int_0^h w / int_0^1 w with w = exp(logw - shift).
+def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalized: bool = True):
+    """Invert the time t(s) = int_0^s w along a chord, where w = exp(logw).
 
-    ``logw`` maps an array of chord parameters h in [0, 1] to the log weight
-    at each.  The anchor table is a per-interval 5-point Gauss rule on the
-    dense grid (accurate to rounding even for stiff weights).  All interior
-    output times are then polished together by at most four Newton steps,
-    each anchored at the dense node below its time; a row stops once its
-    residual |F| drops below 1e-15.  Pointwise accuracy near machine
-    precision keeps spline-based residual oracles meaningful.
+    ``logw`` maps an array of chord parameters to the log weight at each.
+    The anchor table is a per-interval 5-point Gauss rule on the dense grid
+    (accurate to rounding even for stiff weights).  All interior output
+    times are then polished together by at most four Newton steps, each
+    anchored at the dense node below its time; a row stops once its
+    residual |F| drops below 1e-15 max(1, t).  Pointwise accuracy near
+    machine precision keeps spline-based residual oracles meaningful.
+
+    ``normalized`` (geodesics): s is h in [0, 1] and t(1) = 1; returns h and
+    dh/dt at the output times.  Otherwise (flows) t is the flow time, which
+    grows linearly past the last dense node; returns s at the output times.
     """
     nodes, half = _gl_nodes(s_dense[:-1], s_dense[1:])
     logw_nodes = logw(nodes)
@@ -204,25 +208,31 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray):
     w = lambda x: np.exp(logw(x) - shift)
     w_nodes = np.exp(logw_nodes - shift).reshape(-1, _GL_X.size)
     cum = np.concatenate([[0.0], np.cumsum(half * (w_nodes @ _GL_W))])
-    W = cum[-1]
+    W = cum[-1] if normalized else np.exp(-shift)
     t_of_s = cum / W
+    t_end = t_of_s[-1]
     h = np.interp(t_out, t_of_s, s_dense)
     h[t_out <= 0.0] = 0.0
-    h[t_out >= 1.0] = 1.0
-    rows = np.flatnonzero((t_out > 0.0) & (t_out < 1.0))
+    tail = t_out >= t_end
+    if normalized:
+        h[tail] = s_dense[-1]
+    elif tail.any():
+        h[tail] = s_dense[-1] + (t_out[tail] - t_end) * (W / w(s_dense[-1:]))
+    rows = np.flatnonzero((t_out > 0.0) & ~tail)
     j = np.clip(np.searchsorted(t_of_s, t_out[rows]) - 1, 0, s_dense.size - 2)
     anchor_s, anchor_t, t_star, x = s_dense[j], cum[j], t_out[rows], h[rows]
+    lo, hi = s_dense[0] + 1e-15, s_dense[-1] - 1e-15
     for _ in range(4):
         if rows.size == 0:
             break
         F = (anchor_t + _gauss_segment(w, anchor_s, x)) / W - t_star
-        x = np.clip(x - F / (w(x) / W), 1e-15, 1.0 - 1e-15)
+        x = np.clip(x - F / (w(x) / W), lo, hi)
         h[rows] = x
-        active = np.abs(F) >= 1e-15
+        active = np.abs(F) >= 1e-15 * np.maximum(1.0, t_star)
         rows, anchor_s, anchor_t, t_star, x = (
             rows[active], anchor_s[active], anchor_t[active], t_star[active], x[active]
         )
-    return h, W / w(h)
+    return (h, W / w(h)) if normalized else h
 
 
 def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
@@ -345,16 +355,26 @@ def _geodesic_invariant(gen, xi, v, which, theta_hint=None) -> np.ndarray:
     return -v * np.exp(-xi - 2.0 * fstar)
 
 
+def _rk4_step(rhs, y, dt, k1):
+    """One classical RK4 step from ``y``, where ``k1 = rhs(y)`` is given."""
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
                        steps: int = DEFAULT_GRID - 1, t_end: float = 1.0) -> Curve:
     """Fixed-step RK4 integration of the second-order geodesic equation.
 
-    The returned curve carries the conserved-vector diagnostic of
+    Each step is one :func:`_rk4_step` on the stacked state (xi, v).  The
+    returned curve carries the conserved-vector diagnostic of
     :func:`_geodesic_invariant` at every step; its drift from the initial
     value is an a-posteriori error indicator.
     """
     xi = coord_array(xi0).copy()
     v = np.asarray(v0, dtype=float).copy()
+    m = xi.size
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
     pts = np.empty((steps + 1, xi.size))
@@ -363,20 +383,18 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
     pts[0], vels[0] = xi, v
     hint = {"theta": None}
 
-    def acc(x, w):
+    def rhs(y):
+        x, w = y[:m], y[m:]
         a = geodesic_acceleration(gen, x, w, which, theta_hint=hint["theta"])
         if which == "dual":
             hint["theta"] = inverse_dual_coord(gen, x, x0=hint["theta"])
-        return a
+        return np.concatenate([w, a])
 
     diag[0] = _geodesic_invariant(gen, xi, v, which, theta_hint=hint["theta"])
+    y = np.concatenate([xi, v])
     for k in range(steps):
-        k1x, k1v = v, acc(xi, v)
-        k2x, k2v = v + 0.5 * dt * k1v, acc(xi + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = v + 0.5 * dt * k2v, acc(xi + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = v + dt * k3v, acc(xi + dt * k3x, v + dt * k3v)
-        xi = xi + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y = _rk4_step(rhs, y, dt, rhs(y))
+        xi, v = y[:m], y[m:]
         if not np.all(np.isfinite(xi)) or np.linalg.norm(xi) > 1e3:
             raise GeodesicBlowupError(
                 f"geodesic integration blew up at t={times[k + 1]:.6f}",
@@ -438,138 +456,119 @@ def geodesic_residual(gen: Generator, curve: Curve, trim: int = 2,
 # ---------------------------------------------------------------------------
 # gradient flows
 
+def _flow_chord(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(e^{-s} e^a + (1 - e^{-s}) e^b) elementwise over a grid s >= 0."""
+    s = s[:, None]
+    with np.errstate(divide="ignore"):  # log(0) at s = 0, where the mix is a
+        return np.logaddexp(a - s, np.log(-np.expm1(-s)) + b)
+
+
+def _flow_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense chord parameters s of a flow from e^a toward e^b.
+
+    Uniform in log l(s), l(s) = (1 + l0) e^s - 1 the distance to the zero of
+    the nearest growing component (l0 = min x_a / (x_b - x_a), at most 1), so
+    geometric near s = 0, where the weight is steepest, and uniform in s
+    later; it ends where e^{-s} |e^a - e^b| is below rounding of e^b.
+    """
+    d = b - a
+    with np.errstate(divide="ignore"):  # log 0 where d = 0
+        log_em1 = np.abs(d) + np.log(-np.expm1(-np.abs(d)))  # log(e^|d| - 1)
+    log_l0 = -np.max(log_em1[d > 0], initial=0.0)
+    end = max(np.max(log_em1 - np.maximum(d, 0.0)) - math.log(np.finfo(float).eps), 1.0)
+    l0 = math.exp(log_l0)
+    u_end = end + math.log1p(l0 - math.exp(-end))
+    u = np.linspace(log_l0, u_end, math.ceil((u_end - log_l0) / _FLOW_DU) + 1)
+    s = np.logaddexp(0.0, u) - math.log1p(l0)
+    s[0] = 0.0
+    return s
+
+
+def _flow_times(horizon: float, steps: int) -> np.ndarray:
+    """Uniform output times of a flow with steps >= 1 and a finite positive horizon."""
+    if steps < 1 or not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"a flow needs steps >= 1 and a finite positive horizon, "
+                         f"got steps={steps}, horizon={horizon}")
+    return np.linspace(0.0, horizon, steps + 1)
+
+
+def _flow_log_speed(Pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """log Z = log(sum_{i<n} pi_i e^{delta_i} + pi_n) over the last axis (kept, length 1)."""
+    delta = np.concatenate([delta, np.zeros(delta.shape[:-1] + (1,))], axis=-1)
+    m = delta.max(axis=-1, keepdims=True)
+    return m + np.log(np.sum(Pi * np.exp(delta - m), axis=-1, keepdims=True))
+
+
 def _primal_flow_rhs(gen, th, th_target):
-    pi = portfolio_theta(gen, th)
-    delta = np.concatenate([th_target - th, [0.0]])
-    m = delta.max()
-    logZ = m + np.log(pi @ np.exp(delta - m))
-    return np.exp(delta[:-1] - logZ) - np.exp(-logZ)
+    """Primal flow velocity theta_dot = (e^{theta_target - theta} - 1) / Z at rows ``th``."""
+    delta = th_target - th
+    logZ = _flow_log_speed(gen.portfolio(from_primal_many(th)), delta)
+    return np.exp(delta - logZ) - np.exp(-logZ)
 
 
 def _dual_flow_rhs(gen, th, ph_target):
-    """Velocities (theta_dot, phi_dot) of the dual flow at ``th``, and its
-    dual coordinate phi; the portfolio and its derivative are taken once."""
-    pi = portfolio_theta(gen, th)
-    if np.any(pi <= 0.0):
-        raise NonRegularError(
-            f"{gen.name}: portfolio touches the simplex boundary; dual map undefined"
-        )
-    ph = th - (np.log(pi[:-1]) - np.log(pi[-1]))
-    delta = np.concatenate([ph - ph_target, [0.0]])
-    m = delta.max()
-    logZ = m + np.log(pi @ np.exp(delta - m))
-    phi_dot = -(np.exp(delta[:-1] - logZ) - np.exp(-logZ))
-    J = _jacobian_from_portfolio(pi, gen.dpi_dtheta(th))
-    theta_dot = np.linalg.solve(J, phi_dot)
-    return theta_dot, phi_dot, ph
-
-
-def _rk4_step(rhs, y, dt, k1):
-    """One classical RK4 step from ``y``, where ``k1 = rhs(y)`` is given."""
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _flow_slack(gen, th_target) -> float:
-    """Largest rise of T per step that the flows accept as rounding noise.
-
-    T is a difference of potentials of size |f(theta_target)|, so near the
-    target its computed value is noise of a few ulp of that size; a fixed
-    slack there would halve the step without end.
-    """
-    return 1e-15 + 16.0 * np.finfo(float).eps * (1.0 + abs(f_value(gen, th_target)))
-
-
-def _flow(rhs, state, divergence, th, horizon: float, steps: int, slack: float):
-    """Step control shared by the flows; returns (times, points, velocities).
-
-    ``state(th)`` gives ``(k1, point, velocity)`` at an accepted state: the
-    first RK4 stage of every try of the next step, and the curve's point and
-    velocity there.  ``divergence(th)`` is T to the target.  A try is
-    accepted when it is finite and T rises by at most ``slack``; otherwise
-    the step is halved, up to 50 times.  A try whose T cannot be evaluated
-    counts as infinite: one that overflows (``coord_array`` raises
-    ValueError) or reaches the simplex boundary in floating point (the
-    portfolio raises NonRegularError, a ValueError).
-    """
-    k1, point, vel = state(th)
-    times, pts, vels = [0.0], [point], [vel]
-    value = divergence(th)
-    dt = horizon / steps
-    t = 0.0
-    # a long try may overflow before it is rejected; accepted states are finite
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while t < horizon - 1e-12:
-            step = min(dt, horizon - t)
-            for _ in range(50):
-                try:
-                    cand = _rk4_step(rhs, th, step, k1)
-                    cand_val = divergence(cand)
-                except ValueError:
-                    cand_val = np.inf
-                if cand_val <= value + slack:
-                    break
-                step *= 0.5
-            if not math.isfinite(cand_val):
-                raise GeodesicBlowupError(f"flow left the finite range at t={t:.6f}",
-                                          last_valid_t=t)
-            th, value, t = cand, cand_val, t + step
-            k1, point, vel = state(th)
-            times.append(t)
-            pts.append(point)
-            vels.append(vel)
-    return np.array(times), np.array(pts), np.array(vels)
+    """log Z, the velocity phi_dot = -(e^{phi - phi_target} - 1) / Z and the
+    dual coordinate phi of the dual flow at rows ``th``."""
+    Pi = gen.portfolio(from_primal_many(th))
+    if np.any(Pi <= 0.0):
+        raise NonRegularError(f"{gen.name}: portfolio touches the simplex boundary; "
+                              "dual map undefined")
+    ph = th - (np.log(Pi[..., :-1]) - np.log(Pi[..., -1:]))
+    delta = ph - ph_target
+    logZ = _flow_log_speed(Pi, delta)
+    return logZ, -(np.exp(delta - logZ) - np.exp(-logZ)), ph
 
 
 def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -> Curve:
-    """Gradient flow of T(r | .) from q; a time change of the primal geodesic.
+    """Gradient flow of T(r | .) from q at ``steps + 1`` uniform times.
 
-    The divergence to the target must not increase along the discrete flow
-    beyond rounding noise (:func:`_flow_slack`); steps that would increase
-    it more, or leave the finite range, are halved and retried.  The
-    right-hand side at each accepted point is computed once: it is the
-    stored velocity there and the first RK4 stage of every try of the next
-    step.
+    A time change of the primal geodesic: with x = e^theta the flow is
+    dx/dt = (x_r - x) / Z with Z = sum_{i<n} pi_i x_{r,i} / x_i + pi_n, so
+    x(s) = x_r + (x_q - x_r) e^{-s} and dt/ds = Z.  The times t(s) come from
+    the chord quadrature of :func:`_reparam_from_weight`; the velocities are
+    the right-hand side at the returned points.
     """
-    from .divergence import l_divergence_primal
+    t_out = _flow_times(horizon, steps)
+    th_q, th_r = to_primal(q).theta, to_primal(r).theta
 
-    th_r = to_primal(r).theta
-    rhs = lambda x: _primal_flow_rhs(gen, x, th_r)
+    def logw(s):
+        Th = _flow_chord(s, th_q, th_r)
+        return _flow_log_speed(gen.portfolio(from_primal_many(Th)), th_r - Th)[:, 0]
 
-    def state(x):
-        vel = rhs(x)
-        return vel, x, vel
-
-    divergence = lambda x: l_divergence_primal(gen, th_r, x).value
-    times, pts, vels = _flow(rhs, state, divergence, to_primal(q).theta, horizon, steps,
-                             _flow_slack(gen, th_r))
-    return Curve(times, pts, "primal", velocities=vels)
+    s = _reparam_from_weight(logw, _flow_grid(th_q, th_r), t_out, normalized=False)
+    pts = _flow_chord(s, th_q, th_r)
+    return Curve(t_out, pts, "primal", velocities=_primal_flow_rhs(gen, pts, th_r))
 
 
 def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> Curve:
-    """Gradient flow of T(. | p) from q; a time change of the dual geodesic.
+    """Gradient flow of T(. | p) from q at ``steps + 1`` uniform times, in dual coordinates.
 
-    Integrated in primal state coordinates but reported, like the dual
-    geodesic, in dual coordinates.  Step control as in :func:`primal_flow`;
-    one right-hand side evaluation per accepted point gives its dual
-    coordinate, its stored velocity and the next step's first RK4 stage.
+    A time change of the dual geodesic: with y = e^{-phi},
+    y(s) = y_p + (y_q - y_p) e^{-s} and dt/ds = Z with
+    Z = sum_{i<n} pi_i e^{phi_i - phi^p_i} + pi_n, pi taken at the inverse
+    dual image.  Without a closed-form inverse every batched Newton solve
+    starts from the solution at the grid node below its point.
     """
-    from .divergence import l_divergence_primal
-
+    t_out = _flow_times(horizon, steps)
+    ph_q = dual_coord(gen, to_primal(q).theta).phi
     ph_p = dual_coord(gen, to_primal(p).theta).phi
-    th_p = to_primal(p).theta
-    rhs = lambda x: _dual_flow_rhs(gen, x, ph_p)[0]
+    chord = lambda s: -_flow_chord(s, -ph_q, -ph_p)
+    grid = _flow_grid(-ph_q, -ph_p)
+    th_grid = inverse_dual_coord(gen, chord(grid))
 
-    def state(x):
-        th_dot, ph_dot, ph = _dual_flow_rhs(gen, x, ph_p)
-        return th_dot, ph, ph_dot
+    def theta(s, Ph):
+        below = np.searchsorted(grid, s, side="right") - 1  # s >= grid[0] = 0
+        return inverse_dual_coord(gen, Ph, x0=th_grid[below])
 
-    divergence = lambda x: l_divergence_primal(gen, x, th_p).value
-    times, pts, vels = _flow(rhs, state, divergence, to_primal(q).theta, horizon, steps,
-                             _flow_slack(gen, th_p))
-    return Curve(times, pts, "dual", velocities=vels)
+    def logw(s):
+        Ph = chord(s)
+        Pi = gen.portfolio(from_primal_many(theta(s, Ph)))
+        return _flow_log_speed(Pi, Ph - ph_p)[:, 0]
+
+    s = _reparam_from_weight(logw, grid, t_out, normalized=False)
+    pts = chord(s)
+    _, vel, _ = _dual_flow_rhs(gen, theta(s, pts), ph_p)
+    return Curve(t_out, pts, "dual", velocities=vel)
 
 
 def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:

@@ -1,17 +1,26 @@
-"""Finite-difference, enumeration and scan oracles shared across test modules.
+"""Finite-difference, enumeration, scan and time-stepping oracles shared across test modules.
 
 These deliberately avoid the closed forms and the algorithms they are used
 to check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from lgeo import geometry as geo
-from lgeo.divergence import inverse_dual_coord
-from lgeo.generators import Generator, dual_coord, portfolio_theta
-from lgeo.geodesics import RegionSample, region_gap
+from lgeo.divergence import f_value, inverse_dual_coord, l_divergence_primal
+from lgeo.generators import Generator, NonRegularError, dual_coord, portfolio_theta
+from lgeo.geodesics import (
+    Curve,
+    GeodesicBlowupError,
+    RegionSample,
+    _geodesic_invariant,
+    _rk4_step,
+    geodesic_acceleration,
+    region_gap,
+)
 from lgeo.simplex import coord_array, point_array, to_primal
 
 FD_STEP_FIRST = 1e-4
@@ -360,3 +369,118 @@ def region_sample_scan(gen, p, r, grid_resolution):
     return RegionSample(points=points, gap=gaps, in_region=in_region,
                         boundary=boundary, boundary_polyline=poly,
                         resolution=grid_resolution)
+
+
+# ---------------------------------------------------------------------------
+# curves by direct time stepping
+
+def integrate_geodesic_stages(gen, xi0, v0, which="primal", steps=128, t_end=1.0):
+    """``integrate_geodesic`` with the four RK4 stages of (xi, v) written out."""
+    xi = coord_array(xi0).copy()
+    v = np.asarray(v0, dtype=float).copy()
+    dt = t_end / steps
+    times = np.linspace(0.0, t_end, steps + 1)
+    pts = np.empty((steps + 1, xi.size))
+    vels = np.empty_like(pts)
+    diag = np.empty_like(pts)
+    pts[0], vels[0] = xi, v
+    hint = {"theta": None}
+
+    def acc(x, w):
+        a = geodesic_acceleration(gen, x, w, which, theta_hint=hint["theta"])
+        if which == "dual":
+            hint["theta"] = inverse_dual_coord(gen, x, x0=hint["theta"])
+        return a
+
+    diag[0] = _geodesic_invariant(gen, xi, v, which, theta_hint=hint["theta"])
+    for k in range(steps):
+        k1x, k1v = v, acc(xi, v)
+        k2x, k2v = v + 0.5 * dt * k1v, acc(xi + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
+        k3x, k3v = v + 0.5 * dt * k2v, acc(xi + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
+        k4x, k4v = v + dt * k3v, acc(xi + dt * k3x, v + dt * k3v)
+        xi = xi + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        pts[k + 1], vels[k + 1] = xi, v
+        diag[k + 1] = _geodesic_invariant(gen, xi, v, which, theta_hint=hint["theta"])
+    return Curve(times, pts, which, velocities=vels, diagnostic=diag)
+
+
+def flow_slack(gen, th_target) -> float:
+    """Largest rise of T per step that ``rk4_flow`` accepts as rounding noise:
+    a few ulp of |f(theta_target)|, the size of the potentials T subtracts."""
+    return 1e-15 + 16.0 * np.finfo(float).eps * (1.0 + abs(f_value(gen, th_target)))
+
+
+def _primal_rhs(gen, th, th_target):
+    pi = portfolio_theta(gen, th)
+    delta = np.concatenate([th_target - th, [0.0]])
+    m = delta.max()
+    logZ = m + np.log(pi @ np.exp(delta - m))
+    return np.exp(delta[:-1] - logZ) - np.exp(-logZ)
+
+
+def _dual_rhs(gen, th, ph_target):
+    """(theta_dot, phi_dot, phi) of the dual flow at ``th``, through the
+    Jacobian of the dual coordinate map."""
+    pi = portfolio_theta(gen, th)
+    if np.any(pi <= 0.0):
+        raise NonRegularError(f"{gen.name}: portfolio touches the simplex boundary")
+    ph = th - (np.log(pi[:-1]) - np.log(pi[-1]))
+    delta = np.concatenate([ph - ph_target, [0.0]])
+    m = delta.max()
+    logZ = m + np.log(pi @ np.exp(delta - m))
+    phi_dot = -(np.exp(delta[:-1] - logZ) - np.exp(-logZ))
+    J = geo._jacobian_from_portfolio(pi, gen.dpi_dtheta(th))
+    return np.linalg.solve(J, phi_dot), phi_dot, ph
+
+
+def rk4_flow(gen, q, target, kind="primal", horizon=20.0, steps=800):
+    """Gradient flow by RK4 in exponential coordinates with step control.
+
+    A step of horizon / steps is tried and halved, up to 50 times, while T
+    to the target would rise by more than :func:`flow_slack` or cannot be
+    evaluated (a try that overflows or reaches the simplex boundary).
+    Returns ``(times, points, velocities)``; dual flows report phi and
+    phi_dot.
+    """
+    th_t = to_primal(target).theta
+    if kind == "primal":
+        rhs = lambda x: _primal_rhs(gen, x, th_t)
+        state = lambda x: (rhs(x), x, rhs(x))
+        divergence = lambda x: l_divergence_primal(gen, th_t, x).value
+    else:
+        ph_t = dual_coord(gen, th_t).phi
+        rhs = lambda x: _dual_rhs(gen, x, ph_t)[0]
+
+        def state(x):
+            th_dot, ph_dot, ph = _dual_rhs(gen, x, ph_t)
+            return th_dot, ph, ph_dot
+
+        divergence = lambda x: l_divergence_primal(gen, x, th_t).value
+    slack = flow_slack(gen, th_t)
+    th = to_primal(q).theta
+    k1, point, vel = state(th)
+    times, pts, vels = [0.0], [point], [vel]
+    value = divergence(th)
+    dt = horizon / steps
+    t = 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while t < horizon - 1e-12:
+            step = min(dt, horizon - t)
+            for _ in range(50):
+                try:
+                    cand = _rk4_step(rhs, th, step, k1)
+                    cand_val = divergence(cand)
+                except ValueError:
+                    cand_val = np.inf
+                if cand_val <= value + slack:
+                    break
+                step *= 0.5
+            if not math.isfinite(cand_val):
+                raise GeodesicBlowupError(f"flow left the finite range at t={t:.6f}")
+            th, value, t = cand, cand_val, t + step
+            k1, point, vel = state(th)
+            times.append(t)
+            pts.append(point)
+            vels.append(vel)
+    return np.array(times), np.array(pts), np.array(vels)

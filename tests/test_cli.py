@@ -145,6 +145,18 @@ class TestRegionCommand:
         assert abs(data[-2, 3]) < 1e-12 and data[-2, 4] == 1
         assert abs(data[-1, 3]) < 1e-12 and data[-1, 4] == 1
 
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
+        out = tmp_path / "region.csv"
+        gen = G.diversity_weighted(0.5)
+        p, r = np.array([0.3, 0.3, 0.4]), np.array([0.5, 0.2, 0.3])
+        sample = cli.emit_region(gen, p, r, 100, out)  # 4853 rows: two blocks
+        expected = "q1,q2,q3,gap,in_region\n" + "".join(
+            f"{q[0]:.17g},{q[1]:.17g},{q[2]:.17g},{gap:.17g},{int(flag)}\n"
+            for q, gap, flag in zip(sample.points, sample.gap, sample.in_region)
+        )
+        assert 0 < sample.in_region.sum() < sample.in_region.size
+        assert out.read_bytes() == expected.encode()
+
     def test_svg_output(self, tmp_path):
         out = tmp_path / "region.svg"
         code = run_cli("region", "--gen", "eq3", "--p", ".5,.25,.25",
@@ -188,6 +200,16 @@ class TestExitCodes:
         assert run_cli("region", "--gen", "dw:0.5", "--p", "0.3,0.3,0.4",
                        "--r", "0.5,0.2,0.3", "--resolution", "2", "--out", str(out)) == 1
         assert "--resolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--horizon", "-1"), ("--horizon", "nan"),
+                                             ("--horizon", "inf"), ("--horizon", "0"),
+                                             ("--steps", "0"), ("--steps", "-5")])
+    def test_usage_error_flow_horizon_or_steps(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "f.csv"
+        assert run_cli("flow", "--gen", "dw:0.5", "--q", ".6,.25,.15",
+                       "--target", ".2,.3,.5", flag, value, "--out", str(out)) == 1
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_version_flag(self, capsys):

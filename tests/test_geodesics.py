@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from lgeo import divergence as D
@@ -11,27 +12,33 @@ from lgeo.geometry import metric_primal
 from lgeo.simplex import from_primal, psi, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
-from _oracles import region_sample_scan
+from _oracles import flow_slack, integrate_geodesic_stages, region_sample_scan, rk4_flow
 
 Q3 = np.array([0.6, 0.25, 0.15])
 R3 = np.array([0.15, 0.35, 0.5])
 P3 = np.array([0.3, 0.5, 0.2])
 
 
-def bound_rk4_steps(monkeypatch, limit):
-    """Make the flows fail once they take more than ``limit`` RK4 tries, so
-    that a flow stuck in step halving fails instead of stalling; returns the
-    list that gets one entry per try."""
-    rk4_step, calls = gd._rk4_step, []
+def bound_weight_evaluations(monkeypatch, limit):
+    """Make the flows fail once they evaluate their speed Z at more than
+    ``limit`` points in all; returns the list that gets the number of
+    points of each evaluation."""
+    log_speed, rows = gd._flow_log_speed, []
 
-    def bounded_rk4_step(*args):
-        calls.append(None)
-        if len(calls) > limit:
-            raise AssertionError("flow stalled in step halving")
-        return rk4_step(*args)
+    def bounded_log_speed(Pi, delta):
+        rows.append(int(np.prod(np.shape(delta)[:-1])))
+        if sum(rows) > limit:
+            raise AssertionError("flow evaluated its speed too often")
+        return log_speed(Pi, delta)
 
-    monkeypatch.setattr(gd, "_rk4_step", bounded_rk4_step)
-    return calls
+    monkeypatch.setattr(gd, "_flow_log_speed", bounded_log_speed)
+    return rows
+
+
+def flow_weight_limit(steps):
+    """Speed evaluations a flow may take: its quadrature table, and the
+    velocity and up to four polish steps of six evaluations per output row."""
+    return 12_000 + 25 * (steps + 1)
 
 
 class TestCurve:
@@ -228,6 +235,22 @@ class TestIntegrateGeodesic:
         c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0], "dual", steps=256)
         assert gd.polyline_hausdorff(c.euclidean_trace(), ref.euclidean_trace()) < 1e-6
 
+    def test_rk4_steps_equal_the_written_out_stages(self):
+        # one _rk4_step on the stacked state (xi, v) does the arithmetic of
+        # the four stage lines of xi and v, bit for bit
+        zoo = builtin_zoo(3)
+        for name in ("diversity", "mix"):
+            gen = zoo[name]
+            for which, build, target in (("primal", gd.primal_geodesic, R3),
+                                         ("dual", gd.dual_geodesic, P3)):
+                ref = build(gen, Q3, target)
+                args = (gen, ref.points[0], ref.velocities[0], which)
+                c = gd.integrate_geodesic(*args, steps=64)
+                expected = integrate_geodesic_stages(*args, steps=64)
+                assert np.array_equal(c.points, expected.points), (name, which)
+                assert np.array_equal(c.velocities, expected.velocities), (name, which)
+                assert np.array_equal(c.diagnostic, expected.diagnostic), (name, which)
+
     def test_conserved_diagnostic_recorded(self):
         gen = G.diversity_weighted(0.5)
         ref = gd.primal_geodesic(gen, Q3, R3)
@@ -315,22 +338,18 @@ class TestFlows:
 
 
     def test_stored_velocity_is_rhs_at_stored_point(self, monkeypatch):
-        # each step reuses the velocity stored at its start as RK4's k1, also
-        # after halved steps; so every stored velocity must be the right-hand
-        # side at its stored point, bit for bit (a stale k1 sends the flow off
-        # its path, into halving without end).  Equal weights make the dual
-        # coordinate equal to the primal one, so the dual flow's state is
-        # its stored point.
+        # every stored velocity must be the right-hand side at its stored
+        # point, bit for bit.  Equal weights make the dual coordinate equal
+        # to the primal one, so the dual flow's state is its stored point.
         gen = G.equal_weighted(3)
-        calls = bound_rk4_steps(monkeypatch, 100)
+        steps = 4
+        rows = bound_weight_evaluations(monkeypatch, flow_weight_limit(steps))
         th_p = to_primal(P3).theta
-        c = gd.primal_flow(gen, Q3, P3, horizon=20.0, steps=4)
-        assert len(calls) > len(c) - 1  # some steps were halved
+        c = gd.primal_flow(gen, Q3, P3, horizon=20.0, steps=steps)
         for th, v in zip(c.points, c.velocities):
             assert np.array_equal(v, gd._primal_flow_rhs(gen, th, th_p))
-        calls.clear()
-        c = gd.dual_flow(gen, Q3, P3, horizon=20.0, steps=4)
-        assert len(calls) > len(c) - 1
+        rows.clear()
+        c = gd.dual_flow(gen, Q3, P3, horizon=20.0, steps=steps)
         ph_p = dual_coord(gen, th_p).phi
         for ph, v in zip(c.points, c.velocities):
             _, ph_dot, ph_again = gd._dual_flow_rhs(gen, ph, ph_p)
@@ -339,38 +358,109 @@ class TestFlows:
 
     def test_flow_finishes_when_divergence_is_rounding_noise(self, monkeypatch):
         # Near the target T(r | .) is rounding noise of a few ulp of f(theta_r)
-        # (here -1.3e-15 at t = 18.3); a fixed 1e-15 acceptance slack halved
-        # this step down to 1.5e-9 and the flow never reached its horizon.
+        # (here -1.3e-15 at t = 18.3); a fixed 1e-15 acceptance slack once
+        # halved RK4 steps on this flow down to 1.5e-9 without end.
         gen = G.generalized_diversity_weighted([0.5, 0.875, 1.25, 1.625, 2.0], 0.4)
         q = np.array([0.11778326405148865, 0.39472939220760395, 0.0821531987110853,
                       0.15298074874072848, 0.25235339628909376])
         r = np.array([0.3140016220541149, 0.24460781570134407, 0.10171520919066944,
                       0.1399603425586504, 0.19971501049522106])
         steps = 800
-        bound_rk4_steps(monkeypatch, 20 * steps)
+        bound_weight_evaluations(monkeypatch, flow_weight_limit(steps))
         c = gd.primal_flow(gen, q / q.sum(), r / r.sum(), horizon=20.0, steps=steps)
         assert c.times[-1] == pytest.approx(20.0, abs=1e-12)
         th_r = to_primal(r / r.sum()).theta
         vals = np.array([l_divergence_primal(gen, th_r, th).value for th in c.points])
-        assert np.all(np.diff(vals) <= gd._flow_slack(gen, th_r))
+        assert np.all(np.diff(vals) <= flow_slack(gen, th_r))
 
     def test_flow_halves_a_try_that_leaves_the_finite_range(self, monkeypatch):
-        # with dt = 5 the first RK4 tries overflow or reach the simplex
-        # boundary in floating point, where T cannot be evaluated; they are
-        # halved like any rejected step
+        # with dt = 5 the first RK4 tries of a stepped flow overflow or reach
+        # the simplex boundary in floating point, where T cannot be evaluated
         gen = G.diversity_weighted(0.5)
         q, r = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.25, 0.15])
         steps = 4
-        bound_rk4_steps(monkeypatch, 20 * steps)
+        rows = bound_weight_evaluations(monkeypatch, flow_weight_limit(steps))
         c = gd.primal_flow(gen, q, r, horizon=20.0, steps=steps)
         assert c.times[-1] == pytest.approx(20.0, abs=1e-12)
         assert np.all(np.isfinite(c.points)) and np.all(np.isfinite(c.velocities))
         th_r = to_primal(r).theta
         vals = np.array([l_divergence_primal(gen, th_r, th).value for th in c.points])
-        assert np.all(np.diff(vals) <= gd._flow_slack(gen, th_r))
+        assert np.all(np.diff(vals) <= flow_slack(gen, th_r))
+        rows.clear()
         d = gd.dual_flow(gen, q, r, horizon=20.0, steps=steps)
         assert d.times[-1] == pytest.approx(20.0, abs=1e-12)
         assert np.all(np.isfinite(d.points))
+
+    def test_agrees_with_rk4_at_four_times_the_steps(self):
+        # the closed-form flows against step-controlled RK4 in exponential
+        # coordinates.  Horizon 5 covers the flows' whole approach (T falls by
+        # e^-10).  The oracle limits the comparison: RK4 converges onto the
+        # closed form at fourth order, and at 800 steps it is within 1e-10
+        # here, but off by 2e-5 over horizon 20 and by 6e-8 for an n = 10 pair
+        # with an entry of 0.005; the boundary case is tested by quadrature
+        for n in (3, 10):
+            if n == 3:
+                q, r = Q3, R3
+            else:
+                q, r = np.random.default_rng(10).dirichlet(4.0 * np.ones(n), size=2)
+            for name, gen in builtin_zoo(n).items():
+                for kind, flow in (("primal", gd.primal_flow), ("dual", gd.dual_flow)):
+                    c = flow(gen, q, r, horizon=5.0, steps=200)
+                    times, pts, _ = rk4_flow(gen, q, r, kind, horizon=5.0, steps=800)
+                    assert times.size == 801, (n, name, kind)
+                    assert np.max(np.abs(times[::4] - c.times)) < 1e-12
+                    assert np.max(np.abs(pts[::4] - c.points)) < 1e-9, (n, name, kind)
+
+    def test_flow_time_is_the_speed_integral_near_the_boundary(self):
+        # q_1 far below r_1 makes the speed Z = sum pi_i x_{r,i} / x_i + pi_n
+        # steep over a length x_{q,1} / x_{r,1} ~ 1e-9 of the chord parameter s
+        # at s = 0; each row's time must still be int_0^s Z, here by adaptive
+        # quadrature on geometric pieces
+        q = np.array([3e-10, 0.4, 0.6 - 3e-10])
+        x_q, x_r = np.exp(to_primal(q).theta), np.exp(to_primal(R3).theta)
+        for name, gen in builtin_zoo(3).items():
+            def speed(s):
+                x = x_q * np.exp(-s) - x_r * np.expm1(-s)
+                pi = gen.portfolio(from_primal(np.log(x)).p)
+                return pi[:-1] @ (x_r / x) + pi[-1]
+
+            c = gd.primal_flow(gen, q, R3, horizon=2.0, steps=8)
+            # s from the first component, which resolves it to rounding
+            x_1 = np.exp(c.points[1:, 0])
+            s = -np.log1p((x_1 - x_q[0]) / (x_q[0] - x_r[0]))
+            for t, s_row in zip(c.times[1:], s):
+                cuts = np.concatenate([[0.0], np.geomspace(1e-12, s_row, 30)])
+                ref = sum(quad(speed, a, b, epsabs=1e-14, epsrel=1e-13)[0]
+                          for a, b in zip(cuts[:-1], cuts[1:]))
+                assert abs(ref - t) < 1e-10, (name, t)
+
+    def test_long_horizon_keeps_the_table_size(self, monkeypatch):
+        # past the point where e^-s |x_q - x_r| is below rounding the flow
+        # time grows linearly, so the quadrature table ends there
+        gen = G.diversity_weighted(0.5)
+        th_r = to_primal(R3).theta
+        rows = bound_weight_evaluations(monkeypatch, flow_weight_limit(50))
+        gd.primal_flow(gen, Q3, R3, horizon=20.0, steps=50)
+        short = sum(rows)
+        rows.clear()
+        c = gd.primal_flow(gen, Q3, R3, horizon=1e4, steps=50)
+        assert len(c) == 51
+        assert np.array_equal(c.times, np.linspace(0.0, 1e4, 51))
+        assert np.max(np.abs(c.points[-1] - th_r)) < 1e-12
+        assert sum(rows) < short
+
+    @pytest.mark.parametrize("flow", [gd.primal_flow, gd.dual_flow])
+    @pytest.mark.parametrize("horizon, steps", [(20.0, 0), (20.0, -3), (-1.0, 10), (0.0, 10),
+                                                (float("nan"), 10), (float("inf"), 10)])
+    def test_rejects_bad_horizon_or_steps(self, flow, horizon, steps):
+        with pytest.raises(ValueError):
+            flow(G.diversity_weighted(0.5), Q3, R3, horizon=horizon, steps=steps)
+
+    def test_uniform_output_times(self):
+        gen = G.diversity_weighted(0.5)
+        for flow in (gd.primal_flow, gd.dual_flow):
+            c = flow(gen, Q3, P3, horizon=7.5, steps=37)
+            assert np.array_equal(c.times, np.linspace(0.0, 7.5, 38))
 
 
 class TestInverseExp:
