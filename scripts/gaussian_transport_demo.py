@@ -4,9 +4,11 @@
 Source marginals N(a_i, sigma_i^2) are pushed through the dual map of the
 weighted diversity generator; the map must be exactly affine with slope
 1 - lambda, and the pushforward marginals must match the mapped normals.
+Exits 1 when the audit fails.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -34,7 +36,8 @@ def main():
     print(f"cyclically monotone sample graph: {rep.cyclical_monotone}")
     rep.to_csv(args.out)
     print(("PASS" if rep.passed else "FAIL") + f" -> report written to {args.out}")
+    return 0 if rep.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--r", required=True)
     p.add_argument("--kind", choices=["primal", "dual"], default="primal")
-    p.add_argument("--steps", type=int, default=128)
+    p.add_argument("--steps", type=_int_at_least(1), default=128)
     p.add_argument("--out", required=True)
 
     p = add("flow", _cmd_flow, help="write a gradient flow as CSV")
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("interpolate", _cmd_interpolate, help="displacement/market interpolation")
     p.add_argument("--theta", required=True)
     p.add_argument("--kind", choices=["displacement", "market"], default="displacement")
-    p.add_argument("--steps", type=int, default=128)
+    p.add_argument("--steps", type=_int_at_least(1), default=128)
     p.add_argument("--out")
 
     p = add("transport-check", _cmd_transport_check, help="Gaussian transport audit")
@@ -379,13 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
+    # the sample variance divides by samples - 1
+    p.add_argument("--samples", type=_int_at_least(2), default=100_000)
     p.add_argument("--out")
     p.set_defaults(seed=0x5EED)
 
     p = add("regularity", _cmd_regularity, help="audit generator regularity")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--n", type=_int_at_least(2), default=3)
+    p.add_argument("--points", type=_int_at_least(1), default=100)
 
     return parser
 

@@ -19,16 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
-from .generators import Generator, NonRegularError, dual_coord, portfolio_theta
+from .generators import Generator, NonRegularError, _dual_rows, _portfolio_at
 from .simplex import (
+    _log_tilt,
     coord_array,
     coord_rows,
     from_primal_many,
-    point_array,
+    point_rows,
     psi,
     psi_many,
-    softmax_with_tail,
-    to_primal,
+    to_primal_many,
 )
 
 __all__ = [
@@ -93,22 +93,28 @@ class CouplingSample:
 # ---------------------------------------------------------------------------
 # the divergence in its three coordinate systems
 
+def _t_euclid(gen: Generator, Q, P, Pi_P, logv_Q, logv_P):
+    """T(q|p) = log(pi(p) . q/p) - (phi(q) - phi(p)) over rows q of Q and p of P,
+    from the portfolios ``Pi_P`` and the log generator values."""
+    ratio = (Pi_P * (Q / P)).sum(axis=-1)
+    if (ratio <= 0.0).any():
+        raise NonRegularError(f"{gen.name}: log argument {np.min(ratio)!r} <= 0 in divergence")
+    return np.log(ratio) - (logv_Q - logv_P)
+
+
 def l_divergence(gen: Generator, q, p) -> DivergenceValue:
     """T(q|p) computed through the portfolio: log(sum pi_i(p) q_i/p_i) - dphi."""
-    qa, pa = point_array(q), point_array(p)
-    pi = gen.portfolio(pa)
-    ratio = float(pi @ (qa / pa))
-    if ratio <= 0.0:
-        raise NonRegularError(f"{gen.name}: log argument {ratio!r} <= 0 in divergence")
-    val = np.log(ratio) - (gen.log_gen(qa) - gen.log_gen(pa))
+    P = point_rows(q, p)
+    logv = gen.log_gen(P)
+    val = _t_euclid(gen, P[0], P[1], gen.portfolio(P[1]), logv[0], logv[1])
     return DivergenceValue(value=float(val), rep="euclidean")
 
 
 def l_divergence_gradient_form(gen: Generator, q, p) -> float:
     """Same value through the gradient: log(1 + grad . (q - p)) - dphi."""
-    qa, pa = point_array(q), point_array(p)
-    g = gen.euclid_grad(pa)
-    return float(np.log1p(g @ (qa - pa)) - (gen.log_gen(qa) - gen.log_gen(pa)))
+    P = point_rows(q, p)
+    logv = gen.log_gen(P)
+    return float(np.log1p(gen.euclid_grad(P[1]) @ (P[0] - P[1])) - (logv[0] - logv[1]))
 
 
 def f_value(gen: Generator, theta):
@@ -118,25 +124,18 @@ def f_value(gen: Generator, theta):
     N values as one array.
     """
     th = coord_rows(theta)
-    if th.ndim == 2:
-        return gen.log_gen(from_primal_many(th)) + psi_many(th)
-    return float(gen.log_gen(softmax_with_tail(th)) + psi(th))
-
-
-def _log_pi_mix(pi: np.ndarray, delta: np.ndarray) -> float:
-    """log sum_l pi_l exp(delta_l) with delta_n = 0 implicit, max-shifted."""
-    z = np.concatenate([delta, [0.0]]) + np.log(pi)
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()))
+    val = gen.log_gen(from_primal_many(th)) + psi_many(th)
+    return float(val) if th.ndim == 1 else val
 
 
 def l_divergence_primal(gen: Generator, theta, theta2) -> DivergenceValue:
     """T between the points with exponential coordinates theta and theta2."""
     th, th2 = coord_array(theta), coord_array(theta2)
-    pi2 = portfolio_theta(gen, th2)
+    pi2 = _portfolio_at(gen, th2)
     if np.any(pi2 <= 0.0):
         raise NonRegularError(f"{gen.name}: boundary portfolio in primal divergence")
-    val = _log_pi_mix(pi2, th - th2) - (f_value(gen, th) - f_value(gen, th2))
+    f = f_value(gen, np.array([th, th2]))
+    val = _log_tilt(pi2, th - th2)[0] - (f[0] - f[1])
     return DivergenceValue(value=float(val), rep="primal")
 
 
@@ -150,10 +149,10 @@ def l_divergence_dual(gen: Generator, phi, phi2) -> DivergenceValue:
     ph, ph2 = coord_array(phi), coord_array(phi2)
     th = inverse_dual_coord(gen, ph)
     th2 = inverse_dual_coord(gen, ph2)
-    pi_first = portfolio_theta(gen, th)
-    fstar = psi(th - ph) - f_value(gen, th)
-    fstar2 = psi(th2 - ph2) - f_value(gen, th2)
-    val = _log_pi_mix(pi_first, ph - ph2) - (fstar2 - fstar)
+    f = f_value(gen, np.array([th, th2]))
+    fstar = psi(th - ph) - f[0]
+    fstar2 = psi(th2 - ph2) - f[1]
+    val = _log_tilt(_portfolio_at(gen, th), ph - ph2)[0] - (fstar2 - fstar)
     return DivergenceValue(value=float(val), rep="dual")
 
 
@@ -163,9 +162,9 @@ def bregman(gen, q, p) -> float:
     Accepts any generator-like object with ``log_gen`` and ``euclid_grad``;
     with the Shannon entropy as generator this is the relative entropy.
     """
-    qa, pa = point_array(q), point_array(p)
-    g = gen.euclid_grad(pa)
-    return float(g @ (qa - pa) - (gen.log_gen(qa) - gen.log_gen(pa)))
+    P = point_rows(q, p)
+    g = gen.euclid_grad(P[1])
+    return float(g @ (P[0] - P[1]) - (gen.log_gen(P[0]) - gen.log_gen(P[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +399,20 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
 
 def c_divergence(gen: Generator, p, p2) -> float:
     """D(p|p2) = c(theta, phi2) - f(theta) - f*(phi2); equals T(p|p2)."""
-    th = to_primal(p).theta
-    th2 = to_primal(p2).theta
-    ph2 = dual_coord(gen, th2).phi
-    fstar2 = psi(th2 - ph2) - f_value(gen, th2)
-    return float(psi(th - ph2) - f_value(gen, th) - fstar2)
+    th, th2 = to_primal_many(point_rows(p, p2))
+    f = f_value(gen, np.array([th, th2]))
+    ph2 = _dual_rows(th2, _portfolio_at(gen, th2), gen.name)
+    fstar2 = psi(th2 - ph2) - f[1]
+    return float(psi(th - ph2) - f[0] - fstar2)
 
 
 def c_divergence_dual(gen: Generator, p, p2) -> float:
     """D*(p|p2) = c(theta2, phi) - f*(phi) - f(theta2); equals T(p2|p)."""
-    th = to_primal(p).theta
-    th2 = to_primal(p2).theta
-    ph = dual_coord(gen, th).phi
-    fstar = psi(th - ph) - f_value(gen, th)
-    return float(psi(th2 - ph) - fstar - f_value(gen, th2))
+    th, th2 = to_primal_many(point_rows(p, p2))
+    f = f_value(gen, np.array([th, th2]))
+    ph = _dual_rows(th, _portfolio_at(gen, th), gen.name)
+    fstar = psi(th - ph) - f[0]
+    return float(psi(th2 - ph) - fstar - f[1])
 
 
 def pyth_transport_gap(gen: Generator, p, q, r) -> float:
@@ -422,14 +421,11 @@ def pyth_transport_gap(gen: Generator, p, q, r) -> float:
     Couples (q->p's partner, r->q's partner) against (q->q's, r->p's); the
     result coincides with T(q|p) + T(r|q) - T(r|p).
     """
-    th_p = to_primal(p).theta
-    th_q = to_primal(q).theta
-    th_r = to_primal(r).theta
-    ph_p = dual_coord(gen, th_p).phi
-    ph_q = dual_coord(gen, th_q).phi
-    return float(
-        psi(th_q - ph_p) + psi(th_r - ph_q) - psi(th_r - ph_p) - psi(th_q - ph_q)
-    )
+    Th = to_primal_many(point_rows(p, q, r))
+    ph_p, ph_q = _dual_rows(Th[:2], _portfolio_at(gen, Th[:2]), gen.name)
+    th_q, th_r = Th[1], Th[2]
+    c = psi_many(np.array([th_q - ph_p, th_r - ph_q, th_r - ph_p, th_q - ph_q]))
+    return float(c[0] + c[1] - c[2] - c[3])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +473,7 @@ def is_mcm(portfolio_map, cycle) -> bool:
     ``cycle`` must close (last point equals first).  The product of the
     one-step relative returns must be at least one.
     """
-    pts = [point_array(p) for p in cycle]
+    pts = point_rows(*cycle)
     if not np.allclose(pts[0], pts[-1], atol=0.0, rtol=0.0):
         raise ValueError("cycle must close: last point must equal the first")
     log_product = 0.0

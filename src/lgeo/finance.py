@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import l_divergence
+from .divergence import _t_euclid
 from .generators import Generator
 from .geodesics import pythagorean_sign
 
@@ -256,12 +256,11 @@ def _schedule_log_value(gen: Generator, path: MarketPath, schedule) -> tuple:
         raise ValueError("schedule indices outside the path")
     if stops[-1] != last:
         stops.append(last)
-    log_v = 0.0
-    div_sum = 0.0
-    for s0, s1 in zip(stops[:-1], stops[1:]):
-        pi = gen.portfolio(W[s0])
-        log_v += np.log(float(pi @ (W[s1] / W[s0])))
-        div_sum += l_divergence(gen, W[s1], W[s0]).value
+    # the rows were validated by MarketPath; all holding periods at once
+    P0, P1 = W[stops[:-1]], W[stops[1:]]
+    Pi = gen.portfolio(P0)
+    log_v = np.log((Pi * (P1 / P0)).sum(axis=-1)).sum()
+    div_sum = _t_euclid(gen, P1, P0, Pi, gen.log_gen(P1), gen.log_gen(P0)).sum()
     return float(log_v), float(div_sum)
 
 

@@ -23,10 +23,14 @@ Shapes: ``log_gen`` and ``portfolio`` take points as a plain ``(..., n)``
 array and ``dpi_dtheta`` exponential coordinates as a ``(..., n-1)`` array;
 each reduces over the last axis, so one point is the 1-d case (``log_gen``
 then returns a float) and a stack of points gives the stack of results.
-The generator methods take plain float arrays and do not validate them;
-inputs are checked at the public entry points, such as
-:class:`~lgeo.simplex.SimplexPoint`, :func:`portfolio_theta` and
-:func:`dual_coord`.
+The generator methods take plain float arrays and do not validate them.
+Inputs are checked once, at the public functions (:func:`portfolio_theta`,
+:func:`dual_coord` and the other maps here, and the functions of the other
+modules, through :func:`~lgeo.simplex.point_array` and
+:func:`~lgeo.simplex.point_rows`).  Library code below that boundary calls
+the generator methods and the private array kernels directly:
+``_portfolio_at`` for the portfolio at exponential coordinates and
+``_dual_rows`` for the dual coordinates of a stack of points.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .simplex import (
     point_array,
     psi as _psi,
     softmax_with_tail,
-    to_primal,
+    to_primal_many,
 )
 
 __all__ = [
@@ -103,23 +107,23 @@ def _fd_grad_on_simplex(func, p: np.ndarray) -> np.ndarray:
     return g
 
 
-def _fd_hess_on_simplex(func, p: np.ndarray) -> np.ndarray:
-    ext = lambda x: func(x / x.sum())
-    n = p.size
-    h = np.minimum(1e-4, p / 4)
-    H = np.empty((n, n))
-    f0 = ext(p)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        H[i, i] = (ext(p + ei) - 2 * f0 + ext(p - ei)) / h[i] ** 2
+def _fd_hessian(f, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central second differences of ``f`` at ``x``, step ``h[i]`` along axis i."""
+    m = x.size
+    E = np.diag(h)
+    H = np.empty((m, m))
+    f0 = f(x)
+    for i in range(m):
+        H[i, i] = (f(x + E[i]) - 2 * f0 + f(x - E[i])) / h[i] ** 2
         for j in range(i):
-            ej = np.zeros(n)
-            ej[j] = h[j]
             H[i, j] = H[j, i] = (
-                ext(p + ei + ej) - ext(p + ei - ej) - ext(p - ei + ej) + ext(p - ei - ej)
+                f(x + E[i] + E[j]) - f(x + E[i] - E[j]) - f(x - E[i] + E[j]) + f(x - E[i] - E[j])
             ) / (4 * h[i] * h[j])
     return H
+
+
+def _fd_hess_on_simplex(func, p: np.ndarray) -> np.ndarray:
+    return _fd_hessian(lambda x: func(x / x.sum()), p, np.minimum(1e-4, p / 4))
 
 
 def _each_row(one, X):
@@ -196,20 +200,7 @@ class Generator:
             return self.log_gen(softmax_with_tail(x)) + _psi(x)
 
         def one(th):
-            h = _fd_step(np.linalg.norm(th))
-            m = th.size
-            H = np.empty((m, m))
-            f0 = f(th)
-            for j in range(m):
-                ej = np.zeros(m)
-                ej[j] = h
-                H[j, j] = (f(th + ej) - 2 * f0 + f(th - ej)) / h**2
-                for i in range(j):
-                    ei = np.zeros(m)
-                    ei[i] = h
-                    H[i, j] = H[j, i] = (
-                        f(th + ei + ej) - f(th + ei - ej) - f(th - ei + ej) + f(th - ei - ej)
-                    ) / (4 * h * h)
+            H = _fd_hessian(f, th, np.full(th.size, _fd_step(np.linalg.norm(th))))
             return np.vstack([H, -H.sum(axis=0)])
 
         return _each_row(one, Theta)
@@ -527,26 +518,35 @@ def portfolio(gen: Generator, p) -> Portfolio:
     return Portfolio(gen.portfolio(np.asarray(p, dtype=float)))
 
 
+def _portfolio_at(gen: Generator, Theta: np.ndarray) -> np.ndarray:
+    """Portfolio weights at (..., n-1) rows of exponential coordinates."""
+    return gen.portfolio(from_primal_many(Theta))
+
+
+def _dual_rows(Theta: np.ndarray, Pi: np.ndarray, who: str) -> np.ndarray:
+    """Dual coordinates theta - (log pi_{<n} - log pi_n) over (..., n-1) rows
+    ``Theta`` with portfolios ``Pi``; a boundary portfolio is a
+    :class:`NonRegularError` naming ``who``."""
+    if (Pi <= 0.0).any():
+        raise NonRegularError(f"{who}: portfolio touches the simplex boundary; dual map undefined")
+    return Theta - (np.log(Pi[..., :-1]) - np.log(Pi[..., -1:]))
+
+
 def portfolio_theta(gen: Generator, theta) -> np.ndarray:
     """Portfolio weights at the point with exponential coordinate ``theta``."""
-    return gen.portfolio(softmax_with_tail(coord_array(theta)))
+    return _portfolio_at(gen, coord_array(theta))
 
 
 def dual_coord(gen: Generator, theta) -> DualCoord:
     """Dual coordinates ``phi_i = theta_i - log(pi_i / pi_n)`` of a point."""
     th = coord_array(theta)
-    pi = portfolio_theta(gen, th)
-    if np.any(pi <= 0.0):
-        raise NonRegularError(
-            f"{gen.name}: portfolio touches the simplex boundary; dual map undefined"
-        )
-    return DualCoord(th - (np.log(pi[:-1]) - np.log(pi[-1])), generator=gen)
+    return DualCoord(_dual_rows(th, _portfolio_at(gen, th), gen.name), generator=gen)
 
 
 def dual_euclidean(gen: Generator, p) -> SimplexPoint:
     """Dual Euclidean coordinates: the point with exponential coordinate -phi."""
-    phi = dual_coord(gen, to_primal(p))
-    return from_primal(-phi.phi)
+    th = to_primal_many(point_array(p))
+    return from_primal(-_dual_rows(th, _portfolio_at(gen, th), gen.name))
 
 
 def jacobian_dual(gen: Generator, theta) -> np.ndarray:
@@ -554,11 +554,10 @@ def jacobian_dual(gen: Generator, theta) -> np.ndarray:
     th = coord_array(theta)
     h = _fd_step(np.linalg.norm(th))
     m = th.size
-    J = np.empty((m, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        J[:, j] = (dual_coord(gen, th + e).phi - dual_coord(gen, th - e).phi) / (2 * h)
+    # rows th + h e_j, then th - h e_j
+    Th = th + h * np.vstack([np.eye(m), -np.eye(m)])
+    Ph = _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
+    J = (Ph[:m] - Ph[m:]).T / (2 * h)
     if abs(np.linalg.det(J)) < 1e-12:
         raise NonRegularError(f"{gen.name}: singular dual Jacobian (regularity violated)")
     return J

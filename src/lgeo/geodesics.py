@@ -37,22 +37,17 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import divergence
-from .divergence import ConvergenceError, f_value, inverse_dual_coord, l_divergence
-from .generators import Generator, NonRegularError, dual_coord, portfolio_theta
-from .geometry import (
-    metric_dual,
-    metric_primal,
-    pi_quantities,
-    riem_gradient_dual,
-    riem_gradient_primal,
-)
+from .divergence import ConvergenceError, _t_euclid, f_value, inverse_dual_coord
+from .generators import Generator, _dual_rows, _portfolio_at
+from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_gradient, _tilted
 from .simplex import (
+    _log_tilt,
     coord_array,
     from_primal_many,
-    point_array,
+    point_rows,
     psi,
     psi_many,
-    to_primal,
+    to_primal_many,
 )
 
 __all__ = [
@@ -145,9 +140,13 @@ class Curve:
 
 
 def _grid(grid) -> np.ndarray:
+    """Output times on [0, 1]: the default grid, ``grid`` uniform times (at
+    least 2), or an increasing array of times inside [0, 1]."""
     if grid is None:
         return np.linspace(0.0, 1.0, DEFAULT_GRID)
     if np.isscalar(grid):
+        if int(grid) < 2:
+            raise ValueError(f"a grid needs at least 2 times, got {grid}")
         return np.linspace(0.0, 1.0, int(grid))
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or np.any(np.diff(g) <= 0) or g[0] < 0 or g[-1] > 1:
@@ -242,8 +241,7 @@ def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
     parameterization comes from quadrature of exp(-2 f) along the segment.
     """
     t_out = _grid(grid)
-    th_q = to_primal(q).theta
-    th_r = to_primal(r).theta
+    th_q, th_r = to_primal_many(point_rows(q, r))
     if np.allclose(th_q, th_r, atol=1e-14):
         pts = np.broadcast_to(th_q, (t_out.size, th_q.size)).copy()
         return Curve(t_out, pts, "primal", velocities=np.zeros_like(pts))
@@ -266,8 +264,8 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     output node, all nodes at once (:func:`_dual_range_guard`).
     """
     t_out = _grid(grid)
-    ph_q = dual_coord(gen, to_primal(q).theta).phi
-    ph_p = dual_coord(gen, to_primal(p).theta).phi
+    Th = to_primal_many(point_rows(q, p))
+    ph_q, ph_p = _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
     if np.allclose(ph_q, ph_p, atol=1e-14):
         pts = np.broadcast_to(ph_q, (t_out.size, ph_q.size)).copy()
         return Curve(t_out, pts, "dual", velocities=np.zeros_like(pts))
@@ -332,10 +330,9 @@ def geodesic_acceleration(gen: Generator, xi: np.ndarray, v: np.ndarray, which: 
     dual-coordinate point.
     """
     if which == "primal":
-        pi = portfolio_theta(gen, xi)
+        pi = _portfolio_at(gen, xi)
     else:
-        th = inverse_dual_coord(gen, xi, x0=theta_hint)
-        pi = portfolio_theta(gen, th)
+        pi = _portfolio_at(gen, inverse_dual_coord(gen, xi, x0=theta_hint))
     mix = pi[:-1] @ v
     quad = v * v - 2.0 * v * mix
     return -quad if which == "primal" else quad
@@ -414,10 +411,10 @@ def _residual_values(gen, times, points, coord, eval_times, end_velocities=None)
     spl = CubicSpline(times, points, axis=0, bc_type=bc)
     xi, v, a = spl(eval_times), spl.derivative(1)(eval_times), spl.derivative(2)(eval_times)
     if coord == "dual":
-        Pi = gen.portfolio(from_primal_many(inverse_dual_coord(gen, xi)))
+        Pi = _portfolio_at(gen, inverse_dual_coord(gen, xi))
         sign = -1.0
     else:
-        Pi = gen.portfolio(from_primal_many(xi))
+        Pi = _portfolio_at(gen, xi)
         sign = 1.0
     mix = np.sum(Pi[:, :-1] * v, axis=1, keepdims=True)
     return a + sign * (v * v - 2.0 * v * mix)
@@ -492,31 +489,17 @@ def _flow_times(horizon: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, horizon, steps + 1)
 
 
-def _flow_log_speed(Pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """log Z = log(sum_{i<n} pi_i e^{delta_i} + pi_n) over the last axis (kept, length 1)."""
-    delta = np.concatenate([delta, np.zeros(delta.shape[:-1] + (1,))], axis=-1)
-    m = delta.max(axis=-1, keepdims=True)
-    return m + np.log(np.sum(Pi * np.exp(delta - m), axis=-1, keepdims=True))
-
-
 def _primal_flow_rhs(gen, th, th_target):
     """Primal flow velocity theta_dot = (e^{theta_target - theta} - 1) / Z at rows ``th``."""
-    delta = th_target - th
-    logZ = _flow_log_speed(gen.portfolio(from_primal_many(th)), delta)
-    return np.exp(delta - logZ) - np.exp(-logZ)
+    return _tilt_gradient(_portfolio_at(gen, th), th_target - th)
 
 
 def _dual_flow_rhs(gen, th, ph_target):
-    """log Z, the velocity phi_dot = -(e^{phi - phi_target} - 1) / Z and the
-    dual coordinate phi of the dual flow at rows ``th``."""
-    Pi = gen.portfolio(from_primal_many(th))
-    if np.any(Pi <= 0.0):
-        raise NonRegularError(f"{gen.name}: portfolio touches the simplex boundary; "
-                              "dual map undefined")
-    ph = th - (np.log(Pi[..., :-1]) - np.log(Pi[..., -1:]))
-    delta = ph - ph_target
-    logZ = _flow_log_speed(Pi, delta)
-    return logZ, -(np.exp(delta - logZ) - np.exp(-logZ)), ph
+    """The velocity phi_dot = -(e^{phi - phi_target} - 1) / Z and the dual
+    coordinate phi of the dual flow at rows ``th``."""
+    Pi = _portfolio_at(gen, th)
+    ph = _dual_rows(th, Pi, gen.name)
+    return -_tilt_gradient(Pi, ph - ph_target), ph
 
 
 def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -> Curve:
@@ -529,11 +512,11 @@ def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -
     the right-hand side at the returned points.
     """
     t_out = _flow_times(horizon, steps)
-    th_q, th_r = to_primal(q).theta, to_primal(r).theta
+    th_q, th_r = to_primal_many(point_rows(q, r))
 
     def logw(s):
         Th = _flow_chord(s, th_q, th_r)
-        return _flow_log_speed(gen.portfolio(from_primal_many(Th)), th_r - Th)[:, 0]
+        return _log_tilt(_portfolio_at(gen, Th), th_r - Th)[:, 0]
 
     s = _reparam_from_weight(logw, _flow_grid(th_q, th_r), t_out, normalized=False)
     pts = _flow_chord(s, th_q, th_r)
@@ -550,8 +533,8 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     starts from the solution at the grid node below its point.
     """
     t_out = _flow_times(horizon, steps)
-    ph_q = dual_coord(gen, to_primal(q).theta).phi
-    ph_p = dual_coord(gen, to_primal(p).theta).phi
+    Th = to_primal_many(point_rows(q, p))
+    ph_q, ph_p = _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
     chord = lambda s: -_flow_chord(s, -ph_q, -ph_p)
     grid = _flow_grid(-ph_q, -ph_p)
     th_grid = inverse_dual_coord(gen, chord(grid))
@@ -562,12 +545,11 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
 
     def logw(s):
         Ph = chord(s)
-        Pi = gen.portfolio(from_primal_many(theta(s, Ph)))
-        return _flow_log_speed(Pi, Ph - ph_p)[:, 0]
+        return _log_tilt(_portfolio_at(gen, theta(s, Ph)), Ph - ph_p)[:, 0]
 
     s = _reparam_from_weight(logw, grid, t_out, normalized=False)
     pts = chord(s)
-    _, vel, _ = _dual_flow_rhs(gen, theta(s, pts), ph_p)
+    vel, _ = _dual_flow_rhs(gen, theta(s, pts), ph_p)
     return Curve(t_out, pts, "dual", velocities=vel)
 
 
@@ -577,15 +559,19 @@ def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
     Proportional to the negative Riemannian gradient of the divergence to
     the target; returned metric-normalized (zero vector if target == q).
     """
-    if which == "primal":
-        raw = -riem_gradient_primal(gen, target, q)
-        g = metric_primal(gen, to_primal(q).theta)
-    elif which == "dual":
-        raw = -riem_gradient_dual(gen, target, q)
-        g = metric_dual(gen, theta=to_primal(q).theta)
-    else:
+    if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
-    norm = g.norm(raw)
+    Th = to_primal_many(point_rows(q, target))
+    Pi = _portfolio_at(gen, Th)
+    pi_q, dpi_q = Pi[0], gen.dpi_dtheta(Th[0])
+    if which == "primal":
+        raw = _tilt_gradient(pi_q, Th[1] - Th[0])
+        G = _metric_entries(gen, pi_q, dpi_q)
+    else:
+        ph_q, ph_t = _dual_rows(Th, Pi, gen.name)
+        raw = -_tilt_gradient(pi_q, ph_q - ph_t)
+        G = _metric_entries(gen, pi_q, dpi_q, _jacobian_from_portfolio(pi_q, dpi_q))
+    norm = np.sqrt(max(raw @ G @ raw, 0.0))
     if norm < 1e-15:
         return np.zeros_like(raw)
     return raw / norm
@@ -607,37 +593,40 @@ class PythResult:
 def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     """Evaluate T(q|p) + T(r|q) - T(r|p) and its two sign surrogates.
 
-    ``gap`` comes from three divergence evaluations; ``inner`` is the metric
-    inner product at q of the initial velocities of the dual geodesic to p
-    and the primal geodesic to r; ``sign_quantity`` is the closed-form
-    1 - sum_k Pi_k(q,p) Pi_k(r,q) / pi_k(q).  All three agree in sign.
+    p, q and r are validated once, and the portfolios at p and q are
+    evaluated once; from there three separate formulas give the result.
+    ``gap`` is the sum of the three Euclidean divergences; ``inner`` is the
+    metric inner product at q of the initial velocities of the dual geodesic
+    to p and the primal geodesic to r (the Riemannian gradients of T, the
+    dual one pulled back by the dual Jacobian); ``sign_quantity`` is the
+    closed-form 1 - sum_k Pi_k(q,p) Pi_k(r,q) / pi_k(q) in the two-point
+    weights.  All three agree in sign.
     """
-    from .geometry import dual_jacobian
-
-    gap = (
-        l_divergence(gen, q, p).value
-        + l_divergence(gen, r, q).value
-        - l_divergence(gen, r, p).value
-    )
-    th_q = to_primal(q).theta
-    th_p = to_primal(p).theta
-    th_r = to_primal(r).theta
-    pi_q = portfolio_theta(gen, th_q)
-    u_dual = -riem_gradient_dual(gen, p, q)
-    v_primal = -riem_gradient_primal(gen, r, q)
-    J = dual_jacobian(gen, th_q)
-    u_primal = np.linalg.solve(J, u_dual)
-    g = metric_primal(gen, th_q)
-    inner = g.inner(u_primal, v_primal)
-    nu, nv = g.norm(u_primal), g.norm(v_primal)
+    P = point_rows(p, q, r)
+    Th = to_primal_many(P)
+    th_p, th_q, th_r = Th
+    Pi = gen.portfolio(P[:2])
+    pi_p, pi_q = Pi
+    # the gap: T(q|p), T(r|q) and T(r|p) as rows, from the rows of p, q, r
+    logv = gen.log_gen(P)
+    to, at = [1, 2, 2], [0, 1, 0]
+    T = _t_euclid(gen, P[to], P[at], Pi[at], logv[to], logv[at])
+    gap = T[0] + T[1] - T[2]
+    # the inner product, in primal coordinates at q
+    dpi_q = gen.dpi_dtheta(th_q)
+    ph_p, ph_q = _dual_rows(Th[:2], Pi, gen.name)
+    u = np.linalg.solve(_jacobian_from_portfolio(pi_q, dpi_q), -_tilt_gradient(pi_q, ph_q - ph_p))
+    v = _tilt_gradient(pi_q, th_r - th_q)
+    G = _metric_entries(gen, pi_q, dpi_q)
+    inner = float(u @ G @ v)
+    nu, nv = np.sqrt(max(u @ G @ u, 0.0)), np.sqrt(max(v @ G @ v, 0.0))
     if nu < 1e-15 or nv < 1e-15:
         angle = float("nan")
     else:
         angle = float(np.degrees(np.arccos(np.clip(inner / (nu * nv), -1.0, 1.0))))
-    Pi_qp = pi_quantities(gen, th_q, th_p).values
-    Pi_rq = pi_quantities(gen, th_r, th_q).values
-    sign_q = 1.0 - float(np.sum(Pi_qp * Pi_rq / pi_q))
-    return PythResult(gap=float(gap), inner=float(inner), angle_deg=angle, sign_quantity=sign_q)
+    # the sign quantity
+    sign_q = 1.0 - float(np.sum(_tilted(pi_p, th_q - th_p) * _tilted(pi_q, th_r - th_q) / pi_q))
+    return PythResult(gap=float(gap), inner=inner, angle_deg=angle, sign_quantity=sign_q)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +646,7 @@ class RegionSample:
 
 def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
     """Vectorized gap T(q|p) + T(r|q) - T(r|p) over rows q of Q."""
-    pa, ra = point_array(p), point_array(r)
+    pa, ra = point_rows(p, r)
     pi_p = gen.portfolio(pa)
     logv_p = gen.log_gen(pa)
     logv_r = gen.log_gen(ra)
@@ -698,7 +687,7 @@ def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSamp
     """
     if grid_resolution < 3:
         raise ValueError(f"grid_resolution must be at least 3, got {grid_resolution}")
-    pa, ra = point_array(p), point_array(r)
+    pa, ra = point_rows(p, r)
     if pa.size != 3:
         raise ValueError("region sampling draws on the 2-simplex: need n = 3")
     idx, Q, index_map = _barycentric_lattice(grid_resolution)

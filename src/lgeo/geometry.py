@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import inverse_dual_coord
-from .generators import Generator, NonRegularError, portfolio_theta
-from .simplex import coord_array, point_array
+from .generators import Generator, NonRegularError, _dual_rows, _portfolio_at
+from .simplex import _log_tilt, _with_tail, coord_array, point_array, point_rows, to_primal_many
 
 __all__ = [
     "MetricMatrix",
@@ -100,27 +100,22 @@ class PiQuantities:
         return np.asarray(self.values, dtype=dtype)
 
 
-def _two_point_weights(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Normalized pi_l * exp(delta_l) with the implicit delta_n = 0."""
-    z = np.log(pi) + np.concatenate([delta, [0.0]])
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+def _tilted(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Normalized two-point weights pi_l e^{delta_l} / Z, delta_n = 0 implicit."""
+    return pi * np.exp(_with_tail(delta) - _log_tilt(pi, delta))
 
 
 def pi_quantities(gen: Generator, theta, theta2) -> PiQuantities:
     """Weights Pi_i(theta, theta2): the portfolio at theta2 tilted toward theta."""
     th, th2 = coord_array(theta), coord_array(theta2)
-    pi = portfolio_theta(gen, th2)
-    return PiQuantities(values=_two_point_weights(pi, th - th2), kind="primal")
+    return PiQuantities(values=_tilted(_portfolio_at(gen, th2), th - th2), kind="primal")
 
 
 def pi_quantities_dual(gen: Generator, phi, phi2) -> PiQuantities:
     """Weights Pi*_i(phi, phi2): the portfolio at the *first* point, tilted."""
     ph, ph2 = coord_array(phi), coord_array(phi2)
-    th = inverse_dual_coord(gen, ph)
-    pi = portfolio_theta(gen, th)
-    return PiQuantities(values=_two_point_weights(pi, ph - ph2), kind="dual")
+    pi = _portfolio_at(gen, inverse_dual_coord(gen, ph))
+    return PiQuantities(values=_tilted(pi, ph - ph2), kind="dual")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +141,7 @@ def metric_euclidean(gen: Generator, p, u, v) -> float:
 def dual_jacobian(gen: Generator, theta) -> np.ndarray:
     """Analytic Jacobian d phi / d theta of the dual coordinate map."""
     th = coord_array(theta)
-    return _jacobian_from_portfolio(portfolio_theta(gen, th), gen.dpi_dtheta(th))
+    return _jacobian_from_portfolio(_portfolio_at(gen, th), gen.dpi_dtheta(th))
 
 
 def _jacobian_from_portfolio(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
@@ -154,15 +149,24 @@ def _jacobian_from_portfolio(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
     return np.eye(dpi.shape[1]) - dpi[:-1, :] / pi[:-1, None] + dpi[-1, :] / pi[-1]
 
 
-def _metric_primal_parts(gen: Generator, th: np.ndarray):
-    pi = portfolio_theta(gen, th)
-    dpi = gen.dpi_dtheta(th)
+def _metric_entries(gen: Generator, pi: np.ndarray, dpi: np.ndarray, J=None) -> np.ndarray:
+    """Metric coefficients from the portfolio pi and dpi / dtheta: primal, or
+    dual given the dual Jacobian ``J``.  The primal candidate, and the dual
+    one when asked for, must be symmetric; the result is symmetrized and
+    must be positive definite."""
     pit = pi[:-1]
-    G = np.diag(pit) - np.outer(pit, pit) - dpi[:-1, :]
+    head = np.diag(pit) - np.outer(pit, pit)
+    G, what = head - dpi[:-1, :], f"{gen.name}: metric"
+    if J is not None:
+        if np.max(np.abs(G - G.T)) > 1e-8:
+            raise NonRegularError(f"{what} candidate not symmetric")
+        G, what = head + dpi[:-1, :] @ np.linalg.inv(J), f"{gen.name}: dual metric"
     if np.max(np.abs(G - G.T)) > 1e-8:
-        raise NonRegularError(f"{gen.name}: metric candidate not symmetric")
+        raise NonRegularError(f"{what} candidate not symmetric")
     G = (G + G.T) / 2
-    return pi, G, _jacobian_from_portfolio(pi, dpi)
+    if np.linalg.eigvalsh(G).min() <= 0:
+        raise NonRegularError(f"{what} not positive definite")
+    return G
 
 
 def metric_primal(gen: Generator, theta) -> MetricMatrix:
@@ -173,11 +177,10 @@ def metric_primal(gen: Generator, theta) -> MetricMatrix:
     inversion of the metric itself.
     """
     th = coord_array(theta)
-    pi, G, J = _metric_primal_parts(gen, th)
-    if np.linalg.eigvalsh(G).min() <= 0:
-        raise NonRegularError(f"{gen.name}: metric not positive definite at {th}")
+    pi, dpi = _portfolio_at(gen, th), gen.dpi_dtheta(th)
+    G = _metric_entries(gen, pi, dpi)
     M = np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1]
-    inv = np.linalg.solve(J, M)
+    inv = np.linalg.solve(_jacobian_from_portfolio(pi, dpi), M)
     return MetricMatrix(entries=G, coord="primal", base_point=th.copy(), inv=inv)
 
 
@@ -192,21 +195,11 @@ def metric_dual(gen: Generator, phi=None, *, theta=None) -> MetricMatrix:
         th = inverse_dual_coord(gen, coord_array(phi))
     else:
         th = coord_array(theta)
-    pi, _, J = _metric_primal_parts(gen, th)
-    pit = pi[:-1]
-    dpi = gen.dpi_dtheta(th)
-    dpi_dphi = dpi[:-1, :] @ np.linalg.inv(J)
-    G = np.diag(pit) - np.outer(pit, pit) + dpi_dphi
-    if np.max(np.abs(G - G.T)) > 1e-8:
-        raise NonRegularError(f"{gen.name}: dual metric candidate not symmetric")
-    G = (G + G.T) / 2
-    if np.linalg.eigvalsh(G).min() <= 0:
-        raise NonRegularError(f"{gen.name}: dual metric not positive definite")
-    M = np.diag(1.0 / pit) + 1.0 / pi[-1]
-    inv = J @ M
-    from .generators import dual_coord
-
-    base = dual_coord(gen, th).phi if phi is None else coord_array(phi)
+    pi, dpi = _portfolio_at(gen, th), gen.dpi_dtheta(th)
+    J = _jacobian_from_portfolio(pi, dpi)
+    G = _metric_entries(gen, pi, dpi, J)
+    inv = J @ (np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1])
+    base = _dual_rows(th, pi, gen.name) if phi is None else coord_array(phi)
     return MetricMatrix(entries=G, coord="dual", base_point=base, inv=inv)
 
 
@@ -225,7 +218,7 @@ def _christoffel_raised(pi_trunc: np.ndarray, sign: float) -> np.ndarray:
 
 def christoffel_primal(gen: Generator, theta) -> ChristoffelTensor:
     th = coord_array(theta)
-    pi = portfolio_theta(gen, th)
+    pi = _portfolio_at(gen, th)
     return ChristoffelTensor(
         gamma=_christoffel_raised(pi[:-1], +1.0), coord="primal", base_point=th.copy()
     )
@@ -234,13 +227,12 @@ def christoffel_primal(gen: Generator, theta) -> ChristoffelTensor:
 def christoffel_dual(gen: Generator, phi=None, *, theta=None) -> ChristoffelTensor:
     if theta is None:
         th = inverse_dual_coord(gen, coord_array(phi))
+        pi = _portfolio_at(gen, th)
         base = coord_array(phi)
     else:
         th = coord_array(theta)
-        from .generators import dual_coord
-
-        base = dual_coord(gen, th).phi
-    pi = portfolio_theta(gen, th)
+        pi = _portfolio_at(gen, th)
+        base = _dual_rows(th, pi, gen.name)
     return ChristoffelTensor(
         gamma=_christoffel_raised(pi[:-1], -1.0), coord="dual", base_point=base
     )
@@ -301,21 +293,21 @@ def sectional_curvature(gen: Generator, point, u, v, which: str = "primal") -> f
 # ---------------------------------------------------------------------------
 # Riemannian gradients of the divergence
 
+def _tilt_gradient(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """(e^delta - 1) / Z over the last axis, Z = sum_l pi_l e^{delta_l} with
+    delta_n = 0: the Riemannian gradient of T at the point with portfolio pi."""
+    logZ = _log_tilt(pi, delta)
+    return np.exp(delta - logZ) - np.exp(-logZ)
+
+
 def riem_gradient_primal(gen: Generator, r, q) -> np.ndarray:
     """grad of T(r | .) at q, components in primal coordinates.
 
     Closed form: ((1 - exp(theta^r - theta^q)) / Z)_i with
     Z = sum_l pi_l(q) exp(theta^r_l - theta^q_l).
     """
-    from .simplex import to_primal
-
-    th_r = to_primal(r).theta
-    th_q = to_primal(q).theta
-    pi_q = portfolio_theta(gen, th_q)
-    delta = np.concatenate([th_r - th_q, [0.0]])
-    mshift = delta.max()
-    Z = float(np.exp(mshift) * (pi_q @ np.exp(delta - mshift)))
-    return (-np.exp(delta[:-1]) + 1.0) / Z
+    th_r, th_q = to_primal_many(point_rows(r, q))
+    return -_tilt_gradient(_portfolio_at(gen, th_q), th_r - th_q)
 
 
 def riem_gradient_dual(gen: Generator, p, q) -> np.ndarray:
@@ -324,17 +316,10 @@ def riem_gradient_dual(gen: Generator, p, q) -> np.ndarray:
     Closed form: ((exp(phi^q - phi^p) - 1) / Z*)_i with
     Z* = sum_l pi_l(q) exp(phi^q_l - phi^p_l).
     """
-    from .generators import dual_coord
-    from .simplex import to_primal
-
-    th_q = to_primal(q).theta
-    ph_q = dual_coord(gen, th_q).phi
-    ph_p = dual_coord(gen, to_primal(p).theta).phi
-    pi_q = portfolio_theta(gen, th_q)
-    delta = np.concatenate([ph_q - ph_p, [0.0]])
-    mshift = delta.max()
-    Z = float(np.exp(mshift) * (pi_q @ np.exp(delta - mshift)))
-    return (np.exp(delta[:-1]) - 1.0) / Z
+    Th = to_primal_many(point_rows(p, q))
+    Pi = _portfolio_at(gen, Th)
+    ph_p, ph_q = _dual_rows(Th, Pi, gen.name)
+    return _tilt_gradient(Pi[1], ph_q - ph_p)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,15 @@ the package.
 
 All exp/log aggregations are max-shifted so that coordinates of order
 +-50, which occur along geodesics, do not overflow.
+
+Inputs are checked once, at the public boundary: :func:`point_array`
+validates one point through :class:`SimplexPoint`, and :func:`point_rows`
+validates a group of points of one common dimension and returns their plain
+rows.  The kernels below that boundary
+(:func:`psi_many`, :func:`from_primal_many`, :func:`to_primal_many` and the
+log-sum ``_log_tilt``) take plain float arrays of shape ``(..., k)``, reduce
+over the last axis and check nothing; the one-point :func:`psi` and
+:func:`softmax_with_tail` are their 1-d case.
 """
 
 from __future__ import annotations
@@ -56,12 +65,14 @@ class SimplexPoint:
     p: np.ndarray
 
     def __init__(self, p):
-        arr = np.asarray(p, dtype=float).copy()
+        # array methods rather than np.all / np.any: the same checks, with
+        # less call overhead on the single-point path
+        arr = np.array(p, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a simplex point needs at least 2 coordinates")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("simplex point entries must be finite")
-        if np.any(arr <= ENTRY_FLOOR):
+        if (arr <= ENTRY_FLOOR).any():
             raise ValueError("simplex point entries must be strictly positive")
         total = arr.sum()
         if abs(total - 1.0) > SUM_TOL:
@@ -165,21 +176,46 @@ def point_array(x) -> np.ndarray:
     return SimplexPoint(x).p
 
 
+def point_rows(*points) -> np.ndarray:
+    """Validate points of one common dimension, each once through :func:`point_array`.
+
+    Returns the (k, n) array of their probability rows; a dimension mismatch
+    is a ``ValueError``.  Their exponential coordinates are
+    ``to_primal_many`` of the rows, bitwise equal to :func:`to_primal`.
+    """
+    rows = [point_array(x) for x in points]
+    try:
+        return np.array(rows)  # rows of unequal length do not stack
+    except ValueError:
+        raise ValueError(f"dimension mismatch: points of sizes {[r.size for r in rows]}") from None
+
+
 def psi(x) -> float:
     """Log-partition ``log(1 + sum_i exp(x_i))``, computed with a max shift.
 
     ``x`` lives in R^(n-1); the implicit n-th entry is 0.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    m = max(x.max(initial=0.0), 0.0)
-    return float(m + np.log(np.exp(-m) + np.exp(x - m).sum()))
+    return float(psi_many(np.atleast_1d(np.asarray(x, dtype=float))))
 
 
 def psi_many(X: np.ndarray) -> np.ndarray:
-    """Row-wise ``psi`` for an (N, n-1) array."""
+    """``psi`` over the last axis of a (..., n-1) array."""
     X = np.asarray(X, dtype=float)
-    m = np.maximum(X.max(axis=-1), 0.0)
+    m = X.max(axis=-1, initial=0.0)
     return m + np.log(np.exp(-m) + np.exp(X - m[..., None]).sum(axis=-1))
+
+
+def _with_tail(X: np.ndarray) -> np.ndarray:
+    """(..., k) rows extended by the implicit last coordinate 0."""
+    return np.concatenate([X, np.zeros(X.shape[:-1] + (1,))], axis=-1)
+
+
+def _log_tilt(Pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """log Z = log(sum_{i<n} pi_i e^{delta_i} + pi_n) over the last axis, kept
+    as length 1; max-shifted on delta alone, so zero weights are allowed."""
+    delta = _with_tail(delta)
+    m = delta.max(axis=-1, keepdims=True)
+    return m + np.log(np.sum(Pi * np.exp(delta - m), axis=-1, keepdims=True))
 
 
 def softmax_with_tail(x) -> np.ndarray:
@@ -189,31 +225,24 @@ def softmax_with_tail(x) -> np.ndarray:
     normalized to sum to one.  This is the inverse exponential-coordinate map
     before wrapping in :class:`SimplexPoint`.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.concatenate([x, [0.0]])
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    return from_primal_many(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 def to_primal(p) -> PrimalCoord:
     """Exponential coordinates ``theta_i = log(p_i / p_n)`` of a point."""
-    arr = point_array(p)
-    logp = np.log(arr)
-    return PrimalCoord(logp[:-1] - logp[-1])
+    return PrimalCoord(to_primal_many(point_array(p)))
 
 
 def to_primal_many(P: np.ndarray) -> np.ndarray:
-    """Row-wise exponential coordinates of an (N, n) array of points."""
+    """Exponential coordinates over the last axis of a (..., n) array of points."""
     L = np.log(np.asarray(P, dtype=float))
-    return L[:, :-1] - L[:, -1:]
+    return L[..., :-1] - L[..., -1:]
 
 
 def from_primal_many(Theta: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_primal_many` over the last axis of a (..., n-1)
     array, max-shifted; a 1-d ``Theta`` gives one point."""
-    Theta = np.asarray(Theta, dtype=float)
-    Z = np.concatenate([Theta, np.zeros(Theta.shape[:-1] + (1,))], axis=-1)
+    Z = _with_tail(np.asarray(Theta, dtype=float))
     Z = Z - Z.max(axis=-1, keepdims=True)
     W = np.exp(Z)
     return W / W.sum(axis=-1, keepdims=True)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
 from .divergence import CouplingSample, is_c_cyclical_monotone
 from .generators import (
@@ -33,12 +34,15 @@ from .generators import (
     GeneralizedDiversityWeighted,
     UniformCrossEntropy,
     ZeroGenerator,
+    _dual_rows,
+    _portfolio_at,
     weights_from_gaussian,
 )
-from .geodesics import Curve
+from .geodesics import Curve, _grid
 from .simplex import (
     coord_array,
     from_primal_many,
+    point_array,
     psi,
     psi_many,
     softmax_with_tail,
@@ -90,8 +94,6 @@ def action(curve: Curve, nodes: int = _ACTION_NODES) -> ActionValue:
         bc = "not-a-knot"
         if curve.velocities is not None:
             bc = ((1, curve.velocities[0]), (1, curve.velocities[-1]))
-        from scipy.interpolate import CubicSpline
-
         spl = CubicSpline(curve.times, curve.points, axis=0, bc_type=bc)
         points, derivs = spl(ts), spl.derivative(1)(ts)
     x = gamma0[None, :] - points
@@ -112,8 +114,6 @@ def minimizing_curve(theta, phi, grid=None) -> Curve:
     and the terminal portfolio, so the integrand is constant and the action
     equals the transport cost psi(theta - phi).
     """
-    from .geodesics import _grid
-
     th = coord_array(theta)
     ph = coord_array(phi)
     if th.shape != ph.shape:
@@ -122,7 +122,7 @@ def minimizing_curve(theta, phi, grid=None) -> Curve:
     n = th.size + 1
     q1 = softmax_with_tail(th - ph)
     a = (1.0 - ts)[:, None] / n + ts[:, None] * q1[None, :]  # (m, n)
-    pts = th[None, :] - (np.log(a[:, :-1]) - np.log(a[:, -1:]))
+    pts = _dual_rows(th, a, "minimizing curve")
     adot = q1 - 1.0 / n
     vel = -(adot[None, :-1] / a[:, :-1] - adot[None, -1:] / a[:, -1:])
     return Curve(ts, pts, "primal", velocities=vel)
@@ -160,31 +160,33 @@ class InterpolationFamily:
             return ConvexCombination([other, self.base], [1.0 - t, t])
         return ConvexCombination([self.base, other], [1.0 - t, t])
 
+    def _blend(self, t, p: np.ndarray) -> np.ndarray:
+        """Blended weights at the point p for one time t, or one row per time
+        of an array t."""
+        t = np.asarray(t, dtype=float)[..., None]
+        base_pi = self.base.portfolio(p)
+        if self.kind == "displacement":
+            return (1.0 - t) / p.size + t * base_pi
+        return (1.0 - t) * base_pi + t * p
+
     def portfolio_at(self, t: float, p) -> np.ndarray:
         """Blended weights, directly from the defining linear interpolation."""
-        from .simplex import point_array
-
-        arr = point_array(p)
-        base_pi = self.base.portfolio(arr)
-        if self.kind == "displacement":
-            return (1.0 - t) / arr.size + t * base_pi
-        return (1.0 - t) * base_pi + t * arr
+        return self._blend(t, point_array(p))
 
     def dual_map_at(self, t: float, theta) -> np.ndarray:
         """The transport map F_t in coordinates: theta - log weight ratios."""
         th = coord_array(theta)
-        pi = self.portfolio_at(t, softmax_with_tail(th))
-        if np.any(pi <= 0.0):
-            raise ValueError(f"interpolated portfolio touches the boundary at t={t}")
-        return th - (np.log(pi[:-1]) - np.log(pi[-1]))
+        return _dual_rows(th, self._blend(t, from_primal_many(th)), f"{self.kind} interpolation")
 
     def trajectory(self, theta, grid=None) -> Curve:
-        """The path t -> F_t(theta) of one particle, in dual coordinates."""
-        from .geodesics import _grid
+        """The path t -> F_t(theta) of one particle, in dual coordinates.
 
+        The base portfolio at theta is evaluated once; all grid times are
+        blended as one array and mapped together."""
         ts = _grid(grid)
-        pts = np.array([self.dual_map_at(t, theta) for t in ts])
-        return Curve(ts, pts, "dual")
+        th = coord_array(theta)
+        Pi = self._blend(ts, from_primal_many(th))
+        return Curve(ts, _dual_rows(th, Pi, f"{self.kind} interpolation"), "dual")
 
 
 def displacement_family(gen: Generator) -> InterpolationFamily:
@@ -253,9 +255,7 @@ class GaussianCheckReport:
 
 
 def _dual_map_batch(gen: Generator, Theta: np.ndarray) -> np.ndarray:
-    P = from_primal_many(Theta)
-    Pi = gen.portfolio(P)
-    return Theta - (np.log(Pi[:, :-1]) - np.log(Pi[:, -1:]))
+    return _dual_rows(Theta, _portfolio_at(gen, Theta), gen.name)
 
 
 _MC_CHUNK = 1 << 14
@@ -281,6 +281,8 @@ def gaussian_example_check(a, b, sigma, lam, sample_size: int = 100_000,
         raise ValueError("lam must lie in (0, 1)")
     if np.any(sigma <= 0):
         raise ValueError("sigma must be strictly positive")
+    if sample_size < 2:
+        raise ValueError(f"the sample variance needs sample_size >= 2, got {sample_size}")
     w = weights_from_gaussian(a, b, lam)
     gen = GeneralizedDiversityWeighted(w, lam)
     scale = 1.0 - lam

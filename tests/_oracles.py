@@ -117,13 +117,21 @@ def riem_gradient_primal_ratio_form(gen: Generator, r, q) -> np.ndarray:
     return -Pi[:-1] / pi_q[:-1] + Pi[-1] / pi_q[-1]
 
 
+def two_point_weights(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Normalized pi_l * exp(delta_l) with the implicit delta_n = 0, by a
+    log-sum-exp over log pi + delta (the library tilts pi by exp(delta - log Z))."""
+    z = np.log(pi) + np.concatenate([delta, [0.0]])
+    w = np.exp(z - z.max())
+    return w / w.sum()
+
+
 def riem_gradient_dual_ratio_form(gen: Generator, p, q) -> np.ndarray:
     """Equivalent expression Pi*_i/pi_i - Pi*_n/pi_n via the two-point weights."""
     th_q = to_primal(q).theta
     ph_q = dual_coord(gen, th_q).phi
     ph_p = dual_coord(gen, to_primal(p).theta).phi
     pi_q = portfolio_theta(gen, th_q)
-    Pi = geo._two_point_weights(pi_q, ph_q - ph_p)
+    Pi = two_point_weights(pi_q, ph_q - ph_p)
     return Pi[:-1] / pi_q[:-1] - Pi[-1] / pi_q[-1]
 
 

@@ -212,6 +212,33 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["geodesic", "--gen", "dw:0.5", "--q", ".6,.25,.15", "--r", ".2,.3,.5", "--steps", "0",
+          "--out", "OUT"], "--steps"),
+        (["geodesic", "--gen", "dw:0.5", "--q", ".6,.25,.15", "--r", ".2,.3,.5", "--steps", "-3",
+          "--out", "OUT"], "--steps"),
+        (["interpolate", "--gen", "dw:0.5", "--theta", "1.0,-0.5", "--steps", "0",
+          "--out", "OUT"], "--steps"),
+        (["regularity", "--gen", "dw:0.5", "--n", "1"], "--n"),
+        (["regularity", "--gen", "dw:0.5", "--points", "0"], "--points"),
+        (["transport-check", "--a", "0", "--b", "0", "--sigma", "1", "--lam", "0.5",
+          "--samples", "0", "--out", "OUT"], "--samples"),
+        (["transport-check", "--a", "0", "--b", "0", "--sigma", "1", "--lam", "0.5",
+          "--samples", "1", "--out", "OUT"], "--samples"),
+    ])
+    def test_usage_error_count_below_its_minimum(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "x.csv"
+        assert run_cli(*[str(out) if a == "OUT" else a for a in argv]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numerical_error_points_of_different_dimension(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run_cli("geodesic", "--gen", "dw:0.5", "--q", "0.2,0.3,0.5", "--r", "0.5,0.5",
+                       "--out", str(out)) == 2
+        assert "dimension mismatch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0
 

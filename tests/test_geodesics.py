@@ -6,6 +6,8 @@ from scipy.optimize import brentq
 from lgeo import divergence as D
 from lgeo import generators as G
 from lgeo import geodesics as gd
+from lgeo import geometry as Ge
+from lgeo import simplex as S
 from lgeo.divergence import l_divergence, l_divergence_primal, pyth_transport_gap
 from lgeo.generators import dual_coord, dual_euclidean
 from lgeo.geometry import metric_primal
@@ -22,8 +24,9 @@ P3 = np.array([0.3, 0.5, 0.2])
 def bound_weight_evaluations(monkeypatch, limit):
     """Make the flows fail once they evaluate their speed Z at more than
     ``limit`` points in all; returns the list that gets the number of
-    points of each evaluation."""
-    log_speed, rows = gd._flow_log_speed, []
+    points of each evaluation.  The speed kernel ``_log_tilt`` is counted
+    where the flows' weights (geodesics) and velocities (geometry) call it."""
+    log_speed, rows = S._log_tilt, []
 
     def bounded_log_speed(Pi, delta):
         rows.append(int(np.prod(np.shape(delta)[:-1])))
@@ -31,7 +34,8 @@ def bound_weight_evaluations(monkeypatch, limit):
             raise AssertionError("flow evaluated its speed too often")
         return log_speed(Pi, delta)
 
-    monkeypatch.setattr(gd, "_flow_log_speed", bounded_log_speed)
+    for module in (gd, Ge):
+        monkeypatch.setattr(module, "_log_tilt", bounded_log_speed)
     return rows
 
 
@@ -119,6 +123,12 @@ class TestPrimalGeodesic:
             # collinear with v: the normalized cross part vanishes
             cross = resid - (resid @ v) / (v @ v) * v
             assert np.linalg.norm(cross) < 1e-10 * max(1.0, np.linalg.norm(resid))
+
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_geodesic_grid_needs_two_times(self, grid):
+        for geodesic in (gd.primal_geodesic, gd.dual_geodesic):
+            with pytest.raises(ValueError, match="at least 2"):
+                geodesic(G.diversity_weighted(0.5), Q3, R3, grid=grid)
 
 
 class TestDualGeodesic:
@@ -352,7 +362,7 @@ class TestFlows:
         c = gd.dual_flow(gen, Q3, P3, horizon=20.0, steps=steps)
         ph_p = dual_coord(gen, th_p).phi
         for ph, v in zip(c.points, c.velocities):
-            _, ph_dot, ph_again = gd._dual_flow_rhs(gen, ph, ph_p)
+            ph_dot, ph_again = gd._dual_flow_rhs(gen, ph, ph_p)
             assert np.array_equal(v, ph_dot)
             assert np.array_equal(ph, ph_again)
 
@@ -491,6 +501,21 @@ class TestInverseExp:
 
 
 class TestPythagoreanSign:
+    def test_validates_each_point_once(self, monkeypatch):
+        # p, q and r are coerced once at the boundary; nothing below it
+        # builds a SimplexPoint again
+        init, built = S.SimplexPoint.__init__, []
+
+        def counting_init(self, p):
+            built.append(1)
+            init(self, p)
+
+        monkeypatch.setattr(S.SimplexPoint, "__init__", counting_init)
+        for name, gen in builtin_zoo(3).items():
+            built.clear()
+            gd.pythagorean_sign(gen, P3, Q3, R3)
+            assert len(built) <= 3, name
+
     def test_degenerate_triple(self):
         gen = G.diversity_weighted(0.5)
         res = gd.pythagorean_sign(gen, Q3, Q3, R3)

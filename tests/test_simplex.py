@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lgeo
+from lgeo import generators as G
 from lgeo.simplex import (
     CostValue,
     PrimalCoord,
@@ -10,8 +12,10 @@ from lgeo.simplex import (
     coord_rows,
     cost,
     from_primal,
+    point_rows,
     psi,
     to_primal,
+    to_primal_many,
 )
 
 from _oracles import fd_hessian
@@ -165,3 +169,48 @@ class TestPrimalCoordType:
         for bad in (np.array([[0.0, np.nan]]), np.zeros((2, 2, 2))):
             with pytest.raises(ValueError):
                 coord_rows(bad)
+
+
+class TestPointRows:
+    def test_rows_and_coordinates_match_the_one_point_maps(self, rng):
+        pts = rng.dirichlet(np.ones(5), size=3)
+        P = point_rows(*pts, SimplexPoint(pts[0]))
+        Th = to_primal_many(P)
+        assert P.shape == (4, 5) and Th.shape == (4, 4)
+        for p, row, th in zip([*pts, pts[0]], P, Th):
+            assert np.array_equal(row, SimplexPoint(p).p)
+            assert np.array_equal(th, to_primal(p).theta)
+
+    def test_each_point_validated(self):
+        with pytest.raises(ValueError):
+            point_rows([0.5, 0.5], [1.0, 0.0])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            point_rows([0.2, 0.3, 0.5], [0.5, 0.5])
+
+
+Q3, R2, P3 = [0.2, 0.3, 0.5], [0.5, 0.5], [0.4, 0.4, 0.2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: lgeo.primal_geodesic(g, Q3, R2),
+    lambda g: lgeo.dual_geodesic(g, Q3, R2),
+    lambda g: lgeo.primal_flow(g, Q3, R2),
+    lambda g: lgeo.dual_flow(g, Q3, R2),
+    lambda g: lgeo.c_divergence(g, Q3, R2),
+    lambda g: lgeo.c_divergence_dual(g, Q3, R2),
+    lambda g: lgeo.pyth_transport_gap(g, P3, Q3, R2),
+    lambda g: lgeo.riem_gradient_primal(g, R2, Q3),
+    lambda g: lgeo.riem_gradient_dual(g, R2, Q3),
+    lambda g: lgeo.inverse_exp(g, Q3, R2, "primal"),
+    lambda g: lgeo.inverse_exp(g, Q3, R2, "dual"),
+    lambda g: lgeo.l_divergence(g, Q3, R2),
+    lambda g: lgeo.pythagorean_sign(g, P3, Q3, R2),
+], ids=["primal_geodesic", "dual_geodesic", "primal_flow", "dual_flow", "c_divergence",
+        "c_divergence_dual", "pyth_transport_gap", "riem_gradient_primal", "riem_gradient_dual",
+        "inverse_exp_primal", "inverse_exp_dual", "l_divergence", "pythagorean_sign"])
+def test_points_of_different_dimension_are_rejected(call):
+    # a point of the 2-simplex against points of the 3-simplex must not broadcast
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call(G.diversity_weighted(0.5))

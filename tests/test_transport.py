@@ -146,6 +146,17 @@ class TestDisplacementFamily:
             pairs = [(th, fam.dual_map_at(t, th)) for th in thetas]
             assert is_c_cyclical_monotone(CouplingSample(pairs))
 
+    @pytest.mark.parametrize("kind", ["displacement", "market"])
+    def test_trajectory_rows_are_the_maps_at_each_time(self, rng, kind):
+        # one blended array for all times gives, row for row, the bits of
+        # the one-time map
+        for name, gen in builtin_zoo(4).items():
+            fam = T.InterpolationFamily(base=gen, kind=kind)
+            th = rng.normal(size=3)
+            traj = fam.trajectory(th, grid=33)
+            for t, row in zip(traj.times, traj.points):
+                assert np.array_equal(row, fam.dual_map_at(t, th)), (name, t)
+
     def test_trajectory_traces_dual_geodesic(self, rng):
         gen = G.diversity_weighted(0.5)
         fam = T.displacement_family(gen)
@@ -251,6 +262,9 @@ class TestGaussianExample:
             T.gaussian_example_check([0.0], [0.0], [1.0], 1.5)
         with pytest.raises(ValueError):
             T.gaussian_example_check([0.0], [0.0], [-1.0], 0.5)
+        for size in (1, 0):
+            with pytest.raises(ValueError, match="sample_size"):
+                T.gaussian_example_check([0.0], [0.0], [1.0], 0.5, sample_size=size)
 
 
 class TestBruteForce:
