@@ -210,6 +210,9 @@ def _newton_max_u(gen: Generator, Ph: np.ndarray, X0: np.ndarray, gtol=1e-10, ma
     follows its own iteration: a Newton step on the Hessian, shifted when it
     is not negative definite (the gradient if that step is not an ascent
     direction), and an Armijo backtracking line search of up to 60 halvings.
+    Definiteness is tested by one batched Cholesky factorization of the
+    negated Hessians per iteration; only a block in which it fails computes
+    eigenvalues, to shift the rows whose largest one is above -1e-12.
     Below |grad| < 1e-6 an unshifted row takes the full step, since
     objective differences underflow there.  Returns the rows, their u values
     and a per-row mask of the rows that converged (|grad| < gtol, or
@@ -261,11 +264,17 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
                 Th[idx], U[idx], ok[idx] = th, u, True
                 break
             gnorm = gnorm[retire(conv, conv)]
-        # Newton step on the concavified Hessian; shift if not negative definite
-        eigmax = np.linalg.eigvalsh((hess + hess.transpose(0, 2, 1)) / 2)[:, -1]
-        A = hess
-        if eigmax.max() > -1e-12:
-            A = hess - np.where(eigmax > -1e-12, eigmax + 1e-8, 0.0)[:, None, None] * eye
+        # Newton step on the concavified Hessian; shift if not negative definite.
+        # One batched Cholesky of -sym - 1e-12 I fails for the whole stack when
+        # any row has an eigenvalue above -1e-12; only then are eigenvalues needed
+        sym = (hess + hess.transpose(0, 2, 1)) / 2
+        A, negdef = hess, True
+        try:
+            np.linalg.cholesky(-sym - 1e-12 * eye)
+        except np.linalg.LinAlgError:
+            eigmax = np.linalg.eigvalsh(sym)[:, -1]
+            negdef = eigmax <= -1e-12
+            A = hess - np.where(negdef, 0.0, eigmax + 1e-8)[:, None, None] * eye
         try:
             step = np.linalg.solve(A, -grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -284,7 +293,7 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
         # skip the line search and trust the full Newton step
         quad = np.zeros(idx.size, dtype=bool)
         if gmin < 1e-6:
-            quad = (gnorm < 1e-6) & (eigmax <= -1e-12)
+            quad = (gnorm < 1e-6) & negdef
             # stagnating at the float floor counts as converged
             ends = quad & (_row_norms(grad_new) >= gnorm)
             conv = ends & (gnorm < 1e-8)

@@ -550,7 +550,13 @@ def dual_euclidean(gen: Generator, p) -> SimplexPoint:
 
 
 def jacobian_dual(gen: Generator, theta) -> np.ndarray:
-    """Central-difference Jacobian of the dual coordinate map at ``theta``."""
+    """Central-difference Jacobian of the dual coordinate map at ``theta``.
+
+    Singular when its smallest singular value is at most 1e-8 times its
+    largest, a test that does not depend on the dimension.  A largest
+    singular value below 1 counts as 1: the differences carry rounding noise
+    of about 1e-11, so a zero Jacobian (the market generator's) is singular.
+    """
     th = coord_array(theta)
     h = _fd_step(np.linalg.norm(th))
     m = th.size
@@ -558,7 +564,8 @@ def jacobian_dual(gen: Generator, theta) -> np.ndarray:
     Th = th + h * np.vstack([np.eye(m), -np.eye(m)])
     Ph = _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
     J = (Ph[:m] - Ph[m:]).T / (2 * h)
-    if abs(np.linalg.det(J)) < 1e-12:
+    sv = np.linalg.svd(J, compute_uv=False)
+    if not sv[-1] > 1e-8 * max(sv[0], 1.0):
         raise NonRegularError(f"{gen.name}: singular dual Jacobian (regularity violated)")
     return J
 

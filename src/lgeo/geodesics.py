@@ -11,6 +11,9 @@ equivalently h'(t) proportional to exp(2 f(theta(t))).  That first-order
 reduction separates, so h is computed here by quadrature of
 exp(-2 f(theta(h))) and monotone inversion rather than by shooting; the
 dual geodesic is handled identically with f* and reciprocal coordinates.
+Its inverse dual images, like those of the dual flow, come from one chord
+inverse: without a closed form the dense grid nodes are solved once by
+batched Newton, and every later solve starts from the node below it.
 The log weight is one array function of h for both geodesics: the
 quadrature table on the dense grid and each Newton step of the polish of
 h(t) evaluate it on all their points at once.  The dual range guard checks
@@ -234,6 +237,27 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
     return (h, W / w(h)) if normalized else h
 
 
+def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
+    """The inverse dual map along a dual chord, as ``theta(s, Ph)``.
+
+    ``chord`` maps chord parameters s to dual coordinates and ``grid`` is
+    the increasing dense grid of s, from 0.  ``theta(s, Ph)`` returns the
+    inverse dual images of the rows ``Ph = chord(s)``.  A family's closed
+    form maps them directly.  Otherwise the grid nodes are solved once, cold,
+    and every later batched Newton solve starts each row from the solution
+    at the grid node below its s.
+    """
+    if gen.dual_map_inverse(chord(grid[:1])) is not None:
+        return lambda s, Ph: inverse_dual_coord(gen, Ph)
+    th_grid = inverse_dual_coord(gen, chord(grid))
+
+    def theta(s, Ph):
+        below = np.searchsorted(grid, s, side="right") - 1  # s >= grid[0]
+        return inverse_dual_coord(gen, Ph, x0=th_grid[below])
+
+    return theta
+
+
 def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
     """Geodesic of the primal connection from q to r on [0, 1].
 
@@ -261,7 +285,10 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     Euclidean images of q and p.  Along the way the curve must stay inside
     the range of the dual coordinate map; with ``check_range`` the Fenchel
     equality is re-verified through the conjugate minimization at every
-    output node, all nodes at once (:func:`_dual_range_guard`).
+    output node, all nodes at once (:func:`_dual_range_guard`).  The node
+    table, the polish of h(t) and dh/dt take the inverse dual images from
+    :func:`_chord_inverse`: without a closed form, each batched Newton solve
+    starts from the solution at the dense grid node below its point.
     """
     t_out = _grid(grid)
     Th = to_primal_many(point_rows(q, p))
@@ -270,15 +297,18 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
         pts = np.broadcast_to(ph_q, (t_out.size, ph_q.size)).copy()
         return Curve(t_out, pts, "dual", velocities=np.zeros_like(pts))
     n_dense = _DENSE if gen.dual_map_inverse(ph_q) is not None else 1025
+    chord = lambda h: -_log_mix(h, -ph_q, -ph_p)
+    grid = np.linspace(0.0, 1.0, n_dense)
+    theta = _chord_inverse(gen, chord, grid)
 
     def logw(h):
         # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
-        Ph = -_log_mix(h, -ph_q, -ph_p)
-        Th = inverse_dual_coord(gen, Ph)
+        Ph = chord(h)
+        Th = theta(h, Ph)
         return -2.0 * (psi_many(Th - Ph) - f_value(gen, Th))
 
-    h, dh_dt = _reparam_from_weight(logw, np.linspace(0.0, 1.0, n_dense), t_out)
-    pts = -_log_mix(h, -ph_q, -ph_p)
+    h, dh_dt = _reparam_from_weight(logw, grid, t_out)
+    pts = chord(h)
     D = np.exp(-ph_p) - np.exp(-ph_q)
     vel = -dh_dt[:, None] * D[None, :] * np.exp(pts)
     curve = Curve(t_out, pts, "dual", velocities=vel)
@@ -529,19 +559,16 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     A time change of the dual geodesic: with y = e^{-phi},
     y(s) = y_p + (y_q - y_p) e^{-s} and dt/ds = Z with
     Z = sum_{i<n} pi_i e^{phi_i - phi^p_i} + pi_n, pi taken at the inverse
-    dual image.  Without a closed-form inverse every batched Newton solve
-    starts from the solution at the grid node below its point.
+    dual image, from :func:`_chord_inverse` as for the dual geodesic: without
+    a closed-form inverse every batched Newton solve starts from the
+    solution at the grid node below its point.
     """
     t_out = _flow_times(horizon, steps)
     Th = to_primal_many(point_rows(q, p))
     ph_q, ph_p = _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
     chord = lambda s: -_flow_chord(s, -ph_q, -ph_p)
     grid = _flow_grid(-ph_q, -ph_p)
-    th_grid = inverse_dual_coord(gen, chord(grid))
-
-    def theta(s, Ph):
-        below = np.searchsorted(grid, s, side="right") - 1  # s >= grid[0] = 0
-        return inverse_dual_coord(gen, Ph, x0=th_grid[below])
+    theta = _chord_inverse(gen, chord, grid)
 
     def logw(s):
         Ph = chord(s)

@@ -198,6 +198,31 @@ class TestCTransform:
         back = np.array([G.dual_coord(gen, th).phi for th in rows])
         assert np.max(np.abs(back - Ph)) < 1e-7
 
+    def test_shifted_row_in_block_matches_its_own_solve(self, monkeypatch):
+        # row 2 starts where the Hessian of u has a positive eigenvalue, so the
+        # block's Cholesky test fails and the block shifts by eigenvalues; the
+        # other rows start at their own dual coordinates, where it is negative
+        # definite.  Each row must end bitwise as in its own one-row solve; its
+        # u value only to rounding, since the matmul in the constant-weighted
+        # part of log_gen rounds differently with the number of rows
+        gen = builtin_zoo(5)["mix"]
+        Th = np.random.default_rng(5).normal(size=(6, 4)) * 0.8
+        Ph = np.array([G.dual_coord(gen, th).phi for th in Th])
+        X0 = Ph.copy()
+        X0[2] += 5.0 * np.array([1.0, -1.0, -1.0, -1.0])
+        _, _, H = D._u_value_grad_hess(gen, X0, Ph)
+        eigmax = np.linalg.eigvalsh(H)[:, -1]
+        assert eigmax[2] > 0 and np.all(np.delete(eigmax, 2) < -1e-12)
+        eigvalsh, blocks = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: blocks.append(len(A)) or eigvalsh(A))
+        Th_rows, U_rows, ok_rows = D._newton_max_u(gen, Ph, X0)
+        assert blocks[0] == 6
+        assert ok_rows.all()
+        for j in range(6):
+            th, u, ok = D._newton_max_u(gen, Ph[j : j + 1], X0[j : j + 1])
+            assert np.array_equal(Th_rows[j], th[0]) and ok[0], j
+            assert abs(U_rows[j] - u[0]) <= 4 * np.finfo(float).eps * (1 + abs(u[0])), j
+
 
 class TestCDivergence:
     def test_zero_on_diagonal(self, rng):

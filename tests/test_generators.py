@@ -201,6 +201,22 @@ class TestJacobianDual:
             th = rng.normal(size=3) * 0.5
             assert np.linalg.det(G.jacobian_dual(gen, th)) > 0, name
 
+    def test_well_conditioned_at_high_dimension(self):
+        # J = (1 - lam) I at every n; det J = 0.5^49 at n = 50 is no sign of
+        # singularity
+        J = G.jacobian_dual(G.diversity_weighted(0.5), np.zeros(49))
+        assert np.allclose(J, 0.5 * np.eye(49), atol=1e-9)
+
+    def test_singular_jacobians_raise(self):
+        # the market generator's dual map is constant (J = 0); with
+        # phi(p) = (log p_1 + log(p_2 + p_3)) / 2 the second dual coordinate
+        # is zero everywhere (J has rank 1)
+        half = lambda p: 0.5 * np.log(p[0]) + 0.5 * np.log(p[1] + p[2])
+        grad = lambda p: np.array([0.5 / p[0], 0.5 / (p[1] + p[2]), 0.5 / (p[1] + p[2])])
+        for gen in (G.ZeroGenerator(), G.CustomGenerator(half, grad=grad, name="rank1")):
+            with pytest.raises(G.NonRegularError, match="singular dual Jacobian"):
+                G.jacobian_dual(gen, np.array([0.3, -0.2]))
+
     def test_matches_fd_of_dual_map(self, rng):
         gen = G.convex_combination(
             [G.constant_weighted([0.4, 0.3, 0.3]), G.diversity_weighted(0.6)], [0.5, 0.5]

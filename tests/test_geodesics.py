@@ -39,6 +39,21 @@ def bound_weight_evaluations(monkeypatch, limit):
     return rows
 
 
+def bound_newton_evaluations(monkeypatch, limit):
+    """Fail once the Newton solver of the inverse dual map evaluates u at
+    more than ``limit`` rows in all; returns the list of rows per call."""
+    value_grad_hess, rows = D._u_value_grad_hess, []
+
+    def bounded(gen, Th, Ph):
+        rows.append(Th.shape[0])
+        if sum(rows) > limit:
+            raise AssertionError("Newton evaluated u at too many rows")
+        return value_grad_hess(gen, Th, Ph)
+
+    monkeypatch.setattr(D, "_u_value_grad_hess", bounded)
+    return rows
+
+
 def flow_weight_limit(steps):
     """Speed evaluations a flow may take: its quadrature table, and the
     velocity and up to four polish steps of six evaluations per output row."""
@@ -156,6 +171,29 @@ class TestDualGeodesic:
         for name, gen in builtin_zoo(3).items():
             c = gd.dual_geodesic(gen, Q3, P3)
             assert gd.geodesic_residual(gen, c, trim=3) < 1e-5, name
+
+    def test_newton_rows_start_warm_along_the_chord(self, monkeypatch):
+        # the 1025 dense nodes are solved cold once and every other row of the
+        # node table and the polish starts from the node below it: about
+        # 24.8k rows of u with the range guard; a cold start of each row at
+        # its own dual coordinate takes about 34.6k
+        q, p = np.full(10, 0.1), np.linspace(1.0, 2.0, 10) / 15.0
+        rows = bound_newton_evaluations(monkeypatch, 30_000)
+        gd.dual_geodesic(builtin_zoo(10)["mix"], q, p)
+        assert sum(rows) > 0
+
+    def test_closed_forms_never_solve(self, monkeypatch):
+        # both dual curves map their chords by the closed-form inverse; the
+        # range guard's conjugate minimization is a Newton solve by design
+        def no_newton(*args, **kwargs):
+            raise AssertionError("closed-form family reached the Newton solver")
+
+        monkeypatch.setattr(D, "_newton_max_u", no_newton)
+        for name, gen in builtin_zoo(3).items():
+            if name == "mix":
+                continue
+            gd.dual_geodesic(gen, Q3, P3, check_range=False)
+            gd.dual_flow(gen, Q3, P3, horizon=5.0, steps=20)
 
 
 class TestDualRangeGuard:
