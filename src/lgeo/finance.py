@@ -200,14 +200,16 @@ class BacktestReport:
 def fernholz_decompose(gen: Generator, path: MarketPath) -> BacktestReport:
     """Split log relative value into generating-function drift plus divergence.
 
-    Computes log V both through the one-step product recursion and through
-    the decomposition; their difference is carried as a per-step residual
+    Computes log V both through the one-step product recursion of the
+    portfolio and through the decomposition, whose step divergences
+    log(1 + grad phi . (q - p)) - (phi(q) - phi(p)) come from the gradient,
+    not the portfolio; their difference is carried as a per-step residual
     and stays at rounding level for any interior path.
     """
     W = path.weights
     phis = gen.log_gen(W)
     ratios = np.log(np.sum(gen.portfolio(W[:-1]) * (W[1:] / W[:-1]), axis=1))
-    divs = ratios - np.diff(phis)
+    divs = np.log1p(np.sum(gen.euclid_grad(W[:-1]) * (W[1:] - W[:-1]), axis=1)) - np.diff(phis)
     log_v = np.concatenate([[0.0], np.cumsum(ratios)])
     drift = phis - phis[0]
     residual = log_v - (drift + np.concatenate([[0.0], np.cumsum(divs)]))

@@ -16,21 +16,23 @@ combinations) carry analytic gradients and portfolio derivatives; anything
 defined from ``phi`` alone falls back to central differences.
 
 A generator is *regular* when the tangent-restricted Hessian of ``Phi`` is
-strictly negative definite and the portfolio stays strictly inside the
-simplex; :func:`check_regularity` audits both conditions pointwise.
+strictly negative definite, equivalently when the metric of T
+(``_metric_rows``) is positive definite, and the portfolio stays strictly
+inside the simplex; :func:`check_regularity` audits both conditions.
 
-Shapes: ``log_gen`` and ``portfolio`` take points as a plain ``(..., n)``
-array and ``dpi_dtheta`` exponential coordinates as a ``(..., n-1)`` array;
-each reduces over the last axis, so one point is the 1-d case (``log_gen``
-then returns a float) and a stack of points gives the stack of results.
-The generator methods take plain float arrays and do not validate them.
+Shapes: every generator method takes a plain float array and reduces over
+its last axis: ``log_gen``, ``euclid_grad`` and ``portfolio`` take
+``(..., n)`` points, ``dpi_dtheta`` ``(..., n-1)`` exponential coordinates.
+One point is the 1-d case (``log_gen`` then returns a float), a stack of
+points gives the stack of results, and no method validates its input.
 Inputs are checked once, at the public functions (:func:`portfolio_theta`,
 :func:`dual_coord` and the other maps here, and the functions of the other
 modules, through :func:`~lgeo.simplex.point_array` and
 :func:`~lgeo.simplex.point_rows`).  Library code below that boundary calls
 the generator methods and the private array kernels directly:
-``_portfolio_at`` for the portfolio at exponential coordinates and
-``_dual_rows`` for the dual coordinates of a stack of points.
+``_portfolio_at`` for the portfolio at exponential coordinates,
+``_dual_rows`` for the dual coordinates of a stack of points and
+``_metric_rows`` for the metric.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .simplex import (
     from_primal,
     from_primal_many,
     point_array,
+    point_rows,
     psi as _psi,
     softmax_with_tail,
     to_primal_many,
@@ -87,25 +90,6 @@ class NonRegularError(ValueError):
 
 # ---------------------------------------------------------------------------
 # finite-difference fallbacks
-#
-# phi is only defined on the simplex; derivatives use the scale-invariant
-# extension phi(x / sum(x)), which is smooth on the positive orthant and
-# agrees with every other extension on tangent directions.
-
-def _fd_step(scale: float) -> float:
-    return 1e-5 * max(1.0, scale)
-
-
-def _fd_grad_on_simplex(func, p: np.ndarray) -> np.ndarray:
-    ext = lambda x: func(x / x.sum())
-    g = np.empty_like(p)
-    for i in range(p.size):
-        h = min(1e-6, p[i] / 2)
-        e = np.zeros_like(p)
-        e[i] = h
-        g[i] = (ext(p + e) - ext(p - e)) / (2 * h)
-    return g
-
 
 def _fd_hessian(f, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Central second differences of ``f`` at ``x``, step ``h[i]`` along axis i."""
@@ -120,10 +104,6 @@ def _fd_hessian(f, x: np.ndarray, h: np.ndarray) -> np.ndarray:
                 f(x + E[i] + E[j]) - f(x + E[i] - E[j]) - f(x - E[i] + E[j]) + f(x - E[i] - E[j])
             ) / (4 * h[i] * h[j])
     return H
-
-
-def _fd_hess_on_simplex(func, p: np.ndarray) -> np.ndarray:
-    return _fd_hessian(lambda x: func(x / x.sum()), p, np.minimum(1e-4, p / 4))
 
 
 def _each_row(one, X):
@@ -148,10 +128,8 @@ def _softmax_dpi(pi: np.ndarray, lam: float = 1.0) -> np.ndarray:
 class Generator:
     """Base class: implement ``log_gen``; everything else has a fallback.
 
-    ``log_gen`` and ``portfolio`` take a plain ``(..., n)`` array of points,
-    ``dpi_dtheta`` a plain ``(..., n-1)`` array of exponential coordinates;
-    each works over the last axis and none validates its input.  The
-    ``euclid_*`` derivatives take one point.
+    Every method takes plain arrays of the shapes in the module docstring
+    and validates nothing.
     """
 
     name = "generator"
@@ -160,47 +138,42 @@ class Generator:
         """Value of the log generating function ``phi`` at each point."""
         raise NotImplementedError
 
-    def euclid_grad(self, p) -> np.ndarray:
-        """Euclidean gradient of ``phi`` (any smooth extension off the simplex)."""
-        return _fd_grad_on_simplex(self.log_gen, p)
+    def euclid_grad(self, P) -> np.ndarray:
+        """Euclidean gradient of ``phi`` (any smooth extension off the simplex).
 
-    def euclid_hess_phi(self, p) -> np.ndarray:
-        """Euclidean Hessian of ``phi``; only its tangent restriction is used."""
-        return _fd_hess_on_simplex(self.log_gen, p)
-
-    def euclid_hess_Phi(self, p) -> np.ndarray:
-        """Hessian of the generating function ``Phi = exp(phi)``.
-
-        Meaningful on tangent directions ``sum(u) == 0`` only; regularity
-        demands it be strictly negative definite there.
+        Fallback: central differences of the scale-invariant extension
+        ``phi(x / sum(x))``, step ``min(1e-6, p_i / 2)`` along axis i, in one
+        ``log_gen`` call.
         """
-        g = self.euclid_grad(p)
-        H = self.euclid_hess_phi(p)
-        return np.exp(self.log_gen(p)) * (H + np.outer(g, g))
+        P = np.asarray(P, dtype=float)
+        n = P.shape[-1]
+        h = np.minimum(1e-6, P / 2)
+        E = h[..., :, None] * np.eye(n)
+        X = P[..., None, :] + np.concatenate([E, -E], axis=-2)
+        F = self.log_gen(X / X.sum(axis=-1, keepdims=True))
+        return (F[..., :n] - F[..., n:]) / (2 * h)
 
     def portfolio(self, P) -> np.ndarray:
         """Portfolio weights ``pi_i = p_i (1 + grad . (e_i - p))`` at each point."""
-
-        def one(p):
-            g = self.euclid_grad(p)
-            return p * (1.0 + g - g @ p)
-
-        return _each_row(one, P)
+        P = np.asarray(P, dtype=float)
+        g = self.euclid_grad(P)
+        return P * (1.0 + g - (g * P).sum(axis=-1, keepdims=True))
 
     def dpi_dtheta(self, Theta) -> np.ndarray:
         """Derivative of the portfolio in exponential coordinates, shape (..., n, n-1).
 
         Generic route: the head rows are the Hessian of the potential
         f = phi + psi (whose gradient is the portfolio), taken by central
-        second differences and symmetrized; the last row follows from the
-        weights summing to one.
+        second differences; the last row follows from the weights summing to
+        one.  The step, 3e-4 times max(1, |theta|), is near eps^(1/4), where
+        truncation and rounding errors of a second difference balance.
         """
 
         def f(x):
             return self.log_gen(softmax_with_tail(x)) + _psi(x)
 
         def one(th):
-            H = _fd_hessian(f, th, np.full(th.size, _fd_step(np.linalg.norm(th))))
+            H = _fd_hessian(f, th, np.full(th.size, 3e-4 * max(1.0, np.linalg.norm(th))))
             return np.vstack([H, -H.sum(axis=0)])
 
         return _each_row(one, Theta)
@@ -231,11 +204,8 @@ class ZeroGenerator(Generator):
         # [()] turns the 0-d result of one point into a float
         return np.zeros(P.shape[:-1])[()]
 
-    def euclid_grad(self, p) -> np.ndarray:
-        return np.zeros(p.size)
-
-    def euclid_hess_phi(self, p) -> np.ndarray:
-        return np.zeros((p.size, p.size))
+    def euclid_grad(self, P) -> np.ndarray:
+        return np.zeros(P.shape)
 
     def portfolio(self, P) -> np.ndarray:
         return np.array(P, dtype=float)
@@ -259,11 +229,8 @@ class UniformCrossEntropy(Generator):
     def log_gen(self, P):
         return np.mean(np.log(P), axis=-1)
 
-    def euclid_grad(self, p) -> np.ndarray:
-        return 1.0 / (p.size * p)
-
-    def euclid_hess_phi(self, p) -> np.ndarray:
-        return np.diag(-1.0 / (p.size * p**2))
+    def euclid_grad(self, P) -> np.ndarray:
+        return 1.0 / (P.shape[-1] * P)
 
     def portfolio(self, P) -> np.ndarray:
         return np.full(P.shape, 1.0 / P.shape[-1])
@@ -287,13 +254,12 @@ class ConstantWeighted(Generator):
         self.name = "cw[" + ",".join(f"{w:g}" for w in self.weights) + "]"
 
     def log_gen(self, P):
-        return np.log(P) @ self.weights
+        # an elementwise product summed over the last axis rounds the same
+        # for every row count, unlike a matrix product
+        return (np.log(P) * self.weights).sum(axis=-1)
 
-    def euclid_grad(self, p) -> np.ndarray:
-        return self.weights / p
-
-    def euclid_hess_phi(self, p) -> np.ndarray:
-        return np.diag(-self.weights / p**2)
+    def euclid_grad(self, P) -> np.ndarray:
+        return self.weights / P
 
     def portfolio(self, P) -> np.ndarray:
         return np.full(P.shape, self.weights)
@@ -322,15 +288,9 @@ class DiversityWeighted(Generator):
     def log_gen(self, P):
         return np.log(np.sum(P**self.lam, axis=-1)) / self.lam
 
-    def euclid_grad(self, p) -> np.ndarray:
-        q = p ** (self.lam - 1.0)
-        return q / (q @ p)
-
-    def euclid_hess_phi(self, p) -> np.ndarray:
-        lam = self.lam
-        S = np.sum(p**lam)
-        q = p ** (lam - 1.0)
-        return np.diag((lam - 1.0) * p ** (lam - 2.0) / S) - lam * np.outer(q, q) / S**2
+    def euclid_grad(self, P) -> np.ndarray:
+        Q = P ** (self.lam - 1.0)
+        return Q / (Q * P).sum(axis=-1, keepdims=True)
 
     def portfolio(self, P) -> np.ndarray:
         Q = P**self.lam
@@ -361,17 +321,11 @@ class GeneralizedDiversityWeighted(Generator):
         self.name = f"gdw[{self.lam:g}]"
 
     def log_gen(self, P):
-        return np.log(P**self.lam @ self.w) / self.lam
+        return np.log((P**self.lam * self.w).sum(axis=-1)) / self.lam
 
-    def euclid_grad(self, p) -> np.ndarray:
-        q = self.w * p ** (self.lam - 1.0)
-        return q / (q @ p)
-
-    def euclid_hess_phi(self, p) -> np.ndarray:
-        lam = self.lam
-        S = self.w @ p**lam
-        q = self.w * p ** (lam - 1.0)
-        return np.diag((lam - 1.0) * self.w * p ** (lam - 2.0) / S) - lam * np.outer(q, q) / S**2
+    def euclid_grad(self, P) -> np.ndarray:
+        Q = self.w * P ** (self.lam - 1.0)
+        return Q / (Q * P).sum(axis=-1, keepdims=True)
 
     def portfolio(self, P) -> np.ndarray:
         Q = self.w * P**self.lam
@@ -415,11 +369,8 @@ class ConvexCombination(Generator):
     def log_gen(self, P):
         return self._blend(g.log_gen(P) for g in self.parts)
 
-    def euclid_grad(self, p) -> np.ndarray:
-        return self._blend(g.euclid_grad(p) for g in self.parts)
-
-    def euclid_hess_phi(self, p) -> np.ndarray:
-        return self._blend(g.euclid_hess_phi(p) for g in self.parts)
+    def euclid_grad(self, P) -> np.ndarray:
+        return self._blend(g.euclid_grad(P) for g in self.parts)
 
     def portfolio(self, P) -> np.ndarray:
         return self._blend(g.portfolio(P) for g in self.parts)
@@ -441,8 +392,9 @@ class ConvexCombination(Generator):
 
 
 class CustomGenerator(Generator):
-    """Generator defined by a callable phi of one point; derivatives by
-    central differences."""
+    """Generator defined by a callable phi of one point, and optionally its
+    gradient; both are applied row by row, other derivatives are central
+    differences."""
 
     def __init__(self, func, grad=None, name="custom"):
         self._func = func
@@ -452,10 +404,10 @@ class CustomGenerator(Generator):
     def log_gen(self, P):
         return _each_row(lambda p: float(self._func(p)), P)
 
-    def euclid_grad(self, p) -> np.ndarray:
-        if self._grad is not None:
-            return np.asarray(self._grad(p), dtype=float)
-        return super().euclid_grad(p)
+    def euclid_grad(self, P) -> np.ndarray:
+        if self._grad is None:
+            return super().euclid_grad(P)
+        return _each_row(lambda p: np.asarray(self._grad(p), dtype=float), P)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +510,7 @@ def jacobian_dual(gen: Generator, theta) -> np.ndarray:
     of about 1e-11, so a zero Jacobian (the market generator's) is singular.
     """
     th = coord_array(theta)
-    h = _fd_step(np.linalg.norm(th))
+    h = 1e-5 * max(1.0, np.linalg.norm(th))
     m = th.size
     # rows th + h e_j, then th - h e_j
     Th = th + h * np.vstack([np.eye(m), -np.eye(m)])
@@ -590,6 +542,17 @@ def weights_from_gaussian(a, b, lam: float) -> np.ndarray:
 _REL_EIG_CUT = 1e-10
 
 
+def _metric_rows(Pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
+    """Metric g_ij = pi_i (d_ij - pi_j) - d pi_i / d theta_j, i, j < n.
+
+    The Hessian of T at the diagonal in exponential coordinates, from
+    (..., n) portfolios ``Pi`` and their (..., n, n-1) derivatives ``dpi``;
+    returns the (..., n-1, n-1) coefficients, not symmetrized.
+    """
+    pit = Pi[..., :-1, None]
+    return pit * np.eye(pit.shape[-2]) - pit * Pi[..., None, :-1] - dpi[..., :-1, :]
+
+
 def tangent_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the tangent hyperplane sum(u) = 0, shape (n, n-1)."""
     A = np.eye(n) - np.full((n, n), 1.0 / n)
@@ -617,34 +580,32 @@ class RegularityReport:
 def check_regularity(gen: Generator, sample_points) -> RegularityReport:
     """Audit strict concavity of Phi and interiority of the portfolio.
 
-    For each point the tangent-restricted Hessian of ``Phi`` must have all
-    eigenvalues below ``-1e-10 * ||H||`` and the portfolio weights must lie
-    strictly inside the simplex.  Failures are reported, not raised.
+    The metric of T is positive definite exactly where the tangent Hessian
+    of ``Phi`` is negative definite, so each point's symmetrized metric
+    (:func:`_metric_rows`) must have its smallest eigenvalue above
+    ``1e-10 * max_{i<n} pi_i``, a cut relative to the ``diag(pi) - pi pi^T``
+    term (for the market generator ``dpi_dtheta`` cancels that term, leaving
+    rounding residue).  The portfolio weights must lie strictly inside the
+    simplex.  The points are validated once and audited by one batched
+    eigenvalue call; failures are reported, not raised.
     """
-    records = []
-    failures = []
-    for idx, p in enumerate(sample_points):
-        arr = np.asarray(p, dtype=float)
-        B = tangent_basis(arr.size)
-        H = B.T @ gen.euclid_hess_Phi(arr) @ B
-        H = (H + H.T) / 2
-        eigs = np.linalg.eigvalsh(H)
-        scale = np.max(np.abs(eigs))
-        neg_def = bool(scale > 0 and eigs.max() < -_REL_EIG_CUT * scale)
-        pi = gen.portfolio(arr)
-        interior = bool(np.all(pi > 0.0) and np.all(pi < 1.0))
-        rec = {
-            "point": arr,
-            "max_eig": float(eigs.max()),
-            "eig_scale": float(scale),
-            "hessian_neg_def": neg_def,
-            "portfolio_interior": interior,
-        }
-        records.append(rec)
-        if not neg_def:
-            failures.append((idx, "tangent Hessian of Phi not strictly negative definite"))
-        elif not interior:
-            failures.append((idx, "portfolio leaves the open simplex"))
+    if len(sample_points) == 0:
+        raise ValueError("the regularity audit needs at least one point")
+    P = point_rows(*sample_points)
+    Pi = gen.portfolio(P)
+    G = _metric_rows(Pi, gen.dpi_dtheta(to_primal_many(P)))
+    min_eig = np.linalg.eigvalsh((G + np.swapaxes(G, -1, -2)) / 2)[:, 0]
+    cut = _REL_EIG_CUT * Pi[:, :-1].max(axis=1)
+    definite = min_eig > cut
+    interior = (Pi > 0.0).all(axis=1) & (Pi < 1.0).all(axis=1)
+    records = [
+        {"point": p, "metric_min_eig": float(e), "metric_cut": float(c),
+         "hessian_neg_def": bool(d), "portfolio_interior": bool(i)}
+        for p, e, c, d, i in zip(P, min_eig, cut, definite, interior)
+    ]
+    why = np.where(definite, "portfolio leaves the open simplex",
+                   "tangent Hessian of Phi not strictly negative definite")
+    failures = [(int(k), str(why[k])) for k in np.flatnonzero(~(definite & interior))]
     return RegularityReport(generator=gen.name, records=records, failures=failures)
 
 

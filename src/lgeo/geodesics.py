@@ -678,10 +678,9 @@ def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
     logv_p = gen.log_gen(pa)
     logv_r = gen.log_gen(ra)
     logv_Q = gen.log_gen(Q)
-    Pi_Q = gen.portfolio(Q)
-    t_qp = np.log((Q / pa) @ pi_p) - (logv_Q - logv_p)
-    t_rq = np.log(np.sum(Pi_Q * (ra / Q), axis=1)) - (logv_r - logv_Q)
-    t_rp = np.log((ra / pa) @ pi_p) - (logv_r - logv_p)
+    t_qp = _t_euclid(gen, Q, pa, pi_p, logv_Q, logv_p)
+    t_rq = _t_euclid(gen, ra, Q, gen.portfolio(Q), logv_r, logv_Q)
+    t_rp = _t_euclid(gen, ra, pa, pi_p, logv_r, logv_p)
     return t_qp + t_rq - t_rp
 
 

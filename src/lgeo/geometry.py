@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import inverse_dual_coord
-from .generators import Generator, NonRegularError, _dual_rows, _portfolio_at
+from .generators import Generator, NonRegularError, _dual_rows, _metric_rows, _portfolio_at
 from .simplex import _log_tilt, _with_tail, coord_array, point_array, point_rows, to_primal_many
 
 __all__ = [
@@ -124,18 +124,19 @@ def pi_quantities_dual(gen: Generator, phi, phi2) -> PiQuantities:
 def metric_euclidean(gen: Generator, p, u, v) -> float:
     """Inner product of tangent vectors in Euclidean coordinates.
 
-    Tangent vectors must sum to zero.  The bilinear form is
-    ``-Hess Phi / Phi`` restricted to the tangent hyperplane, equivalently
-    ``-Hess phi - grad phi grad phi^T``.
+    Tangent vectors must sum to zero.  The bilinear form is the metric of
+    :func:`metric_primal` pulled back through the differential of the
+    exponential coordinates, d theta_i = u_i / p_i - u_n / p_n; on the
+    tangent hyperplane it equals ``-Hess Phi / Phi``.
     """
     arr = point_array(p)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if abs(u.sum()) > 1e-10 or abs(v.sum()) > 1e-10:
         raise ValueError("tangent vectors must have zero component sum")
-    g = gen.euclid_grad(arr)
-    H = gen.euclid_hess_phi(arr)
-    return float(u @ (-H - np.outer(g, g)) @ v)
+    G = _metric_rows(gen.portfolio(arr), gen.dpi_dtheta(to_primal_many(arr)))
+    du, dv = (w[:-1] / arr[:-1] - w[-1] / arr[-1] for w in (u, v))
+    return float(du @ G @ dv)
 
 
 def dual_jacobian(gen: Generator, theta) -> np.ndarray:
@@ -154,13 +155,12 @@ def _metric_entries(gen: Generator, pi: np.ndarray, dpi: np.ndarray, J=None) -> 
     dual given the dual Jacobian ``J``.  The primal candidate, and the dual
     one when asked for, must be symmetric; the result is symmetrized and
     must be positive definite."""
-    pit = pi[:-1]
-    head = np.diag(pit) - np.outer(pit, pit)
-    G, what = head - dpi[:-1, :], f"{gen.name}: metric"
+    G, what = _metric_rows(pi, dpi), f"{gen.name}: metric"
     if J is not None:
         if np.max(np.abs(G - G.T)) > 1e-8:
             raise NonRegularError(f"{what} candidate not symmetric")
-        G, what = head + dpi[:-1, :] @ np.linalg.inv(J), f"{gen.name}: dual metric"
+        # the same formula with d pi / d phi = dpi J^-1 and the opposite sign
+        G, what = _metric_rows(pi, -(dpi @ np.linalg.inv(J))), f"{gen.name}: dual metric"
     if np.max(np.abs(G - G.T)) > 1e-8:
         raise NonRegularError(f"{what} candidate not symmetric")
     G = (G + G.T) / 2

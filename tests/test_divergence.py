@@ -202,9 +202,8 @@ class TestCTransform:
         # row 2 starts where the Hessian of u has a positive eigenvalue, so the
         # block's Cholesky test fails and the block shifts by eigenvalues; the
         # other rows start at their own dual coordinates, where it is negative
-        # definite.  Each row must end bitwise as in its own one-row solve; its
-        # u value only to rounding, since the matmul in the constant-weighted
-        # part of log_gen rounds differently with the number of rows
+        # definite.  Each row must end bitwise as in its own one-row solve,
+        # with the same u value: log_gen rounds the same for every row count
         gen = builtin_zoo(5)["mix"]
         Th = np.random.default_rng(5).normal(size=(6, 4)) * 0.8
         Ph = np.array([G.dual_coord(gen, th).phi for th in Th])
@@ -221,7 +220,7 @@ class TestCTransform:
         for j in range(6):
             th, u, ok = D._newton_max_u(gen, Ph[j : j + 1], X0[j : j + 1])
             assert np.array_equal(Th_rows[j], th[0]) and ok[0], j
-            assert abs(U_rows[j] - u[0]) <= 4 * np.finfo(float).eps * (1 + abs(u[0])), j
+            assert U_rows[j] == u[0], j
 
 
 class TestCDivergence:

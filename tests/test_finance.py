@@ -100,6 +100,17 @@ class TestFernholz:
         rep = F.fernholz_decompose(gen, mp)
         assert np.max(np.abs(rep.identity_residual)) < 1e-12
 
+    def test_identity_residual_sees_a_wrong_portfolio(self, rng):
+        # the step divergences come from the gradient, so a portfolio that
+        # departs from the generator's shows up in the residual
+        class Skewed(G.DiversityWeighted):
+            def portfolio(self, P):
+                return super().portfolio(P ** 2)
+
+        W = dirichlet_points(rng, 4, 100)
+        rep = F.fernholz_decompose(Skewed(0.5), F.MarketPath(times=list(range(100)), weights=W))
+        assert np.max(np.abs(rep.identity_residual)) > 1e-3
+
     def test_divergence_terms_match_library(self, rng):
         gen = G.diversity_weighted(0.5)
         W = dirichlet_points(rng, 3, 5)

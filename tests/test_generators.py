@@ -247,9 +247,12 @@ class TestWeightsFromGaussian:
 
 class TestRegularity:
     def test_market_fails_strict_definiteness(self, rng):
-        report = G.check_regularity(G.ZeroGenerator(), dirichlet_points(rng, 3, 10))
-        assert not report.passed
-        assert "negative definite" in report.failures[0][1]
+        # dpi_dtheta cancels the diag(pi) - pi pi^T term up to rounding, which
+        # the cut relative to max pi_i does not take for definiteness
+        for n in (2, 3, 50):
+            report = G.check_regularity(G.ZeroGenerator(), dirichlet_points(rng, n, 10))
+            assert [k for k, _ in report.failures] == list(range(10)), n
+            assert "negative definite" in report.failures[0][1]
 
     def test_constant_weighted_passes(self, rng):
         report = G.check_regularity(
@@ -262,6 +265,35 @@ class TestRegularity:
             G.diversity_weighted(0.5), dirichlet_points(rng, 3, 100)
         )
         assert report.passed, report.summary()
+
+    def test_regular_builtins_pass_near_the_boundary(self):
+        # points with one entry of 1e-8, and Dirichlet(0.2) points clipped at
+        # 1e-12, at low and high dimension
+        for n in (3, 10, 50):
+            rng = np.random.default_rng(n)
+            tiny = rng.dirichlet(np.ones(n), size=10)
+            tiny[:, 0] = 1e-8
+            tiny[:, 1:] *= (1 - 1e-8) / tiny[:, 1:].sum(axis=1, keepdims=True)
+            sparse = np.clip(rng.dirichlet(np.full(n, 0.2), size=10), 1e-12, None)
+            sparse /= sparse.sum(axis=1, keepdims=True)
+            for name, gen in builtin_zoo(n).items():
+                for P in (tiny, sparse):
+                    report = G.check_regularity(gen, P)
+                    assert report.passed, (n, name, report.summary())
+
+    def test_needs_a_point(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            G.check_regularity(G.diversity_weighted(0.5), [])
+
+    def test_flags_metric_below_the_cut(self):
+        # dw(0.9) with an entry of 1e-12 puts about 1e-11 on that asset: the
+        # smallest metric eigenvalue, about 1e-12, is under 1e-10 max pi_i
+        P = np.array([[1e-12, 0.4, 0.6 - 1e-12], [0.3, 1e-12, 0.7 - 1e-12]])
+        report = G.check_regularity(G.diversity_weighted(0.9), P)
+        assert [k for k, _ in report.failures] == [0, 1]
+        for rec in report.records:
+            assert 0 < rec["metric_min_eig"] <= rec["metric_cut"]
+            assert not rec["hessian_neg_def"] and rec["portfolio_interior"]
 
 
 class TestProperties:
@@ -295,16 +327,20 @@ class TestProperties:
             gens["custom"] = G.CustomGenerator(lambda p: 2.0 * np.log(np.sum(np.sqrt(p))))
             for name, gen in gens.items():
                 assert isinstance(gen.log_gen(P[0]), float), name
+                # log_gen and euclid_grad round the same for every row count
                 phi_rows = gen.log_gen(P)
-                assert np.allclose(phi_rows, [gen.log_gen(p) for p in P], atol=1e-13), name
+                assert np.array_equal(phi_rows, [gen.log_gen(p) for p in P]), name
+                grad_rows = gen.euclid_grad(P)
+                assert np.array_equal(grad_rows, [gen.euclid_grad(p) for p in P]), name
                 pi_rows = gen.portfolio(P)
                 assert np.allclose(pi_rows, [gen.portfolio(p) for p in P], atol=1e-13), name
                 dpi_rows = gen.dpi_dtheta(Theta)
                 assert np.allclose(dpi_rows, [gen.dpi_dtheta(t) for t in Theta], atol=1e-8), name
                 # a (2, 8, ...) stack of inputs gives the (2, 8, ...) stack of results
                 P_stack = P[:16].reshape(2, 8, n)
-                assert np.allclose(gen.log_gen(P_stack), phi_rows[:16].reshape(2, 8),
-                                   atol=1e-13), name
+                assert np.array_equal(gen.log_gen(P_stack), phi_rows[:16].reshape(2, 8)), name
+                assert np.array_equal(gen.euclid_grad(P_stack),
+                                      grad_rows[:16].reshape(2, 8, n)), name
                 assert np.allclose(gen.portfolio(P_stack), pi_rows[:16].reshape(2, 8, n),
                                    atol=1e-13), name
                 dpi_stack = gen.dpi_dtheta(np.stack([Theta, Theta]))

@@ -95,14 +95,18 @@ class TestEuclideanMetric:
         assert val == pytest.approx(4.0, rel=1e-12)
 
     def test_matches_second_derivative_of_divergence(self, rng):
-        for name, gen in builtin_zoo(3).items():
-            p = rng.dirichlet(np.ones(3)) * 0.8 + 0.2 / 3
-            v = rng.normal(size=3)
-            v -= v.mean()
-            v *= 0.1
-            quad = geo.metric_euclidean(gen, p, v, v)
-            oracle = fd_second_along(lambda t: l_divergence(gen, p + t * v, p).value)
-            assert quad == pytest.approx(oracle, rel=1e-6), name
+        for n in (3, 10):
+            gens = builtin_zoo(n)
+            # phi alone: the metric from the finite-difference dpi_dtheta
+            gens["custom"] = G.CustomGenerator(lambda p: 2.0 * np.log(np.sum(np.sqrt(p))))
+            for name, gen in gens.items():
+                p = rng.dirichlet(np.ones(n)) * 0.8 + 0.2 / n
+                v = rng.normal(size=n)
+                v -= v.mean()
+                v *= 0.1
+                quad = geo.metric_euclidean(gen, p, v, v)
+                oracle = fd_second_along(lambda t: l_divergence(gen, p + t * v, p).value)
+                assert quad == pytest.approx(oracle, rel=1e-6), (n, name)
 
     def test_bilinear_symmetry(self, rng):
         gen = G.diversity_weighted(0.4)
