@@ -179,23 +179,35 @@ def _softmax_psi(X: np.ndarray):
     return W / total, (top + np.log(total))[:, 0]
 
 
-def _u_value_grad_hess(gen: Generator, Th: np.ndarray, Ph: np.ndarray):
-    """Value/gradient/Hessian of u(theta) = f(theta) - psi(theta - phi), row by row.
+def _u_value_grad(gen: Generator, Th: np.ndarray, Ph: np.ndarray):
+    """Value and gradient of u(theta) = f(theta) - psi(theta - phi), row by row.
 
     ``Th`` and ``Ph`` are (N, m) rows; returns u (N,), the gradient (N, m)
-    and the Hessian (N, m, m).  Total on all of R^m: iterates that graze the
-    simplex boundary give u = -inf (rejected by the line search) instead of
-    raising.
+    and the softmax rows S (N, m) of theta - phi, from which
+    :func:`_u_hess` builds the Hessian.  Total on all of R^m: iterates that
+    graze the simplex boundary give u = -inf (rejected by the line search)
+    instead of raising.
     """
     P, psi_th = _softmax_psi(Th)
     S, psi_x = _softmax_psi(Th - Ph)
     S = S[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = gen.log_gen(P) + psi_th - psi_x
-    grad = gen.portfolio(P)[:, :-1] - S
+    return u, gen.portfolio(P)[:, :-1] - S, S
+
+
+def _u_hess(gen: Generator, Th: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Hessian (N, m, m) of u at the rows ``Th``, whose softmax rows ``S``
+    came from :func:`_u_value_grad`."""
     # diag(S) - S S^T, one row at a time
-    hess = gen.dpi_dtheta(Th)[:, :-1] - S[:, :, None] * (np.eye(S.shape[1]) - S[:, None, :])
-    return u, grad, hess
+    return gen.dpi_dtheta(Th)[:, :-1] - S[:, :, None] * (np.eye(S.shape[1]) - S[:, None, :])
+
+
+def _u_value_grad_hess(gen: Generator, Th: np.ndarray, Ph: np.ndarray):
+    """u, its gradient and its Hessian at the rows ``Th``: :func:`_u_value_grad`
+    followed by :func:`_u_hess`."""
+    u, grad, S = _u_value_grad(gen, Th, Ph)
+    return u, grad, _u_hess(gen, Th, S)
 
 
 # rows per block of the batched Newton solve: bounds the (rows, m, m) Hessians
@@ -210,6 +222,10 @@ def _newton_max_u(gen: Generator, Ph: np.ndarray, X0: np.ndarray, gtol=1e-10, ma
     follows its own iteration: a Newton step on the Hessian, shifted when it
     is not negative definite (the gradient if that step is not an ascent
     direction), and an Armijo backtracking line search of up to 60 halvings.
+    Each iterate and line-search candidate costs u and its gradient only;
+    the Hessian is built once per iteration, after the converged rows have
+    left, so a row started at its solution (a warm start along a curve)
+    ends on one evaluation without one.
     Definiteness is tested by one batched Cholesky factorization of the
     negated Hessians per iteration; only a block in which it fails computes
     eigenvalues, to shift the rows whose largest one is above -1e-12.
@@ -237,17 +253,17 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
     N, m = Ph.shape
     Th, U, ok = np.empty((N, m)), np.empty(N), np.zeros(N, dtype=bool)
     idx, th, ph = np.arange(N), np.array(X0, dtype=float), Ph
-    u, grad, hess = _u_value_grad_hess(gen, th, ph)
+    u, grad, S = _u_value_grad(gen, th, ph)
     eye = np.eye(m)
 
     def retire(rows, converged):
         """Write out the ending rows; the others stay in the iteration."""
-        nonlocal idx, th, ph, u, grad, hess
+        nonlocal idx, th, ph, u, grad, S
         out = idx[rows]
         Th[out], U[out], ok[out] = th[rows], u[rows], converged[rows]
         keep = ~rows
         idx, th, ph = idx[keep], th[keep], ph[keep]
-        u, grad, hess = u[keep], grad[keep], hess[keep]
+        u, grad, S = u[keep], grad[keep], S[keep]
         return keep
 
     for it in range(maxiter + 1):
@@ -264,6 +280,8 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
                 Th[idx], U[idx], ok[idx] = th, u, True
                 break
             gnorm = gnorm[retire(conv, conv)]
+        # the Hessian only of the rows that step
+        hess = _u_hess(gen, th, S)
         # Newton step on the concavified Hessian; shift if not negative definite.
         # One batched Cholesky of -sym - 1e-12 I fails for the whole stack when
         # any row has an eigenvalue above -1e-12; only then are eigenvalues needed
@@ -285,7 +303,7 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
             step[uphill] = grad[uphill]
             slope = (step * grad).sum(axis=1)
         cand = th + step
-        u_new, grad_new, hess_new = _u_value_grad_hess(gen, cand, ph)
+        u_new, grad_new, S_new = _u_value_grad(gen, cand, ph)
         take = u_new >= u + 1e-4 * slope
         # rows that end this iteration, and whether they count as converged
         ends, conv = np.zeros(idx.size, dtype=bool), np.zeros(idx.size, dtype=bool)
@@ -299,10 +317,10 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
             conv = ends & (gnorm < 1e-8)
             take = np.where(quad, ~ends, take)
         if take.all():
-            th, u, grad, hess = cand, u_new, grad_new, hess_new
+            th, u, grad, S = cand, u_new, grad_new, S_new
         else:
-            th[take], u[take], grad[take], hess[take] = (
-                cand[take], u_new[take], grad_new[take], hess_new[take]
+            th[take], u[take], grad[take], S[take] = (
+                cand[take], u_new[take], grad_new[take], S_new[take]
             )
             pending = np.flatnonzero(~take & ~quad)
             alpha = 1.0
@@ -311,10 +329,10 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
                     break
                 alpha *= 0.5
                 cand = th[pending] + alpha * step[pending]
-                uc, gc, hc = _u_value_grad_hess(gen, cand, ph[pending])
+                uc, gc, Sc = _u_value_grad(gen, cand, ph[pending])
                 hit = uc >= u[pending] + 1e-4 * alpha * slope[pending]
                 rows = pending[hit]
-                th[rows], u[rows], grad[rows], hess[rows] = cand[hit], uc[hit], gc[hit], hc[hit]
+                th[rows], u[rows], grad[rows], S[rows] = cand[hit], uc[hit], gc[hit], Sc[hit]
                 take[rows] = True
                 pending = pending[~hit]
             # line search exhausted
@@ -359,7 +377,7 @@ def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
     )
     th = res.x
-    _, grad, _ = _u_value_grad_hess(gen, th[None], ph[None])
+    _, grad, _ = _u_value_grad(gen, th[None], ph[None])
     if np.linalg.norm(grad) > 1e-7:
         raise ConvergenceError(
             f"{gen.name}: c-transform minimization did not converge at phi={ph}"

@@ -13,7 +13,9 @@ exp(-2 f(theta(h))) and monotone inversion rather than by shooting; the
 dual geodesic is handled identically with f* and reciprocal coordinates.
 Its inverse dual images, like those of the dual flow, come from one chord
 inverse: without a closed form the dense grid nodes are solved once by
-batched Newton, and every later solve starts from the node below it.
+batched Newton, and every solve starts from a cubic spline through
+already solved nodes, since the inverse image is a smooth curve along the
+chord.
 The log weight is one array function of h for both geodesics: the
 quadrature table on the dense grid and each Newton step of the polish of
 h(t) evaluate it on all their points at once.  The dual range guard checks
@@ -76,6 +78,7 @@ __all__ = [
 DEFAULT_GRID = 129
 _DENSE = 4097
 _FLOW_DU = 0.08     # flow grid spacing in log of the weight's length scale
+_COARSE = 32        # stride of the grid nodes that a chord inverse solves cold
 
 
 class DualRangeError(RuntimeError):
@@ -243,17 +246,23 @@ def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
     ``chord`` maps chord parameters s to dual coordinates and ``grid`` is
     the increasing dense grid of s, from 0.  ``theta(s, Ph)`` returns the
     inverse dual images of the rows ``Ph = chord(s)``.  A family's closed
-    form maps them directly.  Otherwise the grid nodes are solved once, cold,
-    and every later batched Newton solve starts each row from the solution
-    at the grid node below its s.
+    form maps them directly.  Otherwise the inverse image is a smooth curve
+    of s, so each batched Newton solve starts from a cubic spline through
+    solved nodes (the predictor of a continuation method): every
+    ``_COARSE``-th grid node and the last are solved cold, all grid nodes
+    start from the spline through those, and every later row starts from
+    the spline through all grid nodes at its s, clipped to the grid so
+    that the spline never extrapolates.
     """
     if gen.dual_map_inverse(chord(grid[:1])) is not None:
         return lambda s, Ph: inverse_dual_coord(gen, Ph)
-    th_grid = inverse_dual_coord(gen, chord(grid))
+    coarse = np.r_[0 : grid.size - 1 : _COARSE, grid.size - 1]
+    th_coarse = inverse_dual_coord(gen, chord(grid[coarse]))
+    guess = CubicSpline(grid[coarse], th_coarse, axis=0)(grid)
+    start = CubicSpline(grid, inverse_dual_coord(gen, chord(grid), x0=guess), axis=0)
 
     def theta(s, Ph):
-        below = np.searchsorted(grid, s, side="right") - 1  # s >= grid[0]
-        return inverse_dual_coord(gen, Ph, x0=th_grid[below])
+        return inverse_dual_coord(gen, Ph, x0=start(np.clip(s, grid[0], grid[-1])))
 
     return theta
 
@@ -288,7 +297,7 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     output node, all nodes at once (:func:`_dual_range_guard`).  The node
     table, the polish of h(t) and dh/dt take the inverse dual images from
     :func:`_chord_inverse`: without a closed form, each batched Newton solve
-    starts from the solution at the dense grid node below its point.
+    starts from a cubic spline through the solved dense grid nodes.
     """
     t_out = _grid(grid)
     Th = to_primal_many(point_rows(q, p))
@@ -560,8 +569,8 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     y(s) = y_p + (y_q - y_p) e^{-s} and dt/ds = Z with
     Z = sum_{i<n} pi_i e^{phi_i - phi^p_i} + pi_n, pi taken at the inverse
     dual image, from :func:`_chord_inverse` as for the dual geodesic: without
-    a closed-form inverse every batched Newton solve starts from the
-    solution at the grid node below its point.
+    a closed-form inverse every batched Newton solve starts from a cubic
+    spline through the solved grid nodes.
     """
     t_out = _flow_times(horizon, steps)
     Th = to_primal_many(point_rows(q, p))

@@ -222,6 +222,33 @@ class TestCTransform:
             assert np.array_equal(Th_rows[j], th[0]) and ok[0], j
             assert U_rows[j] == u[0], j
 
+    def test_hessian_only_for_rows_that_step(self, monkeypatch):
+        # the Hessian of u is built after the converged rows retire, so rows
+        # started at their solution build none, and a cold solve builds
+        # fewer than it evaluates u (last iterates and line-search tries)
+        gen = builtin_zoo(5)["mix"]
+        Th = np.random.default_rng(7).normal(size=(8, 4)) * 0.8
+        Ph = np.array([G.dual_coord(gen, th).phi for th in Th])
+        solved, _, ok = D._newton_max_u(gen, Ph, Ph)
+        assert ok.all()
+        value_grad, hess, counts = D._u_value_grad, D._u_hess, {"u": 0, "hess": 0}
+
+        def counted_value_grad(gen, Th, Ph):
+            counts["u"] += Th.shape[0]
+            return value_grad(gen, Th, Ph)
+
+        def counted_hess(gen, Th, S):
+            counts["hess"] += Th.shape[0]
+            return hess(gen, Th, S)
+
+        monkeypatch.setattr(D, "_u_value_grad", counted_value_grad)
+        monkeypatch.setattr(D, "_u_hess", counted_hess)
+        _, _, ok = D._newton_max_u(gen, Ph, solved)
+        assert ok.all() and counts == {"u": 8, "hess": 0}
+        counts.update(u=0, hess=0)
+        _, _, ok = D._newton_max_u(gen, Ph, Ph)
+        assert ok.all() and 0 < counts["hess"] < counts["u"]
+
 
 class TestCDivergence:
     def test_zero_on_diagonal(self, rng):

@@ -42,15 +42,15 @@ def bound_weight_evaluations(monkeypatch, limit):
 def bound_newton_evaluations(monkeypatch, limit):
     """Fail once the Newton solver of the inverse dual map evaluates u at
     more than ``limit`` rows in all; returns the list of rows per call."""
-    value_grad_hess, rows = D._u_value_grad_hess, []
+    value_grad, rows = D._u_value_grad, []
 
     def bounded(gen, Th, Ph):
         rows.append(Th.shape[0])
         if sum(rows) > limit:
             raise AssertionError("Newton evaluated u at too many rows")
-        return value_grad_hess(gen, Th, Ph)
+        return value_grad(gen, Th, Ph)
 
-    monkeypatch.setattr(D, "_u_value_grad_hess", bounded)
+    monkeypatch.setattr(D, "_u_value_grad", bounded)
     return rows
 
 
@@ -173,12 +173,14 @@ class TestDualGeodesic:
             assert gd.geodesic_residual(gen, c, trim=3) < 1e-5, name
 
     def test_newton_rows_start_warm_along_the_chord(self, monkeypatch):
-        # the 1025 dense nodes are solved cold once and every other row of the
-        # node table and the polish starts from the node below it: about
-        # 24.8k rows of u with the range guard; a cold start of each row at
-        # its own dual coordinate takes about 34.6k
+        # every 32nd of the 1025 dense nodes is solved cold, the dense nodes
+        # start from the spline through those, and every other row of the
+        # node table and the polish from the spline through the dense nodes:
+        # about 9.3k rows of u with the range guard.  Starting each row at
+        # the dense node below it takes about 24.8k, and a cold start of
+        # each row at its own dual coordinate about 34.6k
         q, p = np.full(10, 0.1), np.linspace(1.0, 2.0, 10) / 15.0
-        rows = bound_newton_evaluations(monkeypatch, 30_000)
+        rows = bound_newton_evaluations(monkeypatch, 17_000)
         gd.dual_geodesic(builtin_zoo(10)["mix"], q, p)
         assert sum(rows) > 0
 
@@ -481,6 +483,21 @@ class TestFlows:
                 ref = sum(quad(speed, a, b, epsabs=1e-14, epsrel=1e-13)[0]
                           for a, b in zip(cuts[:-1], cuts[1:]))
                 assert abs(ref - t) < 1e-10, (name, t)
+
+    def test_dual_flow_newton_rows_start_warm_along_the_chord(self, monkeypatch):
+        # the pair of TestDualGeodesic: about 16.7k rows of u from the spline
+        # starts of the chord inverse, 29.7k from the dense node below each row
+        q, p = np.full(10, 0.1), np.linspace(1.0, 2.0, 10) / 15.0
+        rows = bound_newton_evaluations(monkeypatch, 20_800)
+        gd.dual_flow(builtin_zoo(10)["mix"], q, p)
+        assert sum(rows) > 0
+
+    def test_long_horizon_dual_flow_ends_at_rest(self):
+        # past the end of the flow grid the Newton starts stay at the last
+        # grid node; a spline extrapolated there ends near 3e-11
+        gen = builtin_zoo(3)["mix"]
+        c = gd.dual_flow(gen, (0.2, 0.3, 0.5), (0.5, 0.3, 0.2), horizon=2000.0, steps=800)
+        assert np.max(np.abs(c.velocities[-1])) <= 1e-14
 
     def test_long_horizon_keeps_the_table_size(self, monkeypatch):
         # past the point where e^-s |x_q - x_r| is below rounding the flow
