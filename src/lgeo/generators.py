@@ -80,7 +80,6 @@ __all__ = [
     "generator_from_config",
     "generator_from_json",
     "generator_to_json",
-    "tangent_basis",
 ]
 
 
@@ -551,13 +550,6 @@ def _metric_rows(Pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
     """
     pit = Pi[..., :-1, None]
     return pit * np.eye(pit.shape[-2]) - pit * Pi[..., None, :-1] - dpi[..., :-1, :]
-
-
-def tangent_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the tangent hyperplane sum(u) = 0, shape (n, n-1)."""
-    A = np.eye(n) - np.full((n, n), 1.0 / n)
-    q, _ = np.linalg.qr(A[:, : n - 1])
-    return q
 
 
 @dataclass

@@ -16,11 +16,12 @@ inverse: without a closed form the dense grid nodes are solved once by
 batched Newton, and every solve starts from a cubic spline through
 already solved nodes, since the inverse image is a smooth curve along the
 chord.
-The log weight is one array function of h for both geodesics: the
-quadrature table on the dense grid and each Newton step of the polish of
-h(t) evaluate it on all their points at once.  The dual range guard checks
-the Fenchel equality at all output nodes of a dual geodesic at once, and
-the geodesic-equation residual evaluates its spline at all times at once.
+The log weight is one array function of the chord parameter for both
+geodesics and the exponential map, which follows the same chords from a
+point and an initial velocity and names the exact time at which one leaves
+the simplex.  The quadrature table and each Newton step of the polish of
+h(t) evaluate the weight on all their points at once, as the dual range
+guard and the geodesic-equation residual do with their nodes.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
 time change, which yields inverse exponential maps for free.  On the chord
@@ -46,11 +47,11 @@ from .divergence import ConvergenceError, _t_euclid, f_value, inverse_dual_coord
 from .generators import Generator, _dual_rows, _portfolio_at
 from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_gradient, _tilted
 from .simplex import (
+    _as_vector,
     _log_tilt,
     coord_array,
     from_primal_many,
     point_rows,
-    psi,
     psi_many,
     to_primal_many,
 )
@@ -77,6 +78,7 @@ __all__ = [
 
 DEFAULT_GRID = 129
 _DENSE = 4097
+_DENSE_NEWTON = 1025  # dense grid nodes where Newton solves the inverse dual images
 _FLOW_DU = 0.08     # flow grid spacing in log of the weight's length scale
 _COARSE = 32        # stride of the grid nodes that a chord inverse solves cold
 
@@ -90,7 +92,7 @@ class DualRangeError(RuntimeError):
 
 
 class GeodesicBlowupError(RuntimeError):
-    """Numerical blow-up during integration; carries the last valid time."""
+    """A geodesic reached the simplex boundary before its last time."""
 
     def __init__(self, msg, last_valid_t=None):
         super().__init__(msg)
@@ -105,7 +107,6 @@ class Curve:
     points: np.ndarray
     coord: str
     velocities: np.ndarray | None = None
-    diagnostic: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -158,6 +159,14 @@ def _grid(grid) -> np.ndarray:
     if g.ndim != 1 or np.any(np.diff(g) <= 0) or g[0] < 0 or g[-1] > 1:
         raise ValueError("grid must be increasing inside [0, 1]")
     return g
+
+
+def _flow_times(horizon: float, steps: int) -> np.ndarray:
+    """Uniform times on [0, horizon], steps >= 1 and horizon finite positive."""
+    if steps < 1 or not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"need steps >= 1 and a finite positive end time, "
+                         f"got steps={steps}, end time={horizon}")
+    return np.linspace(0.0, horizon, steps + 1)
 
 
 def _log_mix(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,6 +276,23 @@ def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
     return theta
 
 
+def _geodesic_log_weight(gen: Generator, chord, which: str, grid: np.ndarray):
+    """The log weight -2 f of a primal ``chord``, or -2 f* of a dual one with
+    inverse dual images from :func:`_chord_inverse` on ``grid``, as an
+    array function of the chord parameter."""
+    if which == "primal":
+        return lambda s: -2.0 * f_value(gen, chord(s))
+    theta = _chord_inverse(gen, chord, grid)
+
+    def logw(s):
+        # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
+        Ph = chord(s)
+        Th = theta(s, Ph)
+        return -2.0 * (psi_many(Th - Ph) - f_value(gen, Th))
+
+    return logw
+
+
 def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
     """Geodesic of the primal connection from q to r on [0, 1].
 
@@ -278,9 +304,10 @@ def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
     if np.allclose(th_q, th_r, atol=1e-14):
         pts = np.broadcast_to(th_q, (t_out.size, th_q.size)).copy()
         return Curve(t_out, pts, "primal", velocities=np.zeros_like(pts))
-    logw = lambda h: -2.0 * f_value(gen, _log_mix(h, th_q, th_r))
-    h, dh_dt = _reparam_from_weight(logw, np.linspace(0.0, 1.0, _DENSE), t_out)
-    pts = _log_mix(h, th_q, th_r)
+    chord = lambda h: _log_mix(h, th_q, th_r)
+    grid = np.linspace(0.0, 1.0, _DENSE)
+    h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord, "primal", grid), grid, t_out)
+    pts = chord(h)
     # theta_dot_k = h'(t) (e^{theta^r_k} - e^{theta^q_k}) / A_k(h)
     B = np.exp(th_r) - np.exp(th_q)
     vel = dh_dt[:, None] * B[None, :] / np.exp(pts)
@@ -296,8 +323,7 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     equality is re-verified through the conjugate minimization at every
     output node, all nodes at once (:func:`_dual_range_guard`).  The node
     table, the polish of h(t) and dh/dt take the inverse dual images from
-    :func:`_chord_inverse`: without a closed form, each batched Newton solve
-    starts from a cubic spline through the solved dense grid nodes.
+    :func:`_chord_inverse`.
     """
     t_out = _grid(grid)
     Th = to_primal_many(point_rows(q, p))
@@ -305,18 +331,10 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     if np.allclose(ph_q, ph_p, atol=1e-14):
         pts = np.broadcast_to(ph_q, (t_out.size, ph_q.size)).copy()
         return Curve(t_out, pts, "dual", velocities=np.zeros_like(pts))
-    n_dense = _DENSE if gen.dual_map_inverse(ph_q) is not None else 1025
+    n_dense = _DENSE if gen.dual_map_inverse(ph_q) is not None else _DENSE_NEWTON
     chord = lambda h: -_log_mix(h, -ph_q, -ph_p)
     grid = np.linspace(0.0, 1.0, n_dense)
-    theta = _chord_inverse(gen, chord, grid)
-
-    def logw(h):
-        # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
-        Ph = chord(h)
-        Th = theta(h, Ph)
-        return -2.0 * (psi_many(Th - Ph) - f_value(gen, Th))
-
-    h, dh_dt = _reparam_from_weight(logw, grid, t_out)
+    h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord, "dual", grid), grid, t_out)
     pts = chord(h)
     D = np.exp(-ph_p) - np.exp(-ph_q)
     vel = -dh_dt[:, None] * D[None, :] * np.exp(pts)
@@ -358,41 +376,16 @@ def _dual_range_guard(gen, curve):
 
 
 # ---------------------------------------------------------------------------
-# direct integration of the geodesic equation
+# the exponential map
 
-def geodesic_acceleration(gen: Generator, xi: np.ndarray, v: np.ndarray, which: str,
-                          theta_hint=None) -> np.ndarray:
-    """Acceleration -Gamma(xi)(v, v) of the requested connection.
-
-    Contraction of the closed-form symbols: the primal one is
-    -(v_k^2 - 2 v_k <pi, v>), the dual one its negative with pi at the
-    dual-coordinate point.
-    """
-    if which == "primal":
-        pi = _portfolio_at(gen, xi)
-    else:
-        pi = _portfolio_at(gen, inverse_dual_coord(gen, xi, x0=theta_hint))
-    mix = pi[:-1] @ v
-    quad = v * v - 2.0 * v * mix
-    return -quad if which == "primal" else quad
-
-
-def _geodesic_invariant(gen, xi, v, which, theta_hint=None) -> np.ndarray:
-    """First integral of the geodesic equation, recorded as a diagnostic.
-
-    Along a primal geodesic every component of ``v_k exp(xi_k - 2 f(xi))``
-    is constant; the dual analog conserves ``-v_k exp(-xi_k - 2 f*(xi))``.
-    Drift in these vectors measures integration error.
-    """
-    if which == "primal":
-        return v * np.exp(xi - 2.0 * f_value(gen, xi))
-    th = inverse_dual_coord(gen, xi, x0=theta_hint)
-    fstar = psi(th - xi) - f_value(gen, th)
-    return -v * np.exp(-xi - 2.0 * fstar)
+# the largest reach in the chord parameter u: the largest power of two at
+# which expm1(u) and exp(-u) are both finite and normal
+_REACH = 512.0
 
 
 def _rk4_step(rhs, y, dt, k1):
-    """One classical RK4 step from ``y``, where ``k1 = rhs(y)`` is given."""
+    """One classical RK4 step from ``y``, where ``k1 = rhs(y)`` is given.
+    The library does not call it; the tests' RK4 flow oracle does."""
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
@@ -401,44 +394,68 @@ def _rk4_step(rhs, y, dt, k1):
 
 def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
                        steps: int = DEFAULT_GRID - 1, t_end: float = 1.0) -> Curve:
-    """Fixed-step RK4 integration of the second-order geodesic equation.
+    """The exponential map: the geodesic from ``xi0`` with initial velocity
+    ``v0``, at ``steps + 1`` uniform times on [0, t_end].
 
-    Each step is one :func:`_rk4_step` on the stacked state (xi, v).  The
-    returned curve carries the conserved-vector diagnostic of
-    :func:`_geodesic_invariant` at every step; its drift from the initial
-    value is an a-posteriori error indicator.
+    A time change of the chord theta0 + log1p(tau v0) (primal) or
+    phi0 - log1p(-tau v0) (dual), with dt/dtau = exp(-2 (F(tau) - F(0))),
+    F = f or f*.  The chord ends at tau_max, the least 1/|v0_k| over the
+    components that drive 1 +- tau v0_k to zero (infinity if none).  In
+    u >= 0, tau = expm1(u) / (a + expm1(u) / tau_max) with a = max |v0|,
+    geometric near both ends.  A coarse pass doubles the reach in u from 1
+    until t passes ``t_end``; :func:`_reparam_from_weight` then inverts
+    the times on a dense grid.  Raises :class:`GeodesicBlowupError` if the
+    chord reaches the simplex boundary (u = ``_REACH``) first, naming the
+    exit time t*; ``last_valid_t`` is the last output time before it.
+    Dual curves go through :func:`_dual_range_guard`.
     """
-    xi = coord_array(xi0).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    m = xi.size
-    dt = t_end / steps
-    times = np.linspace(0.0, t_end, steps + 1)
-    pts = np.empty((steps + 1, xi.size))
-    vels = np.empty_like(pts)
-    diag = np.empty_like(pts)
-    pts[0], vels[0] = xi, v
-    hint = {"theta": None}
+    if which not in ("primal", "dual"):
+        raise ValueError("which must be 'primal' or 'dual'")
+    times = _flow_times(t_end, steps)
+    xi, v = coord_array(xi0), _as_vector(v0, "velocity")
+    if v.shape != xi.shape:
+        raise ValueError(f"velocity of shape {v.shape} at a coordinate of shape {xi.shape}")
+    a = np.max(np.abs(v)) or 1.0  # any scale serves a zero velocity
+    sign = 1.0 if which == "primal" else -1.0
+    w = sign * v / a
+    c = max(0.0, -w.min())  # 1 / (a tau_max)
 
-    def rhs(y):
-        x, w = y[:m], y[m:]
-        a = geodesic_acceleration(gen, x, w, which, theta_hint=hint["theta"])
-        if which == "dual":
-            hint["theta"] = inverse_dual_coord(gen, x, x0=hint["theta"])
-        return np.concatenate([w, a])
+    def lift(u):
+        # log1p(sign tau v0), without cancellation as tau -> tau_max
+        E = np.expm1(u)[:, None]
+        return np.log1p(E * (c + w)) - np.log1p(E * c)
 
-    diag[0] = _geodesic_invariant(gen, xi, v, which, theta_hint=hint["theta"])
-    y = np.concatenate([xi, v])
-    for k in range(steps):
-        y = _rk4_step(rhs, y, dt, rhs(y))
-        xi, v = y[:m], y[m:]
-        if not np.all(np.isfinite(xi)) or np.linalg.norm(xi) > 1e3:
-            raise GeodesicBlowupError(
-                f"geodesic integration blew up at t={times[k + 1]:.6f}",
-                last_valid_t=times[k],
-            )
-        pts[k + 1], vels[k + 1] = xi, v
-        diag[k + 1] = _geodesic_invariant(gen, xi, v, which, theta_hint=hint["theta"])
-    return Curve(times, pts, which, velocities=vels, diagnostic=diag)
+    chord = lambda u: xi + sign * lift(u)
+
+    def log_rate(grid):
+        """-2 (F(u) - F(0)) and log dt/du, with inverse dual images on ``grid``."""
+        logw = _geodesic_log_weight(gen, chord, which, grid)
+        F0 = logw(grid[:1])[0]
+        dF = lambda u: logw(u) - F0
+        return dF, lambda u: dF(u) + u - 2.0 * np.log1p(c * np.expm1(u)) - math.log(a)
+
+    reach = lambda grid, rate: _gauss_segment(lambda u: np.exp(rate(u)), grid[:-1], grid[1:]).sum()
+
+    closed = which == "primal" or gen.dual_map_inverse(xi) is not None
+    u_end = 1.0
+    while True:
+        coarse = np.linspace(0.0, u_end, max(64, 2 * int(u_end)) + 1)
+        if u_end == _REACH or reach(coarse, log_rate(coarse)[1]) >= t_end:
+            grid = np.linspace(0.0, u_end, _DENSE if closed else _DENSE_NEWTON)
+            dF, rate = log_rate(grid)
+            u = _reparam_from_weight(rate, grid, times, normalized=False)
+            if u[-1] < u_end:
+                break
+            if u_end == _REACH:
+                raise GeodesicBlowupError(
+                    f"geodesic reaches the boundary of the simplex at t*={reach(grid, rate):.17g}",
+                    last_valid_t=times[u < u_end][-1],
+                )
+        u_end *= 2.0
+    curve = Curve(times, chord(u), which, velocities=v * np.exp(-lift(u) - dF(u)[:, None]))
+    if which == "dual":
+        _dual_range_guard(gen, curve)
+    return curve
 
 
 def _residual_values(gen, times, points, coord, eval_times, end_velocities=None) -> np.ndarray:
@@ -449,13 +466,8 @@ def _residual_values(gen, times, points, coord, eval_times, end_velocities=None)
         bc = ((1, end_velocities[0]), (1, end_velocities[1]))
     spl = CubicSpline(times, points, axis=0, bc_type=bc)
     xi, v, a = spl(eval_times), spl.derivative(1)(eval_times), spl.derivative(2)(eval_times)
-    if coord == "dual":
-        Pi = _portfolio_at(gen, inverse_dual_coord(gen, xi))
-        sign = -1.0
-    else:
-        Pi = _portfolio_at(gen, xi)
-        sign = 1.0
-    mix = np.sum(Pi[:, :-1] * v, axis=1, keepdims=True)
+    th, sign = (inverse_dual_coord(gen, xi), -1.0) if coord == "dual" else (xi, 1.0)
+    mix = np.sum(_portfolio_at(gen, th)[:, :-1] * v, axis=1, keepdims=True)
     return a + sign * (v * v - 2.0 * v * mix)
 
 
@@ -483,9 +495,7 @@ def geodesic_residual(gen: Generator, curve: Curve, trim: int = 2,
     shared = curve.times[2 * trim : m - 2 * trim : 2]
     res_full = _residual_values(gen, curve.times, curve.points, curve.coord, shared, ends)
     half = slice(0, m, 2)
-    res_half = _residual_values(
-        gen, curve.times[half], curve.points[half], curve.coord, shared, ends
-    )
+    res_half = _residual_values(gen, curve.times[half], curve.points[half], curve.coord, shared, ends)
     return float(np.max(np.abs((4.0 * res_full - res_half) / 3.0)))
 
 
@@ -518,14 +528,6 @@ def _flow_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     s = np.logaddexp(0.0, u) - math.log1p(l0)
     s[0] = 0.0
     return s
-
-
-def _flow_times(horizon: float, steps: int) -> np.ndarray:
-    """Uniform output times of a flow with steps >= 1 and a finite positive horizon."""
-    if steps < 1 or not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"a flow needs steps >= 1 and a finite positive horizon, "
-                         f"got steps={steps}, horizon={horizon}")
-    return np.linspace(0.0, horizon, steps + 1)
 
 
 def _primal_flow_rhs(gen, th, th_target):
@@ -568,9 +570,7 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     A time change of the dual geodesic: with y = e^{-phi},
     y(s) = y_p + (y_q - y_p) e^{-s} and dt/ds = Z with
     Z = sum_{i<n} pi_i e^{phi_i - phi^p_i} + pi_n, pi taken at the inverse
-    dual image, from :func:`_chord_inverse` as for the dual geodesic: without
-    a closed-form inverse every batched Newton solve starts from a cubic
-    spline through the solved grid nodes.
+    dual image from :func:`_chord_inverse`, as for the dual geodesic.
     """
     t_out = _flow_times(horizon, steps)
     Th = to_primal_many(point_rows(q, p))
@@ -608,9 +608,7 @@ def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
         raw = -_tilt_gradient(pi_q, ph_q - ph_t)
         G = _metric_entries(gen, pi_q, dpi_q, _jacobian_from_portfolio(pi_q, dpi_q))
     norm = np.sqrt(max(raw @ G @ raw, 0.0))
-    if norm < 1e-15:
-        return np.zeros_like(raw)
-    return raw / norm
+    return np.zeros_like(raw) if norm < 1e-15 else raw / norm
 
 
 # ---------------------------------------------------------------------------

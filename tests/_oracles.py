@@ -11,17 +11,9 @@ import numpy as np
 
 from lgeo import geometry as geo
 from lgeo.divergence import f_value, inverse_dual_coord, l_divergence_primal
-from lgeo.generators import Generator, NonRegularError, dual_coord, portfolio_theta
-from lgeo.geodesics import (
-    Curve,
-    GeodesicBlowupError,
-    RegionSample,
-    _geodesic_invariant,
-    _rk4_step,
-    geodesic_acceleration,
-    region_gap,
-)
-from lgeo.simplex import coord_array, point_array, to_primal
+from lgeo.generators import Generator, NonRegularError, _portfolio_at, dual_coord, portfolio_theta
+from lgeo.geodesics import Curve, GeodesicBlowupError, RegionSample, _rk4_step, region_gap
+from lgeo.simplex import coord_array, point_array, psi, to_primal
 
 FD_STEP_FIRST = 1e-4
 FD_STEP_HIGH = 1e-3
@@ -382,15 +374,45 @@ def region_sample_scan(gen, p, r, grid_resolution):
 # ---------------------------------------------------------------------------
 # curves by direct time stepping
 
+def geodesic_acceleration(gen: Generator, xi: np.ndarray, v: np.ndarray, which: str,
+                          theta_hint=None) -> np.ndarray:
+    """Acceleration -Gamma(xi)(v, v) of the requested connection.
+
+    Contraction of the closed-form symbols: the primal one is
+    -(v_k^2 - 2 v_k <pi, v>), the dual one its negative with pi at the
+    dual-coordinate point.
+    """
+    if which == "primal":
+        pi = _portfolio_at(gen, xi)
+    else:
+        pi = _portfolio_at(gen, inverse_dual_coord(gen, xi, x0=theta_hint))
+    mix = pi[:-1] @ v
+    quad = v * v - 2.0 * v * mix
+    return -quad if which == "primal" else quad
+
+
+def geodesic_invariant(gen, xi, v, which, theta_hint=None) -> np.ndarray:
+    """First integral of the geodesic equation at one point and velocity.
+
+    Along a primal geodesic every component of ``v_k exp(xi_k - 2 f(xi))``
+    is constant; the dual analog conserves ``-v_k exp(-xi_k - 2 f*(xi))``.
+    """
+    if which == "primal":
+        return v * np.exp(xi - 2.0 * f_value(gen, xi))
+    th = inverse_dual_coord(gen, xi, x0=theta_hint)
+    fstar = psi(th - xi) - f_value(gen, th)
+    return -v * np.exp(-xi - 2.0 * fstar)
+
+
 def integrate_geodesic_stages(gen, xi0, v0, which="primal", steps=128, t_end=1.0):
-    """``integrate_geodesic`` with the four RK4 stages of (xi, v) written out."""
+    """The geodesic equation stepped by fixed-step classical RK4 from
+    (xi0, v0), with the four stages of (xi, v) written out."""
     xi = coord_array(xi0).copy()
     v = np.asarray(v0, dtype=float).copy()
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
     pts = np.empty((steps + 1, xi.size))
     vels = np.empty_like(pts)
-    diag = np.empty_like(pts)
     pts[0], vels[0] = xi, v
     hint = {"theta": None}
 
@@ -400,7 +422,6 @@ def integrate_geodesic_stages(gen, xi0, v0, which="primal", steps=128, t_end=1.0
             hint["theta"] = inverse_dual_coord(gen, x, x0=hint["theta"])
         return a
 
-    diag[0] = _geodesic_invariant(gen, xi, v, which, theta_hint=hint["theta"])
     for k in range(steps):
         k1x, k1v = v, acc(xi, v)
         k2x, k2v = v + 0.5 * dt * k1v, acc(xi + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
@@ -409,8 +430,7 @@ def integrate_geodesic_stages(gen, xi0, v0, which="primal", steps=128, t_end=1.0
         xi = xi + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         pts[k + 1], vels[k + 1] = xi, v
-        diag[k + 1] = _geodesic_invariant(gen, xi, v, which, theta_hint=hint["theta"])
-    return Curve(times, pts, which, velocities=vels, diagnostic=diag)
+    return Curve(times, pts, which, velocities=vels)
 
 
 def flow_slack(gen, th_target) -> float:

@@ -31,6 +31,7 @@ from _oracles import (
     fd_lowered_dual_connection,
     fd_lowered_primal_connection,
     fd_metric_from_divergence,
+    integrate_geodesic_stages,
     rc_curvature_assembled,
 )
 
@@ -194,11 +195,14 @@ def test_criterion_04_geodesics():
         a, b = dual_euclidean(gen, q).p, dual_euclidean(gen, p).p
         ok &= gd.point_segment_distance(cd.euclidean_trace(), a, b).max() < 1e-8
         ok &= gd.geodesic_residual(gen, cd, trim=3) < 1e-5
-        integrated = gd.integrate_geodesic(gen, c.points[0], c.velocities[0],
-                                           "primal", steps=256)
-        ok &= gd.polyline_hausdorff(integrated.euclidean_trace(),
-                                    c.euclidean_trace()) < 1e-6
-    report(4, "primal/dual geodesics: collinearity, residuals, RK4 trace", ok)
+        # the exponential map and the RK4 oracle from the first point and velocity
+        for integrated in (
+            gd.integrate_geodesic(gen, c.points[0], c.velocities[0], "primal", steps=256),
+            integrate_geodesic_stages(gen, c.points[0], c.velocities[0], "primal", steps=256),
+        ):
+            ok &= gd.polyline_hausdorff(integrated.euclidean_trace(),
+                                        c.euclidean_trace()) < 1e-6
+    report(4, "primal/dual geodesics: collinearity, residuals, exp map and RK4 traces", ok)
 
 
 def test_criterion_05_gradient_flows():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,7 +16,13 @@ from lgeo.geometry import metric_primal
 from lgeo.simplex import from_primal, psi, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
-from _oracles import flow_slack, integrate_geodesic_stages, region_sample_scan, rk4_flow
+from _oracles import (
+    flow_slack,
+    geodesic_invariant,
+    integrate_geodesic_stages,
+    region_sample_scan,
+    rk4_flow,
+)
 
 Q3 = np.array([0.6, 0.25, 0.15])
 R3 = np.array([0.15, 0.35, 0.5])
@@ -276,39 +284,55 @@ class TestIntegrateGeodesic:
             ref = gd.primal_geodesic(gen, Q3, R3)
             c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0],
                                       "primal", steps=256)
-            assert gd.polyline_hausdorff(c.euclidean_trace(), ref.euclidean_trace()) < 1e-6, name
-            assert np.max(np.abs(c.points[-1] - ref.points[-1])) < 1e-6, name
+            rk4 = integrate_geodesic_stages(gen, ref.points[0], ref.velocities[0],
+                                            "primal", steps=256)
+            for curve in (c, rk4):
+                trace = curve.euclidean_trace()
+                assert gd.polyline_hausdorff(trace, ref.euclidean_trace()) < 1e-6, name
+                assert np.max(np.abs(curve.points[-1] - ref.points[-1])) < 1e-6, name
+            assert gd.polyline_hausdorff(c.euclidean_trace(), rk4.euclidean_trace()) < 1e-6, name
 
     def test_dual_integration_matches_closed_form(self):
         gen = G.diversity_weighted(0.5)
         ref = gd.dual_geodesic(gen, Q3, P3)
         c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0], "dual", steps=256)
+        rk4 = integrate_geodesic_stages(gen, ref.points[0], ref.velocities[0], "dual", steps=256)
         assert gd.polyline_hausdorff(c.euclidean_trace(), ref.euclidean_trace()) < 1e-6
+        assert gd.polyline_hausdorff(rk4.euclidean_trace(), ref.euclidean_trace()) < 1e-6
+        assert gd.polyline_hausdorff(c.euclidean_trace(), rk4.euclidean_trace()) < 1e-6
 
-    def test_rk4_steps_equal_the_written_out_stages(self):
-        # one _rk4_step on the stacked state (xi, v) does the arithmetic of
-        # the four stage lines of xi and v, bit for bit
-        zoo = builtin_zoo(3)
-        for name in ("diversity", "mix"):
-            gen = zoo[name]
-            for which, build, target in (("primal", gd.primal_geodesic, R3),
-                                         ("dual", gd.dual_geodesic, P3)):
-                ref = build(gen, Q3, target)
-                args = (gen, ref.points[0], ref.velocities[0], which)
-                c = gd.integrate_geodesic(*args, steps=64)
-                expected = integrate_geodesic_stages(*args, steps=64)
-                assert np.array_equal(c.points, expected.points), (name, which)
-                assert np.array_equal(c.velocities, expected.velocities), (name, which)
-                assert np.array_equal(c.diagnostic, expected.diagnostic), (name, which)
+    def test_reproduces_both_geodesics_of_every_family(self):
+        # started from a geodesic's first point and velocity, the exponential
+        # map retraces it: points and (relative) velocities to 1e-12.  The
+        # pairs are interior: the closed-form geodesics' tables, uniform in
+        # the chord parameter, lose accuracy on chords that end near a face.
+        rng = np.random.default_rng(12)
+        for n in (3, 5, 10):
+            for name, gen in builtin_zoo(n).items():
+                for _ in range(3):
+                    q, r = 0.85 * dirichlet_points(rng, n, 2) + 0.15 / n
+                    for which, build in (("primal", gd.primal_geodesic),
+                                         ("dual", gd.dual_geodesic)):
+                        ref = build(gen, q, r)
+                        c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0], which)
+                        assert np.array_equal(c.times, ref.times)
+                        assert np.max(np.abs(c.points - ref.points)) < 1e-12, (n, name, which)
+                        rel = (np.abs(c.velocities - ref.velocities).max(axis=1)
+                               / np.abs(ref.velocities).max(axis=1))
+                        assert rel.max() < 1e-12, (n, name, which)
 
-    def test_conserved_diagnostic_recorded(self):
+    def test_first_integral_conserved(self):
+        # the oracle's first integral of the geodesic equation, evaluated
+        # along the exponential map, stays at its initial value
         gen = G.diversity_weighted(0.5)
-        ref = gd.primal_geodesic(gen, Q3, R3)
-        c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0],
-                                  "primal", steps=128)
-        assert c.diagnostic is not None and c.diagnostic.shape == c.points.shape
-        drift = np.abs(c.diagnostic - c.diagnostic[0]).max()
-        assert drift < 1e-8 * np.abs(c.diagnostic[0]).max()
+        for which, build, target in (("primal", gd.primal_geodesic, R3),
+                                     ("dual", gd.dual_geodesic, P3)):
+            ref = build(gen, Q3, target)
+            c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0], which, steps=128)
+            inv = np.array([geodesic_invariant(gen, x, v, which)
+                            for x, v in zip(c.points, c.velocities)])
+            drift = np.abs(inv - inv[0]).max()
+            assert drift < 1e-12 * np.abs(inv[0]).max(), which
 
     def test_shooting_with_scaled_inverse_exp(self):
         # scale the unit initial direction by a 1-d search on the chord
@@ -332,11 +356,41 @@ class TestIntegrateGeodesic:
         assert np.max(np.abs(from_primal(end).p - R3)) < 1e-5
 
     def test_blowup_reported(self):
-        gen = G.equal_weighted(3)
+        # theta_1 = log1p(-3 tau) leaves the simplex at t* = 7/12, between
+        # the output times 37/64 and 38/64
+        gen = G.diversity_weighted(0.5)
         with pytest.raises(gd.GeodesicBlowupError) as err:
-            gd.integrate_geodesic(gen, np.zeros(2), np.array([400.0, 0.0]),
+            gd.integrate_geodesic(gen, np.zeros(2), np.array([-3.0, 0.0]),
                                   "primal", steps=64)
-        assert err.value.last_valid_t is not None
+        t_star = float(re.search(r"t\*=(\S+)", str(err.value)).group(1))
+        assert abs(t_star - 7.0 / 12.0) < 1e-12
+        assert err.value.last_valid_t == 37.0 / 64.0
+
+    def test_large_velocity_stays_finite(self):
+        # for the equal-weighted generator theta_1(t) = 3 log1p(400 t / 3):
+        # large, but finite at every time
+        gen = G.equal_weighted(3)
+        c = gd.integrate_geodesic(gen, np.zeros(2), np.array([400.0, 0.0]),
+                                  "primal", steps=64)
+        assert np.max(np.abs(c.points[:, 0] - 3.0 * np.log1p(400.0 * c.times / 3.0))) < 1e-12
+        assert np.max(np.abs(c.points[:, 1])) < 1e-12
+
+    def test_arguments_checked(self):
+        gen = G.diversity_weighted(0.5)
+        th0 = to_primal(Q3).theta
+        v = np.array([0.5, -0.2])
+        bad = [
+            dict(which="Primal"),
+            dict(steps=0),
+            dict(t_end=float("nan")),
+            dict(t_end=0.0),
+            dict(v0=np.array([np.nan, 0.0])),
+            dict(v0=np.array([0.5, -0.2, 0.1])),
+        ]
+        for kwargs in bad:
+            args = dict(xi0=th0, v0=v, which="primal", steps=16, t_end=1.0) | kwargs
+            with pytest.raises(ValueError):
+                gd.integrate_geodesic(gen, **args)
 
 
 class TestFlows:
