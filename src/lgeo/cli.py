@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._table import write_table
 from .divergence import ConvergenceError, l_divergence
 from .finance import MarketDataError, fernholz_decompose, ingest_csv, rebalance_compare
 from .generators import (
@@ -148,16 +149,12 @@ def _simplex_to_xy(Q: np.ndarray) -> np.ndarray:
 
 def emit_region(gen: Generator, p, r, resolution: int, out_path, fmt: str = "csv",
                 size: int = 640) -> RegionSample:
-    """Sample the rebalancing region and write it as CSV or standalone SVG."""
+    """Sample the rebalancing region and write it as standalone SVG or as CSV:
+    ``q1,q2,q3,gap,in_region`` rows ending in ``\\n``, floats as ``%.17g``."""
     sample = region_sample(gen, p, r, grid_resolution=resolution)
     if fmt == "csv":
-        table = np.column_stack([sample.points, sample.gap, sample.in_region])
-        with open(out_path, "w") as fh:
-            fh.write("q1,q2,q3,gap,in_region\n")
-            # 4096 rows at a time, so that the text of the whole table is never held
-            for block in np.array_split(table, range(4096, len(table), 4096)):
-                rows = block.tolist()
-                fh.write("".join(["%.17g,%.17g,%.17g,%.17g,%d\n" % tuple(row) for row in rows]))
+        write_table(out_path, ["q1", "q2", "q3", "gap", "in_region"],
+                    [*sample.points.T, sample.gap, sample.in_region])
         return sample
     if fmt != "svg":
         raise ValueError(f"unknown region format {fmt!r}")

@@ -19,11 +19,13 @@ criterion classifies.
 
 from __future__ import annotations
 
-import csv
+import datetime
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_table
 from .divergence import _t_euclid
 from .generators import Generator
 from .geodesics import pythagorean_sign
@@ -60,8 +62,8 @@ class MarketPath:
         W = np.asarray(self.weights, dtype=float)
         if W.ndim != 2 or W.shape[0] < 2:
             raise MarketDataError("a market path needs at least two rows")
-        if np.any(W <= 0):
-            raise MarketDataError("market weights must be strictly positive")
+        if not np.all((W > 0) & (W < np.inf)):
+            raise MarketDataError("market weights must be finite and strictly positive")
         sums = W.sum(axis=1)
         bad = np.abs(sums - 1.0) > _ROW_SUM_TOL
         if np.any(bad):
@@ -94,8 +96,6 @@ def _time_key(t):
         try:
             return (0, float(t))
         except ValueError:
-            import datetime
-
             return (1, datetime.date.fromisoformat(t).toordinal())
     return (0, float(t))
 
@@ -104,11 +104,35 @@ def _parse_stamp(text: str):
     try:
         v = float(text)
         return int(v) if v == int(v) else v
-    except ValueError:
-        import datetime
-
+    except (ValueError, OverflowError):  # int(inf) overflows
         datetime.date.fromisoformat(text)  # validates; keep the string form
         return text
+
+
+def _read_rows(source, fields: int, capitalizations: bool, skip: int):
+    """Stamps and weights of the rows of ``source``, a path or a list of
+    lines, checked as arrays; raises ValueError at the first failed check."""
+    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=skip)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: an empty array
+        stamps = np.loadtxt(source, dtype=str, usecols=0, ndmin=1, **opts)
+        # every column, so that a row of another length is rejected
+        table = np.loadtxt(source, converters={0: lambda text: 0.0}, ndmin=2, **opts)
+    if len(table) and table.shape[1] != fields:
+        raise ValueError(f"expected {fields} fields")
+    times = [_parse_stamp(text.strip()) for text in stamps.tolist()]
+    vals = table[:, 1:]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite value")
+    if np.any(vals <= 0):
+        raise ValueError("nonpositive weight")
+    sums = vals.sum(axis=1)
+    if capitalizations:
+        return times, vals / sums[:, None]
+    bad = np.abs(sums - 1.0) > _ROW_SUM_TOL
+    if np.any(bad):
+        raise ValueError(f"weights sum to {float(sums[bad][0])!r}, not 1")
+    return times, vals
 
 
 def ingest_csv(path) -> MarketPath:
@@ -116,58 +140,47 @@ def ingest_csv(path) -> MarketPath:
 
     Header ``t,mu_1,...,mu_n`` holds weights (rows must sum to one within
     1e-9); header ``t,x_1,...,x_n`` holds capitalizations, normalized to
-    weights row by row.  Malformed rows are rejected with their line number.
+    weights row by row.  Fields may be quoted with ``"``; blank lines are
+    skipped.  A row with the wrong field count, a bad stamp, or a non-finite
+    or nonpositive value (for weights, a bad row sum) is rejected with its
+    line number, which a line-by-line rescan finds after a failed read.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MarketDataError(f"{path}: empty file") from None
-        cols = [c.strip() for c in header]
-        if len(cols) < 3 or cols[0] != "t":
-            raise MarketDataError(f"{path}: header must be t,mu_1,... or t,x_1,...")
-        if all(c == f"mu_{i + 1}" for i, c in enumerate(cols[1:])):
-            capitalizations = False
-        elif all(c == f"x_{i + 1}" for i, c in enumerate(cols[1:])):
-            capitalizations = True
-        else:
-            raise MarketDataError(f"{path}: unrecognized header {header!r}")
-        times = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(cols):
-                raise MarketDataError(f"{path}:{lineno}: expected {len(cols)} fields")
-            try:
-                stamp = _parse_stamp(row[0].strip())
-                vals = np.array([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise MarketDataError(f"{path}:{lineno}: {exc}") from None
-            if np.any(vals <= 0):
-                raise MarketDataError(f"{path}:{lineno}: nonpositive weight")
-            if capitalizations:
-                vals = vals / vals.sum()
-            elif abs(vals.sum() - 1.0) > _ROW_SUM_TOL:
-                raise MarketDataError(
-                    f"{path}:{lineno}: weights sum to {float(vals.sum())!r}, not 1"
-                )
-            times.append(stamp)
-            rows.append(vals)
+        first = fh.readline()
+    if not first:
+        raise MarketDataError(f"{path}: empty file")
+    header = first.rstrip("\r\n").split(",")
+    cols = [c.strip().strip('"') for c in header]
+    if len(cols) < 3 or cols[0] != "t":
+        raise MarketDataError(f"{path}: header must be t,mu_1,... or t,x_1,...")
+    if all(c == f"mu_{i + 1}" for i, c in enumerate(cols[1:])):
+        capitalizations = False
+    elif all(c == f"x_{i + 1}" for i, c in enumerate(cols[1:])):
+        capitalizations = True
+    else:
+        raise MarketDataError(f"{path}: unrecognized header {header!r}")
     try:
-        return MarketPath(times=times, weights=np.array(rows))
+        times, weights = _read_rows(path, len(cols), capitalizations, skip=1)
+    except ValueError as exc:
+        with open(path, newline="") as fh:
+            fh.readline()
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    _read_rows([line], len(cols), capitalizations, skip=0)
+                except ValueError as bad:
+                    raise MarketDataError(f"{path}:{lineno}: {bad}") from None
+        raise MarketDataError(f"{path}: {exc}") from None
+    try:
+        return MarketPath(times=times, weights=weights)
     except MarketDataError as exc:
         raise MarketDataError(f"{path}: {exc}") from None
 
 
 def write_csv(path, market_path: MarketPath) -> None:
-    """Emit a market path as CSV (weights header); round-trips bitwise."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"mu_{i + 1}" for i in range(market_path.n)])
-        for stamp, row in zip(market_path.times, market_path.weights):
-            w.writerow([stamp] + [repr(float(v)) for v in row])
+    """Emit a market path as CSV (weights header, ``\\r\\n`` line ends, values
+    as ``%.17g``); round-trips bitwise."""
+    write_table(path, ["t"] + [f"mu_{i + 1}" for i in range(market_path.n)],
+                [list(market_path.times), *market_path.weights.T], newline="\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +201,9 @@ class BacktestReport:
         return np.concatenate([[0.0], np.cumsum(self.step_divergence)])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "log_v", "drift", "cum_divergence", "identity_residual"])
-            cum = self.cumulative_divergence
-            for i, stamp in enumerate(self.times):
-                w.writerow([stamp, f"{self.log_v[i]:.17g}", f"{self.drift[i]:.17g}",
-                            f"{cum[i]:.17g}", f"{self.identity_residual[i]:.17g}"])
+        write_table(path, ["t", "log_v", "drift", "cum_divergence", "identity_residual"],
+                    [list(self.times), self.log_v, self.drift, self.cumulative_divergence,
+                     self.identity_residual], newline="\r\n")
 
 
 def fernholz_decompose(gen: Generator, path: MarketPath) -> BacktestReport:

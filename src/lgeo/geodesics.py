@@ -43,6 +43,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import divergence
+from ._table import write_table
 from .divergence import ConvergenceError, _t_euclid, f_value, inverse_dual_coord
 from .generators import Generator, _dual_rows, _portfolio_at
 from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_gradient, _tilted
@@ -72,8 +73,6 @@ __all__ = [
     "pythagorean_sign",
     "region_sample",
     "region_gap",
-    "point_segment_distance",
-    "polyline_hausdorff",
 ]
 
 DEFAULT_GRID = 129
@@ -139,11 +138,9 @@ class Curve:
         raise ValueError(f"no Euclidean trace for coord {self.coord!r}")
 
     def to_csv(self, path) -> None:
-        d = self.points.shape[1]
         label = {"primal": "theta", "dual": "phi", "euclidean": "p"}.get(self.coord, "x")
-        header = ",".join(["t"] + [f"{label}_{i + 1}" for i in range(d)])
-        data = np.column_stack([self.times, self.points])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_table(path, ["t"] + [f"{label}_{i + 1}" for i in range(self.points.shape[1])],
+                    [self.times, *self.points.T])
 
 
 def _grid(grid) -> np.ndarray:
@@ -748,31 +745,3 @@ def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSamp
     return RegionSample(points=points, gap=gaps, in_region=in_region,
                         boundary=boundary, boundary_polyline=poly,
                         resolution=grid_resolution)
-
-
-# ---------------------------------------------------------------------------
-# trace utilities
-
-def point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row of pts to the segment [a, b]."""
-    pts = np.atleast_2d(pts)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(pts - a, axis=1)
-    s = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-    proj = a + s[:, None] * ab
-    return np.linalg.norm(pts - proj, axis=1)
-
-
-def _points_to_polyline(P: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Distance from each row of P to the polyline with vertices V."""
-    best = np.full(P.shape[0], np.inf)
-    for a, b in zip(V[:-1], V[1:]):
-        best = np.minimum(best, point_segment_distance(P, a, b))
-    return best
-
-
-def polyline_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two polylines (vertex sampling)."""
-    return float(max(_points_to_polyline(A, B).max(), _points_to_polyline(B, A).max()))

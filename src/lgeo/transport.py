@@ -27,6 +27,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
+from ._table import write_table
 from .divergence import CouplingSample, is_c_cyclical_monotone
 from .generators import (
     ConvexCombination,
@@ -235,23 +236,12 @@ class GaussianCheckReport:
         return self.means_ok and self.vars_ok and self.affine_error <= 1e-12 and self.cyclical_monotone
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["marginal", "map_scale", "map_shift", "sample_mean",
-                        "target_mean", "mean_tolerance", "sample_var", "target_var"])
-            for i in range(self.sample_mean.size):
-                w.writerow([
-                    i + 1,
-                    f"{self.map_scale:.17g}",
-                    f"{self.map_shift[i]:.17g}",
-                    f"{self.sample_mean[i]:.17g}",
-                    f"{self.target_mean[i]:.17g}",
-                    f"{self.mean_tolerance[i]:.17g}",
-                    f"{self.sample_var[i]:.17g}",
-                    f"{self.target_var[i]:.17g}",
-                ])
+        m = self.sample_mean.size
+        write_table(path, ["marginal", "map_scale", "map_shift", "sample_mean", "target_mean",
+                           "mean_tolerance", "sample_var", "target_var"],
+                    [np.arange(1, m + 1), np.full(m, self.map_scale), self.map_shift,
+                     self.sample_mean, self.target_mean, self.mean_tolerance, self.sample_var,
+                     self.target_var], newline="\r\n")
 
 
 def _dual_map_batch(gen: Generator, Theta: np.ndarray) -> np.ndarray:

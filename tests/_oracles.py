@@ -1,4 +1,5 @@
-"""Finite-difference, enumeration, scan and time-stepping oracles shared across test modules.
+"""Finite-difference, enumeration, scan, time-stepping and trace-distance oracles shared
+across test modules.
 
 These deliberately avoid the closed forms and the algorithms they are used
 to check.
@@ -512,3 +513,28 @@ def rk4_flow(gen, q, target, kind="primal", horizon=20.0, steps=800):
             pts.append(point)
             vels.append(vel)
     return np.array(times), np.array(pts), np.array(vels)
+
+
+def point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of pts to the segment [a, b]."""
+    pts = np.atleast_2d(pts)
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return np.linalg.norm(pts - a, axis=1)
+    s = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
+    proj = a + s[:, None] * ab
+    return np.linalg.norm(pts - proj, axis=1)
+
+
+def _points_to_polyline(P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Distance from each row of P to the polyline with vertices V."""
+    best = np.full(P.shape[0], np.inf)
+    for a, b in zip(V[:-1], V[1:]):
+        best = np.minimum(best, point_segment_distance(P, a, b))
+    return best
+
+
+def polyline_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two polylines (vertex sampling)."""
+    return float(max(_points_to_polyline(A, B).max(), _points_to_polyline(B, A).max()))

@@ -32,6 +32,8 @@ from _oracles import (
     fd_lowered_primal_connection,
     fd_metric_from_divergence,
     integrate_geodesic_stages,
+    point_segment_distance,
+    polyline_hausdorff,
     rc_curvature_assembled,
 )
 
@@ -189,19 +191,18 @@ def test_criterion_04_geodesics():
     for name, gen in acceptance_zoo(3).items():
         q, r, p = interior_points(rng, 3, 3)
         c = gd.primal_geodesic(gen, q, r)
-        ok &= gd.point_segment_distance(c.euclidean_trace(), q, r).max() < 1e-8
+        ok &= point_segment_distance(c.euclidean_trace(), q, r).max() < 1e-8
         ok &= gd.geodesic_residual(gen, c, trim=3) < 1e-5
         cd = gd.dual_geodesic(gen, q, p)
         a, b = dual_euclidean(gen, q).p, dual_euclidean(gen, p).p
-        ok &= gd.point_segment_distance(cd.euclidean_trace(), a, b).max() < 1e-8
+        ok &= point_segment_distance(cd.euclidean_trace(), a, b).max() < 1e-8
         ok &= gd.geodesic_residual(gen, cd, trim=3) < 1e-5
         # the exponential map and the RK4 oracle from the first point and velocity
         for integrated in (
             gd.integrate_geodesic(gen, c.points[0], c.velocities[0], "primal", steps=256),
             integrate_geodesic_stages(gen, c.points[0], c.velocities[0], "primal", steps=256),
         ):
-            ok &= gd.polyline_hausdorff(integrated.euclidean_trace(),
-                                        c.euclidean_trace()) < 1e-6
+            ok &= polyline_hausdorff(integrated.euclidean_trace(), c.euclidean_trace()) < 1e-6
     report(4, "primal/dual geodesics: collinearity, residuals, exp map and RK4 traces", ok)
 
 
@@ -216,13 +217,13 @@ def test_criterion_05_gradient_flows():
         vals = np.array([l_divergence_primal(gen, th_r, th).value for th in flow.points[::25]])
         ok &= bool(np.all(np.diff(vals) <= 1e-15))
         ok &= np.max(np.abs(flow.points[-1] - th_r)) < 1e-6
-        ok &= gd.polyline_hausdorff(
+        ok &= polyline_hausdorff(
             flow.euclidean_trace(), gd.primal_geodesic(gen, q, r).euclidean_trace()
         ) < 1e-5
         dflow = gd.dual_flow(gen, q, p, horizon=25.0, steps=600)
         ph_p = dual_coord(gen, to_primal(p).theta).phi
         ok &= np.max(np.abs(dflow.points[-1] - ph_p)) < 1e-6
-        ok &= gd.polyline_hausdorff(
+        ok &= polyline_hausdorff(
             dflow.euclidean_trace(), gd.dual_geodesic(gen, q, p).euclidean_trace()
         ) < 1e-5
     report(5, "gradient flows: monotone, convergent, geodesic traces", ok)
@@ -357,7 +358,7 @@ def test_criterion_08_displacement_interpolation():
         q_pt = from_primal(inverse_dual_coord(gen, th))
         p_pt = from_primal(inverse_dual_coord(gen, fam.dual_map_at(1.0, th)))
         ref = gd.dual_geodesic(gen, q_pt, p_pt)
-        ok &= gd.polyline_hausdorff(traj.euclidean_trace(), ref.euclidean_trace()) < 1e-6
+        ok &= polyline_hausdorff(traj.euclidean_trace(), ref.euclidean_trace()) < 1e-6
     report(8, "displacement interpolation: blends, action optimality, traces", ok)
 
 

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,51 @@ class TestIngest:
         write_market_csv(p, "time,w1,w2", [[0, 0.5, 0.5]])
         with pytest.raises(F.MarketDataError):
             F.ingest_csv(p)
+
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("row,message", [
+        ("2,0.5,abc", "abc"),
+        ("2,0.5,0.25,0.25", "expected 3 fields"),
+        ("yesterday,0.5,0.5", "yesterday"),
+        ("inf,0.5,0.5", "inf"),
+        ("2,1.0,0.0", "nonpositive"),
+        ("2,0.5,0.499", "sum to"),
+    ])
+    def test_bad_row_names_its_physical_line(self, tmp_path, row, message, blank):
+        p = tmp_path / "bad.csv"
+        lines = ["t,mu_1,mu_2", "0,0.5,0.5", "1,0.5,0.5"] + [""] * blank + [row, "3,0.5,0.5"]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(F.MarketDataError) as exc:
+            F.ingest_csv(p)
+        assert str(exc.value).startswith(f"{p}:{4 + blank}: ")
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_crlf_and_quoted_fields_accepted(self, tmp_path, newline):
+        p = tmp_path / "q.csv"
+        lines = ['t,"mu_1",mu_2', '"2024-01-02","0.25",0.75', '2024-01-09,"0.5","0.5"']
+        p.write_bytes(newline.join(lines + [""]).encode())
+        mp = F.ingest_csv(p)
+        assert mp.times == ["2024-01-02", "2024-01-09"]
+        assert mp.weights.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+
+    def test_nonfinite_capitalization_rejected_with_line(self, tmp_path):
+        p = tmp_path / "caps.csv"
+        write_market_csv(p, "t,x_1,x_2,x_3", [[0, 1, "nan", 2], [1, 1, 1, 1]])
+        with pytest.raises(F.MarketDataError, match=":2: .*finite"):
+            F.ingest_csv(p)
+
+    def test_nonfinite_weights_rejected_with_line(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        write_market_csv(p, "t,mu_1,mu_2", [[0, 0.5, 0.5], [1, "nan", "nan"]])
+        with pytest.raises(F.MarketDataError, match=":3: .*finite"):
+            F.ingest_csv(p)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_market_path_rejects_nonfinite_weights(self, bad):
+        W = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(F.MarketDataError, match="finite"):
+            F.MarketPath(times=[0, 1], weights=W)
 
     def test_round_trip_bitwise(self, tmp_path, rng):
         W = dirichlet_points(rng, 4, 20)
@@ -130,6 +178,24 @@ class TestFernholz:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,log_v,drift,cum_divergence,identity_residual"
         assert len(lines) == 5
+
+
+    @pytest.mark.parametrize("times", [list(range(4100)),
+                                       [f"2024-01-{d:02d}" for d in range(1, 7)]])
+    def test_report_csv_bytes_match_csv_writer(self, tmp_path, rng, times):
+        mp = F.MarketPath(times=times, weights=dirichlet_points(rng, 3, len(times)))
+        rep = F.fernholz_decompose(G.diversity_weighted(0.5), mp)
+        out = tmp_path / "report.csv"
+        rep.to_csv(out)
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["t", "log_v", "drift", "cum_divergence", "identity_residual"])
+        cum = rep.cumulative_divergence
+        for i, stamp in enumerate(times):
+            w.writerow([stamp] + [f"{v:.17g}" for v in (rep.log_v[i], rep.drift[i], cum[i],
+                                                        rep.identity_residual[i])])
+        assert out.read_bytes() == buf.getvalue().encode()
+        assert out.read_bytes().count(b"\r\n") == len(times) + 1
 
 
 class TestRebalanceCompare:

@@ -20,6 +20,8 @@ from _oracles import (
     flow_slack,
     geodesic_invariant,
     integrate_geodesic_stages,
+    point_segment_distance,
+    polyline_hausdorff,
     region_sample_scan,
     rk4_flow,
 )
@@ -87,6 +89,26 @@ class TestCurve:
         assert np.array_equal(data[:, 0], c.times)
         assert np.array_equal(data[:, 1:], c.points)
 
+    @pytest.mark.parametrize("which,label", [("primal", "theta"), ("dual", "phi")])
+    @pytest.mark.parametrize("grid", [129, 801])
+    def test_csv_bytes_match_savetxt(self, tmp_path, which, label, grid):
+        make = gd.primal_geodesic if which == "primal" else gd.dual_geodesic
+        c = make(G.diversity_weighted(0.5), Q3, R3, grid=grid)
+        path, ref = tmp_path / "curve.csv", tmp_path / "ref.csv"
+        c.to_csv(path)
+        np.savetxt(ref, np.column_stack([c.times, c.points]), delimiter=",",
+                   header=f"t,{label}_1,{label}_2", comments="", fmt="%.17g")
+        assert path.read_bytes() == ref.read_bytes()
+        assert len(path.read_text().splitlines()) == grid + 1
+
+    def test_csv_keeps_the_sign_of_zero(self, tmp_path):
+        # a column with repeated values, and one of distinct values
+        points = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, 2.0]])
+        c = gd.Curve(np.arange(4.0), points, "primal")
+        path = tmp_path / "curve.csv"
+        c.to_csv(path)
+        assert path.read_text() == "t,theta_1,theta_2\n0,0,0\n1,-0,-0\n2,0,1\n3,-0,2\n"
+
     def test_velocities_match_centered_differences(self):
         c = gd.primal_geodesic(G.diversity_weighted(0.5), Q3, R3, grid=65)
         dt = c.times[1] - c.times[0]
@@ -110,7 +132,7 @@ class TestPrimalGeodesic:
         for name, gen in builtin_zoo(3).items():
             q, r = dirichlet_points(rng, 3, 2)
             c = gd.primal_geodesic(gen, q, r)
-            resid = gd.point_segment_distance(c.euclidean_trace(), q, r).max()
+            resid = point_segment_distance(c.euclidean_trace(), q, r).max()
             assert resid < 1e-8, name
 
     def test_geodesic_equation_residual(self, rng):
@@ -172,7 +194,7 @@ class TestDualGeodesic:
             c = gd.dual_geodesic(gen, q, p)
             a = dual_euclidean(gen, q).p
             b = dual_euclidean(gen, p).p
-            resid = gd.point_segment_distance(c.euclidean_trace(), a, b).max()
+            resid = point_segment_distance(c.euclidean_trace(), a, b).max()
             assert resid < 1e-8, name
 
     def test_geodesic_equation_residual(self, rng):
@@ -288,18 +310,18 @@ class TestIntegrateGeodesic:
                                             "primal", steps=256)
             for curve in (c, rk4):
                 trace = curve.euclidean_trace()
-                assert gd.polyline_hausdorff(trace, ref.euclidean_trace()) < 1e-6, name
+                assert polyline_hausdorff(trace, ref.euclidean_trace()) < 1e-6, name
                 assert np.max(np.abs(curve.points[-1] - ref.points[-1])) < 1e-6, name
-            assert gd.polyline_hausdorff(c.euclidean_trace(), rk4.euclidean_trace()) < 1e-6, name
+            assert polyline_hausdorff(c.euclidean_trace(), rk4.euclidean_trace()) < 1e-6, name
 
     def test_dual_integration_matches_closed_form(self):
         gen = G.diversity_weighted(0.5)
         ref = gd.dual_geodesic(gen, Q3, P3)
         c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0], "dual", steps=256)
         rk4 = integrate_geodesic_stages(gen, ref.points[0], ref.velocities[0], "dual", steps=256)
-        assert gd.polyline_hausdorff(c.euclidean_trace(), ref.euclidean_trace()) < 1e-6
-        assert gd.polyline_hausdorff(rk4.euclidean_trace(), ref.euclidean_trace()) < 1e-6
-        assert gd.polyline_hausdorff(c.euclidean_trace(), rk4.euclidean_trace()) < 1e-6
+        assert polyline_hausdorff(c.euclidean_trace(), ref.euclidean_trace()) < 1e-6
+        assert polyline_hausdorff(rk4.euclidean_trace(), ref.euclidean_trace()) < 1e-6
+        assert polyline_hausdorff(c.euclidean_trace(), rk4.euclidean_trace()) < 1e-6
 
     def test_reproduces_both_geodesics_of_every_family(self):
         # started from a geodesic's first point and velocity, the exponential
@@ -433,11 +455,11 @@ class TestFlows:
         for name, gen in builtin_zoo(3).items():
             flow = gd.primal_flow(gen, Q3, R3, horizon=25.0, steps=600)
             geodesic = gd.primal_geodesic(gen, Q3, R3)
-            d = gd.polyline_hausdorff(flow.euclidean_trace(), geodesic.euclidean_trace())
+            d = polyline_hausdorff(flow.euclidean_trace(), geodesic.euclidean_trace())
             assert d < 1e-5, name
             dual_fl = gd.dual_flow(gen, Q3, P3, horizon=25.0, steps=600)
             dual_geo = gd.dual_geodesic(gen, Q3, P3)
-            d2 = gd.polyline_hausdorff(dual_fl.euclidean_trace(), dual_geo.euclidean_trace())
+            d2 = polyline_hausdorff(dual_fl.euclidean_trace(), dual_geo.euclidean_trace())
             assert d2 < 1e-5, name
 
 

@@ -8,7 +8,7 @@ from lgeo.divergence import CouplingSample, is_c_cyclical_monotone, optimal_assi
 from lgeo.simplex import from_primal, from_primal_many, psi, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
-from _oracles import brute_force_optimal
+from _oracles import brute_force_optimal, point_segment_distance, polyline_hausdorff
 
 
 class TestAction:
@@ -167,7 +167,7 @@ class TestDisplacementFamily:
         q_pt = from_primal(inverse_dual_coord(gen, th))
         p_pt = from_primal(inverse_dual_coord(gen, fam.dual_map_at(1.0, th)))
         ref = gd.dual_geodesic(gen, q_pt, p_pt)
-        assert gd.polyline_hausdorff(traj.euclidean_trace(), ref.euclidean_trace()) < 1e-6
+        assert polyline_hausdorff(traj.euclidean_trace(), ref.euclidean_trace()) < 1e-6
 
     def test_half_time_diversity_weighted_postconditions(self, rng):
         # the spec's worked intermediate case: all three properties at t=1/2
@@ -183,7 +183,7 @@ class TestDisplacementFamily:
         traj = fam.trajectory(th, grid=65)
         a = from_primal_many((-th)[None])[0]
         b = from_primal_many((-fam.dual_map_at(1.0, th))[None])[0]
-        assert gd.point_segment_distance(traj.euclidean_trace(), a, b).max() < 1e-6
+        assert point_segment_distance(traj.euclidean_trace(), a, b).max() < 1e-6
 
 
 class TestMarketInterpolation:
@@ -208,7 +208,7 @@ class TestMarketInterpolation:
         traj = fam.trajectory(th, grid=33)
         a = from_primal_many((-fam.dual_map_at(0.0, th))[None])[0]
         b = np.full(3, 1 / 3)  # dual coordinate 0 in Euclidean form
-        assert gd.point_segment_distance(traj.euclidean_trace(), a, b).max() < 1e-10
+        assert point_segment_distance(traj.euclidean_trace(), a, b).max() < 1e-10
 
     def test_scaled_generator_value(self, rng):
         gen = G.diversity_weighted(0.5)
@@ -256,6 +256,19 @@ class TestGaussianExample:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("marginal,map_scale")
         assert len(lines) == 2
+
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
+        rep = T.gaussian_example_check([0.5, -1.0, 0.0], [0.2, 0.4, -0.3], [1.0, 2.0, 0.5], 0.3,
+                                       sample_size=5_000)
+        out = tmp_path / "gauss.csv"
+        rep.to_csv(out)
+        expected = ["marginal,map_scale,map_shift,sample_mean,target_mean,mean_tolerance,"
+                    "sample_var,target_var"]
+        for i in range(3):
+            expected.append(",".join([str(i + 1)] + [f"{v:.17g}" for v in (
+                rep.map_scale, rep.map_shift[i], rep.sample_mean[i], rep.target_mean[i],
+                rep.mean_tolerance[i], rep.sample_var[i], rep.target_var[i])]))
+        assert out.read_bytes() == "".join(line + "\r\n" for line in expected).encode()
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
