@@ -22,6 +22,7 @@ from __future__ import annotations
 import datetime
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-9
+_RESCAN = 256  # lines per block when a failed read is rescanned for its line
 
 
 class MarketDataError(ValueError):
@@ -162,13 +164,20 @@ def ingest_csv(path) -> MarketPath:
     try:
         times, weights = _read_rows(path, len(cols), capitalizations, skip=1)
     except ValueError as exc:
+        # rescan in blocks, and line by line only inside a failing one
         with open(path, newline="") as fh:
             fh.readline()
-            for lineno, line in enumerate(fh, start=2):
+            start = 2
+            while block := list(islice(fh, _RESCAN)):
                 try:
-                    _read_rows([line], len(cols), capitalizations, skip=0)
-                except ValueError as bad:
-                    raise MarketDataError(f"{path}:{lineno}: {bad}") from None
+                    _read_rows(block, len(cols), capitalizations, skip=0)
+                except ValueError:
+                    for lineno, line in enumerate(block, start):
+                        try:
+                            _read_rows([line], len(cols), capitalizations, skip=0)
+                        except ValueError as bad:
+                            raise MarketDataError(f"{path}:{lineno}: {bad}") from None
+                start += len(block)
         raise MarketDataError(f"{path}: {exc}") from None
     try:
         return MarketPath(times=times, weights=weights)

@@ -19,9 +19,11 @@ chord.
 The log weight is one array function of the chord parameter for both
 geodesics and the exponential map, which follows the same chords from a
 point and an initial velocity and names the exact time at which one leaves
-the simplex.  The quadrature table and each Newton step of the polish of
-h(t) evaluate the weight on all their points at once, as the dual range
-guard and the geodesic-equation residual do with their nodes.
+the simplex.  The quadrature table is refined under an error estimate
+(adaptive Gauss quadrature, Gander & Gautschi 2000), and each of its levels
+and each Newton step of the polish of h(t) evaluate the weight on all their
+points at once, as the dual range guard and the geodesic-equation residual
+do with their nodes.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
 time change, which yields inverse exponential maps for free.  On the chord
@@ -76,7 +78,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 129
-_DENSE = 4097
+_TABLE = 16         # intervals of the grid that a chord quadrature table starts from
+_DEPTH = 16         # halvings of a table interval at most
 _DENSE_NEWTON = 1025  # dense grid nodes where Newton solves the inverse dual images
 _FLOW_DU = 0.08     # flow grid spacing in log of the weight's length scale
 _COARSE = 32        # stride of the grid nodes that a chord inverse solves cold
@@ -202,37 +205,60 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
     """Invert the time t(s) = int_0^s w along a chord, where w = exp(logw).
 
     ``logw`` maps an array of chord parameters to the log weight at each.
-    The anchor table is a per-interval 5-point Gauss rule on the dense grid
-    (accurate to rounding even for stiff weights).  All interior output
-    times are then polished together by at most four Newton steps, each
-    anchored at the dense node below its time; a row stops once its
-    residual |F| drops below 1e-15 max(1, t).  Pointwise accuracy near
-    machine precision keeps spline-based residual oracles meaningful.
+    The t(s) table is adaptive: from about ``_TABLE`` intervals of the grid
+    ``s_dense``, each level evaluates the weight once on the 5-point Gauss
+    nodes of every open interval and of its two halves, accepts an interval
+    when the two estimates agree to 1e-14 of the running total, and splits
+    the others, at most ``_DEPTH`` times.  Each accepted interval enters the
+    table as its two halves.  All interior output times then start from the
+    cubic Hermite interpolant of s(t) through the breakpoints (ds/dt = W / w)
+    and are polished together by at most four Newton steps, each anchored at
+    the breakpoint below its time; a row stops once its residual |F| drops
+    below 1e-15 max(1, t).  Pointwise accuracy near machine precision keeps
+    spline-based residual oracles meaningful.
 
     ``normalized`` (geodesics): s is h in [0, 1] and t(1) = 1; returns h and
     dh/dt at the output times.  Otherwise (flows) t is the flow time, which
-    grows linearly past the last dense node; returns s at the output times.
+    grows linearly past the end of the grid; returns s at the output times.
     """
-    nodes, half = _gl_nodes(s_dense[:-1], s_dense[1:])
-    logw_nodes = logw(nodes)
-    shift = logw_nodes.max()
+    grid = s_dense[np.unique(np.linspace(0, s_dense.size - 1, _TABLE + 1).astype(int))]
+    a, b = grid[:-1], grid[1:]
+    shift, done, parts = -np.inf, 0.0, []  # parts: left ends, integrals and shift of halves
+    for depth in range(_DEPTH + 1):
+        m = (a + b) / 2
+        nodes, half = _gl_nodes(np.hstack((a, a, m)), np.hstack((b, m, b)))
+        lw = logw(nodes).reshape(3, -1, _GL_X.size)
+        new = max(shift, lw.max())  # rescale what is accepted so that exp never overflows
+        done, shift = done * np.exp(shift - new), new
+        whole, left, right = np.exp(lw - shift) @ _GL_W * half.reshape(3, -1)
+        # NaN is accepted, so that it reaches the output instead of splitting forever
+        ok = ~(np.abs(whole - left - right) > 1e-14 * (done + (left + right).sum()))
+        ok |= depth == _DEPTH
+        parts.append((np.hstack((a[ok], m[ok])), np.hstack((left[ok], right[ok])), shift))
+        done += parts[-1][1].sum()
+        a, b = np.hstack((a[~ok], m[~ok])), np.hstack((m[~ok], b[~ok]))
+        if a.size == 0:
+            break
+    S = np.concatenate([p[0] for p in parts])
+    order = np.argsort(S)
+    seg = np.concatenate([p[1] * np.exp(p[2] - shift) for p in parts])[order]
+    S, cum = np.append(S[order], grid[-1]), np.append(0.0, np.cumsum(seg))
     w = lambda x: np.exp(logw(x) - shift)
-    w_nodes = np.exp(logw_nodes - shift).reshape(-1, _GL_X.size)
-    cum = np.concatenate([[0.0], np.cumsum(half * (w_nodes @ _GL_W))])
     W = cum[-1] if normalized else np.exp(-shift)
-    t_of_s = cum / W
+    t_of_s, slope = cum / W, W / w(S)  # slope: ds/dt at the breakpoints
     t_end = t_of_s[-1]
-    h = np.interp(t_out, t_of_s, s_dense)
-    h[t_out <= 0.0] = 0.0
+    h = np.zeros_like(t_out)
     tail = t_out >= t_end
-    if normalized:
-        h[tail] = s_dense[-1]
-    elif tail.any():
-        h[tail] = s_dense[-1] + (t_out[tail] - t_end) * (W / w(s_dense[-1:]))
+    h[tail] = S[-1] if normalized else S[-1] + (t_out[tail] - t_end) * slope[-1]
     rows = np.flatnonzero((t_out > 0.0) & ~tail)
-    j = np.clip(np.searchsorted(t_of_s, t_out[rows]) - 1, 0, s_dense.size - 2)
-    anchor_s, anchor_t, t_star, x = s_dense[j], cum[j], t_out[rows], h[rows]
-    lo, hi = s_dense[0] + 1e-15, s_dense[-1] - 1e-15
+    j = np.clip(np.searchsorted(t_of_s, t_out[rows]) - 1, 0, S.size - 2)
+    anchor_s, anchor_t, t_star = S[j], cum[j], t_out[rows]
+    d = t_of_s[j + 1] - t_of_s[j]
+    u, ds, m0, m1 = (t_star - t_of_s[j]) / d, S[j + 1] - anchor_s, slope[j] * d, slope[j + 1] * d
+    x = anchor_s + u * (m0 + u * (3 * ds - 2 * m0 - m1 + u * (m0 + m1 - 2 * ds)))
+    x = np.fmin(np.fmax(x, anchor_s), S[j + 1])  # inside the bracket; NaN falls to its start
+    h[rows] = x
+    lo, hi = S[0] + 1e-15, S[-1] - 1e-15
     for _ in range(4):
         if rows.size == 0:
             break
@@ -294,7 +320,9 @@ def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
     """Geodesic of the primal connection from q to r on [0, 1].
 
     The Euclidean trace is the straight segment [q, r]; the affine
-    parameterization comes from quadrature of exp(-2 f) along the segment.
+    parameterization comes from adaptive quadrature of exp(-2 f) along the
+    segment (:func:`_reparam_from_weight`), accurate to rounding also on
+    chords whose ends differ by orders of magnitude.
     """
     t_out = _grid(grid)
     th_q, th_r = to_primal_many(point_rows(q, r))
@@ -302,7 +330,7 @@ def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
         pts = np.broadcast_to(th_q, (t_out.size, th_q.size)).copy()
         return Curve(t_out, pts, "primal", velocities=np.zeros_like(pts))
     chord = lambda h: _log_mix(h, th_q, th_r)
-    grid = np.linspace(0.0, 1.0, _DENSE)
+    grid = np.linspace(0.0, 1.0, _TABLE + 1)
     h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord, "primal", grid), grid, t_out)
     pts = chord(h)
     # theta_dot_k = h'(t) (e^{theta^r_k} - e^{theta^q_k}) / A_k(h)
@@ -318,9 +346,10 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     Euclidean images of q and p.  Along the way the curve must stay inside
     the range of the dual coordinate map; with ``check_range`` the Fenchel
     equality is re-verified through the conjugate minimization at every
-    output node, all nodes at once (:func:`_dual_range_guard`).  The node
-    table, the polish of h(t) and dh/dt take the inverse dual images from
-    :func:`_chord_inverse`.
+    output node, all nodes at once (:func:`_dual_range_guard`).  h(t) comes
+    from adaptive quadrature of exp(-2 f*) as for the primal geodesic; its
+    table, its polish and dh/dt take the inverse dual images from
+    :func:`_chord_inverse` on a grid of ``_DENSE_NEWTON`` nodes.
     """
     t_out = _grid(grid)
     Th = to_primal_many(point_rows(q, p))
@@ -328,9 +357,8 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     if np.allclose(ph_q, ph_p, atol=1e-14):
         pts = np.broadcast_to(ph_q, (t_out.size, ph_q.size)).copy()
         return Curve(t_out, pts, "dual", velocities=np.zeros_like(pts))
-    n_dense = _DENSE if gen.dual_map_inverse(ph_q) is not None else _DENSE_NEWTON
     chord = lambda h: -_log_mix(h, -ph_q, -ph_p)
-    grid = np.linspace(0.0, 1.0, n_dense)
+    grid = np.linspace(0.0, 1.0, _DENSE_NEWTON)
     h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord, "dual", grid), grid, t_out)
     pts = chord(h)
     D = np.exp(-ph_p) - np.exp(-ph_q)
@@ -401,9 +429,9 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
     u >= 0, tau = expm1(u) / (a + expm1(u) / tau_max) with a = max |v0|,
     geometric near both ends.  A coarse pass doubles the reach in u from 1
     until t passes ``t_end``; :func:`_reparam_from_weight` then inverts
-    the times on a dense grid.  Raises :class:`GeodesicBlowupError` if the
-    chord reaches the simplex boundary (u = ``_REACH``) first, naming the
-    exit time t*; ``last_valid_t`` is the last output time before it.
+    the times by adaptive quadrature.  Raises :class:`GeodesicBlowupError`
+    if the chord reaches the simplex boundary (u = ``_REACH``) first, naming
+    the exit time t*; ``last_valid_t`` is the last output time before it.
     Dual curves go through :func:`_dual_range_guard`.
     """
     if which not in ("primal", "dual"):
@@ -433,12 +461,11 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
 
     reach = lambda grid, rate: _gauss_segment(lambda u: np.exp(rate(u)), grid[:-1], grid[1:]).sum()
 
-    closed = which == "primal" or gen.dual_map_inverse(xi) is not None
     u_end = 1.0
     while True:
         coarse = np.linspace(0.0, u_end, max(64, 2 * int(u_end)) + 1)
         if u_end == _REACH or reach(coarse, log_rate(coarse)[1]) >= t_end:
-            grid = np.linspace(0.0, u_end, _DENSE if closed else _DENSE_NEWTON)
+            grid = np.linspace(0.0, u_end, _DENSE_NEWTON)
             dF, rate = log_rate(grid)
             u = _reparam_from_weight(rate, grid, times, normalized=False)
             if u[-1] < u_end:

@@ -85,6 +85,19 @@ class TestIngest:
         assert str(exc.value).startswith(f"{p}:{4 + blank}: ")
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("line", [4098, 4353, 5001])
+    def test_bad_row_past_line_4096_names_its_line(self, tmp_path, rng, line):
+        # the rescan reads blocks of lines and only the failing one line by line
+        p = tmp_path / "long.csv"
+        W = dirichlet_points(rng, 4, 5000)
+        rows = [[k, *w] for k, w in enumerate(W)]
+        rows[line - 2][3] = "abc"
+        write_market_csv(p, "t,mu_1,mu_2,mu_3,mu_4", rows)
+        with pytest.raises(F.MarketDataError) as exc:
+            F.ingest_csv(p)
+        assert str(exc.value).startswith(f"{p}:{line}: ")
+        assert "abc" in str(exc.value)
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_crlf_and_quoted_fields_accepted(self, tmp_path, newline):
         p = tmp_path / "q.csv"

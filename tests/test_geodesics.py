@@ -64,9 +64,26 @@ def bound_newton_evaluations(monkeypatch, limit):
     return rows
 
 
+def bound_f_rows(monkeypatch, limit):
+    """Fail once the geodesics evaluate f at more than ``limit`` rows in
+    all; returns the list of rows per call of ``f_value``."""
+    f_value, rows = gd.f_value, []
+
+    def bounded(gen, Th):
+        rows.append(int(np.prod(np.shape(Th)[:-1])))
+        if sum(rows) > limit:
+            raise AssertionError("geodesic evaluated f at too many rows")
+        return f_value(gen, Th)
+
+    monkeypatch.setattr(gd, "f_value", bounded)
+    return rows
+
+
 def flow_weight_limit(steps):
-    """Speed evaluations a flow may take: its quadrature table, and the
-    velocity and up to four polish steps of six evaluations per output row."""
+    """Speed evaluations a flow may take: its adaptive quadrature table (at
+    most about 1,300 rows on random pairs at n = 3 and 10, so 12,000 leaves
+    room for stiff chords), and the velocity and up to four polish steps of
+    six evaluations per output row."""
     return 12_000 + 25 * (steps + 1)
 
 
@@ -294,6 +311,45 @@ class TestDualRangeGuard:
         assert "Fenchel equality fails" in str(err)
 
 
+class TestChordQuadrature:
+    def test_geodesic_evaluates_f_at_few_rows(self, monkeypatch):
+        # a fixed table of 4,096 intervals took about 22,100 rows of f
+        gen = G.diversity_weighted(0.5)
+        rows = bound_f_rows(monkeypatch, 4_000)
+        for build in (gd.primal_geodesic, gd.dual_geodesic):
+            rows.clear()
+            build(gen, Q3, R3, grid=129)
+            assert sum(rows) > 0
+
+    def test_depth_cap_ends_the_refinement(self, monkeypatch):
+        # a kink at 1/3, never a breakpoint, keeps the error estimate above
+        # its bound however often the interval around it is halved
+        logw = lambda s: 5.0 * np.abs(s - 1.0 / 3.0)
+        gl_nodes, levels = gd._gl_nodes, []
+
+        def counted(a, b):
+            levels.append(a.size // 3)  # open intervals of a table level
+            return gl_nodes(a, b)
+
+        monkeypatch.setattr(gd, "_gl_nodes", counted)
+        grid, ends = np.linspace(0.0, 1.0, 17), np.array([0.0, 1.0])
+        for cap in (2, gd._DEPTH):
+            monkeypatch.setattr(gd, "_DEPTH", cap)
+            levels.clear()
+            h, _ = gd._reparam_from_weight(logw, grid, ends)  # no polish: table levels only
+            assert np.array_equal(h, ends)
+            assert len(levels) == cap + 1 and min(levels) > 0, levels
+        # the intervals left at the cap still give the time change to 1e-9
+        t = np.linspace(0.0, 1.0, 33)
+        h, _ = gd._reparam_from_weight(logw, grid, t)
+        w = lambda s: np.exp(logw(s))
+        total = quad(w, 0.0, 1.0, points=[1.0 / 3.0], epsabs=0, epsrel=1e-13)[0]
+        for ti, hi in zip(t, h):
+            ref = quad(w, 0.0, hi, points=[1.0 / 3.0] if hi > 1.0 / 3.0 else None,
+                       epsabs=0, epsrel=1e-13)[0]
+            assert abs(ref / total - ti) < 1e-9, ti
+
+
 class TestIntegrateGeodesic:
     def test_zero_velocity_stays_put(self):
         gen = G.diversity_weighted(0.5)
@@ -325,9 +381,8 @@ class TestIntegrateGeodesic:
 
     def test_reproduces_both_geodesics_of_every_family(self):
         # started from a geodesic's first point and velocity, the exponential
-        # map retraces it: points and (relative) velocities to 1e-12.  The
-        # pairs are interior: the closed-form geodesics' tables, uniform in
-        # the chord parameter, lose accuracy on chords that end near a face.
+        # map retraces it: points and (relative) velocities to 1e-12, on
+        # interior pairs (chords that end near a face: the next test)
         rng = np.random.default_rng(12)
         for n in (3, 5, 10):
             for name, gen in builtin_zoo(n).items():
@@ -342,6 +397,17 @@ class TestIntegrateGeodesic:
                         rel = (np.abs(c.velocities - ref.velocities).max(axis=1)
                                / np.abs(ref.velocities).max(axis=1))
                         assert rel.max() < 1e-12, (n, name, which)
+
+    def test_reproduces_stiff_chords(self):
+        # the first entry of the chord's e^theta runs from 34 to 0.0014: a
+        # table uniform in the chord parameter missed the time change by
+        # 2e-5 relative and these points by up to 4.5e-4
+        q, r = np.random.default_rng(0).dirichlet(np.ones(3), 2)
+        for name, gen in builtin_zoo(3).items():
+            for which, build in (("primal", gd.primal_geodesic), ("dual", gd.dual_geodesic)):
+                ref = build(gen, q, r)
+                c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0], which)
+                assert np.max(np.abs(c.points - ref.points)) < 1e-11, (name, which)
 
     def test_first_integral_conserved(self):
         # the oracle's first integral of the geodesic equation, evaluated
