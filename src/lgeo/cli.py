@@ -11,11 +11,16 @@ Generators are specified either as compact strings
 
 or as a JSON config document via ``--config``.  Exit codes: 0 success,
 1 usage error (bad flags, unreadable spec), 2 numerical or data failure.
+
+``main`` builds its argument parser at its first call and reuses it for
+every later call in the process; each subcommand's ``_cmd_*`` function is
+looked up by name when it runs, so a rebinding of it takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -308,6 +313,7 @@ def _cmd_regularity(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgeo",
@@ -316,26 +322,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lgeo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
         p.add_argument("--gen", help="generator spec string")
         p.add_argument("--config", help="path to a generator JSON config")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
         return p
 
-    p = add("divergence", _cmd_divergence, help="print T(q|p)")
+    p = add("divergence", help="print T(q|p)")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
 
-    p = add("geodesic", _cmd_geodesic, help="write a geodesic as CSV")
+    p = add("geodesic", help="write a geodesic as CSV")
     p.add_argument("--q", required=True)
     p.add_argument("--r", required=True)
     p.add_argument("--kind", choices=["primal", "dual"], default="primal")
     p.add_argument("--steps", type=_int_at_least(1), default=128)
     p.add_argument("--out", required=True)
 
-    p = add("flow", _cmd_flow, help="write a gradient flow as CSV")
+    p = add("flow", help="write a gradient flow as CSV")
     p.add_argument("--q", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--kind", choices=["primal", "dual"], default="primal")
@@ -343,12 +348,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_int_at_least(1), default=800)
     p.add_argument("--out", required=True)
 
-    p = add("pyth", _cmd_pyth, help="three-point angle criterion")
+    p = add("pyth", help="three-point angle criterion")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--r", required=True)
 
-    p = add("region", _cmd_region, help="emit the rebalancing region (n=3)")
+    p = add("region", help="emit the rebalancing region (n=3)")
     p.add_argument("--p", required=True)
     p.add_argument("--r", required=True)
     # region_sample needs at least 3 subdivisions for an interior point
@@ -356,22 +361,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out", required=True)
 
-    p = add("backtest", _cmd_backtest, help="Fernholz decomposition of a market path")
+    p = add("backtest", help="Fernholz decomposition of a market path")
     p.add_argument("--data", required=True)
     p.add_argument("--out")
 
-    p = add("compare", _cmd_compare, help="compare two rebalancing schedules")
+    p = add("compare", help="compare two rebalancing schedules")
     p.add_argument("--data", required=True)
     p.add_argument("--schedule-a", required=True)
     p.add_argument("--schedule-b", required=True)
 
-    p = add("interpolate", _cmd_interpolate, help="displacement/market interpolation")
+    p = add("interpolate", help="displacement/market interpolation")
     p.add_argument("--theta", required=True)
     p.add_argument("--kind", choices=["displacement", "market"], default="displacement")
     p.add_argument("--steps", type=_int_at_least(1), default=128)
     p.add_argument("--out")
 
-    p = add("transport-check", _cmd_transport_check, help="Gaussian transport audit")
+    p = add("transport-check", help="Gaussian transport audit")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--sigma", required=True)
@@ -381,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(seed=0x5EED)
 
-    p = add("regularity", _cmd_regularity, help="audit generator regularity")
+    p = add("regularity", help="audit generator regularity")
     p.add_argument("--n", type=_int_at_least(2), default=3)
     p.add_argument("--points", type=_int_at_least(1), default=100)
 
@@ -389,13 +394,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # by name, not bound at parser build: the one parser outlives rebindings
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (SpecError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,7 +36,6 @@ __all__ = [
     "CouplingSample",
     "ConvergenceError",
     "l_divergence",
-    "l_divergence_gradient_form",
     "l_divergence_primal",
     "l_divergence_dual",
     "bregman",
@@ -108,13 +107,6 @@ def l_divergence(gen: Generator, q, p) -> DivergenceValue:
     logv = gen.log_gen(P)
     val = _t_euclid(gen, P[0], P[1], gen.portfolio(P[1]), logv[0], logv[1])
     return DivergenceValue(value=float(val), rep="euclidean")
-
-
-def l_divergence_gradient_form(gen: Generator, q, p) -> float:
-    """Same value through the gradient: log(1 + grad . (q - p)) - dphi."""
-    P = point_rows(q, p)
-    logv = gen.log_gen(P)
-    return float(np.log1p(gen.euclid_grad(P[1]) @ (P[0] - P[1])) - (logv[0] - logv[1]))
 
 
 def f_value(gen: Generator, theta):

@@ -23,7 +23,9 @@ the simplex.  The quadrature table is refined under an error estimate
 (adaptive Gauss quadrature, Gander & Gautschi 2000), and each of its levels
 and each Newton step of the polish of h(t) evaluate the weight on all their
 points at once, as the dual range guard and the geodesic-equation residual
-do with their nodes.
+do with their nodes.  A polished time retires after the first Newton step
+whose quadratic term bounds the residual left below the stop, so most take
+one step.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
 time change, which yields inverse exponential maps for free.  On the chord
@@ -213,9 +215,15 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
     table as its two halves.  All interior output times then start from the
     cubic Hermite interpolant of s(t) through the breakpoints (ds/dt = W / w)
     and are polished together by at most four Newton steps, each anchored at
-    the breakpoint below its time; a row stops once its residual |F| drops
-    below 1e-15 max(1, t).  Pointwise accuracy near machine precision keeps
-    spline-based residual oracles meaningful.
+    the breakpoint below its time.  With the stop tol = 1e-15 max(1, t), a
+    row retires once its residual |F| at the start of a step is below tol,
+    or after an unclipped step d with k (w / W) d^2 below tol, where k is 8
+    times the steepest secant of log w over the row's table interval and its
+    two neighbours.  That bounds the residual the step leaves, Newton's
+    quadratic term |F''| d^2 / 2 = |d log w / ds| (w / W) d^2 / 2, for
+    |d log w / ds| up to 16 such secants, so most rows take one step.
+    Pointwise accuracy near machine precision keeps spline-based residual
+    oracles meaningful.
 
     ``normalized`` (geodesics): s is h in [0, 1] and t(1) = 1; returns h and
     dh/dt at the output times.  Otherwise (flows) t is the flow time, which
@@ -245,14 +253,19 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
     S, cum = np.append(S[order], grid[-1]), np.append(0.0, np.cumsum(seg))
     w = lambda x: np.exp(logw(x) - shift)
     W = cum[-1] if normalized else np.exp(-shift)
-    t_of_s, slope = cum / W, W / w(S)  # slope: ds/dt at the breakpoints
+    log_w = logw(S) - shift
+    t_of_s, slope = cum / W, W / np.exp(log_w)  # slope: ds/dt at the breakpoints
+    # per interval: 8 times the steepest secant of log w on it and its neighbours
+    secant = np.abs(np.diff(log_w)) / np.diff(S)
+    kappa = 8.0 * np.fmax(secant, np.fmax(np.r_[secant[:1], secant[:-1]],
+                                          np.r_[secant[1:], secant[-1:]]))
     t_end = t_of_s[-1]
     h = np.zeros_like(t_out)
     tail = t_out >= t_end
     h[tail] = S[-1] if normalized else S[-1] + (t_out[tail] - t_end) * slope[-1]
     rows = np.flatnonzero((t_out > 0.0) & ~tail)
     j = np.clip(np.searchsorted(t_of_s, t_out[rows]) - 1, 0, S.size - 2)
-    anchor_s, anchor_t, t_star = S[j], cum[j], t_out[rows]
+    anchor_s, anchor_t, t_star, k = S[j], cum[j], t_out[rows], kappa[j]
     d = t_of_s[j + 1] - t_of_s[j]
     u, ds, m0, m1 = (t_star - t_of_s[j]) / d, S[j + 1] - anchor_s, slope[j] * d, slope[j + 1] * d
     x = anchor_s + u * (m0 + u * (3 * ds - 2 * m0 - m1 + u * (m0 + m1 - 2 * ds)))
@@ -263,11 +276,17 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
         if rows.size == 0:
             break
         F = (anchor_t + _gauss_segment(w, anchor_s, x)) / W - t_star
-        x = np.clip(x - F / (w(x) / W), lo, hi)
+        dF = w(x) / W
+        newton = x - F / dF
+        x = np.clip(newton, lo, hi)
         h[rows] = x
-        active = np.abs(F) >= 1e-15 * np.maximum(1.0, t_star)
-        rows, anchor_s, anchor_t, t_star, x = (
-            rows[active], anchor_s[active], anchor_t[active], t_star[active], x[active]
+        tol = 1e-15 * np.maximum(1.0, t_star)
+        # an unclipped step d leaves about F'' d^2 / 2 = (d log w / ds) F' d^2 / 2,
+        # which k F' d^2 bounds; a NaN row is never converged here
+        converged = (x == newton) & (k * dF * (F / dF) ** 2 < tol)
+        active = (np.abs(F) >= tol) & ~converged
+        rows, anchor_s, anchor_t, t_star, x, k = (
+            rows[active], anchor_s[active], anchor_t[active], t_star[active], x[active], k[active]
         )
     return (h, W / w(h)) if normalized else h
 

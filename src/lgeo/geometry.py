@@ -41,13 +41,11 @@ __all__ = [
     "dual_jacobian",
     "christoffel_primal",
     "christoffel_dual",
-    "christoffel_lowered",
     "rc_curvature",
     "ricci",
     "sectional_curvature",
     "riem_gradient_primal",
     "riem_gradient_dual",
-    "pullback_metric",
 ]
 
 @dataclass(frozen=True)
@@ -238,19 +236,6 @@ def christoffel_dual(gen: Generator, phi=None, *, theta=None) -> ChristoffelTens
     )
 
 
-def christoffel_lowered(gen: Generator, point, which: str) -> np.ndarray:
-    """Lowered coefficients Gamma_ijk obtained by contracting with the metric."""
-    if which == "primal":
-        tensor = christoffel_primal(gen, point)
-        g = metric_primal(gen, point).entries
-    elif which == "dual":
-        tensor = christoffel_dual(gen, point)
-        g = metric_dual(gen, point).entries
-    else:
-        raise ValueError("which must be 'primal' or 'dual'")
-    return np.einsum("ijm,mk->ijk", tensor.gamma, g)
-
-
 # ---------------------------------------------------------------------------
 # curvature
 
@@ -320,12 +305,3 @@ def riem_gradient_dual(gen: Generator, p, q) -> np.ndarray:
     Pi = _portfolio_at(gen, Th)
     ph_p, ph_q = _dual_rows(Th, Pi, gen.name)
     return _tilt_gradient(Pi[1], ph_q - ph_p)
-
-
-# ---------------------------------------------------------------------------
-# coordinate transport of tensors
-
-def pullback_metric(jacobian: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Bilinear form pulled back to the source coordinates: J^T g J."""
-    J = np.asarray(jacobian)
-    return J.T @ np.asarray(g) @ J

@@ -1,5 +1,6 @@
 """Finite-difference, enumeration, scan, time-stepping and trace-distance oracles shared
-across test modules.
+across test modules, and the tensor contractions and the gradient form of T
+that only the tests use.
 
 These deliberately avoid the closed forms and the algorithms they are used
 to check.
@@ -14,7 +15,7 @@ from lgeo import geometry as geo
 from lgeo.divergence import f_value, inverse_dual_coord, l_divergence_primal
 from lgeo.generators import Generator, NonRegularError, _portfolio_at, dual_coord, portfolio_theta
 from lgeo.geodesics import Curve, GeodesicBlowupError, RegionSample, _rk4_step, region_gap
-from lgeo.simplex import coord_array, point_array, psi, to_primal
+from lgeo.simplex import coord_array, point_array, point_rows, psi, to_primal
 
 FD_STEP_FIRST = 1e-4
 FD_STEP_HIGH = 1e-3
@@ -165,6 +166,32 @@ def dual_connection_in_primal_coords(gen: Generator, theta, h: float = FD_STEP_H
     # Gamma*(theta)^c_ab = A_ck [ Gamma*^k_ij J_ia J_jb + D2[k,a,b] ]
     inner = np.einsum("ijk,ia,jb->abk", gamma_star, J, J) + D2.transpose(1, 2, 0)
     return np.einsum("abk,ck->abc", inner, A)
+
+
+def christoffel_lowered(gen: Generator, point, which: str) -> np.ndarray:
+    """Lowered coefficients Gamma_ijk obtained by contracting with the metric."""
+    if which == "primal":
+        tensor = geo.christoffel_primal(gen, point)
+        g = geo.metric_primal(gen, point).entries
+    elif which == "dual":
+        tensor = geo.christoffel_dual(gen, point)
+        g = geo.metric_dual(gen, point).entries
+    else:
+        raise ValueError("which must be 'primal' or 'dual'")
+    return np.einsum("ijm,mk->ijk", tensor.gamma, g)
+
+
+def pullback_metric(jacobian: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Bilinear form pulled back to the source coordinates: J^T g J."""
+    J = np.asarray(jacobian)
+    return J.T @ np.asarray(g) @ J
+
+
+def l_divergence_gradient_form(gen: Generator, q, p) -> float:
+    """T(q|p) through the gradient: log(1 + grad . (q - p)) - dphi."""
+    P = point_rows(q, p)
+    logv = gen.log_gen(P)
+    return float(np.log1p(gen.euclid_grad(P[1]) @ (P[0] - P[1])) - (logv[0] - logv[1]))
 
 
 def fd_metric_from_divergence(T2, xi, h: float = FD_STEP_HIGH) -> np.ndarray:

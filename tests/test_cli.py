@@ -247,3 +247,32 @@ class TestExitCodes:
                            capture_output=True, text=True)
         assert r.returncode == 0
         assert r.stdout.startswith("lgeo ")
+
+
+class TestParserReuse:
+    FLOW = ("flow", "--gen", "dw:0.5", "--q", ".6,.25,.15", "--target", ".2,.3,.5",
+            "--horizon", "2", "--steps", "8")
+
+    def test_two_calls_build_one_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert run_cli("divergence", "--gen", "eq2", "--p", ".5,.5", "--q", ".75,.25") == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_command_rebound_after_a_call_is_dispatched(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "f.csv")
+        assert run_cli(*self.FLOW, "--out", out) == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_flow", lambda args: seen.append(args.out) or 7)
+        assert run_cli(*self.FLOW, "--out", out + ".2") == 7
+        assert seen == [out + ".2"]
+
+    def test_exit_codes_after_a_call(self, capsys):
+        assert run_cli("divergence", "--gen", "eq2", "--p", ".5,.5", "--q", ".75,.25") == 0
+        assert run_cli("--version") == 0
+        assert capsys.readouterr().out.endswith(f"lgeo {cli.__version__}\n")
+        assert run_cli("divergence", "--gen", "eq2", "--p", ".5,.5", "--q", ".75,.25",
+                       "--bogus", "1") == 1
+        assert "--bogus" in capsys.readouterr().err
+        assert run_cli("divergence", "--gen", "eq2", "--p", ".5,.5", "--q", ".75,.25") == 0

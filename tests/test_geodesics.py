@@ -31,11 +31,12 @@ R3 = np.array([0.15, 0.35, 0.5])
 P3 = np.array([0.3, 0.5, 0.2])
 
 
-def bound_weight_evaluations(monkeypatch, limit):
+def bound_weight_evaluations(monkeypatch, limit, modules=(gd, Ge)):
     """Make the flows fail once they evaluate their speed Z at more than
     ``limit`` points in all; returns the list that gets the number of
     points of each evaluation.  The speed kernel ``_log_tilt`` is counted
-    where the flows' weights (geodesics) and velocities (geometry) call it."""
+    where ``modules`` call it, by default the flows' weights (geodesics) and
+    velocities (geometry)."""
     log_speed, rows = S._log_tilt, []
 
     def bounded_log_speed(Pi, delta):
@@ -44,7 +45,7 @@ def bound_weight_evaluations(monkeypatch, limit):
             raise AssertionError("flow evaluated its speed too often")
         return log_speed(Pi, delta)
 
-    for module in (gd, Ge):
+    for module in modules:
         monkeypatch.setattr(module, "_log_tilt", bounded_log_speed)
     return rows
 
@@ -82,8 +83,10 @@ def bound_f_rows(monkeypatch, limit):
 def flow_weight_limit(steps):
     """Speed evaluations a flow may take: its adaptive quadrature table (at
     most about 1,300 rows on random pairs at n = 3 and 10, so 12,000 leaves
-    room for stiff chords), and the velocity and up to four polish steps of
-    six evaluations per output row."""
+    room for stiff chords), and per output row the velocity and up to four
+    polish steps of six evaluations.  A row retires after the first step
+    whose Newton quadratic term bounds its residual below the stop, so most
+    rows take one step, but a row may still take all four."""
     return 12_000 + 25 * (steps + 1)
 
 
@@ -348,6 +351,47 @@ class TestChordQuadrature:
             ref = quad(w, 0.0, hi, points=[1.0 / 3.0] if hi > 1.0 / 3.0 else None,
                        epsabs=0, epsrel=1e-13)[0]
             assert abs(ref / total - ti) < 1e-9, ti
+
+    def test_flow_polish_takes_about_one_step_per_row(self, monkeypatch):
+        # a stop on |F| at the start of each step took a second step on
+        # nearly every row: about 13.7 weight rows per output row here
+        steps = 800
+        rows = bound_weight_evaluations(monkeypatch, 9 * (steps + 1), modules=(gd,))
+        gd.primal_flow(G.diversity_weighted(0.5), Q3, R3, horizon=20.0, steps=steps)
+        assert sum(rows) > 0
+
+    def test_polished_times_match_quad(self, monkeypatch):
+        # t(s) recomputed by quad at the returned s of two flows and of the
+        # stiff chord of TestIntegrateGeodesic::test_reproduces_stiff_chords.
+        # The flows and the dual chord agree to a few rounding units of
+        # max(1, t); on the primal chord the weight spans orders of magnitude
+        # and the table itself, accepted at 1e-14 of the running total, is
+        # off by up to about 45 units
+        reparam, calls = gd._reparam_from_weight, []
+
+        def recorded(logw, s_dense, t_out, normalized=True):
+            out = reparam(logw, s_dense, t_out, normalized)
+            calls.append((logw, t_out, out[0] if normalized else out, normalized))
+            return out
+
+        monkeypatch.setattr(gd, "_reparam_from_weight", recorded)
+        eps = np.finfo(float).eps
+        q, r = np.random.default_rng(0).dirichlet(np.ones(3), 2)
+        zoo = builtin_zoo(3)
+        for name in ("diversity", "gdw"):
+            gen = zoo[name]
+            calls.clear()
+            gd.primal_flow(gen, Q3, R3, horizon=5.0, steps=20)
+            gd.dual_flow(gen, Q3, R3, horizon=5.0, steps=20)
+            gd.dual_geodesic(gen, q, r, grid=17)
+            gd.primal_geodesic(gen, q, r, grid=17)
+            for k, (logw, t_out, s, normalized) in enumerate(calls):
+                w = lambda x: float(np.exp(logw(np.array([x]))[0]))
+                integral = lambda b: quad(w, 0.0, b, epsabs=0, epsrel=1e-13, limit=200)[0]
+                total = integral(1.0) if normalized else 1.0
+                err = max(abs(integral(si) / total - ti) / max(1.0, ti)
+                          for ti, si in zip(t_out[1:], s[1:]))
+                assert err < (128 if k == 3 else 8) * eps, (name, k, err / eps)
 
 
 class TestIntegrateGeodesic:
