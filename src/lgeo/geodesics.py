@@ -11,11 +11,9 @@ equivalently h'(t) proportional to exp(2 f(theta(t))).  That first-order
 reduction separates, so h is computed here by quadrature of
 exp(-2 f(theta(h))) and monotone inversion rather than by shooting; the
 dual geodesic is handled identically with f* and reciprocal coordinates.
-Its inverse dual images, like those of the dual flow, come from one chord
-inverse: without a closed form the dense grid nodes are solved once by
-batched Newton, and every solve starts from a cubic spline through
-already solved nodes, since the inverse image is a smooth curve along the
-chord.
+Without a closed form, its inverse dual images and those of the dual flow
+come from a continuation along the chord: each batched Newton solve starts
+from an interpolant through the rows already solved.
 The log weight is one array function of the chord parameter for both
 geodesics and the exponential map, which follows the same chords from a
 point and an initial velocity and names the exact time at which one leaves
@@ -82,9 +80,9 @@ __all__ = [
 DEFAULT_GRID = 129
 _TABLE = 16         # intervals of the grid that a chord quadrature table starts from
 _DEPTH = 16         # halvings of a table interval at most
-_DENSE_NEWTON = 1025  # dense grid nodes where Newton solves the inverse dual images
 _FLOW_DU = 0.08     # flow grid spacing in log of the weight's length scale
 _COARSE = 32        # stride of the grid nodes that a chord inverse solves cold
+_CHORD = 1025       # uniform grid of a geodesic's dual chord: its cold nodes and row cap
 
 
 class DualRangeError(RuntimeError):
@@ -292,39 +290,48 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
 
 
 def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
-    """The inverse dual map along a dual chord, as ``theta(s, Ph)``.
-
-    ``chord`` maps chord parameters s to dual coordinates and ``grid`` is
-    the increasing dense grid of s, from 0.  ``theta(s, Ph)`` returns the
-    inverse dual images of the rows ``Ph = chord(s)``.  A family's closed
-    form maps them directly.  Otherwise the inverse image is a smooth curve
-    of s, so each batched Newton solve starts from a cubic spline through
-    solved nodes (the predictor of a continuation method): every
-    ``_COARSE``-th grid node and the last are solved cold, all grid nodes
-    start from the spline through those, and every later row starts from
-    the spline through all grid nodes at its s, clipped to the grid so
-    that the spline never extrapolates.
-    """
+    """The inverse dual map ``theta(s, Ph)`` of rows ``Ph = chord(s)`` on a
+    dual chord, and ``start(s)``, the predictor of its Newton starts (None
+    with a closed form).  Every ``_COARSE``-th node of the increasing ``grid``
+    and its last are solved cold.  Each call is then a predictor-corrector
+    step of a continuation (Allgower & Georg 2003): batched Newton from the
+    Lagrange interpolant through the six nearest solved rows, clipped to
+    their range.  Its rows join the solved rows, thinned evenly in s to at
+    most ``grid.size``; a row at a kept s starts at its solution."""
     if gen.dual_map_inverse(chord(grid[:1])) is not None:
-        return lambda s, Ph: inverse_dual_coord(gen, Ph)
-    coarse = np.r_[0 : grid.size - 1 : _COARSE, grid.size - 1]
-    th_coarse = inverse_dual_coord(gen, chord(grid[coarse]))
-    guess = CubicSpline(grid[coarse], th_coarse, axis=0)(grid)
-    start = CubicSpline(grid, inverse_dual_coord(gen, chord(grid), x0=guess), axis=0)
+        return (lambda s, Ph: inverse_dual_coord(gen, Ph)), lambda s: None
+    S = grid[np.r_[0 : grid.size - 1 : _COARSE, grid.size - 1]]
+    Th = inverse_dual_coord(gen, chord(S))  # the solved rows, by increasing s
+
+    def start(s):  # in blocks of 256 rows, which bounds the (6, 6, rows) factors below
+        out, i = [], np.arange(min(6, S.size))
+        for x in np.split(np.clip(s, S[0], S[-1]), range(256, s.size, 256)):
+            J = np.clip(np.searchsorted(S, x) - i.size // 2, 0, S.size - i.size) + i[:, None]
+            X, rows = S[J], np.take(Th, J, axis=0)  # the rows nearest each x, as (6, len(x))
+            # the Lagrange factors (x - X_b) / (X_a - X_b) at [a, b], and 1 where a = b
+            L = (x - X) / (X[:, None] - X[None] + np.eye(i.size)[:, :, None])
+            L[i, i] = 1.0
+            # near-repeated s can make the weights blow up, so clip to the rows' range
+            out.append(np.clip(np.einsum("ki,kim->im", L.prod(1), rows), rows.min(0), rows.max(0)))
+        return np.concatenate(out)
 
     def theta(s, Ph):
-        return inverse_dual_coord(gen, Ph, x0=start(np.clip(s, grid[0], grid[-1])))
+        nonlocal S, Th
+        th = inverse_dual_coord(gen, Ph, x0=start(s))
+        S, first = np.unique(np.concatenate((S, s)), return_index=True)
+        keep = np.linspace(0, S.size - 1, min(S.size, grid.size)).round().astype(int)
+        S, Th = S[keep], np.concatenate((Th, th))[first[keep]]
+        return th
 
-    return theta
+    return theta, start
 
 
-def _geodesic_log_weight(gen: Generator, chord, which: str, grid: np.ndarray):
+def _geodesic_log_weight(gen: Generator, chord, theta=None):
     """The log weight -2 f of a primal ``chord``, or -2 f* of a dual one with
-    inverse dual images from :func:`_chord_inverse` on ``grid``, as an
+    inverse dual images ``theta(s, Ph)`` (:func:`_chord_inverse`), as an
     array function of the chord parameter."""
-    if which == "primal":
+    if theta is None:
         return lambda s: -2.0 * f_value(gen, chord(s))
-    theta = _chord_inverse(gen, chord, grid)
 
     def logw(s):
         # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
@@ -350,7 +357,7 @@ def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
         return Curve(t_out, pts, "primal", velocities=np.zeros_like(pts))
     chord = lambda h: _log_mix(h, th_q, th_r)
     grid = np.linspace(0.0, 1.0, _TABLE + 1)
-    h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord, "primal", grid), grid, t_out)
+    h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord), grid, t_out)
     pts = chord(h)
     # theta_dot_k = h'(t) (e^{theta^r_k} - e^{theta^q_k}) / A_k(h)
     B = np.exp(th_r) - np.exp(th_q)
@@ -367,8 +374,7 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     equality is re-verified through the conjugate minimization at every
     output node, all nodes at once (:func:`_dual_range_guard`).  h(t) comes
     from adaptive quadrature of exp(-2 f*) as for the primal geodesic; its
-    table, its polish and dh/dt take the inverse dual images from
-    :func:`_chord_inverse` on a grid of ``_DENSE_NEWTON`` nodes.
+    table, polish, dh/dt and range guard start from :func:`_chord_inverse`.
     """
     t_out = _grid(grid)
     Th = to_primal_many(point_rows(q, p))
@@ -377,33 +383,35 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
         pts = np.broadcast_to(ph_q, (t_out.size, ph_q.size)).copy()
         return Curve(t_out, pts, "dual", velocities=np.zeros_like(pts))
     chord = lambda h: -_log_mix(h, -ph_q, -ph_p)
-    grid = np.linspace(0.0, 1.0, _DENSE_NEWTON)
-    h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord, "dual", grid), grid, t_out)
+    grid = np.linspace(0.0, 1.0, _CHORD)
+    theta, start = _chord_inverse(gen, chord, grid)
+    h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord, theta), grid, t_out)
     pts = chord(h)
     D = np.exp(-ph_p) - np.exp(-ph_q)
     vel = -dh_dt[:, None] * D[None, :] * np.exp(pts)
     curve = Curve(t_out, pts, "dual", velocities=vel)
     if check_range:
-        _dual_range_guard(gen, curve)
+        _dual_range_guard(gen, curve, start(h))
     return curve
 
 
-def _dual_range_guard(gen, curve):
+def _dual_range_guard(gen, curve, start=None):
     """Re-verify the Fenchel equality at every output node of a dual curve.
 
     All nodes at once: one :func:`inverse_dual_coord` call on the curve
-    points, one batched conjugate minimization started at those rows, and
-    the gap f(theta) + f*(phi) - psi(theta - phi) against 1e-6.  Raises
-    :class:`DualRangeError` at the first output time whose row fails to
-    solve or breaks the bound.
+    points, started at ``start`` (rows the chord inverse already solved) or
+    else at each row's own dual coordinate, one batched conjugate
+    minimization started at those rows, and the gap f(theta) + f*(phi) -
+    psi(theta - phi) against 1e-6.  Raises :class:`DualRangeError` at the
+    first output time whose row fails to solve or breaks the bound.
     """
     times, Ph = curve.times, curve.points
     solved = times.size  # rows ahead of the first one the inverse fails on
     try:
-        Th0 = inverse_dual_coord(gen, Ph)
+        Th0 = inverse_dual_coord(gen, Ph, x0=start)
     except ConvergenceError as exc:
         solved = exc.row
-        Th0 = inverse_dual_coord(gen, Ph[:solved])
+        Th0 = inverse_dual_coord(gen, Ph[:solved], x0=None if start is None else start[:solved])
     Ph = Ph[:solved]
     Th, _, ok = divergence._newton_max_u(gen, Ph, Th0)
     fstar = psi_many(Th - Ph) - f_value(gen, Th)
@@ -473,7 +481,8 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
 
     def log_rate(grid):
         """-2 (F(u) - F(0)) and log dt/du, with inverse dual images on ``grid``."""
-        logw = _geodesic_log_weight(gen, chord, which, grid)
+        theta = _chord_inverse(gen, chord, grid)[0] if which == "dual" else None
+        logw = _geodesic_log_weight(gen, chord, theta)
         F0 = logw(grid[:1])[0]
         dF = lambda u: logw(u) - F0
         return dF, lambda u: dF(u) + u - 2.0 * np.log1p(c * np.expm1(u)) - math.log(a)
@@ -484,7 +493,7 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
     while True:
         coarse = np.linspace(0.0, u_end, max(64, 2 * int(u_end)) + 1)
         if u_end == _REACH or reach(coarse, log_rate(coarse)[1]) >= t_end:
-            grid = np.linspace(0.0, u_end, _DENSE_NEWTON)
+            grid = np.linspace(0.0, u_end, _CHORD)
             dF, rate = log_rate(grid)
             u = _reparam_from_weight(rate, grid, times, normalized=False)
             if u[-1] < u_end:
@@ -620,7 +629,7 @@ def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> 
     ph_q, ph_p = _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
     chord = lambda s: -_flow_chord(s, -ph_q, -ph_p)
     grid = _flow_grid(-ph_q, -ph_p)
-    theta = _chord_inverse(gen, chord, grid)
+    theta, _ = _chord_inverse(gen, chord, grid)
 
     def logw(s):
         Ph = chord(s)
