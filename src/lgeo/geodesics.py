@@ -8,28 +8,24 @@ exponential coordinates the primal geodesic from q to r is
 
 where the reparameterization h(t) solves h'' = 2 (h')^2 d/dh f(theta(h)),
 equivalently h'(t) proportional to exp(2 f(theta(t))).  That first-order
-reduction separates, so h is computed here by quadrature of
-exp(-2 f(theta(h))) and monotone inversion rather than by shooting; the
-dual geodesic is handled identically with f* and reciprocal coordinates.
-Without a closed form, its inverse dual images and those of the dual flow
-come from a continuation along the chord: each batched Newton solve starts
-from an interpolant through the rows already solved.
-The log weight is one array function of the chord parameter for both
-geodesics and the exponential map, which follows the same chords from a
-point and an initial velocity and names the exact time at which one leaves
-the simplex.  The quadrature table is refined under an error estimate
-(adaptive Gauss quadrature, Gander & Gautschi 2000), and each of its levels
-and each Newton step of the polish of h(t) evaluate the weight on all their
-points at once, as the dual range guard and the geodesic-equation residual
-do with their nodes.  A polished time retires after the first Newton step
-whose quadratic term bounds the residual left below the stop, so most take
-one step.
+reduction separates, so h is computed by quadrature of exp(-2 f) and
+monotone inversion rather than by shooting; the dual geodesic likewise with
+f* and reciprocal coordinates.  Both geodesics and both flows run on one
+chord map, in a parameter logistic in h at the scale of each end, so that
+ends near a face of the simplex resolve to rounding.  Without a closed
+form, the inverse dual images come from a continuation along the chord,
+each batched Newton solve starting from an interpolant through the rows
+already solved.  The exponential map follows the same chords from a point
+and a velocity and names the exact time at which one leaves the simplex.
+The quadrature table is refined under an error estimate until it converges
+(adaptive Gauss quadrature, Gander & Gautschi 2000); each of its levels, and
+each Newton step of the polish of h(t), evaluates the weight at once.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
 time change, which yields inverse exponential maps for free.  On the chord
-s -> x_r + (x_q - x_r) e^{-s} (x = e^theta, or e^{-phi} for the dual flow)
-the flow time is t(s) = int_0^s Z, inverted at uniform times by the same
-chord quadrature as the geodesics, unnormalized.  The sign of
+x_r + (x_q - x_r) e^{-s} (x = e^theta, or e^{-phi} for the dual flow) the
+flow time is t(s) = int_0^s Z, inverted at uniform times by the same chord
+quadrature as the geodesics, unnormalized.  The sign of
 T(q|p) + T(r|q) - T(r|p) is the sign of the Riemannian angle defect at q
 between the two geodesics; `pythagorean_sign` evaluates the gap, the
 actual metric inner product, and the equivalent algebraic sign quantity
@@ -79,10 +75,8 @@ __all__ = [
 
 DEFAULT_GRID = 129
 _TABLE = 16         # intervals of the grid that a chord quadrature table starts from
-_DEPTH = 16         # halvings of a table interval at most
-_FLOW_DU = 0.08     # flow grid spacing in log of the weight's length scale
 _COARSE = 32        # stride of the grid nodes that a chord inverse solves cold
-_CHORD = 1025       # uniform grid of a geodesic's dual chord: its cold nodes and row cap
+_CHORD = 1025       # uniform grid of a chord's parameter: its cold nodes and row cap
 
 
 class DualRangeError(RuntimeError):
@@ -169,16 +163,47 @@ def _flow_times(horizon: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, horizon, steps + 1)
 
 
-def _log_mix(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log((1-s) e^a + s e^b) elementwise over a grid s, overflow-safe."""
-    s = s[:, None]
-    out = np.empty((s.size, a.size))
-    interior = (s[:, 0] > 0) & (s[:, 0] < 1)
-    out[s[:, 0] <= 0] = a
-    out[s[:, 0] >= 1] = b
-    si = s[interior]
-    out[interior] = np.logaddexp(np.log1p(-si) + a, np.log(si) + b)
-    return out
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x), overflow-safe; several times faster than np.logaddexp."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _chord_map(a: np.ndarray, b: np.ndarray, flow: bool = False):
+    """The chord from e^a toward e^b in u = log((l_a + tau) / (l_b + 1 - tau)),
+    l = min_k x_k / |x_b,k - x_a,k| (at most 1) at each end being the scale
+    over which the weights change there: geometric in tau (1 - tau) down to
+    that scale, and finite at the ends, where u - u_a and u_b - u keep the
+    precision of the chord's rows.  A flow has no far end, l_b = 0, and
+    1 - tau = e^-s, s = log1p(e^u) - log1p(l_a).  Returns the map from u to
+    rows log((1 - tau) e^a + tau e^b), exact at the ends, the map from u to
+    log dtau/du (log ds/du for a flow), and ``_CHORD`` uniform u from u_a to
+    u_b, or for a flow to where e^-s |x_b - x_a| rounds away (s at least 1).
+    """
+    d = b - a
+    with np.errstate(divide="ignore"):  # log 0 where d = 0
+        log_em1 = np.log(-np.expm1(-np.abs(d)))  # log |expm1(d)| - max(d, 0)
+    log_la = min(-np.max(log_em1 + np.maximum(d, 0.0)), 0.0)
+    log_lb = -np.max(log_em1 + np.maximum(-d, 0.0))  # before its cap at 0
+    la, lb = math.exp(log_la), 0.0 if flow else math.exp(min(log_lb, 0.0))
+    u_a, u_b = log_la - math.log1p(lb), math.log1p(la) - min(log_lb, 0.0) if lb else math.inf
+    s_end = max(-log_lb - math.log(np.finfo(float).eps), 1.0)
+
+    def chord(u):
+        soft = _softplus(u)
+        with np.errstate(divide="ignore"):  # log 0 at an end
+            log_tau = u - soft + math.log1p(lb) + np.log(-np.expm1(u_a - u))
+            log_rest = math.log1p(la) - soft + (np.log(-np.expm1(u - u_b)) if lb else 0.0)
+        # at an end one of tau and 1 - tau is 0, and the other is exactly 1
+        x = np.where(log_tau == -np.inf, 0.0, log_rest)[:, None] + a
+        y = np.where(log_rest == -np.inf, 0.0, log_tau)[:, None] + b
+        top = np.maximum(x, y)  # then log(e^x + e^y), faster than np.logaddexp
+        return top + np.log1p(np.exp(np.minimum(x, y) - top))
+
+    if flow:
+        return (chord, lambda u: u - _softplus(u),
+                np.linspace(u_a, s_end + math.log1p(la - math.exp(-s_end)), _CHORD))
+    return (chord, lambda u: math.log(1.0 + la + lb) + u - 2.0 * _softplus(u),
+            np.linspace(u_a, u_b, _CHORD))
 
 
 # 5-point Gauss-Legendre rule on [-1, 1]
@@ -186,6 +211,13 @@ _GL_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
                   0.5384693101056831, 0.906179845938664])
 _GL_W = np.array([0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
                   0.47862867049936647, 0.23692688505618908])
+
+
+# a table interval's 15 nodes on [-1, 1], its Gauss nodes then its halves', and the
+# map from the weight there to the monomial coefficients of its interpolant's integral
+_GL_15 = np.concatenate((_GL_X, (_GL_X - 1.0) / 2.0, (_GL_X + 1.0) / 2.0))
+_INT_15 = np.vstack(((-1.0) ** np.arange(15) / np.arange(1, 16), np.diag(1.0 / np.arange(1, 16)))
+                    ) @ np.linalg.inv(np.vander(_GL_15, increasing=True))
 
 
 def _gl_nodes(a: np.ndarray, b: np.ndarray):
@@ -202,35 +234,30 @@ def _gauss_segment(w, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalized: bool = True):
-    """Invert the time t(s) = int_0^s w along a chord, where w = exp(logw).
+    """Invert the time t(s) = int w along a chord from ``s_dense[0]``, where
+    w = exp(logw), and ``logw`` maps an array of chord parameters to log w.
 
-    ``logw`` maps an array of chord parameters to the log weight at each.
     The t(s) table is adaptive: from about ``_TABLE`` intervals of the grid
     ``s_dense``, each level evaluates the weight once on the 5-point Gauss
     nodes of every open interval and of its two halves, accepts an interval
-    when the two estimates agree to 1e-14 of the running total, and splits
-    the others, at most ``_DEPTH`` times.  Each accepted interval enters the
-    table as its two halves.  All interior output times then start from the
-    cubic Hermite interpolant of s(t) through the breakpoints (ds/dt = W / w)
-    and are polished together by at most four Newton steps, each anchored at
-    the breakpoint below its time.  With the stop tol = 1e-15 max(1, t), a
-    row retires once its residual |F| at the start of a step is below tol,
-    or after an unclipped step d with k (w / W) d^2 below tol, where k is 8
-    times the steepest secant of log w over the row's table interval and its
-    two neighbours.  That bounds the residual the step leaves, Newton's
-    quadratic term |F''| d^2 / 2 = |d log w / ds| (w / W) d^2 / 2, for
-    |d log w / ds| up to 16 such secants, so most rows take one step.
-    Pointwise accuracy near machine precision keeps spline-based residual
-    oracles meaningful.
-
-    ``normalized`` (geodesics): s is h in [0, 1] and t(1) = 1; returns h and
-    dh/dt at the output times.  Otherwise (flows) t is the flow time, which
-    grows linearly past the end of the grid; returns s at the output times.
+    when the two estimates agree to 3e-15 of the running total or its halves
+    are no longer distinct floats, and splits the others.  Each accepted
+    interval enters the table as its two halves.  Each interior output time
+    starts at the root of the integral of the degree-14 interpolant of w at
+    its interval's 15 nodes, and all are polished by at most four Newton
+    steps anchored at the half below.  With tol = 1e-15 max(1, t), a row
+    retires once its residual |F| is below tol, or after an unclipped step d
+    with k (w / W) d^2 below tol, k being 8 times the steepest secant of
+    log w between the nodes of its interval and its neighbours'.  That bounds
+    Newton's quadratic term |d log w / ds| (w / W) d^2 / 2 for slopes up to
+    16 such secants.  ``normalized`` (geodesics): t(s_dense[-1]) = 1; returns
+    s at the output times and log W, W the integral of w.  Otherwise (flows)
+    t grows linearly past the grid; returns s at the output times.
     """
     grid = s_dense[np.unique(np.linspace(0, s_dense.size - 1, _TABLE + 1).astype(int))]
     a, b = grid[:-1], grid[1:]
-    shift, done, parts = -np.inf, 0.0, []  # parts: left ends, integrals and shift of halves
-    for depth in range(_DEPTH + 1):
+    shift, done, parts = -np.inf, 0.0, []  # parts: accepted intervals, log w at their nodes
+    while a.size:
         m = (a + b) / 2
         nodes, half = _gl_nodes(np.hstack((a, a, m)), np.hstack((b, m, b)))
         lw = logw(nodes).reshape(3, -1, _GL_X.size)
@@ -238,55 +265,64 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
         done, shift = done * np.exp(shift - new), new
         whole, left, right = np.exp(lw - shift) @ _GL_W * half.reshape(3, -1)
         # NaN is accepted, so that it reaches the output instead of splitting forever
-        ok = ~(np.abs(whole - left - right) > 1e-14 * (done + (left + right).sum()))
-        ok |= depth == _DEPTH
-        parts.append((np.hstack((a[ok], m[ok])), np.hstack((left[ok], right[ok])), shift))
-        done += parts[-1][1].sum()
+        ok = ~(np.abs(whole - left - right) > 3e-15 * (done + (left + right).sum()))
+        ok |= (a == m) | (m == b)
+        parts.append((a[ok], b[ok], lw[:, ok].transpose(1, 0, 2).reshape(-1, _GL_15.size)))
+        done += (left[ok] + right[ok]).sum()
         a, b = np.hstack((a[~ok], m[~ok])), np.hstack((m[~ok], b[~ok]))
-        if a.size == 0:
-            break
-    S = np.concatenate([p[0] for p in parts])
-    order = np.argsort(S)
-    seg = np.concatenate([p[1] * np.exp(p[2] - shift) for p in parts])[order]
-    S, cum = np.append(S[order], grid[-1]), np.append(0.0, np.cumsum(seg))
+    order = np.argsort(np.concatenate([p[0] for p in parts]))
+    a, b, lw = (np.concatenate(p)[order] for p in zip(*parts))
+    w_nodes, mid, rad = np.exp(lw - shift), (a + b) / 2, (b - a) / 2
+    halves = np.column_stack(((mid - a) * (w_nodes[:, 5:10] @ _GL_W),
+                              (b - mid) * (w_nodes[:, 10:] @ _GL_W))) / 2
+    S, cum = np.append(np.column_stack((a, mid)), b[-1]), np.append(0.0, np.cumsum(halves))
     w = lambda x: np.exp(logw(x) - shift)
     W = cum[-1] if normalized else np.exp(-shift)
-    log_w = logw(S) - shift
-    t_of_s, slope = cum / W, W / np.exp(log_w)  # slope: ds/dt at the breakpoints
-    # per interval: 8 times the steepest secant of log w on it and its neighbours
-    secant = np.abs(np.diff(log_w)) / np.diff(S)
+    t_of_s, t_end = cum / W, cum[-1] / W
+    # per interval: 8 times the steepest secant of log w between its nodes and its neighbours'
+    by_x = np.argsort(_GL_15)
+    secant = np.max(np.abs(np.diff(lw[:, by_x], axis=1)) / np.diff(_GL_15[by_x]), axis=1) / rad
     kappa = 8.0 * np.fmax(secant, np.fmax(np.r_[secant[:1], secant[:-1]],
                                           np.r_[secant[1:], secant[-1:]]))
-    t_end = t_of_s[-1]
-    h = np.zeros_like(t_out)
+    h = np.full_like(t_out, S[0])
     tail = t_out >= t_end
-    h[tail] = S[-1] if normalized else S[-1] + (t_out[tail] - t_end) * slope[-1]
+    h[tail] = S[-1] if normalized else S[-1] + (t_out[tail] - t_end) * W / w_nodes[-1, -1]
     rows = np.flatnonzero((t_out > 0.0) & ~tail)
-    j = np.clip(np.searchsorted(t_of_s, t_out[rows]) - 1, 0, S.size - 2)
-    anchor_s, anchor_t, t_star, k = S[j], cum[j], t_out[rows], kappa[j]
-    d = t_of_s[j + 1] - t_of_s[j]
-    u, ds, m0, m1 = (t_star - t_of_s[j]) / d, S[j + 1] - anchor_s, slope[j] * d, slope[j + 1] * d
-    x = anchor_s + u * (m0 + u * (3 * ds - 2 * m0 - m1 + u * (m0 + m1 - 2 * ds)))
-    x = np.fmin(np.fmax(x, anchor_s), S[j + 1])  # inside the bracket; NaN falls to its start
+    t_star = t_out[rows]
+    j = np.clip(np.searchsorted(t_of_s, t_star) - 1, 0, S.size - 2)  # the half below
+    i = j // 2
+    # the start: Newton on the interpolant's integral over [a_i, mid_i + rad_i xi]
+    integral = _INT_15 @ (w_nodes[i].T * rad[i])
+    slope = integral[1:] * np.arange(1.0, _GL_15.size + 1)[:, None]
+    target = t_star * W - cum[2 * i]
+    u = (t_star - t_of_s[j]) / (t_of_s[j + 1] - t_of_s[j])  # linear on the half
+    xi = (S[j] + u * (S[j + 1] - S[j]) - mid[i]) / rad[i]
+    powers = np.empty_like(integral)
+    for _ in range(2):
+        powers[0], powers[1:] = 1.0, xi
+        np.multiply.accumulate(powers, out=powers)
+        F = np.einsum("pr,pr->r", powers, integral) - target
+        xi = np.clip(xi - F / np.einsum("pr,pr->r", powers[:-1], slope), -1.0, 1.0)
+    anchor_s, anchor_t, k = S[j], cum[j], kappa[i]
+    x = np.fmin(np.fmax(mid[i] + rad[i] * xi, anchor_s), S[j + 1])  # NaN falls to its start
     h[rows] = x
-    lo, hi = S[0] + 1e-15, S[-1] - 1e-15
     for _ in range(4):
         if rows.size == 0:
             break
         F = (anchor_t + _gauss_segment(w, anchor_s, x)) / W - t_star
-        dF = w(x) / W
-        newton = x - F / dF
-        x = np.clip(newton, lo, hi)
+        newton = x - F / (w(x) / W)
+        x, last = np.clip(newton, S[0], S[-1]), x
         h[rows] = x
         tol = 1e-15 * np.maximum(1.0, t_star)
         # an unclipped step d leaves about F'' d^2 / 2 = (d log w / ds) F' d^2 / 2,
-        # which k F' d^2 bounds; a NaN row is never converged here
-        converged = (x == newton) & (k * dF * (F / dF) ** 2 < tol)
+        # which k |F d| = k F' d^2 bounds, with no overflow as |d| is at most the
+        # grid's length; a NaN row is never converged here
+        converged = (x == newton) & (k * np.abs(F * (x - last)) < tol)
         active = (np.abs(F) >= tol) & ~converged
         rows, anchor_s, anchor_t, t_star, x, k = (
             rows[active], anchor_s[active], anchor_t[active], t_star[active], x[active], k[active]
         )
-    return (h, W / w(h)) if normalized else h
+    return (h, math.log(W) + shift) if normalized else h
 
 
 def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
@@ -328,41 +364,62 @@ def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
 
 def _geodesic_log_weight(gen: Generator, chord, theta=None):
     """The log weight -2 f of a primal ``chord``, or -2 f* of a dual one with
-    inverse dual images ``theta(s, Ph)`` (:func:`_chord_inverse`), as an
+    inverse dual images ``theta(u, Ph)`` (:func:`_chord_inverse`), as an
     array function of the chord parameter."""
     if theta is None:
-        return lambda s: -2.0 * f_value(gen, chord(s))
+        return lambda u: -2.0 * f_value(gen, chord(u))
 
-    def logw(s):
+    def logw(u):
         # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
-        Ph = chord(s)
-        Th = theta(s, Ph)
+        Ph = chord(u)
+        Th = theta(u, Ph)
         return -2.0 * (psi_many(Th - Ph) - f_value(gen, Th))
 
     return logw
+
+
+def _chord(gen: Generator, q, r, sign: float, flow: bool = False):
+    """The theta (``sign`` 1) or phi (-1) rows xi of q and r, the chord
+    u -> xi with its log rate and grid (:func:`_chord_map`), and for phi
+    rows ``theta`` and ``start`` of :func:`_chord_inverse`."""
+    Th = to_primal_many(point_rows(q, r))
+    xi = Th if sign > 0 else _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
+    line, log_rate, grid = _chord_map(*(sign * xi), flow)
+    chord = lambda u: sign * line(u)
+    inverse = _chord_inverse(gen, chord, grid) if sign < 0 else (None, lambda u: None)
+    return xi, chord, log_rate, grid, *inverse
+
+
+def _geodesic(gen: Generator, q, r, grid, sign: float, check_range: bool = False) -> Curve:
+    """The primal (``sign`` 1) or dual (-1) geodesic from q to r: x = e^{sign xi}
+    runs straight at tau(t), dt/dtau proportional to exp(-2 F), F = f or f*,
+    inverted in the u of :func:`_chord_map` with the weight exp(-2 F) dtau/du."""
+    t_out = _grid(grid)
+    coord = "primal" if sign > 0 else "dual"
+    xi, chord, log_rate, grid, theta, start = _chord(gen, q, r, sign)
+    if np.allclose(xi[0], xi[1], atol=1e-14):
+        pts = np.broadcast_to(xi[0], (t_out.size, xi.shape[1])).copy()
+        return Curve(t_out, pts, coord, velocities=np.zeros_like(pts))
+    logw = _geodesic_log_weight(gen, chord, theta)
+    u, log_total = _reparam_from_weight(lambda u: logw(u) + log_rate(u), grid, t_out)
+    pts = chord(u)
+    # xi_dot_k = sign tau'(t) (x_r,k - x_q,k) / x_k, with tau'(t) = W exp(2 F)
+    x_q, x_r = np.exp(sign * xi)
+    vel = sign * np.exp(log_total - logw(u))[:, None] * (x_r - x_q) * np.exp(-sign * pts)
+    curve = Curve(t_out, pts, coord, velocities=vel)
+    if check_range:
+        _dual_range_guard(gen, curve, start(u))
+    return curve
 
 
 def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
     """Geodesic of the primal connection from q to r on [0, 1].
 
     The Euclidean trace is the straight segment [q, r]; the affine
-    parameterization comes from adaptive quadrature of exp(-2 f) along the
-    segment (:func:`_reparam_from_weight`), accurate to rounding also on
-    chords whose ends differ by orders of magnitude.
+    parameterization comes from adaptive quadrature of exp(-2 f) along it,
+    accurate to rounding also near a face of the simplex (:func:`_geodesic`).
     """
-    t_out = _grid(grid)
-    th_q, th_r = to_primal_many(point_rows(q, r))
-    if np.allclose(th_q, th_r, atol=1e-14):
-        pts = np.broadcast_to(th_q, (t_out.size, th_q.size)).copy()
-        return Curve(t_out, pts, "primal", velocities=np.zeros_like(pts))
-    chord = lambda h: _log_mix(h, th_q, th_r)
-    grid = np.linspace(0.0, 1.0, _TABLE + 1)
-    h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord), grid, t_out)
-    pts = chord(h)
-    # theta_dot_k = h'(t) (e^{theta^r_k} - e^{theta^q_k}) / A_k(h)
-    B = np.exp(th_r) - np.exp(th_q)
-    vel = dh_dt[:, None] * B[None, :] / np.exp(pts)
-    return Curve(t_out, pts, "primal", velocities=vel)
+    return _geodesic(gen, q, r, grid, 1.0)
 
 
 def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> Curve:
@@ -373,26 +430,9 @@ def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> 
     the range of the dual coordinate map; with ``check_range`` the Fenchel
     equality is re-verified through the conjugate minimization at every
     output node, all nodes at once (:func:`_dual_range_guard`).  h(t) comes
-    from adaptive quadrature of exp(-2 f*) as for the primal geodesic; its
-    table, polish, dh/dt and range guard start from :func:`_chord_inverse`.
+    from adaptive quadrature of exp(-2 f*) as for the primal geodesic.
     """
-    t_out = _grid(grid)
-    Th = to_primal_many(point_rows(q, p))
-    ph_q, ph_p = _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
-    if np.allclose(ph_q, ph_p, atol=1e-14):
-        pts = np.broadcast_to(ph_q, (t_out.size, ph_q.size)).copy()
-        return Curve(t_out, pts, "dual", velocities=np.zeros_like(pts))
-    chord = lambda h: -_log_mix(h, -ph_q, -ph_p)
-    grid = np.linspace(0.0, 1.0, _CHORD)
-    theta, start = _chord_inverse(gen, chord, grid)
-    h, dh_dt = _reparam_from_weight(_geodesic_log_weight(gen, chord, theta), grid, t_out)
-    pts = chord(h)
-    D = np.exp(-ph_p) - np.exp(-ph_q)
-    vel = -dh_dt[:, None] * D[None, :] * np.exp(pts)
-    curve = Curve(t_out, pts, "dual", velocities=vel)
-    if check_range:
-        _dual_range_guard(gen, curve, start(h))
-    return curve
+    return _geodesic(gen, q, p, grid, -1.0, check_range)
 
 
 def _dual_range_guard(gen, curve, start=None):
@@ -554,34 +594,6 @@ def geodesic_residual(gen: Generator, curve: Curve, trim: int = 2,
 # ---------------------------------------------------------------------------
 # gradient flows
 
-def _flow_chord(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log(e^{-s} e^a + (1 - e^{-s}) e^b) elementwise over a grid s >= 0."""
-    s = s[:, None]
-    with np.errstate(divide="ignore"):  # log(0) at s = 0, where the mix is a
-        return np.logaddexp(a - s, np.log(-np.expm1(-s)) + b)
-
-
-def _flow_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense chord parameters s of a flow from e^a toward e^b.
-
-    Uniform in log l(s), l(s) = (1 + l0) e^s - 1 the distance to the zero of
-    the nearest growing component (l0 = min x_a / (x_b - x_a), at most 1), so
-    geometric near s = 0, where the weight is steepest, and uniform in s
-    later; it ends where e^{-s} |e^a - e^b| is below rounding of e^b.
-    """
-    d = b - a
-    with np.errstate(divide="ignore"):  # log 0 where d = 0
-        log_em1 = np.abs(d) + np.log(-np.expm1(-np.abs(d)))  # log(e^|d| - 1)
-    log_l0 = -np.max(log_em1[d > 0], initial=0.0)
-    end = max(np.max(log_em1 - np.maximum(d, 0.0)) - math.log(np.finfo(float).eps), 1.0)
-    l0 = math.exp(log_l0)
-    u_end = end + math.log1p(l0 - math.exp(-end))
-    u = np.linspace(log_l0, u_end, math.ceil((u_end - log_l0) / _FLOW_DU) + 1)
-    s = np.logaddexp(0.0, u) - math.log1p(l0)
-    s[0] = 0.0
-    return s
-
-
 def _primal_flow_rhs(gen, th, th_target):
     """Primal flow velocity theta_dot = (e^{theta_target - theta} - 1) / Z at rows ``th``."""
     return _tilt_gradient(_portfolio_at(gen, th), th_target - th)
@@ -595,50 +607,37 @@ def _dual_flow_rhs(gen, th, ph_target):
     return -_tilt_gradient(Pi, ph - ph_target), ph
 
 
-def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -> Curve:
-    """Gradient flow of T(r | .) from q at ``steps + 1`` uniform times.
-
-    A time change of the primal geodesic: with x = e^theta the flow is
-    dx/dt = (x_r - x) / Z with Z = sum_{i<n} pi_i x_{r,i} / x_i + pi_n, so
-    x(s) = x_r + (x_q - x_r) e^{-s} and dt/ds = Z.  The times t(s) come from
-    the chord quadrature of :func:`_reparam_from_weight`; the velocities are
-    the right-hand side at the returned points.
-    """
+def _flow(gen: Generator, q, r, horizon: float, steps: int, sign: float) -> Curve:
+    """The primal (``sign`` 1) or dual (-1) flow from q toward r: x = e^{sign xi}
+    runs on the chord of :func:`_chord_map` with no far end, t(s) = int_0^s Z
+    inverted in its u with the weight Z ds/du, velocities from the rhs."""
     t_out = _flow_times(horizon, steps)
-    th_q, th_r = to_primal_many(point_rows(q, r))
+    xi, chord, log_rate, grid, theta, _ = _chord(gen, q, r, sign, flow=True)
 
-    def logw(s):
-        Th = _flow_chord(s, th_q, th_r)
-        return _log_tilt(_portfolio_at(gen, Th), th_r - Th)[:, 0]
+    def logw(u):
+        X = chord(u)
+        Th = theta(u, X) if theta else X
+        return _log_tilt(_portfolio_at(gen, Th), sign * (xi[1] - X))[:, 0] + log_rate(u)
 
-    s = _reparam_from_weight(logw, _flow_grid(th_q, th_r), t_out, normalized=False)
-    pts = _flow_chord(s, th_q, th_r)
-    return Curve(t_out, pts, "primal", velocities=_primal_flow_rhs(gen, pts, th_r))
+    u = _reparam_from_weight(logw, grid, t_out, normalized=False)
+    pts = chord(u)
+    vel = (_primal_flow_rhs(gen, pts, xi[1]) if sign > 0
+           else _dual_flow_rhs(gen, theta(u, pts), xi[1])[0])
+    return Curve(t_out, pts, "primal" if sign > 0 else "dual", velocities=vel)
+
+
+def primal_flow(gen: Generator, q, r, horizon: float = 20.0, steps: int = 800) -> Curve:
+    """Gradient flow of T(r | .) from q at ``steps + 1`` uniform times: with
+    x = e^theta, dx/dt = (x_r - x) / Z, Z = sum_{i<n} pi_i x_{r,i} / x_i + pi_n,
+    so x(s) = x_r + (x_q - x_r) e^{-s} with dt/ds = Z (:func:`_flow`)."""
+    return _flow(gen, q, r, horizon, steps, 1.0)
 
 
 def dual_flow(gen: Generator, q, p, horizon: float = 20.0, steps: int = 800) -> Curve:
-    """Gradient flow of T(. | p) from q at ``steps + 1`` uniform times, in dual coordinates.
-
-    A time change of the dual geodesic: with y = e^{-phi},
-    y(s) = y_p + (y_q - y_p) e^{-s} and dt/ds = Z with
-    Z = sum_{i<n} pi_i e^{phi_i - phi^p_i} + pi_n, pi taken at the inverse
-    dual image from :func:`_chord_inverse`, as for the dual geodesic.
-    """
-    t_out = _flow_times(horizon, steps)
-    Th = to_primal_many(point_rows(q, p))
-    ph_q, ph_p = _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
-    chord = lambda s: -_flow_chord(s, -ph_q, -ph_p)
-    grid = _flow_grid(-ph_q, -ph_p)
-    theta, _ = _chord_inverse(gen, chord, grid)
-
-    def logw(s):
-        Ph = chord(s)
-        return _log_tilt(_portfolio_at(gen, theta(s, Ph)), Ph - ph_p)[:, 0]
-
-    s = _reparam_from_weight(logw, grid, t_out, normalized=False)
-    pts = chord(s)
-    vel, _ = _dual_flow_rhs(gen, theta(s, pts), ph_p)
-    return Curve(t_out, pts, "dual", velocities=vel)
+    """Gradient flow of T(. | p) from q at ``steps + 1`` uniform times, in dual
+    coordinates: with y = e^{-phi}, y(s) = y_p + (y_q - y_p) e^{-s} with
+    dt/ds = Z = sum_{i<n} pi_i e^{phi_i - phi^p_i} + pi_n (:func:`_flow`)."""
+    return _flow(gen, q, p, horizon, steps, -1.0)
 
 
 def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
