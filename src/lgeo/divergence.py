@@ -10,6 +10,11 @@ exponentially concave ``phi``.  It admits three coordinate representations
 divergence of the c-concave function ``f = phi + psi``, and certifies
 optimality of the induced transport map through cyclical monotonicity,
 checked over every cycle by one optimal assignment.
+
+Importing this module loads no scipy.  :func:`optimal_assignment`, and with
+it the monotonicity certificates, imports ``scipy.optimize`` on first use,
+as does :func:`minimize`, the Nelder-Mead fallback of
+:func:`c_transform_argmin`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
 
 from .generators import Generator, NonRegularError, _dual_rows, _portfolio_at
 from .simplex import (
@@ -339,6 +343,14 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
     return Th, U, ok
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call; a module-level
+    name, so that tests and the benchmark's tracer can replace or wrap it."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
+
 def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
     """Minimizer theta of psi(theta - phi) - f(theta).
 
@@ -461,6 +473,8 @@ def optimal_assignment(P_support, Q_support):
     target point coupled to source i, and ``cost`` the total transport cost.
     One O(N^3) solve by ``scipy.optimize.linear_sum_assignment``.
     """
+    from scipy.optimize import linear_sum_assignment
+
     P = np.atleast_2d(np.asarray(P_support, dtype=float))
     Q = np.atleast_2d(np.asarray(Q_support, dtype=float))
     if Q.shape[0] != P.shape[0]:

@@ -30,15 +30,19 @@ T(q|p) + T(r|q) - T(r|p) is the sign of the Riemannian angle defect at q
 between the two geodesics; `pythagorean_sign` evaluates the gap, the
 actual metric inner product, and the equivalent algebraic sign quantity
 through three independent code paths.
+
+Importing this module loads no scipy: only :meth:`Curve.spline` and
+:func:`geodesic_residual` import ``scipy.interpolate.CubicSpline``, on
+first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import divergence
 from ._table import write_table
@@ -54,6 +58,9 @@ from .simplex import (
     psi_many,
     to_primal_many,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Curve",
@@ -122,6 +129,8 @@ class Curve:
         return self.times.size
 
     def spline(self) -> CubicSpline:
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.times, self.points, axis=0)
 
     def euclidean_trace(self) -> np.ndarray:
@@ -553,6 +562,8 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
 def _residual_values(gen, times, points, coord, eval_times, end_velocities=None) -> np.ndarray:
     """Geodesic-equation residual of the spline through the points, one row
     per evaluation time, all rows at once."""
+    from scipy.interpolate import CubicSpline
+
     bc = "not-a-knot"
     if end_velocities is not None:
         bc = ((1, end_velocities[0]), (1, end_velocities[1]))

@@ -17,6 +17,11 @@ The Gaussian product example gives the one closed-form transport pair:
 factorized normal marginals are pushed onto each other by an affine map
 arising from a weighted diversity portfolio, which this module verifies by
 seeded Monte Carlo.
+
+Importing this module loads no scipy: only :func:`action` imports
+``scipy.interpolate.CubicSpline`` and ``scipy.integrate.simpson``, on first
+use, and :func:`gaussian_example_check` reaches ``scipy.optimize`` through
+the monotonicity certificate of :mod:`lgeo.divergence`.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from ._table import write_table
 from .divergence import CouplingSample, is_c_cyclical_monotone
@@ -84,6 +87,9 @@ def action(curve: Curve, nodes: int = _ACTION_NODES) -> ActionValue:
     portfolio coordinate q_n ever decreases faster than its initial level
     allows (argument of the log not positive), the action is +inf.
     """
+    from scipy.integrate import simpson
+    from scipy.interpolate import CubicSpline
+
     if curve.coord != "primal":
         raise ValueError("the action is defined for curves in primal coordinate space")
     ts = np.linspace(curve.times[0], curve.times[-1], nodes)

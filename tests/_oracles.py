@@ -15,7 +15,7 @@ from lgeo import geometry as geo
 from lgeo.divergence import f_value, inverse_dual_coord, l_divergence_primal
 from lgeo.generators import Generator, NonRegularError, _portfolio_at, dual_coord, portfolio_theta
 from lgeo.geodesics import Curve, GeodesicBlowupError, RegionSample, _rk4_step, region_gap
-from lgeo.simplex import coord_array, point_array, point_rows, psi, to_primal
+from lgeo.simplex import _log_tilt, coord_array, point_array, point_rows, psi, psi_many, to_primal
 
 FD_STEP_FIRST = 1e-4
 FD_STEP_HIGH = 1e-3
@@ -196,22 +196,42 @@ def l_divergence_gradient_form(gen: Generator, q, p) -> float:
 
 def fd_metric_from_divergence(T2, xi, h: float = FD_STEP_HIGH) -> np.ndarray:
     """Metric oracle -d^2 T / d xi_i d xi'_j at the diagonal, 4-point mixed."""
-    xi = np.asarray(xi, dtype=float)
-    m = xi.size
-    G = np.empty((m, m))
-    for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h
-        for j in range(m):
-            ej = np.zeros(m)
-            ej[j] = h
-            G[i, j] = -(
-                T2(xi + ei, xi + ej)
-                - T2(xi + ei, xi - ej)
-                - T2(xi - ei, xi + ej)
-                + T2(xi - ei, xi - ej)
-            ) / (4 * h**2)
-    return G
+    rows = lambda A, B: np.array([T2(a, b) for a, b in zip(A, B)])
+    return fd_metric_rows(rows, xi, h)[0]
+
+
+def fd_metric_rows(T2_rows, Xi, h: float = FD_STEP_HIGH) -> np.ndarray:
+    """:func:`fd_metric_from_divergence` at each row of ``Xi`` (K, m), from one
+    call ``T2_rows(A, B)`` that returns T(A_r, B_r) for all 4 K m^2 stencil rows."""
+    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    K, m = Xi.shape
+    E = h * np.eye(m)
+    # stencil axes (point k, i, j, term s, coordinate): T(xi + a_s e_i, xi + b_s e_j)
+    a = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+    b = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+    shape = (K, m, m, 4, m)
+    A = np.broadcast_to(Xi[:, None, None, None] + a * E[None, :, None, None], shape)
+    B = np.broadcast_to(Xi[:, None, None, None] + b * E[None, None, :, None], shape)
+    T = np.asarray(T2_rows(A.reshape(-1, m), B.reshape(-1, m))).reshape(K, m, m, 4)
+    return -(T[..., 0] - T[..., 1] - T[..., 2] + T[..., 3]) / (4 * h**2)
+
+
+def t_primal_rows(gen: Generator, Th, Th2) -> np.ndarray:
+    """T between rows of exponential coordinates ``Th`` and ``Th2``: the formula
+    of :func:`lgeo.divergence.l_divergence_primal`, every row at once."""
+    N = len(Th)
+    f = f_value(gen, np.concatenate([Th, Th2]))
+    return _log_tilt(_portfolio_at(gen, Th2), Th - Th2)[:, 0] - (f[:N] - f[N:])
+
+
+def t_dual_rows(gen: Generator, Ph, Ph2) -> np.ndarray:
+    """T between rows of dual coordinates ``Ph`` and ``Ph2``: the formula of
+    :func:`lgeo.divergence.l_divergence_dual`, with one batched inverse."""
+    N = len(Ph)
+    both = np.concatenate([Ph, Ph2])
+    th = inverse_dual_coord(gen, both)
+    fstar = psi_many(th - both) - f_value(gen, th)
+    return _log_tilt(_portfolio_at(gen, th[:N]), Ph - Ph2)[:, 0] - (fstar[N:] - fstar[:N])
 
 
 def fd_lowered_primal_connection(T2, xi, h: float = FD_STEP_HIGH) -> np.ndarray:

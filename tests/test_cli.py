@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +277,75 @@ class TestParserReuse:
                        "--bogus", "1") == 1
         assert "--bogus" in capsys.readouterr().err
         assert run_cli("divergence", "--gen", "eq2", "--p", ".5,.5", "--q", ".75,.25") == 0
+
+
+# Runs in a fresh interpreter: imports lgeo and its CLI, runs both geodesics
+# and both flows of a closed-form and a mixed generator through lgeo.cli.main,
+# then calls the four functions that import scipy on first use.  Prints the
+# scipy modules loaded at each stage and those functions' results as JSON.
+COLD_START = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import lgeo, lgeo.cli
+loaded = {"import": scipy_modules()}
+for gen in ("dw:0.5", "mix:0.4*cw:0.2,0.3,0.5+0.6*dw:0.5"):
+    for kind in ("primal", "dual"):
+        assert lgeo.cli.main(["geodesic", "--gen", gen, "--q", ".6,.25,.15", "--r", ".2,.3,.5",
+                              "--kind", kind, "--out", out + "/geodesic.csv"]) == 0
+        assert lgeo.cli.main(["flow", "--gen", gen, "--q", ".6,.25,.15", "--target", ".2,.3,.5",
+                              "--kind", kind, "--out", out + "/flow.csv"]) == 0
+loaded["cli"] = scipy_modules()
+import numpy as np
+from lgeo import transport
+from lgeo.geodesics import geodesic_residual
+gen = lgeo.diversity_weighted(0.5)
+curve = lgeo.primal_geodesic(gen, [.6, .25, .15], [.2, .3, .5])
+mid = (curve.times[1:] + curve.times[:-1]) / 2
+rng = np.random.default_rng(3)
+P, Q = rng.normal(size=(2, 6, 2))
+assignment, cost = lgeo.optimal_assignment(P, Q)
+print(json.dumps({
+    "loaded": loaded,
+    "spline": curve.spline()(mid).tolist(),
+    "residual": geodesic_residual(gen, curve, trim=3),
+    "action": transport.action(transport.minimizing_curve([.8, -.4], [-.2, .5], grid=65)).value,
+    "assignment": assignment.tolist(),
+    "cost": cost,
+    "after": scipy_modules(),
+}))
+"""
+LAZY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate")
+
+
+class TestColdStart:
+    def test_curves_import_no_scipy_and_lazy_imports_work(self, tmp_path):
+        import lgeo
+        from lgeo import geodesics as gd
+        from lgeo import transport as T
+        from lgeo.divergence import optimal_assignment
+        from lgeo.simplex import psi, psi_many
+
+        src = str(Path(lgeo.__file__).resolve().parent.parent)
+        r = subprocess.run([sys.executable, "-c", COLD_START, src, str(tmp_path)],
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        got = json.loads(r.stdout.splitlines()[-1])
+        assert got["loaded"]["import"] == []
+        assert not [m for m in got["loaded"]["cli"] if m.startswith(LAZY_SCIPY)]
+        assert all(m in got["after"] for m in LAZY_SCIPY)
+        # each function returns what it returns in this process, where scipy
+        # was loaded long before, and what it is meant to return
+        gen = G.diversity_weighted(0.5)
+        curve = gd.primal_geodesic(gen, [.6, .25, .15], [.2, .3, .5])
+        mid = (curve.times[1:] + curve.times[:-1]) / 2
+        assert np.array_equal(got["spline"], curve.spline()(mid))
+        assert got["residual"] == gd.geodesic_residual(gen, curve, trim=3) < 1e-5
+        th, ph = np.array([.8, -.4]), np.array([-.2, .5])
+        action = T.action(T.minimizing_curve(th, ph, grid=65)).value
+        assert got["action"] == action == pytest.approx(psi(th - ph), abs=1e-6)
+        P, Q = np.random.default_rng(3).normal(size=(2, 6, 2))
+        assignment, cost = optimal_assignment(P, Q)
+        assert got["assignment"] == assignment.tolist() and got["cost"] == cost
+        assert sorted(assignment) == list(range(6)) and cost <= psi_many(P - Q).sum()

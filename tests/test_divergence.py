@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,42 @@ class TestCTransform:
         counts.update(u=0, hess=0)
         _, _, ok = D._newton_max_u(gen, Ph, Ph)
         assert ok.all() and 0 < counts["hess"] < counts["u"]
+
+
+def _stuck_newton(gen, Ph, X0, *args, **kwargs):
+    """A Newton solve that leaves every row at its start, not converged."""
+    u, _, _ = D._u_value_grad(gen, X0, Ph)
+    return X0.copy(), u, np.zeros(Ph.shape[0], dtype=bool)
+
+
+class TestNelderMeadFallback:
+    # mix has no closed-form inverse, so c_transform_argmin tries Newton from
+    # the barycenter alone and, with Newton stuck, falls back to Nelder-Mead
+    # (scipy.optimize.minimize, imported on its first call) from there
+    def test_finds_the_newton_minimizer(self, rng, monkeypatch):
+        gen = builtin_zoo(3)["mix"]
+        Ph = np.array([G.dual_coord(gen, th).phi for th in rng.normal(size=(6, 2)) * 0.8])
+        ref = np.array([D.c_transform_argmin(gen, ph) for ph in Ph])
+        calls = []
+        minimize = D.minimize
+        monkeypatch.setattr(D, "_newton_max_u", _stuck_newton)
+        monkeypatch.setattr(D, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k))
+        fallback = np.array([D.c_transform_argmin(gen, ph) for ph in Ph])
+        assert len(calls) == len(Ph)
+        _, grad, H = D._u_value_grad_hess(gen, fallback, Ph)
+        assert np.all(np.linalg.norm(grad, axis=1) <= 1e-7)
+        # |grad u| <= 1e-7 puts theta within 1e-7 ||H^-1|| of the minimizer,
+        # and Newton's stop |grad u| < 1e-10 puts ref within 1e-10 ||H^-1||
+        stop = (1e-7 + 1e-10) / np.abs(np.linalg.eigvalsh(H)).min(axis=1)
+        assert np.all(np.linalg.norm(fallback - ref, axis=1) < stop)
+
+    def test_bad_fallback_point_raises(self, monkeypatch):
+        gen = builtin_zoo(3)["mix"]
+        ph = G.dual_coord(gen, np.array([0.3, -0.5])).phi
+        monkeypatch.setattr(D, "_newton_max_u", _stuck_newton)
+        monkeypatch.setattr(D, "minimize", lambda fun, x0, **kw: SimpleNamespace(x=x0 + 1.0))
+        with pytest.raises(D.ConvergenceError, match="did not converge"):
+            D.c_transform_argmin(gen, ph)
 
 
 class TestCDivergence:
