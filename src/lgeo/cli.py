@@ -41,6 +41,7 @@ from .generators import (
     UniformCrossEntropy,
     ZeroGenerator,
     check_regularity,
+    equal_weighted,
     generator_from_config,
 )
 from .geodesics import (
@@ -79,7 +80,7 @@ def parse_generator_spec(spec: str) -> Generator:
             raise SpecError(f"bad equal-weight spec {spec!r}") from None
         if n < 2:
             raise SpecError("equal-weight spec needs N >= 2")
-        return ConstantWeighted(np.full(n, 1.0 / n))
+        return equal_weighted(n)
     head, _, rest = spec.partition(":")
     try:
         if head == "cw":
@@ -326,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--gen", help="generator spec string")
         p.add_argument("--config", help="path to a generator JSON config")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
         return p
 
     p = add("divergence", help="print T(q|p)")
@@ -376,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_int_at_least(1), default=128)
     p.add_argument("--out")
 
-    p = add("transport-check", help="Gaussian transport audit")
+    p = sub.add_parser("transport-check", help="Gaussian transport audit")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--sigma", required=True)
@@ -384,11 +384,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # the sample variance divides by samples - 1
     p.add_argument("--samples", type=_int_at_least(2), default=100_000)
     p.add_argument("--out")
-    p.set_defaults(seed=0x5EED)
+    p.add_argument("--seed", type=int, default=0x5EED, help="seed of the Monte Carlo sample")
 
     p = add("regularity", help="audit generator regularity")
     p.add_argument("--n", type=_int_at_least(2), default=3)
     p.add_argument("--points", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=int, default=0, help="seed of the audited points")
 
     return parser
 

@@ -208,9 +208,11 @@ def _u_value_grad_hess(gen: Generator, Th: np.ndarray, Ph: np.ndarray):
 
 # rows per block of the batched Newton solve: bounds the (rows, m, m) Hessians
 _NEWTON_BLOCK = 512
+_NEWTON_GTOL = 1e-10  # a row has converged at |grad| below this
+_NEWTON_MAXITER = 200  # Newton steps before the remaining rows stop
 
 
-def _newton_max_u(gen: Generator, Ph: np.ndarray, X0: np.ndarray, gtol=1e-10, maxiter=200):
+def _newton_max_u(gen: Generator, Ph: np.ndarray, X0: np.ndarray):
     """Damped Newton ascent of u(theta) = f(theta) - psi(theta - phi), per row.
 
     ``Ph`` holds (N, m) dual coordinates and ``X0`` the start of each row.
@@ -227,13 +229,13 @@ def _newton_max_u(gen: Generator, Ph: np.ndarray, X0: np.ndarray, gtol=1e-10, ma
     eigenvalues, to shift the rows whose largest one is above -1e-12.
     Below |grad| < 1e-6 an unshifted row takes the full step, since
     objective differences underflow there.  Returns the rows, their u values
-    and a per-row mask of the rows that converged (|grad| < gtol, or
+    and a per-row mask of the rows that converged (|grad| < 1e-10, or
     stagnation at the float floor with |grad| < 1e-8).
     """
     if Ph.shape[0] <= _NEWTON_BLOCK:
-        return _newton_block(gen, Ph, X0, gtol, maxiter)
+        return _newton_block(gen, Ph, X0)
     blocks = [
-        _newton_block(gen, Ph[lo : lo + _NEWTON_BLOCK], X0[lo : lo + _NEWTON_BLOCK], gtol, maxiter)
+        _newton_block(gen, Ph[lo : lo + _NEWTON_BLOCK], X0[lo : lo + _NEWTON_BLOCK])
         for lo in range(0, Ph.shape[0], _NEWTON_BLOCK)
     ]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
@@ -244,7 +246,7 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt((X * X).sum(axis=1))
 
 
-def _newton_block(gen, Ph, X0, gtol, maxiter):
+def _newton_block(gen, Ph, X0):
     """One block of :func:`_newton_max_u`; rows leave the iteration as they end."""
     N, m = Ph.shape
     Th, U, ok = np.empty((N, m)), np.empty(N), np.zeros(N, dtype=bool)
@@ -262,16 +264,16 @@ def _newton_block(gen, Ph, X0, gtol, maxiter):
         u, grad, S = u[keep], grad[keep], S[keep]
         return keep
 
-    for it in range(maxiter + 1):
+    for it in range(_NEWTON_MAXITER + 1):
         if idx.size == 0:
             break
         gnorm = _row_norms(grad)
-        if it == maxiter:
-            Th[idx], U[idx], ok[idx] = th, u, gnorm < gtol
+        if it == _NEWTON_MAXITER:
+            Th[idx], U[idx], ok[idx] = th, u, gnorm < _NEWTON_GTOL
             break
         gmin = gnorm.min()
-        if gmin < gtol:
-            conv = gnorm < gtol
+        if gmin < _NEWTON_GTOL:
+            conv = gnorm < _NEWTON_GTOL
             if conv.all():
                 Th[idx], U[idx], ok[idx] = th, u, True
                 break

@@ -11,9 +11,10 @@ which sends the open simplex into its closure, and a dual coordinate map
     phi_i(theta) = theta_i - log(pi_i / pi_n),
 
 which is the transport map of the associated cost.  The built-in families
-(constant-weighted, diversity-weighted and its weighted variant, convex
-combinations) carry analytic gradients and portfolio derivatives; anything
-defined from ``phi`` alone falls back to central differences.
+carry analytic gradients and portfolio derivatives: constant-weighted, the
+weighted diversity family (diversity-weighted is its unit-weight case) and
+convex combinations.  A generator defined from ``phi`` alone falls back to
+central differences, evaluated on whole arrays.
 
 A generator is *regular* when the tangent-restricted Hessian of ``Phi`` is
 strictly negative definite, equivalently when the metric of T
@@ -25,14 +26,11 @@ its last axis: ``log_gen``, ``euclid_grad`` and ``portfolio`` take
 ``(..., n)`` points, ``dpi_dtheta`` ``(..., n-1)`` exponential coordinates.
 One point is the 1-d case (``log_gen`` then returns a float), a stack of
 points gives the stack of results, and no method validates its input.
-Inputs are checked once, at the public functions (:func:`portfolio_theta`,
-:func:`dual_coord` and the other maps here, and the functions of the other
-modules, through :func:`~lgeo.simplex.point_array` and
-:func:`~lgeo.simplex.point_rows`).  Library code below that boundary calls
-the generator methods and the private array kernels directly:
-``_portfolio_at`` for the portfolio at exponential coordinates,
-``_dual_rows`` for the dual coordinates of a stack of points and
-``_metric_rows`` for the metric.
+Inputs are checked once, at the public functions, through
+:func:`~lgeo.simplex.point_array` and :func:`~lgeo.simplex.point_rows`.
+Library code below that boundary calls the generator methods and the private
+array kernels directly: ``_portfolio_at`` (portfolio at exponential
+coordinates), ``_dual_rows`` (dual coordinates) and ``_metric_rows``.
 """
 
 from __future__ import annotations
@@ -50,8 +48,7 @@ from .simplex import (
     from_primal_many,
     point_array,
     point_rows,
-    psi as _psi,
-    softmax_with_tail,
+    psi_many,
     to_primal_many,
 )
 
@@ -70,6 +67,7 @@ __all__ = [
     "diversity_weighted",
     "generalized_diversity_weighted",
     "convex_combination",
+    "equal_weighted",
     "portfolio",
     "dual_coord",
     "dual_euclidean",
@@ -88,29 +86,11 @@ class NonRegularError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference fallbacks
-
-def _fd_hessian(f, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Central second differences of ``f`` at ``x``, step ``h[i]`` along axis i."""
-    m = x.size
-    E = np.diag(h)
-    H = np.empty((m, m))
-    f0 = f(x)
-    for i in range(m):
-        H[i, i] = (f(x + E[i]) - 2 * f0 + f(x - E[i])) / h[i] ** 2
-        for j in range(i):
-            H[i, j] = H[j, i] = (
-                f(x + E[i] + E[j]) - f(x + E[i] - E[j]) - f(x - E[i] + E[j]) + f(x - E[i] - E[j])
-            ) / (4 * h[i] * h[j])
-    return H
-
+# array helpers
 
 def _each_row(one, X):
-    """Apply ``one``, defined on a single point, to every row of ``X``.
-
-    The fallbacks below are defined one point at a time; this gives them the
-    ``(..., n)`` shape contract of the closed-form families.
-    """
+    """Apply ``one``, defined on one point (a :class:`CustomGenerator`
+    callable), to every row of ``X``: the ``(..., n)`` shape contract."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         return one(X)
@@ -164,18 +144,32 @@ class Generator:
         Generic route: the head rows are the Hessian of the potential
         f = phi + psi (whose gradient is the portfolio), taken by central
         second differences; the last row follows from the weights summing to
-        one.  The step, 3e-4 times max(1, |theta|), is near eps^(1/4), where
-        truncation and rounding errors of a second difference balance.
+        one.  The step h, 3e-4 times max(1, |theta|), is near eps^(1/4), where
+        truncation and rounding errors of a second difference balance.  The
+        stencils of all rows (theta, theta +- h e_i and theta +- h e_i +- h e_j
+        for j < i) go to ``log_gen`` together, in one call per block of rows of
+        at most 2^14 points, a bound on memory at high dimension.
         """
-
-        def f(x):
-            return self.log_gen(softmax_with_tail(x)) + _psi(x)
-
-        def one(th):
-            H = _fd_hessian(f, th, np.full(th.size, 3e-4 * max(1.0, np.linalg.norm(th))))
-            return np.vstack([H, -H.sum(axis=0)])
-
-        return _each_row(one, Theta)
+        Theta = np.asarray(Theta, dtype=float)
+        m = Theta.shape[-1]
+        eye = np.eye(m)
+        i, j = np.tril_indices(m, -1)
+        # offsets in steps: 0, +e_i, -e_i, then +-e_i +-e_j for each pair j < i
+        D = np.concatenate([np.zeros((1, m)), eye, -eye, eye[i] + eye[j], eye[i] - eye[j],
+                            eye[j] - eye[i], -eye[i] - eye[j]])
+        X = Theta.reshape(-1, m)
+        h = 3e-4 * np.maximum(1.0, np.linalg.norm(X, axis=-1))[:, None]
+        F = np.empty((len(X), len(D)))
+        block = max(1, (1 << 14) // len(D))
+        for lo in range(0, len(X), block):
+            S = X[lo : lo + block, None, :] + h[lo : lo + block, :, None] * D
+            F[lo : lo + block] = self.log_gen(from_primal_many(S)) + psi_many(S)
+        f0, fp, fm, fpp, fpm, fmp, fmm = np.split(F, np.cumsum([1, m, m] + 3 * [i.size]), axis=-1)
+        H = np.empty((len(X), m, m))
+        H[:, range(m), range(m)] = (fp - 2 * f0 + fm) / h**2
+        H[:, i, j] = H[:, j, i] = (fpp - fpm - fmp + fmm) / (4 * h * h)
+        dpi = np.concatenate([H, -H.sum(axis=-2, keepdims=True)], axis=-2)
+        return dpi.reshape(Theta.shape[:-1] + dpi.shape[1:])
 
     def dual_map_inverse(self, phi) -> np.ndarray | None:
         """Closed-form inverse of the dual coordinate map, if the family has one.
@@ -275,39 +269,9 @@ class ConstantWeighted(Generator):
         return {"kind": "constant", "weights": self.weights.tolist()}
 
 
-class DiversityWeighted(Generator):
-    """Generator ``phi(p) = log(sum_j p_j^lam) / lam`` with ``0 < lam < 1``."""
-
-    def __init__(self, lam: float):
-        if not 0.0 < lam < 1.0:
-            raise ValueError(f"lam must lie in (0, 1), got {lam}")
-        self.lam = float(lam)
-        self.name = f"dw[{self.lam:g}]"
-
-    def log_gen(self, P):
-        return np.log(np.sum(P**self.lam, axis=-1)) / self.lam
-
-    def euclid_grad(self, P) -> np.ndarray:
-        Q = P ** (self.lam - 1.0)
-        return Q / (Q * P).sum(axis=-1, keepdims=True)
-
-    def portfolio(self, P) -> np.ndarray:
-        Q = P**self.lam
-        return Q / Q.sum(axis=-1, keepdims=True)
-
-    def dpi_dtheta(self, Theta) -> np.ndarray:
-        # pi in exponential coordinates is a softmax of lam * theta
-        return _softmax_dpi(from_primal_many(self.lam * Theta), self.lam)
-
-    def dual_map_inverse(self, phi) -> np.ndarray:
-        return np.asarray(phi, dtype=float) / (1.0 - self.lam)
-
-    def to_config(self) -> dict:
-        return {"kind": "diversity", "lam": self.lam}
-
-
 class GeneralizedDiversityWeighted(Generator):
-    """Weighted variant ``phi(p) = log(sum_j w_j p_j^lam) / lam``."""
+    """Weighted variant ``phi(p) = log(sum_j w_j p_j^lam) / lam``; a scalar
+    ``w`` weighs every asset alike, in any dimension."""
 
     def __init__(self, weights, lam: float):
         w = np.asarray(weights, dtype=float)
@@ -316,6 +280,7 @@ class GeneralizedDiversityWeighted(Generator):
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lam must lie in (0, 1), got {lam}")
         self.w = w
+        self.shift = np.log(w[:-1] / w[-1]) if w.ndim else 0.0
         self.lam = float(lam)
         self.name = f"gdw[{self.lam:g}]"
 
@@ -331,15 +296,26 @@ class GeneralizedDiversityWeighted(Generator):
         return Q / Q.sum(axis=-1, keepdims=True)
 
     def dpi_dtheta(self, Theta) -> np.ndarray:
-        shift = np.log(self.w[:-1] / self.w[-1])
-        return _softmax_dpi(from_primal_many(self.lam * Theta + shift), self.lam)
+        # pi in exponential coordinates is a softmax of lam * theta + shift
+        return _softmax_dpi(from_primal_many(self.lam * Theta + self.shift), self.lam)
 
     def dual_map_inverse(self, phi) -> np.ndarray:
-        shift = np.log(self.w[:-1] / self.w[-1])
-        return (np.asarray(phi, dtype=float) + shift) / (1.0 - self.lam)
+        return (np.asarray(phi, dtype=float) + self.shift) / (1.0 - self.lam)
 
     def to_config(self) -> dict:
         return {"kind": "generalized_diversity", "lam": self.lam, "weights": self.w.tolist()}
+
+
+class DiversityWeighted(GeneralizedDiversityWeighted):
+    """Generator ``phi(p) = log(sum_j p_j^lam) / lam`` with ``0 < lam < 1``: the
+    weighted variant at the scalar weight 1 (so ``shift = 0``)."""
+
+    def __init__(self, lam: float):
+        super().__init__(1.0, lam)
+        self.name = f"dw[{self.lam:g}]"
+
+    def to_config(self) -> dict:
+        return {"kind": "diversity", "lam": self.lam}
 
 
 class ConvexCombination(Generator):
@@ -412,20 +388,10 @@ class CustomGenerator(Generator):
 # ---------------------------------------------------------------------------
 # constructors matching the config vocabulary
 
-def constant_weighted(weights) -> ConstantWeighted:
-    return ConstantWeighted(weights)
-
-
-def diversity_weighted(lam: float) -> DiversityWeighted:
-    return DiversityWeighted(lam)
-
-
-def generalized_diversity_weighted(weights, lam: float) -> GeneralizedDiversityWeighted:
-    return GeneralizedDiversityWeighted(weights, lam)
-
-
-def convex_combination(generators, coeffs) -> ConvexCombination:
-    return ConvexCombination(generators, coeffs)
+constant_weighted = ConstantWeighted
+diversity_weighted = DiversityWeighted
+generalized_diversity_weighted = GeneralizedDiversityWeighted
+convex_combination = ConvexCombination
 
 
 def equal_weighted(n: int) -> ConstantWeighted:

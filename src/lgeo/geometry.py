@@ -182,22 +182,27 @@ def metric_primal(gen: Generator, theta) -> MetricMatrix:
     return MetricMatrix(entries=G, coord="primal", base_point=th.copy(), inv=inv)
 
 
-def metric_dual(gen: Generator, phi=None, *, theta=None) -> MetricMatrix:
-    """Metric coefficients in dual coordinates.
-
-    Accepts either the dual coordinate ``phi`` (inverted numerically when the
-    family has no closed form) or, as a shortcut, the primal coordinate of
-    the same point.
-    """
+def _dual_point(gen: Generator, phi, theta):
+    """(theta, pi, phi) of a point given by exactly one of ``phi`` and ``theta``."""
+    if (phi is None) == (theta is None):
+        raise ValueError("give the point by exactly one of phi and theta")
     if theta is None:
-        th = inverse_dual_coord(gen, coord_array(phi))
+        phi = coord_array(phi)
+        th = inverse_dual_coord(gen, phi)
     else:
         th = coord_array(theta)
-    pi, dpi = _portfolio_at(gen, th), gen.dpi_dtheta(th)
+    pi = _portfolio_at(gen, th)
+    return th, pi, _dual_rows(th, pi, gen.name) if phi is None else phi
+
+
+def metric_dual(gen: Generator, phi=None, *, theta=None) -> MetricMatrix:
+    """Metric coefficients in dual coordinates, at the point given by its dual
+    coordinate ``phi`` or, as a shortcut, by its primal coordinate ``theta``."""
+    th, pi, base = _dual_point(gen, phi, theta)
+    dpi = gen.dpi_dtheta(th)
     J = _jacobian_from_portfolio(pi, dpi)
     G = _metric_entries(gen, pi, dpi, J)
     inv = J @ (np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1])
-    base = _dual_rows(th, pi, gen.name) if phi is None else coord_array(phi)
     return MetricMatrix(entries=G, coord="dual", base_point=base, inv=inv)
 
 
@@ -223,14 +228,7 @@ def christoffel_primal(gen: Generator, theta) -> ChristoffelTensor:
 
 
 def christoffel_dual(gen: Generator, phi=None, *, theta=None) -> ChristoffelTensor:
-    if theta is None:
-        th = inverse_dual_coord(gen, coord_array(phi))
-        pi = _portfolio_at(gen, th)
-        base = coord_array(phi)
-    else:
-        th = coord_array(theta)
-        pi = _portfolio_at(gen, th)
-        base = _dual_rows(th, pi, gen.name)
+    _, pi, base = _dual_point(gen, phi, theta)
     return ChristoffelTensor(
         gamma=_christoffel_raised(pi[:-1], -1.0), coord="dual", base_point=base
     )

@@ -255,6 +255,7 @@ def _dual_map_batch(gen: Generator, Theta: np.ndarray) -> np.ndarray:
 
 
 _MC_CHUNK = 1 << 14
+_GRAPH_POINTS = 6
 
 
 def gaussian_example_check(a, b, sigma, lam, sample_size: int = 100_000,
@@ -282,7 +283,7 @@ def gaussian_example_check(a, b, sigma, lam, sample_size: int = 100_000,
     w = weights_from_gaussian(a, b, lam)
     gen = GeneralizedDiversityWeighted(w, lam)
     scale = 1.0 - lam
-    shift = -np.log(w[:-1] / w[-1])
+    shift = -gen.shift
 
     # exact affinity of the map on a deterministic probe set
     probe = np.vstack([np.zeros_like(a), np.eye(a.size), -np.eye(a.size), a[None, :]])
@@ -322,9 +323,9 @@ def gaussian_example_check(a, b, sigma, lam, sample_size: int = 100_000,
     return report
 
 
-def _graph_is_monotone(gen, a, sigma, seed, n_points: int = 6) -> bool:
+def _graph_is_monotone(gen, a, sigma, seed) -> bool:
     rng = np.random.default_rng([seed, 0xC0])
-    theta = a + sigma * rng.standard_normal(size=(n_points, a.size))
+    theta = a + sigma * rng.standard_normal(size=(_GRAPH_POINTS, a.size))
     phi = _dual_map_batch(gen, theta)
     sample = CouplingSample(pairs=[(t, f) for t, f in zip(theta, phi)])
     return is_c_cyclical_monotone(sample)

@@ -233,6 +233,43 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    # --seed only on the two subcommands that draw random numbers, and no
+    # generator flags on transport-check, which builds its own generator
+    @pytest.mark.parametrize("argv, flag", [
+        (["divergence", "--gen", "eq3", "--p", ".5,.25,.25", "--q", ".2,.3,.5", "--seed", "3"],
+         "--seed"),
+        (["geodesic", "--gen", "dw:0.5", "--q", ".6,.25,.15", "--r", ".2,.3,.5", "--seed", "3",
+          "--out", "OUT"], "--seed"),
+        (["flow", "--gen", "dw:0.5", "--q", ".6,.25,.15", "--target", ".2,.3,.5", "--seed", "3",
+          "--out", "OUT"], "--seed"),
+        (["pyth", "--gen", "dw:0.5", "--p", ".3,.3,.4", "--q", ".2,.5,.3", "--r", ".5,.2,.3",
+          "--seed", "3"], "--seed"),
+        (["region", "--gen", "dw:0.5", "--p", ".3,.3,.4", "--r", ".5,.2,.3", "--seed", "3",
+          "--out", "OUT"], "--seed"),
+        (["backtest", "--gen", "eq3", "--data", "market.csv", "--seed", "3", "--out", "OUT"],
+         "--seed"),
+        (["compare", "--gen", "eq3", "--data", "market.csv", "--schedule-a", "0,1",
+          "--schedule-b", "0", "--seed", "3"], "--seed"),
+        (["interpolate", "--gen", "dw:0.5", "--theta", "1.0,-0.5", "--seed", "3", "--out", "OUT"],
+         "--seed"),
+        (["transport-check", "--gen", "dw:0.5", "--a", "0", "--b", "0", "--sigma", "1",
+          "--lam", "0.5", "--out", "OUT"], "--gen"),
+        (["transport-check", "--config", "gen.json", "--a", "0", "--b", "0", "--sigma", "1",
+          "--lam", "0.5", "--out", "OUT"], "--config"),
+    ])
+    def test_usage_error_flag_the_subcommand_does_not_read(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "x.csv"
+        assert run_cli(*[str(out) if a == "OUT" else a for a in argv]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_of_the_randomized_subcommands(self, capsys):
+        assert run_cli("regularity", "--gen", "dw:0.5", "--points", "5", "--seed", "7") == 0
+        assert "all regular" in capsys.readouterr().out
+        assert run_cli("transport-check", "--a", "0", "--b", "0", "--sigma", "1", "--lam", "0.5",
+                       "--samples", "20000", "--seed", "7") == 0
+        assert "transport check passed" in capsys.readouterr().out
+
     def test_numerical_error_points_of_different_dimension(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         assert run_cli("geodesic", "--gen", "dw:0.5", "--q", "0.2,0.3,0.5", "--r", "0.5,0.5",

@@ -74,11 +74,23 @@ class TestGeneratorValues:
             assert f_value(gen, th) == pytest.approx(w[:2] @ th, abs=1e-12)
 
     def test_gdw_reduces_to_dw_at_unit_weights(self, rng):
-        gdw = G.generalized_diversity_weighted(np.ones(3), 0.5)
-        dw = G.diversity_weighted(0.5)
-        for p in dirichlet_points(rng, 3, 10):
-            assert gdw.log_gen(p) == pytest.approx(dw.log_gen(p), rel=1e-14)
-            assert np.allclose(gdw.portfolio(p), dw.portfolio(p), atol=1e-15)
+        # dw against its closed forms, written out here; then dw and the
+        # weighted variant at unit weights give exactly the same values
+        lam = 0.5
+        dw = G.diversity_weighted(lam)
+        for n in (3, 10):
+            P = dirichlet_points(rng, n, 10)
+            Theta = rng.normal(size=(10, n - 1))
+            Q = P**lam
+            assert np.allclose(dw.log_gen(P), np.log(Q.sum(axis=1)) / lam, rtol=1e-14, atol=0)
+            assert np.allclose(dw.portfolio(P), Q / Q.sum(axis=1)[:, None], rtol=1e-14, atol=0)
+            grad = P ** (lam - 1) / Q.sum(axis=1)[:, None]
+            assert np.allclose(dw.euclid_grad(P), grad, rtol=1e-14, atol=0)
+            assert np.allclose(dw.dual_map_inverse(Theta), Theta / (1 - lam), rtol=1e-15, atol=0)
+            gdw = G.generalized_diversity_weighted(np.ones(n), lam)
+            for method, arg in (("log_gen", P), ("euclid_grad", P), ("portfolio", P),
+                                ("dpi_dtheta", Theta), ("dual_map_inverse", Theta)):
+                assert np.array_equal(getattr(dw, method)(arg), getattr(gdw, method)(arg)), method
 
     def test_gdw_portfolio_sums_to_one(self, rng):
         gen = G.generalized_diversity_weighted([0.3, 2.0, 1.1], 0.7)
@@ -335,7 +347,7 @@ class TestProperties:
                 pi_rows = gen.portfolio(P)
                 assert np.allclose(pi_rows, [gen.portfolio(p) for p in P], atol=1e-13), name
                 dpi_rows = gen.dpi_dtheta(Theta)
-                assert np.allclose(dpi_rows, [gen.dpi_dtheta(t) for t in Theta], atol=1e-8), name
+                assert np.array_equal(dpi_rows, [gen.dpi_dtheta(t) for t in Theta]), name
                 # a (2, 8, ...) stack of inputs gives the (2, 8, ...) stack of results
                 P_stack = P[:16].reshape(2, 8, n)
                 assert np.array_equal(gen.log_gen(P_stack), phi_rows[:16].reshape(2, 8)), name
@@ -345,7 +357,7 @@ class TestProperties:
                                    atol=1e-13), name
                 dpi_stack = gen.dpi_dtheta(np.stack([Theta, Theta]))
                 assert dpi_stack.shape == (2, 8, n, n - 1), name
-                assert np.allclose(dpi_stack, [dpi_rows, dpi_rows], atol=1e-8), name
+                assert np.array_equal(dpi_stack, [dpi_rows, dpi_rows]), name
                 # the closed-form dual inverses are elementwise: rows map exactly
                 rows = gen.dual_map_inverse(Theta)
                 if name in ("mix", "market", "custom"):
@@ -353,6 +365,23 @@ class TestProperties:
                 else:
                     ref = [gen.dual_map_inverse(t) for t in Theta]
                     assert np.array_equal(rows, ref), name
+
+    def test_dpi_fallback_takes_one_log_gen_call(self, rng):
+        # a generator that defines only an array log_gen: the finite-difference
+        # stencils of all 8 rows go to log_gen in one call
+        calls = []
+
+        class ArrayPhi(G.Generator):
+            def log_gen(self, P):
+                calls.append(P.shape)
+                return np.log(np.sum(np.sqrt(P), axis=-1)) / 0.5
+
+        for n in (3, 10):
+            Theta = rng.normal(size=(8, n - 1)) * 0.5
+            calls.clear()
+            dpi = ArrayPhi().dpi_dtheta(Theta)
+            assert len(calls) == 1, n
+            assert np.allclose(dpi, G.diversity_weighted(0.5).dpi_dtheta(Theta), atol=1e-6), n
 
 
 class TestConfig:

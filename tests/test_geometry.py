@@ -161,6 +161,24 @@ class TestCoordinateMetrics:
             J = G.jacobian_dual(gen, th)
             assert np.max(np.abs(pullback_metric(J, gstar) - g)) < 1e-6, name
 
+    def test_dual_point_given_by_exactly_one_coordinate(self):
+        # a point given by phi or by theta gives the same record, based at
+        # its own phi; phi of another point next to theta, or no point, is
+        # rejected rather than recorded with the wrong base point
+        gen = G.diversity_weighted(0.5)
+        th = np.array([0.3, -0.2])
+        ph = dual_coord(gen, th).phi
+        other = dual_coord(gen, [1.0, 0.5]).phi
+        for build in (geo.metric_dual, geo.christoffel_dual):
+            by_phi, by_theta = build(gen, ph), build(gen, theta=th)
+            assert np.array_equal(by_phi.base_point, ph), build.__name__
+            assert np.allclose(by_theta.base_point, ph, rtol=0, atol=1e-15), build.__name__
+            for kwargs in ({"phi": other, "theta": th}, {}):
+                with pytest.raises(ValueError, match="exactly one"):
+                    build(gen, **kwargs)
+        g_phi, g_theta = geo.metric_dual(gen, ph), geo.metric_dual(gen, theta=th)
+        assert np.allclose(g_phi.entries, g_theta.entries, rtol=0, atol=1e-14)
+
     def test_positive_definite_sweep(self, rng):
         for name, gen in builtin_zoo(3).items():
             Theta = rng.normal(size=(100, 2))
