@@ -2,6 +2,7 @@
 
 Generators are specified either as compact strings
 
+    equal               equal-weighted, in any dimension
     eqN                 equal-weighted on N assets
     market              the market portfolio (identity map)
     cw:p1,p2,...        constant-weighted
@@ -9,8 +10,9 @@ Generators are specified either as compact strings
     gdw:lambda:w1,...   weighted diversity
     mix:c1*spec+c2*spec convex combination (one level; nest via --config)
 
-or as a JSON config document via ``--config``.  Exit codes: 0 success,
-1 usage error (bad flags, unreadable spec), 2 numerical or data failure.
+or as a JSON config document (the record of ``to_config``) via ``--config``;
+both are built from that record.  Exit codes: 0 success, 1 usage error (bad
+flags, unreadable spec or config), 2 numerical or data failure.
 
 ``main`` builds its argument parser at its first call and reuses it for
 every later call in the process; each subcommand's ``_cmd_*`` function is
@@ -32,16 +34,9 @@ from ._table import write_table
 from .divergence import ConvergenceError, l_divergence
 from .finance import MarketDataError, fernholz_decompose, ingest_csv, rebalance_compare
 from .generators import (
-    ConstantWeighted,
-    ConvexCombination,
-    DiversityWeighted,
     Generator,
-    GeneralizedDiversityWeighted,
     NonRegularError,
-    UniformCrossEntropy,
-    ZeroGenerator,
     check_regularity,
-    equal_weighted,
     generator_from_config,
 )
 from .geodesics import (
@@ -61,56 +56,54 @@ from .transport import displacement_family, gaussian_example_check, market_inter
 __all__ = ["main", "parse_generator_spec", "emit_region"]
 
 _SQRT3_2 = np.sqrt(3.0) / 2.0
+_SVG_SIZE = 640  # width and height of an emitted region figure, in pixels
 
 
 class SpecError(ValueError):
-    """Unparseable generator spec string."""
+    """Unparseable generator spec string or malformed config record."""
+
+
+def _spec_record(spec: str) -> dict:
+    """The config record, as ``to_config`` writes it, that a spec names."""
+    spec = spec.strip()
+    head, _, rest = spec.partition(":")
+    if spec in ("market", "equal"):
+        return {"kind": spec}
+    if spec.startswith("eq"):
+        n = int(spec[2:])
+        if n < 2:
+            raise ValueError("equal-weight spec needs N >= 2")
+        return {"kind": "constant", "weights": [1.0 / n] * n}
+    if head == "cw":
+        return {"kind": "constant", "weights": [float(v) for v in rest.split(",")]}
+    if head == "dw":
+        return {"kind": "diversity", "lam": float(rest)}
+    if head == "gdw":
+        lam_text, _, w_text = rest.partition(":")
+        return {"kind": "generalized_diversity", "lam": float(lam_text),
+                "weights": [float(v) for v in w_text.split(",")]}
+    if head == "mix":
+        terms = [term.partition("*") for term in rest.split("+")]
+        return {"kind": "combination", "coeffs": [float(c) for c, _, _ in terms],
+                "components": [_spec_record(sub) for _, _, sub in terms]}
+    raise ValueError("unknown spec form")
 
 
 def parse_generator_spec(spec: str) -> Generator:
-    spec = spec.strip()
-    if spec == "market":
-        return ZeroGenerator()
-    if spec == "equal":
-        return UniformCrossEntropy()
-    if spec.startswith("eq"):
-        try:
-            n = int(spec[2:])
-        except ValueError:
-            raise SpecError(f"bad equal-weight spec {spec!r}") from None
-        if n < 2:
-            raise SpecError("equal-weight spec needs N >= 2")
-        return equal_weighted(n)
-    head, _, rest = spec.partition(":")
+    """The generator that a spec string names, built from its config record."""
     try:
-        if head == "cw":
-            return ConstantWeighted([float(v) for v in rest.split(",")])
-        if head == "dw":
-            return DiversityWeighted(float(rest))
-        if head == "gdw":
-            lam_text, _, w_text = rest.partition(":")
-            return GeneralizedDiversityWeighted(
-                [float(v) for v in w_text.split(",")], float(lam_text)
-            )
-        if head == "mix":
-            parts = []
-            coeffs = []
-            for term in rest.split("+"):
-                c_text, _, sub = term.partition("*")
-                coeffs.append(float(c_text))
-                parts.append(parse_generator_spec(sub))
-            return ConvexCombination(parts, coeffs)
-    except SpecError:
-        raise
-    except (ValueError, TypeError) as exc:
+        return generator_from_config(_spec_record(spec))
+    except ValueError as exc:
         raise SpecError(f"bad generator spec {spec!r}: {exc}") from None
-    raise SpecError(f"unknown generator spec {spec!r}")
 
 
 def _generator_from_args(args) -> Generator:
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            return generator_from_config(json.load(fh))
+            try:
+                return generator_from_config(json.load(fh))
+            except ValueError as exc:
+                raise SpecError(f"bad generator config {args.config}: {exc}") from None
     if getattr(args, "gen", None):
         return parse_generator_spec(args.gen)
     raise SpecError("a generator is required (--gen or --config)")
@@ -153,8 +146,7 @@ def _simplex_to_xy(Q: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def emit_region(gen: Generator, p, r, resolution: int, out_path, fmt: str = "csv",
-                size: int = 640) -> RegionSample:
+def emit_region(gen: Generator, p, r, resolution: int, out_path, fmt: str = "csv") -> RegionSample:
     """Sample the rebalancing region and write it as standalone SVG or as CSV:
     ``q1,q2,q3,gap,in_region`` rows ending in ``\\n``, floats as ``%.17g``."""
     sample = region_sample(gen, p, r, grid_resolution=resolution)
@@ -165,16 +157,16 @@ def emit_region(gen: Generator, p, r, resolution: int, out_path, fmt: str = "csv
     if fmt != "svg":
         raise ValueError(f"unknown region format {fmt!r}")
 
-    pad = 0.08 * size
-    span = size - 2 * pad
+    pad = 0.08 * _SVG_SIZE
+    span = _SVG_SIZE - 2 * pad
     xy = _simplex_to_xy(sample.points)
-    px, py = pad + xy[:, 0] * span, size - pad - xy[:, 1] * span
+    px, py = pad + xy[:, 0] * span, _SVG_SIZE - pad - xy[:, 1] * span
     corners = _simplex_to_xy(np.eye(3))
-    cx, cy = pad + corners[:, 0] * span, size - pad - corners[:, 1] * span
+    cx, cy = pad + corners[:, 0] * span, _SVG_SIZE - pad - corners[:, 1] * span
     dot = max(1.0, 0.45 * span / resolution)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'width="{_SVG_SIZE}" height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
         f'<polygon points="{cx[0]:.2f},{cy[0]:.2f} {cx[1]:.2f},{cy[1]:.2f} '
         f'{cx[2]:.2f},{cy[2]:.2f}" fill="none" stroke="black" stroke-width="1.5"/>',
     ]
@@ -183,11 +175,11 @@ def emit_region(gen: Generator, p, r, resolution: int, out_path, fmt: str = "csv
             lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{dot:.2f}" fill="#7fb2d9"/>')
     if sample.boundary_polyline.size:
         bxy = _simplex_to_xy(sample.boundary_polyline)
-        bx, by = pad + bxy[:, 0] * span, size - pad - bxy[:, 1] * span
+        bx, by = pad + bxy[:, 0] * span, _SVG_SIZE - pad - bxy[:, 1] * span
         for x, y in zip(bx, by):
             lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{dot * 0.8:.2f}" fill="#c44e52"/>')
     marks = _simplex_to_xy(np.vstack([np.asarray(p, dtype=float), np.asarray(r, dtype=float)]))
-    mx, my = pad + marks[:, 0] * span, size - pad - marks[:, 1] * span
+    mx, my = pad + marks[:, 0] * span, _SVG_SIZE - pad - marks[:, 1] * span
     for (x, y, label) in ((mx[0], my[0], "p"), (mx[1], my[1], "r")):
         lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="black"/>')
         lines.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="16">{label}</text>')

@@ -143,8 +143,7 @@ def l_divergence_dual(gen: Generator, phi, phi2) -> DivergenceValue:
     closed form.
     """
     ph, ph2 = coord_array(phi), coord_array(phi2)
-    th = inverse_dual_coord(gen, ph)
-    th2 = inverse_dual_coord(gen, ph2)
+    th, th2 = inverse_dual_coord(gen, np.array([ph, ph2]))
     f = f_value(gen, np.array([th, th2]))
     fstar = psi(th - ph) - f[0]
     fstar2 = psi(th2 - ph2) - f[1]
@@ -354,13 +353,14 @@ def minimize(*args, **kwargs):
 
 
 def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
-    """Minimizer theta of psi(theta - phi) - f(theta).
+    """Minimizer theta of psi(theta - phi) - f(theta), for one point.
 
     Damped Newton (:func:`_newton_max_u` on one row) from ``x0``, from the
     family's closed-form inverse when available, and from the barycenter;
-    Nelder-Mead as a last resort.  The objective is the negative of a
-    strictly quasi-concave function, so the minimizer is unique when it
-    exists.
+    Nelder-Mead as a last resort.  This is the per-row fallback of
+    :func:`inverse_dual_coord`, which passes each unconverged row's last
+    iterate as ``x0``.  The objective is the negative of a strictly
+    quasi-concave function, so the minimizer is unique when it exists.
     """
     ph = coord_array(phi)
     starts = [np.zeros_like(ph)]
@@ -402,29 +402,28 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
     """Exponential coordinate of the point whose dual coordinate is ``phi``.
 
     ``phi`` is one dual coordinate (m,) or an (N, m) array of rows, answered
-    row for row.  A family's closed-form inverse maps all rows at once.
-    Without one, a single point is solved by :func:`c_transform_argmin`,
-    started at ``x0`` if given.  Rows are solved together by one batched
-    damped Newton (:func:`_newton_max_u`); each row starts at ``x0`` (one
-    start for every row, or one per row) or, by default, at its own dual
-    coordinate.  The rows that the batch leaves unconverged go to
+    row for row; one point is solved as a single row, so it gets the bits it
+    would get in any array.  A family's closed-form inverse maps all rows at
+    once.  Without one, the rows are solved together by one batched damped
+    Newton (:func:`_newton_max_u`); each row starts at ``x0`` (one start for
+    every row, or one per row) or, by default, at its own dual coordinate.
+    The rows that the batch leaves unconverged go to
     :func:`c_transform_argmin` one at a time; if one of them still fails,
-    the :class:`ConvergenceError` carries its ``row``.
+    the :class:`ConvergenceError` carries its ``row`` (0 for one point).
     """
     ph = coord_rows(phi)
     closed = gen.dual_map_inverse(ph)
     if closed is not None:
         return np.asarray(closed, dtype=float)
-    if ph.ndim == 1:
-        return c_transform_argmin(gen, ph, x0=x0)
-    start = ph if x0 is None else np.broadcast_to(coord_rows(x0), ph.shape)
-    th, _, ok = _newton_max_u(gen, ph, start)
+    Ph = np.atleast_2d(ph)
+    start = Ph if x0 is None else np.broadcast_to(coord_rows(x0), Ph.shape)
+    th, _, ok = _newton_max_u(gen, Ph, start)
     for j in np.flatnonzero(~ok):
         try:
-            th[j] = c_transform_argmin(gen, ph[j], x0=th[j])
+            th[j] = c_transform_argmin(gen, Ph[j], x0=th[j])
         except ConvergenceError as exc:
             raise ConvergenceError(str(exc), row=int(j)) from exc
-    return th
+    return th.reshape(ph.shape)
 
 
 # ---------------------------------------------------------------------------

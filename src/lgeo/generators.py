@@ -11,10 +11,11 @@ which sends the open simplex into its closure, and a dual coordinate map
     phi_i(theta) = theta_i - log(pi_i / pi_n),
 
 which is the transport map of the associated cost.  The built-in families
-carry analytic gradients and portfolio derivatives: constant-weighted, the
-weighted diversity family (diversity-weighted is its unit-weight case) and
-convex combinations.  A generator defined from ``phi`` alone falls back to
-central differences, evaluated on whole arrays.
+carry analytic gradients and portfolio derivatives: constant-weighted
+(equal-weighted is its case at weights 1/n), the weighted diversity family
+(diversity-weighted is its unit-weight case) and convex combinations.  A
+generator defined from ``phi`` alone falls back to central differences,
+evaluated on whole arrays.
 
 A generator is *regular* when the tangent-restricted Hessian of ``Phi`` is
 strictly negative definite, equivalently when the metric of T
@@ -35,6 +36,7 @@ coordinates), ``_dual_rows`` (dual coordinates) and ``_metric_rows``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -210,35 +212,6 @@ class ZeroGenerator(Generator):
         return {"kind": "market"}
 
 
-class UniformCrossEntropy(Generator):
-    """Equal-weight cross-entropy ``phi(p) = mean(log p)``, any dimension.
-
-    Generates the equal-weighted portfolio; its dual coordinate map is the
-    identity.  Used as the t = 0 end of displacement interpolation.
-    """
-
-    name = "equal"
-
-    def log_gen(self, P):
-        return np.mean(np.log(P), axis=-1)
-
-    def euclid_grad(self, P) -> np.ndarray:
-        return 1.0 / (P.shape[-1] * P)
-
-    def portfolio(self, P) -> np.ndarray:
-        return np.full(P.shape, 1.0 / P.shape[-1])
-
-    def dpi_dtheta(self, Theta) -> np.ndarray:
-        m = Theta.shape[-1]
-        return np.zeros(Theta.shape[:-1] + (m + 1, m))
-
-    def dual_map_inverse(self, phi) -> np.ndarray:
-        return np.array(phi, dtype=float)
-
-    def to_config(self) -> dict:
-        return {"kind": "equal"}
-
-
 class ConstantWeighted(Generator):
     """Cross-entropy generator ``phi(p) = sum_i w_i log p_i``, constant weights."""
 
@@ -246,27 +219,51 @@ class ConstantWeighted(Generator):
         self.weights = point_array(weights)
         self.name = "cw[" + ",".join(f"{w:g}" for w in self.weights) + "]"
 
+    def _weights(self, n: int) -> np.ndarray:
+        """The weights at dimension ``n``: the stored ones."""
+        return self.weights
+
     def log_gen(self, P):
         # an elementwise product summed over the last axis rounds the same
         # for every row count, unlike a matrix product
-        return (np.log(P) * self.weights).sum(axis=-1)
+        return (np.log(P) * self._weights(P.shape[-1])).sum(axis=-1)
 
     def euclid_grad(self, P) -> np.ndarray:
-        return self.weights / P
+        return self._weights(P.shape[-1]) / P
 
     def portfolio(self, P) -> np.ndarray:
-        return np.full(P.shape, self.weights)
+        return np.full(P.shape, self._weights(P.shape[-1]))
 
     def dpi_dtheta(self, Theta) -> np.ndarray:
-        n = self.weights.size
-        return np.zeros(Theta.shape[:-1] + (n, n - 1))
+        m = Theta.shape[-1]
+        return np.zeros(Theta.shape[:-1] + (m + 1, m))
 
     def dual_map_inverse(self, phi) -> np.ndarray:
-        w = self.weights
+        w = self._weights(np.shape(phi)[-1] + 1)
         return np.asarray(phi, dtype=float) + np.log(w[:-1] / w[-1])
 
     def to_config(self) -> dict:
         return {"kind": "constant", "weights": self.weights.tolist()}
+
+
+class UniformCrossEntropy(ConstantWeighted):
+    """Equal-weight cross-entropy ``phi(p) = mean(log p)``, any dimension: the
+    weights at n entries are those of ``equal_weighted(n)``.  Generates the
+    equal-weighted portfolio, its dual coordinate map is the identity, and it
+    is the t = 0 end of displacement interpolation."""
+
+    name = "equal"
+
+    def __init__(self):
+        pass  # no stored weights
+
+    @staticmethod
+    @functools.cache
+    def _weights(n: int) -> np.ndarray:
+        return equal_weighted(n).weights  # read-only; 1/n renormalized, so not always 1/n
+
+    def to_config(self) -> dict:
+        return {"kind": "equal"}
 
 
 class GeneralizedDiversityWeighted(Generator):
@@ -410,8 +407,8 @@ class Portfolio:
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float).copy()
-        if np.any(w < -1e-9):
-            raise NonRegularError(f"negative portfolio weight {w.min()!r}")
+        if not (w >= -1e-9).all():  # nan fails too; an inf fails the sum below
+            raise NonRegularError(f"negative or nan portfolio weight in {w!r}")
         s = w.sum()
         if abs(s - 1.0) > 1e-8:
             raise NonRegularError(f"portfolio weights sum to {s!r}")
@@ -431,8 +428,8 @@ class Portfolio:
 # duality maps
 
 def portfolio(gen: Generator, p) -> Portfolio:
-    """Portfolio of ``gen`` at ``p``, validated to sum to one."""
-    return Portfolio(gen.portfolio(np.asarray(p, dtype=float)))
+    """Portfolio of ``gen`` at the open-simplex point ``p``, validated to sum to one."""
+    return Portfolio(gen.portfolio(point_array(p)))
 
 
 def _portfolio_at(gen: Generator, Theta: np.ndarray) -> np.ndarray:
@@ -570,22 +567,45 @@ def check_regularity(gen: Generator, sample_points) -> RegularityReport:
 # ---------------------------------------------------------------------------
 # config records
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
 def generator_from_config(cfg: dict) -> Generator:
-    """Build a generator from a config record (see each family's to_config)."""
+    """Build a generator from a config record (see each family's to_config).
+
+    A record that is not a dict, or whose kind lacks a field or holds one of
+    the wrong type, is a ``ValueError`` that names the field.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a generator config must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
+
+    def field(key, ok, what):
+        if not ok(cfg.get(key)):
+            raise ValueError(f"{kind} config: field {key!r} must be {what}, got {cfg.get(key)!r}")
+        return cfg[key]
+
     if kind == "market":
         return ZeroGenerator()
     if kind == "equal":
         return UniformCrossEntropy()
     if kind == "constant":
-        return ConstantWeighted(cfg["weights"])
+        return ConstantWeighted(field("weights", _is_numbers, "a list of numbers"))
     if kind == "diversity":
-        return DiversityWeighted(cfg["lam"])
+        return DiversityWeighted(field("lam", _is_number, "a number"))
     if kind == "generalized_diversity":
-        return GeneralizedDiversityWeighted(cfg["weights"], cfg["lam"])
+        w = field("weights", lambda v: _is_number(v) or _is_numbers(v),
+                  "a number or a list of numbers")
+        return GeneralizedDiversityWeighted(w, field("lam", _is_number, "a number"))
     if kind == "combination":
-        parts = [generator_from_config(sub) for sub in cfg["components"]]
-        return ConvexCombination(parts, cfg["coeffs"])
+        subs = field("components", lambda v: isinstance(v, list), "a list of records")
+        coeffs = field("coeffs", _is_numbers, "a list of numbers")
+        return ConvexCombination([generator_from_config(sub) for sub in subs], coeffs)
     raise ValueError(f"unknown generator kind {kind!r}")
 
 

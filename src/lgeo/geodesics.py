@@ -574,8 +574,7 @@ def _residual_values(gen, times, points, coord, eval_times, end_velocities=None)
     return a + sign * (v * v - 2.0 * v * mix)
 
 
-def geodesic_residual(gen: Generator, curve: Curve, trim: int = 2,
-                      richardson: bool = True) -> float:
+def geodesic_residual(gen: Generator, curve: Curve, trim: int = 2) -> float:
     """Sup-norm residual of the geodesic equation along a sampled curve.
 
     Velocities and accelerations come from a cubic spline through the
@@ -583,15 +582,15 @@ def geodesic_residual(gen: Generator, curve: Curve, trim: int = 2,
     (stored end velocities, when present, clamp the spline ends).  On a
     uniform power-of-two-plus-one grid the O(step^2) spline truncation is
     removed by Richardson extrapolation against the half-resolution
-    subsample, evaluated at their shared interior nodes; pass
-    ``richardson=False`` for the raw residual.
+    subsample, evaluated at their shared interior nodes; other grids give
+    the raw residual.
     """
     ends = None
     if curve.velocities is not None:
         ends = (curve.velocities[0], curve.velocities[-1])
     m = curve.times.size
     uniform = np.allclose(np.diff(curve.times), curve.times[1] - curve.times[0], rtol=1e-9)
-    if not richardson or not uniform or m < 9 or m % 2 == 0:
+    if not uniform or m < 9 or m % 2 == 0:
         ts_eval = curve.times[trim:-trim] if trim else curve.times
         res = _residual_values(gen, curve.times, curve.points, curve.coord, ts_eval, ends)
         return float(np.max(np.abs(res)))

@@ -79,22 +79,23 @@ class ActionValue:
         return self.value
 
 
-def action(curve: Curve, nodes: int = _ACTION_NODES) -> ActionValue:
+def action(curve: Curve) -> ActionValue:
     """Lagrangian action of a coordinate-space curve.
 
-    The curve is resampled by a cubic spline onto a Simpson grid; the
-    integrand uses the analytic derivative of the spline.  If the running
-    portfolio coordinate q_n ever decreases faster than its initial level
-    allows (argument of the log not positive), the action is +inf.
+    The curve is resampled by a cubic spline onto a Simpson grid of
+    ``_ACTION_NODES`` (129) nodes; the integrand uses the analytic derivative
+    of the spline.  If the running portfolio coordinate q_n ever decreases
+    faster than its initial level allows (argument of the log not positive),
+    the action is +inf.
     """
     from scipy.integrate import simpson
     from scipy.interpolate import CubicSpline
 
     if curve.coord != "primal":
         raise ValueError("the action is defined for curves in primal coordinate space")
-    ts = np.linspace(curve.times[0], curve.times[-1], nodes)
+    ts = np.linspace(curve.times[0], curve.times[-1], _ACTION_NODES)
     gamma0 = curve.points[0]
-    same_grid = curve.times.size == nodes and np.allclose(curve.times, ts, atol=1e-12)
+    same_grid = curve.times.size == _ACTION_NODES and np.allclose(curve.times, ts, atol=1e-12)
     if same_grid and curve.velocities is not None:
         points, derivs = curve.points, curve.velocities
     else:

@@ -47,6 +47,42 @@ class TestGeneratorSpecs:
             with pytest.raises((cli.SpecError, ValueError)):
                 cli.parse_generator_spec(bad)
 
+    def test_each_spec_form_is_its_config_record(self):
+        # a spec is built through the config record that to_config writes back
+        third, tenth = [1 / 3] * 3, [0.1] * 10
+        records = {
+            "market": {"kind": "market"},
+            "equal": {"kind": "equal"},
+            "eq3": {"kind": "constant", "weights": third},
+            " eq10 ": {"kind": "constant", "weights": tenth},
+            "cw:0.25,0.75": {"kind": "constant", "weights": [0.25, 0.75]},
+            "dw:0.5": {"kind": "diversity", "lam": 0.5},
+            "gdw:0.4:1,2,0.5": {"kind": "generalized_diversity", "lam": 0.4,
+                                "weights": [1.0, 2.0, 0.5]},
+            "mix:0.4*eq3+0.6*dw:0.5": {
+                "kind": "combination", "coeffs": [0.4, 0.6],
+                "components": [{"kind": "constant", "weights": third},
+                               {"kind": "diversity", "lam": 0.5}]},
+            "mix:0.25*equal+0.75*mix:1*eq10": {
+                "kind": "combination", "coeffs": [0.25, 0.75],
+                "components": [{"kind": "equal"},
+                               {"kind": "combination", "coeffs": [1.0],
+                                "components": [{"kind": "constant", "weights": tenth}]}]},
+        }
+        for spec, record in records.items():
+            assert cli.parse_generator_spec(spec).to_config() == record, spec
+        # eqN is equal_weighted(N), and `equal` gives its values at N entries
+        for n in (3, 7):
+            eq, cw = cli.parse_generator_spec(f"eq{n}"), G.equal_weighted(n)
+            assert np.array_equal(eq.weights, cw.weights), n
+            P = dirichlet_points(np.random.default_rng(n), n, 5)
+            assert np.array_equal(cli.parse_generator_spec("equal").log_gen(P), cw.log_gen(P)), n
+
+    def test_cli_imports_no_generator_family(self):
+        families = [v for v in vars(cli).values()
+                    if isinstance(v, type) and issubclass(v, G.Generator) and v is not G.Generator]
+        assert families == []
+
 
 class TestSubcommands:
     def test_divergence_hand_value(self, capsys):
@@ -181,6 +217,23 @@ class TestRegionCommand:
 class TestExitCodes:
     def test_usage_error_bad_spec(self, capsys):
         assert run_cli("divergence", "--gen", "bogus", "--p", ".5,.5", "--q", ".5,.5") == 1
+
+    @pytest.mark.parametrize("doc, field", [
+        ('{"kind": "constant"}', "'weights'"),
+        ('{"kind": "diversity", "lam": "x"}', "'lam'"),
+        ("[1, 2]", "JSON object"),
+        ('{"kind": "diversity", "lam": 0.5', "gen.json"),
+    ])
+    def test_usage_error_malformed_config(self, tmp_path, capsys, doc, field):
+        # a malformed --config file exits 1 with one error line, as a bad --gen
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(doc)
+        code = run_cli("divergence", "--config", str(cfg), "--p", ".5,.25,.25",
+                       "--q", ".25,.5,.25")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: bad generator config") and field in err
+        assert len(err.splitlines()) == 1
 
     def test_usage_error_unknown_command(self, capsys):
         assert run_cli("no-such-command") == 1

@@ -169,9 +169,10 @@ class TestCTransform:
     def test_row_arrays_match_row_calls(self, rng):
         # (N, m) inputs answer row for row.  Closed forms are elementwise, so
         # rows equal per-row calls exactly.  The Newton family (mix) solves
-        # all rows in one batch; it stops at |grad u| < 1e-10, so each row and
-        # its per-row call recover theta to within 1e-10 ||H^-1|| (the
-        # first-order error of that stop; H is the Hessian of u at theta)
+        # all rows in one batch, and a per-row call as a batch of one row, so
+        # they agree exactly too; the solve stops at |grad u| < 1e-10, so both
+        # recover theta to within 1e-10 ||H^-1|| (the first-order error of
+        # that stop; H is the Hessian of u at theta)
         eps = np.finfo(float).eps
         for n in (3, 10):
             Th = rng.normal(size=(12, n - 1)) * 0.8
@@ -184,14 +185,11 @@ class TestCTransform:
                 ref = np.array([D.inverse_dual_coord(gen, ph) for ph in Ph])
                 rows = D.inverse_dual_coord(gen, Ph)
                 assert rows.shape == Ph.shape, name
-                if name != "mix":
-                    assert np.array_equal(rows, ref), name
-                    continue
-                _, _, H = D._u_value_grad_hess(gen, Th, Ph)
-                stop = 1e-10 / np.abs(np.linalg.eigvalsh(H)).min(axis=1)
-                assert np.all(np.linalg.norm(rows - Th, axis=1) < stop), name
-                assert np.all(np.linalg.norm(ref - Th, axis=1) < stop), name
-                assert np.all(np.linalg.norm(rows - ref, axis=1) < 2 * stop), name
+                assert np.array_equal(rows, ref), name
+                if name == "mix":
+                    _, _, H = D._u_value_grad_hess(gen, Th, Ph)
+                    stop = 1e-10 / np.abs(np.linalg.eigvalsh(H)).min(axis=1)
+                    assert np.all(np.linalg.norm(rows - Th, axis=1) < stop), name
         # n = 50: the dual coordinates of the rows are the rows asked for, to
         # the stop |grad u| < 1e-10 over portfolio weights of order 1/n
         gen = builtin_zoo(50)["mix"]
@@ -199,6 +197,28 @@ class TestCTransform:
         rows = D.inverse_dual_coord(gen, Ph)
         back = np.array([G.dual_coord(gen, th).phi for th in rows])
         assert np.max(np.abs(back - Ph)) < 1e-7
+
+    def test_one_point_is_solved_as_one_row(self, rng, monkeypatch):
+        # without a closed form, one point takes the row path: it starts at
+        # its own dual coordinate and gets the bits of the (1, m) array of it
+        for n in (3, 10):
+            gen = builtin_zoo(n)["mix"]
+            for th in rng.normal(size=(20, n - 1)) * 0.8:
+                ph = G.dual_coord(gen, th).phi
+                one = D.inverse_dual_coord(gen, ph)
+                assert one.shape == (n - 1,), n
+                assert np.array_equal(one, D.inverse_dual_coord(gen, ph[None])[0]), n
+            # a pair in one call, as l_divergence_dual solves it, is bitwise
+            # the two points solved alone
+            Ph = np.array([G.dual_coord(gen, th).phi for th in rng.normal(size=(2, n - 1))])
+            pair = D.inverse_dual_coord(gen, Ph)
+            assert np.array_equal(pair, [D.inverse_dual_coord(gen, ph) for ph in Ph]), n
+        # a point that no start solves fails as row 0
+        monkeypatch.setattr(D, "_newton_max_u", _stuck_newton)
+        monkeypatch.setattr(D, "minimize", lambda fun, x0, **kw: SimpleNamespace(x=x0 + 1.0))
+        with pytest.raises(D.ConvergenceError, match="did not converge") as info:
+            D.inverse_dual_coord(gen, ph)
+        assert info.value.row == 0
 
     def test_shifted_row_in_block_matches_its_own_solve(self, monkeypatch):
         # row 2 starts where the Hessian of u has a positive eigenvalue, so the

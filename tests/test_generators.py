@@ -53,6 +53,17 @@ class TestPortfolioMap:
         assert w.interior
         assert abs(w.weights.sum() - 1.0) < 1e-15
 
+    def test_portfolio_wrapper_rejects_points_off_the_open_simplex(self):
+        gen = G.diversity_weighted(0.5)
+        for bad in ([0.5, 0.6], [0.5, 0.5, 0.0], [2.0, -1.0], [0.5, np.nan, 0.5], [1.0]):
+            with pytest.raises(ValueError, match="simplex point|coordinates sum"):
+                G.portfolio(gen, bad)
+
+    def test_portfolio_rejects_non_finite_weights(self):
+        for bad in ([np.nan, np.nan], [0.5, np.nan, 0.5], [np.inf, 0.0]):
+            with pytest.raises(G.NonRegularError):
+                G.Portfolio(bad)
+
 
 class TestGeneratorValues:
     def test_cross_entropy_value(self):
@@ -91,6 +102,28 @@ class TestGeneratorValues:
             for method, arg in (("log_gen", P), ("euclid_grad", P), ("portfolio", P),
                                 ("dpi_dtheta", Theta), ("dual_map_inverse", Theta)):
                 assert np.array_equal(getattr(dw, method)(arg), getattr(gdw, method)(arg)), method
+
+    def test_equal_is_equal_weighted_in_every_dimension(self, rng):
+        # `equal` is the constant-weighted generator at the weights that
+        # equal_weighted(n) stores, which at n = 7 all differ from 1/7: the
+        # two give exactly the same values, on one point and on rows
+        eq = G.UniformCrossEntropy()
+        assert not {"log_gen", "euclid_grad", "portfolio", "dpi_dtheta",
+                    "dual_map_inverse"} & set(vars(G.UniformCrossEntropy))
+        for n in (3, 7, 10, 50):
+            cw = G.equal_weighted(n)
+            P = dirichlet_points(rng, n, 10)
+            Theta = rng.normal(size=(10, n - 1))
+            for method, arg in (("log_gen", P), ("euclid_grad", P), ("portfolio", P),
+                                ("dpi_dtheta", Theta), ("dual_map_inverse", Theta)):
+                for x in (arg, arg[0]):
+                    got, ref = getattr(eq, method)(x), getattr(cw, method)(x)
+                    assert np.shape(got) == np.shape(ref), (n, method)
+                    assert np.array_equal(got, ref), (n, method)
+            # mean(log p) and the identity dual map, to rounding
+            assert np.allclose(eq.log_gen(P), np.log(P).mean(axis=1), rtol=1e-14, atol=0), n
+            assert np.array_equal(eq.dual_map_inverse(Theta), Theta), n
+        assert np.sum(G.equal_weighted(7).weights != 1 / 7) == 7
 
     def test_gdw_portfolio_sums_to_one(self, rng):
         gen = G.generalized_diversity_weighted([0.3, 2.0, 1.1], 0.7)
@@ -405,3 +438,24 @@ class TestConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             G.generator_from_config({"kind": "mystery"})
+
+    def test_malformed_records_name_the_field(self):
+        cases = [
+            ([1, 2], "JSON object"),
+            ("constant", "JSON object"),
+            ({"kind": "constant"}, "'weights'"),
+            ({"kind": "constant", "weights": [0.5, "0.5"]}, "'weights'"),
+            ({"kind": "diversity", "lam": "x"}, "'lam'"),
+            ({"kind": "diversity", "lam": True}, "'lam'"),
+            ({"kind": "generalized_diversity", "weights": [1.0, 2.0]}, "'lam'"),
+            ({"kind": "generalized_diversity", "lam": 0.5, "weights": {"a": 1}}, "'weights'"),
+            ({"kind": "combination", "coeffs": [1.0]}, "'components'"),
+            ({"kind": "combination", "components": [{"kind": "market"}]}, "'coeffs'"),
+            ({"kind": "combination", "coeffs": [1.0], "components": [3]}, "JSON object"),
+        ]
+        for record, field in cases:
+            with pytest.raises(ValueError, match=field):
+                G.generator_from_config(record)
+        # a scalar gdw weight is a number, as its to_config writes it
+        gdw = G.generalized_diversity_weighted(1.0, 0.5)
+        assert G.generator_from_config(gdw.to_config()).to_config() == gdw.to_config()
