@@ -25,6 +25,7 @@ import numpy as np
 
 from .generators import Generator, NonRegularError, _dual_rows, _portfolio_at
 from .simplex import (
+    _identity,
     _log_tilt,
     coord_array,
     coord_rows,
@@ -195,7 +196,7 @@ def _u_hess(gen: Generator, Th: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Hessian (N, m, m) of u at the rows ``Th``, whose softmax rows ``S``
     came from :func:`_u_value_grad`."""
     # diag(S) - S S^T, one row at a time
-    return gen.dpi_dtheta(Th)[:, :-1] - S[:, :, None] * (np.eye(S.shape[1]) - S[:, None, :])
+    return gen.dpi_dtheta(Th)[:, :-1] - S[:, :, None] * (_identity(S.shape[1]) - S[:, None, :])
 
 
 def _u_value_grad_hess(gen: Generator, Th: np.ndarray, Ph: np.ndarray):

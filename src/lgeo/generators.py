@@ -45,6 +45,7 @@ import numpy as np
 from .simplex import (
     DualCoord,
     SimplexPoint,
+    _identity,
     coord_array,
     from_primal,
     from_primal_many,
@@ -102,8 +103,7 @@ def _each_row(one, X):
 
 def _softmax_dpi(pi: np.ndarray, lam: float = 1.0) -> np.ndarray:
     """Derivative, shape (..., n, n-1), of ``pi = softmax_with_tail(lam * theta + c)``."""
-    eye = np.eye(pi.shape[-1])[:, :-1]
-    return lam * pi[..., :, None] * (eye - pi[..., None, :-1])
+    return lam * pi[..., :, None] * (_identity(pi.shape[-1])[:, :-1] - pi[..., None, :-1])
 
 
 class Generator:
@@ -213,10 +213,14 @@ class ZeroGenerator(Generator):
 
 
 class ConstantWeighted(Generator):
-    """Cross-entropy generator ``phi(p) = sum_i w_i log p_i``, constant weights."""
+    """Cross-entropy generator ``phi(p) = sum_i w_i log p_i``, constant weights.
+
+    ``weights`` are the given weights divided by their sum; the config record
+    writes them as given, since that division is not idempotent."""
 
     def __init__(self, weights):
         self.weights = point_array(weights)
+        self._given = np.array(weights, dtype=float)
         self.name = "cw[" + ",".join(f"{w:g}" for w in self.weights) + "]"
 
     def _weights(self, n: int) -> np.ndarray:
@@ -243,7 +247,7 @@ class ConstantWeighted(Generator):
         return np.asarray(phi, dtype=float) + np.log(w[:-1] / w[-1])
 
     def to_config(self) -> dict:
-        return {"kind": "constant", "weights": self.weights.tolist()}
+        return {"kind": "constant", "weights": self._given.tolist()}
 
 
 class UniformCrossEntropy(ConstantWeighted):
@@ -330,25 +334,27 @@ class ConvexCombination(Generator):
         self.coeffs = c
         self.name = "+".join(f"{ck:g}*{g.name}" for ck, g in zip(c, self.parts))
 
-    def _blend(self, values):
-        """sum_k c_k v_k over the parts' values v_k, in part order; unlike
-        sum(), it starts at the first term instead of adding it to 0."""
+    def _blend(self, method: str, X):
+        """sum_k c_k v_k over the parts' values v_k = part_k.method(X), in part
+        order; unlike sum(), it starts at the first term instead of adding it
+        to 0."""
         total = None
-        for c, v in zip(self.coeffs, values):
-            total = c * v if total is None else total + c * v
+        for c, g in zip(self.coeffs, self.parts):
+            v = c * getattr(g, method)(X)
+            total = v if total is None else total + v
         return total
 
     def log_gen(self, P):
-        return self._blend(g.log_gen(P) for g in self.parts)
+        return self._blend("log_gen", P)
 
     def euclid_grad(self, P) -> np.ndarray:
-        return self._blend(g.euclid_grad(P) for g in self.parts)
+        return self._blend("euclid_grad", P)
 
     def portfolio(self, P) -> np.ndarray:
-        return self._blend(g.portfolio(P) for g in self.parts)
+        return self._blend("portfolio", P)
 
     def dpi_dtheta(self, Theta) -> np.ndarray:
-        return self._blend(g.dpi_dtheta(Theta) for g in self.parts)
+        return self._blend("dpi_dtheta", Theta)
 
     def dual_map_inverse(self, phi):
         if len(self.parts) == 1:
@@ -411,7 +417,7 @@ class Portfolio:
             raise NonRegularError(f"negative or nan portfolio weight in {w!r}")
         s = w.sum()
         if abs(s - 1.0) > 1e-8:
-            raise NonRegularError(f"portfolio weights sum to {s!r}")
+            raise NonRegularError(f"portfolio weights sum to {float(s)!r}")
         w = np.clip(w, 0.0, None) / np.clip(w, 0.0, None).sum()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -512,7 +518,7 @@ def _metric_rows(Pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
     returns the (..., n-1, n-1) coefficients, not symmetrized.
     """
     pit = Pi[..., :-1, None]
-    return pit * np.eye(pit.shape[-2]) - pit * Pi[..., None, :-1] - dpi[..., :-1, :]
+    return pit * _identity(pit.shape[-2]) - pit * Pi[..., None, :-1] - dpi[..., :-1, :]
 
 
 @dataclass

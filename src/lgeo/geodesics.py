@@ -48,7 +48,7 @@ from . import divergence
 from ._table import write_table
 from .divergence import ConvergenceError, _t_euclid, f_value, inverse_dual_coord
 from .generators import Generator, _dual_rows, _portfolio_at
-from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_gradient, _tilted
+from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_exp, _tilt_gradient
 from .simplex import (
     _as_vector,
     _log_tilt,
@@ -685,6 +685,10 @@ class PythResult:
     sign_quantity: float
 
 
+# rows of (p, q, r): T(q|p), T(r|q) and T(r|p) are T(to|at)
+_PYTH_TO, _PYTH_AT = np.array([1, 2, 2]), np.array([0, 1, 0])
+
+
 def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     """Evaluate T(q|p) + T(r|q) - T(r|p) and its two sign surrogates.
 
@@ -699,29 +703,34 @@ def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     """
     P = point_rows(p, q, r)
     Th = to_primal_many(P)
-    th_p, th_q, th_r = Th
     Pi = gen.portfolio(P[:2])
-    pi_p, pi_q = Pi
+    pi_q = Pi[1]
     # the gap: T(q|p), T(r|q) and T(r|p) as rows, from the rows of p, q, r
     logv = gen.log_gen(P)
-    to, at = [1, 2, 2], [0, 1, 0]
-    T = _t_euclid(gen, P[to], P[at], Pi[at], logv[to], logv[at])
-    gap = T[0] + T[1] - T[2]
-    # the inner product, in primal coordinates at q
-    dpi_q = gen.dpi_dtheta(th_q)
+    to, at = _PYTH_TO, _PYTH_AT
+    t_qp, t_rq, t_rp = _t_euclid(gen, P[to], P[at], Pi[at], logv[to], logv[at]).tolist()
+    # the three tilts as rows of one log-sum: q from p under pi(p), r from q
+    # under pi(q), and q from p in dual coordinates under pi(q)
     ph_p, ph_q = _dual_rows(Th[:2], Pi, gen.name)
-    u = np.linalg.solve(_jacobian_from_portfolio(pi_q, dpi_q), -_tilt_gradient(pi_q, ph_q - ph_p))
-    v = _tilt_gradient(pi_q, th_r - th_q)
+    Pi3 = Pi[[0, 1, 1]]
+    E = _tilt_exp(Pi3, np.concatenate([Th[1:] - Th[:2], [ph_q - ph_p]]))
+    W = Pi3[:2] * E[:2]                # the two-point weights Pi(q,p), Pi(r,q)
+    grad = E[1:, :-1] - E[1:, -1:]     # the gradients of T toward r and from p
+    # the inner product, in primal coordinates at q
+    dpi_q = gen.dpi_dtheta(Th[1])
+    u = np.linalg.solve(_jacobian_from_portfolio(pi_q, dpi_q), -grad[1])
+    v = grad[0]
     G = _metric_entries(gen, pi_q, dpi_q)
-    inner = float(u @ G @ v)
-    nu, nv = np.sqrt(max(u @ G @ u, 0.0)), np.sqrt(max(v @ G @ v, 0.0))
+    uG = u @ G
+    inner = float(uG @ v)
+    nu, nv = math.sqrt(max(uG @ u, 0.0)), math.sqrt(max(v @ G @ v, 0.0))
     if nu < 1e-15 or nv < 1e-15:
         angle = float("nan")
     else:
-        angle = float(np.degrees(np.arccos(np.clip(inner / (nu * nv), -1.0, 1.0))))
+        angle = float(np.degrees(np.arccos(min(max(inner / (nu * nv), -1.0), 1.0))))
     # the sign quantity
-    sign_q = 1.0 - float(np.sum(_tilted(pi_p, th_q - th_p) * _tilted(pi_q, th_r - th_q) / pi_q))
-    return PythResult(gap=float(gap), inner=inner, angle_deg=angle, sign_quantity=sign_q)
+    sign_q = 1.0 - float((W[0] * W[1] / pi_q).sum())
+    return PythResult(gap=t_qp + t_rq - t_rp, inner=inner, angle_deg=angle, sign_quantity=sign_q)
 
 
 # ---------------------------------------------------------------------------

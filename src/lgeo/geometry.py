@@ -27,7 +27,15 @@ import numpy as np
 
 from .divergence import inverse_dual_coord
 from .generators import Generator, NonRegularError, _dual_rows, _metric_rows, _portfolio_at
-from .simplex import _log_tilt, _with_tail, coord_array, point_array, point_rows, to_primal_many
+from .simplex import (
+    _identity,
+    _log_tilt,
+    _with_tail,
+    coord_array,
+    point_array,
+    point_rows,
+    to_primal_many,
+)
 
 __all__ = [
     "MetricMatrix",
@@ -98,9 +106,16 @@ class PiQuantities:
         return np.asarray(self.values, dtype=dtype)
 
 
+def _tilt_exp(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """e^{delta_l} / Z over the last axis, delta_n = 0 implicit: the
+    exponentials that both the two-point weights and the Riemannian gradient
+    of T are read from."""
+    return np.exp(_with_tail(delta) - _log_tilt(pi, delta))
+
+
 def _tilted(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Normalized two-point weights pi_l e^{delta_l} / Z, delta_n = 0 implicit."""
-    return pi * np.exp(_with_tail(delta) - _log_tilt(pi, delta))
+    return pi * _tilt_exp(pi, delta)
 
 
 def pi_quantities(gen: Generator, theta, theta2) -> PiQuantities:
@@ -145,7 +160,7 @@ def dual_jacobian(gen: Generator, theta) -> np.ndarray:
 
 def _jacobian_from_portfolio(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
     """d phi / d theta from the portfolio pi and its derivative dpi / dtheta."""
-    return np.eye(dpi.shape[1]) - dpi[:-1, :] / pi[:-1, None] + dpi[-1, :] / pi[-1]
+    return _identity(dpi.shape[1]) - dpi[:-1, :] / pi[:-1, None] + dpi[-1, :] / pi[-1]
 
 
 def _metric_entries(gen: Generator, pi: np.ndarray, dpi: np.ndarray, J=None) -> np.ndarray:
@@ -155,11 +170,11 @@ def _metric_entries(gen: Generator, pi: np.ndarray, dpi: np.ndarray, J=None) -> 
     must be positive definite."""
     G, what = _metric_rows(pi, dpi), f"{gen.name}: metric"
     if J is not None:
-        if np.max(np.abs(G - G.T)) > 1e-8:
+        if np.abs(G - G.T).max() > 1e-8:
             raise NonRegularError(f"{what} candidate not symmetric")
         # the same formula with d pi / d phi = dpi J^-1 and the opposite sign
         G, what = _metric_rows(pi, -(dpi @ np.linalg.inv(J))), f"{gen.name}: dual metric"
-    if np.max(np.abs(G - G.T)) > 1e-8:
+    if np.abs(G - G.T).max() > 1e-8:
         raise NonRegularError(f"{what} candidate not symmetric")
     G = (G + G.T) / 2
     if np.linalg.eigvalsh(G).min() <= 0:
@@ -279,8 +294,8 @@ def sectional_curvature(gen: Generator, point, u, v, which: str = "primal") -> f
 def _tilt_gradient(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """(e^delta - 1) / Z over the last axis, Z = sum_l pi_l e^{delta_l} with
     delta_n = 0: the Riemannian gradient of T at the point with portfolio pi."""
-    logZ = _log_tilt(pi, delta)
-    return np.exp(delta - logZ) - np.exp(-logZ)
+    E = _tilt_exp(pi, delta)
+    return E[..., :-1] - E[..., -1:]
 
 
 def riem_gradient_primal(gen: Generator, r, q) -> np.ndarray:

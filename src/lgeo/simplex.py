@@ -17,8 +17,8 @@ All exp/log aggregations are max-shifted so that coordinates of order
 
 Inputs are checked once, at the public boundary: :func:`point_array`
 validates one point through :class:`SimplexPoint`, and :func:`point_rows`
-validates a group of points of one common dimension and returns their plain
-rows.  The kernels below that boundary
+validates a group of points of one common dimension as one array and returns
+their plain rows.  The kernels below that boundary
 (:func:`psi_many`, :func:`from_primal_many`, :func:`to_primal_many` and the
 log-sum ``_log_tilt``) take plain float arrays of shape ``(..., k)``, reduce
 over the last axis and check nothing; the one-point :func:`psi` and
@@ -27,6 +27,7 @@ over the last axis and check nothing; the one-point :func:`psi` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +77,7 @@ class SimplexPoint:
             raise ValueError("simplex point entries must be strictly positive")
         total = arr.sum()
         if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"coordinates sum to {total!r}, not 1")
+            raise ValueError(f"coordinates sum to {float(total)!r}, not 1")
         arr /= total
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
@@ -177,12 +178,31 @@ def point_array(x) -> np.ndarray:
 
 
 def point_rows(*points) -> np.ndarray:
-    """Validate points of one common dimension, each once through :func:`point_array`.
+    """Validate points of one common dimension as one (k, n) array.
 
-    Returns the (k, n) array of their probability rows; a dimension mismatch
-    is a ``ValueError``.  Their exponential coordinates are
-    ``to_primal_many`` of the rows, bitwise equal to :func:`to_primal`.
+    Returns the array of their probability rows, each bitwise the row that
+    :func:`point_array` gives: the :class:`SimplexPoint` checks run once on
+    the stacked rows, each row is divided by its own sum, and a
+    :class:`SimplexPoint` argument is taken as stored.  Ragged or failing
+    input goes point by point through :func:`point_array`, which raises the
+    error of the first failing point; a dimension mismatch is a
+    ``ValueError``.  Their exponential coordinates are ``to_primal_many`` of
+    the rows, bitwise equal to :func:`to_primal`.
     """
+    stored = [isinstance(x, SimplexPoint) for x in points]
+    try:
+        P = np.array([x.p if s else x for x, s in zip(points, stored)], dtype=float)
+    except (ValueError, TypeError):
+        P = None  # ragged rows, or entries that are not numbers
+    if P is not None and P.ndim == 2 and P.shape[1] >= 2:
+        total = P.sum(axis=1)
+        # `> ENTRY_FLOOR` fails on nan and -inf, and an inf entry (or an
+        # overflowing sum) fails the sum test, so these two are the
+        # finiteness, positivity and sum checks of SimplexPoint
+        if (P > ENTRY_FLOOR).all() and (np.abs(total - 1.0) <= SUM_TOL).all():
+            total[stored] = 1.0  # stored rows are already divided
+            P /= total[:, None]
+            return P
     rows = [point_array(x) for x in points]
     try:
         return np.array(rows)  # rows of unequal length do not stack
@@ -205,6 +225,14 @@ def psi_many(X: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(-m) + np.exp(X - m[..., None]).sum(axis=-1))
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per n for the per-call kernels."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _with_tail(X: np.ndarray) -> np.ndarray:
     """(..., k) rows extended by the implicit last coordinate 0."""
     return np.concatenate([X, np.zeros(X.shape[:-1] + (1,))], axis=-1)
@@ -215,7 +243,7 @@ def _log_tilt(Pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     as length 1; max-shifted on delta alone, so zero weights are allowed."""
     delta = _with_tail(delta)
     m = delta.max(axis=-1, keepdims=True)
-    return m + np.log(np.sum(Pi * np.exp(delta - m), axis=-1, keepdims=True))
+    return m + np.log((Pi * np.exp(delta - m)).sum(axis=-1, keepdims=True))
 
 
 def softmax_with_tail(x) -> np.ndarray:

@@ -71,10 +71,17 @@ class TestGeneratorSpecs:
         }
         for spec, record in records.items():
             assert cli.parse_generator_spec(spec).to_config() == record, spec
-        # eqN is equal_weighted(N), and `equal` gives its values at N entries
-        for n in (3, 7):
+        # eqN is equal_weighted(N) and writes the weights 1/N it was given;
+        # they build bitwise the weights it stores (1/N divided by their sum)
+        for n in range(2, 61):
             eq, cw = cli.parse_generator_spec(f"eq{n}"), G.equal_weighted(n)
+            record = {"kind": "constant", "weights": [1.0 / n] * n}
+            assert eq.to_config() == cw.to_config() == record, n
             assert np.array_equal(eq.weights, cw.weights), n
+            assert G.generator_from_config(cw.to_config()).weights.tobytes() == cw.weights.tobytes(), n
+        # `equal` gives the values of eqN at N entries
+        for n in (3, 7):
+            cw = G.equal_weighted(n)
             P = dirichlet_points(np.random.default_rng(n), n, 5)
             assert np.array_equal(cli.parse_generator_spec("equal").log_gen(P), cw.log_gen(P)), n
 

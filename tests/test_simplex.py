@@ -12,6 +12,7 @@ from lgeo.simplex import (
     coord_rows,
     cost,
     from_primal,
+    point_array,
     point_rows,
     psi,
     to_primal,
@@ -188,6 +189,81 @@ class TestPointRows:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             point_rows([0.2, 0.3, 0.5], [0.5, 0.5])
+
+    def test_rows_are_bitwise_the_point_by_point_rows(self):
+        # one array pass divides each row by its own sum, exactly as
+        # SimplexPoint divides one point, and takes SimplexPoint rows as
+        # stored (dividing those again would move some of them)
+        rng = np.random.default_rng(21)
+        for n in range(2, 61):
+            for k in (1, 2, 3, 5):
+                pts = rng.dirichlet(np.full(n, rng.uniform(0.3, 4.0)), size=k)
+                pts *= 1.0 + rng.uniform(-5e-10, 5e-10, size=(k, 1))  # off-sum within SUM_TOL
+                args = [SimplexPoint(x) if rng.random() < 0.4 else
+                        (x.tolist() if rng.random() < 0.5 else x) for x in pts]
+                ref = np.array([point_array(x) for x in args])
+                got = point_rows(*args)
+                assert got.tobytes() == ref.tobytes(), (n, k)
+
+    @pytest.mark.parametrize("points, message", [
+        # dimension first checked once every point has passed its own checks
+        (([0.2, 0.3, 0.5], [0.5, 0.5]), "dimension mismatch: points of sizes [3, 2]"),
+        (([0.2, 0.3, 0.5], [1.0, 0.0]), "simplex point entries must be strictly positive"),
+        (([0.2, 0.3, 0.5], [[0.5, 0.5]]), "a simplex point needs at least 2 coordinates"),
+        (([0.2, 0.3, 0.5], [np.nan, 0.5, 0.5]), "simplex point entries must be finite"),
+        (([0.2, 0.3, 0.5], [np.inf, 0.5, 0.5]), "simplex point entries must be finite"),
+        (([0.5, 0.5], [0.0, 1.0]), "simplex point entries must be strictly positive"),
+        (([0.5, 0.5], [1e-300, 1.0]), "simplex point entries must be strictly positive"),
+        (([0.5, 0.5], [0.5, 0.7]), "coordinates sum to 1.2, not 1"),
+        # the first failing point names the error, and within a point
+        # finiteness comes before positivity, positivity before the sum
+        (([0.6, 0.6], [np.nan, 0.0]), "coordinates sum to 1.2, not 1"),
+        (([np.nan, 0.0, 1.5], [0.6, 0.6]), "simplex point entries must be finite"),
+        (([0.0, 1.5], [np.nan, 0.5]), "simplex point entries must be strictly positive"),
+        (([0.5, 0.5], [0.7, 0.7], [0.5]), "coordinates sum to 1.4, not 1"),
+    ], ids=["ragged", "ragged-bad-entry", "ragged-2d", "nan", "inf", "zero", "floor", "off-sum",
+            "first-point-first", "finite-first", "positive-before-sum", "sum-before-ragged"])
+    def test_failing_points_raise_as_point_by_point(self, points, message):
+        with pytest.raises(ValueError) as got:
+            point_rows(*points)
+        assert str(got.value) == message
+        # the message is that of SimplexPoint on the first failing point
+        bad = [x for x in points if not _valid(x)]
+        if bad:
+            with pytest.raises(ValueError) as ref:
+                SimplexPoint(bad[0])
+            assert str(ref.value) == message
+
+    def test_messages_print_plain_floats(self):
+        for call in (lambda: SimplexPoint([0.6, 0.6]), lambda: point_rows([0.6, 0.6]),
+                     lambda: G.Portfolio([0.6, 0.5])):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert "sum to" in str(got.value) and "np.float64" not in str(got.value)
+
+    def test_plain_arrays_build_no_simplex_point(self, monkeypatch):
+        # the single-point library calls validate their plain-array points
+        # as one array, not one SimplexPoint each
+        gen = G.diversity_weighted(0.5)
+        p, q, r = np.random.default_rng(3).dirichlet(np.ones(4), size=3)
+        ref = (lgeo.l_divergence(gen, q, p), lgeo.pythagorean_sign(gen, p, q, r))
+
+        def forbidden(self, x):
+            raise AssertionError("SimplexPoint built")
+
+        monkeypatch.setattr(SimplexPoint, "__init__", forbidden)
+        assert lgeo.l_divergence(gen, q, p) == ref[0]
+        assert lgeo.pythagorean_sign(gen, p, q, r) == ref[1]
+        with pytest.raises(AssertionError):
+            point_rows([0.6, 0.6])  # a failing point goes through SimplexPoint
+
+
+def _valid(x) -> bool:
+    try:
+        SimplexPoint(x)
+    except ValueError:
+        return False
+    return True
 
 
 Q3, R2, P3 = [0.2, 0.3, 0.5], [0.5, 0.5], [0.4, 0.4, 0.2]
