@@ -18,8 +18,11 @@ each batched Newton solve starting from an interpolant through the rows
 already solved.  The exponential map follows the same chords from a point
 and a velocity and names the exact time at which one leaves the simplex.
 The quadrature table is refined under an error estimate until it converges
-(adaptive Gauss quadrature, Gander & Gautschi 2000); each of its levels, and
-each Newton step of the polish of h(t), evaluates the weight at once.
+(adaptive Gauss quadrature, Gander & Gautschi 2000), and each of its levels
+evaluates the weight at once.  One more evaluation, at the Gauss nodes of
+every table half that holds output times, makes the weight a Legendre series
+on each such half, whose integral Newton inverts at the output times without
+evaluating the weight again.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
 time change, which yields inverse exponential maps for free.  On the chord
@@ -177,17 +180,19 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _chord_map(a: np.ndarray, b: np.ndarray, flow: bool = False):
-    """The chord from e^a toward e^b in u = log((l_a + tau) / (l_b + 1 - tau)),
-    l = min_k x_k / |x_b,k - x_a,k| (at most 1) at each end being the scale
-    over which the weights change there: geometric in tau (1 - tau) down to
-    that scale, and finite at the ends, where u - u_a and u_b - u keep the
-    precision of the chord's rows.  A flow has no far end, l_b = 0, and
+def _chord_map(xi: np.ndarray, sign: float, flow: bool = False):
+    """The chord from e^a toward e^b, (a, b) = ``sign`` xi, in the parameter
+    u = log((l_a + tau) / (l_b + 1 - tau)), l = min_k x_k / |x_b,k - x_a,k|
+    (at most 1) at each end being the scale over which the weights change
+    there: geometric in tau (1 - tau) down to that scale, and finite at the
+    ends, where u - u_a and u_b - u keep the precision of the chord's rows.  A flow has no far end, l_b = 0, and
     1 - tau = e^-s, s = log1p(e^u) - log1p(l_a).  Returns the map from u to
-    rows log((1 - tau) e^a + tau e^b), exact at the ends, the map from u to
-    log dtau/du (log ds/du for a flow), and ``_CHORD`` uniform u from u_a to
-    u_b, or for a flow to where e^-s |x_b - x_a| rounds away (s at least 1).
+    the rows ``sign`` log((1 - tau) e^a + tau e^b), exact at the ends, and
+    log dtau/du (log ds/du for a flow), both from one softplus of u; and
+    ``_CHORD`` uniform u from u_a to u_b, or for a flow to where
+    e^-s |x_b - x_a| rounds away (s at least 1).
     """
+    a, b = sign * xi
     d = b - a
     with np.errstate(divide="ignore"):  # log 0 where d = 0
         log_em1 = np.log(-np.expm1(-np.abs(d)))  # log |expm1(d)| - max(d, 0)
@@ -196,50 +201,83 @@ def _chord_map(a: np.ndarray, b: np.ndarray, flow: bool = False):
     la, lb = math.exp(log_la), 0.0 if flow else math.exp(min(log_lb, 0.0))
     u_a, u_b = log_la - math.log1p(lb), math.log1p(la) - min(log_lb, 0.0) if lb else math.inf
     s_end = max(-log_lb - math.log(np.finfo(float).eps), 1.0)
+    log_scale = math.log(1.0 + la + lb)
 
-    def chord(u):
+    def line(u):
         soft = _softplus(u)
+        log_sigmoid = u - soft
         with np.errstate(divide="ignore"):  # log 0 at an end
-            log_tau = u - soft + math.log1p(lb) + np.log(-np.expm1(u_a - u))
-            log_rest = math.log1p(la) - soft + (np.log(-np.expm1(u - u_b)) if lb else 0.0)
-        # at an end one of tau and 1 - tau is 0, and the other is exactly 1
-        x = np.where(log_tau == -np.inf, 0.0, log_rest)[:, None] + a
-        y = np.where(log_rest == -np.inf, 0.0, log_tau)[:, None] + b
+            log_tau = log_sigmoid + math.log1p(lb) + np.log(-np.expm1(u_a - u))
+            log_rest = math.log1p(la) - soft
+            if lb:
+                log_rest += np.log(-np.expm1(u - u_b))
+        x, y = log_rest[:, None] + a, log_tau[:, None] + b
+        if u.min() <= u_a or u.max() >= u_b:
+            # at an end one of tau and 1 - tau is 0, and the other is exactly 1
+            x[log_tau == -np.inf], y[log_rest == -np.inf] = a, b
         top = np.maximum(x, y)  # then log(e^x + e^y), faster than np.logaddexp
-        return top + np.log1p(np.exp(np.minimum(x, y) - top))
+        rows = sign * (top + np.log1p(np.exp(np.minimum(x, y) - top)))
+        return rows, log_sigmoid if flow else log_scale + u - 2.0 * soft
 
     if flow:
-        return (chord, lambda u: u - _softplus(u),
-                np.linspace(u_a, s_end + math.log1p(la - math.exp(-s_end)), _CHORD))
-    return (chord, lambda u: math.log(1.0 + la + lb) + u - 2.0 * _softplus(u),
-            np.linspace(u_a, u_b, _CHORD))
+        return line, np.linspace(u_a, s_end + math.log1p(la - math.exp(-s_end)), _CHORD)
+    return line, np.linspace(u_a, u_b, _CHORD)
 
 
-# 5-point Gauss-Legendre rule on [-1, 1]
+# 5-point Gauss-Legendre rule on [-1, 1], the rule of the quadrature table
 _GL_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
                   0.5384693101056831, 0.906179845938664])
 _GL_W = np.array([0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
                   0.47862867049936647, 0.23692688505618908])
+# 10-point Gauss-Legendre rule on [-1, 1], the nodes of a table half's series
+_GL10_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+                    0.8650633666889845, 0.9739065285171717])
+_GL10_X = np.concatenate((-_GL10_X[::-1], _GL10_X))
+_GL10_W = np.array([0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+                    0.1494513491505804, 0.06667134430868814])
+_GL10_W = np.concatenate((_GL10_W[::-1], _GL10_W))
 
 
-# a table interval's 15 nodes on [-1, 1], its Gauss nodes then its halves', and the
-# map from the weight there to the monomial coefficients of its interpolant's integral
-_GL_15 = np.concatenate((_GL_X, (_GL_X - 1.0) / 2.0, (_GL_X + 1.0) / 2.0))
-_INT_15 = np.vstack(((-1.0) ** np.arange(15) / np.arange(1, 16), np.diag(1.0 / np.arange(1, 16)))
-                    ) @ np.linalg.inv(np.vander(_GL_15, increasing=True))
+def _legendre_rise(d: np.ndarray, k: int) -> np.ndarray:
+    """P_m(d - 1) - P_m(-1) for m < ``k``, as the rows of a (k, d.size)
+    array: the three-term recurrence of the Legendre polynomials shifted to
+    xi = -1, where P_m(-1) = (-1)^m, so that a small d keeps its precision."""
+    Q = np.empty((k, d.size))
+    Q[0], Q[1] = 0.0, d
+    xi, signed = d - 1.0, (d, -d)
+    for m in range(1, k - 1):
+        Q[m + 1] = ((2 * m + 1) / (m + 1)) * (xi * Q[m] + signed[m % 2]) - (m / (m + 1)) * Q[m - 1]
+    return Q
 
 
-def _gl_nodes(a: np.ndarray, b: np.ndarray):
-    """Gauss-Legendre nodes of the intervals [a_i, b_i], flattened in order,
-    and the half widths of the intervals."""
+# P_m(-1), the discrete orthogonal transform from the weight at the 10 nodes
+# to the Legendre coefficients of its interpolant, and the map from the
+# weight there to the 11 coefficients of its integral from -1, by
+# int P_m = (P_m+1 - P_m-1) / (2m + 1) and int P_0 = P_0 + P_1
+_P_LEFT = (-1.0) ** np.arange(11)
+_LEG = ((np.arange(10) + 0.5)[:, None] * _GL10_W
+        * (_legendre_rise(_GL10_X + 1.0, 10) + _P_LEFT[:10, None]))
+_LEG_INT = np.zeros((11, 10))
+_LEG_INT[np.arange(1, 11), np.arange(10)] = 1.0 / (2 * np.arange(10) + 1)
+_LEG_INT[np.arange(9), np.arange(1, 10)] -= 1.0 / (2 * np.arange(1, 10) + 1)
+_LEG_INT[0, 0] = 1.0
+_LEG_INT = _LEG_INT @ _LEG
+_NEWTON_STEPS = 6   # at most, on a half's series; the curves stop after 2 or 3
+
+
+def _gl_nodes(a: np.ndarray, b: np.ndarray, x: np.ndarray = _GL_X):
+    """The nodes ``x`` on [-1, 1] mapped to the intervals [a_i, b_i],
+    flattened in order, and the half widths of the intervals."""
     mid, half = (a + b) / 2, (b - a) / 2
-    return (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(), half
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), half
 
 
-def _gauss_segment(w, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """5-point Gauss integrals of the weight ``w`` over each [a_i, b_i]."""
-    nodes, half = _gl_nodes(a, b)
-    return half * (w(nodes).reshape(-1, _GL_X.size) @ _GL_W)
+def _gauss_segment(w, a: np.ndarray, b: np.ndarray):
+    """10-point Gauss integrals of the weight ``w`` over each [a_i, b_i], and
+    ``w`` at the nodes, one row of 10 per interval."""
+    nodes, half = _gl_nodes(a, b, _GL10_X)
+    values = w(nodes).reshape(-1, _GL10_X.size)
+    return half * (values @ _GL10_W), values
 
 
 def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalized: bool = True):
@@ -251,21 +289,25 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
     nodes of every open interval and of its two halves, accepts an interval
     when the two estimates agree to 3e-15 of the running total or its halves
     are no longer distinct floats, and splits the others.  Each accepted
-    interval enters the table as its two halves.  Each interior output time
-    starts at the root of the integral of the degree-14 interpolant of w at
-    its interval's 15 nodes, and all are polished by at most four Newton
-    steps anchored at the half below.  With tol = 1e-15 max(1, t), a row
-    retires once its residual |F| is below tol, or after an unclipped step d
-    with k (w / W) d^2 below tol, k being 8 times the steepest secant of
-    log w between the nodes of its interval and its neighbours'.  That bounds
-    Newton's quadratic term |d log w / ds| (w / W) d^2 / 2 for slopes up to
-    16 such secants.  ``normalized`` (geodesics): t(s_dense[-1]) = 1; returns
-    s at the output times and log W, W the integral of w.  Otherwise (flows)
-    t grows linearly past the grid; returns s at the output times.
+    interval enters the table as its two halves.  Then one call of
+    :func:`_gauss_segment` evaluates w at the 10 Gauss nodes of every half
+    that holds an interior output time, and the discrete orthogonal
+    transform makes w there a Legendre series in the half's xi in [-1, 1],
+    well conditioned at those nodes (Trefethen 2013, "Approximation Theory
+    and Approximation Practice", ch. 15-19).  Each output time t solves
+    F = cum + R int_{-1}^{xi} series - t W = 0, cum the table's time at the
+    half's start and R its half width, by Newton from the linear start on
+    the half, clipped to [-1, 1], until |F| <= 1e-15 max(1, t) W on every
+    row or for ``_NEWTON_STEPS`` steps.  dF/dxi is R times the series, so
+    no weight is evaluated after it.  The integral is summed in the
+    P_m(xi) - P_m(-1), which keeps its relative precision near xi = -1.
+    ``normalized`` (geodesics): t(s_dense[-1]) = 1; returns s at the output
+    times and log W, W the integral of w.  Otherwise (flows) t grows linearly
+    past the grid; returns s at the output times.
     """
     grid = s_dense[np.unique(np.linspace(0, s_dense.size - 1, _TABLE + 1).astype(int))]
     a, b = grid[:-1], grid[1:]
-    shift, done, parts = -np.inf, 0.0, []  # parts: accepted intervals, log w at their nodes
+    shift, done, parts = -np.inf, 0.0, []  # parts: accepted intervals, log w at their halves' nodes
     while a.size:
         m = (a + b) / 2
         nodes, half = _gl_nodes(np.hstack((a, a, m)), np.hstack((b, m, b)))
@@ -276,61 +318,40 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
         # NaN is accepted, so that it reaches the output instead of splitting forever
         ok = ~(np.abs(whole - left - right) > 3e-15 * (done + (left + right).sum()))
         ok |= (a == m) | (m == b)
-        parts.append((a[ok], b[ok], lw[:, ok].transpose(1, 0, 2).reshape(-1, _GL_15.size)))
+        parts.append((a[ok], b[ok], lw[1:, ok].transpose(1, 0, 2).reshape(-1, 2 * _GL_X.size)))
         done += (left[ok] + right[ok]).sum()
         a, b = np.hstack((a[~ok], m[~ok])), np.hstack((m[~ok], b[~ok]))
     order = np.argsort(np.concatenate([p[0] for p in parts]))
     a, b, lw = (np.concatenate(p)[order] for p in zip(*parts))
-    w_nodes, mid, rad = np.exp(lw - shift), (a + b) / 2, (b - a) / 2
-    halves = np.column_stack(((mid - a) * (w_nodes[:, 5:10] @ _GL_W),
-                              (b - mid) * (w_nodes[:, 10:] @ _GL_W))) / 2
+    w_nodes, mid = np.exp(lw - shift), (a + b) / 2
+    halves = np.column_stack(((mid - a) * (w_nodes[:, :5] @ _GL_W),
+                              (b - mid) * (w_nodes[:, 5:] @ _GL_W))) / 2
     S, cum = np.append(np.column_stack((a, mid)), b[-1]), np.append(0.0, np.cumsum(halves))
-    w = lambda x: np.exp(logw(x) - shift)
     W = cum[-1] if normalized else np.exp(-shift)
     t_of_s, t_end = cum / W, cum[-1] / W
-    # per interval: 8 times the steepest secant of log w between its nodes and its neighbours'
-    by_x = np.argsort(_GL_15)
-    secant = np.max(np.abs(np.diff(lw[:, by_x], axis=1)) / np.diff(_GL_15[by_x]), axis=1) / rad
-    kappa = 8.0 * np.fmax(secant, np.fmax(np.r_[secant[:1], secant[:-1]],
-                                          np.r_[secant[1:], secant[-1:]]))
     h = np.full_like(t_out, S[0])
     tail = t_out >= t_end
     h[tail] = S[-1] if normalized else S[-1] + (t_out[tail] - t_end) * W / w_nodes[-1, -1]
     rows = np.flatnonzero((t_out > 0.0) & ~tail)
+    if rows.size == 0:
+        return (h, math.log(W) + shift) if normalized else h
     t_star = t_out[rows]
     j = np.clip(np.searchsorted(t_of_s, t_star) - 1, 0, S.size - 2)  # the half below
-    i = j // 2
-    # the start: Newton on the interpolant's integral over [a_i, mid_i + rad_i xi]
-    integral = _INT_15 @ (w_nodes[i].T * rad[i])
-    slope = integral[1:] * np.arange(1.0, _GL_15.size + 1)[:, None]
-    target = t_star * W - cum[2 * i]
-    u = (t_star - t_of_s[j]) / (t_of_s[j + 1] - t_of_s[j])  # linear on the half
-    xi = (S[j] + u * (S[j + 1] - S[j]) - mid[i]) / rad[i]
-    powers = np.empty_like(integral)
-    for _ in range(2):
-        powers[0], powers[1:] = 1.0, xi
-        np.multiply.accumulate(powers, out=powers)
-        F = np.einsum("pr,pr->r", powers, integral) - target
-        xi = np.clip(xi - F / np.einsum("pr,pr->r", powers[:-1], slope), -1.0, 1.0)
-    anchor_s, anchor_t, k = S[j], cum[j], kappa[i]
-    x = np.fmin(np.fmax(mid[i] + rad[i] * xi, anchor_s), S[j + 1])  # NaN falls to its start
-    h[rows] = x
-    for _ in range(4):
-        if rows.size == 0:
+    held, k = np.unique(j, return_inverse=True)
+    _, values = _gauss_segment(lambda x: np.exp(logw(x) - shift), S[held], S[held + 1])
+    rad = (S[j + 1] - S[j]) / 2
+    # R w and R int_{-1}^{xi} w in the P_m(xi) - P_m(-1), and R w(-1)
+    series, integral = (_LEG @ values.T)[:, k] * rad, (_LEG_INT @ values.T)[:, k] * rad
+    left = _P_LEFT[:10] @ series
+    target, tol = t_star * W - cum[j], 1e-15 * np.maximum(1.0, t_star) * W
+    d = 2.0 * (t_star - t_of_s[j]) / (t_of_s[j + 1] - t_of_s[j])  # 1 + xi, linear on the half
+    for _ in range(_NEWTON_STEPS):
+        Q = _legendre_rise(d, 11)
+        F = np.einsum("kr,kr->r", Q, integral) - target
+        if np.all(np.abs(F) <= tol):
             break
-        F = (anchor_t + _gauss_segment(w, anchor_s, x)) / W - t_star
-        newton = x - F / (w(x) / W)
-        x, last = np.clip(newton, S[0], S[-1]), x
-        h[rows] = x
-        tol = 1e-15 * np.maximum(1.0, t_star)
-        # an unclipped step d leaves about F'' d^2 / 2 = (d log w / ds) F' d^2 / 2,
-        # which k |F d| = k F' d^2 bounds, with no overflow as |d| is at most the
-        # grid's length; a NaN row is never converged here
-        converged = (x == newton) & (k * np.abs(F * (x - last)) < tol)
-        active = (np.abs(F) >= tol) & ~converged
-        rows, anchor_s, anchor_t, t_star, x, k = (
-            rows[active], anchor_s[active], anchor_t[active], t_star[active], x[active], k[active]
-        )
+        d = np.clip(d - F / (np.einsum("kr,kr->r", Q[:10], series) + left), 0.0, 2.0)
+    h[rows] = S[j] + rad * d
     return (h, math.log(W) + shift) if normalized else h
 
 
@@ -371,16 +392,16 @@ def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
     return theta, start
 
 
-def _geodesic_log_weight(gen: Generator, chord, theta=None):
-    """The log weight -2 f of a primal ``chord``, or -2 f* of a dual one with
-    inverse dual images ``theta(u, Ph)`` (:func:`_chord_inverse`), as an
-    array function of the chord parameter."""
+def _geodesic_log_weight(gen: Generator, theta=None):
+    """The log weight -2 f at primal rows, or -2 f* at the rows ``Ph`` of a
+    dual chord with inverse dual images ``theta(u, Ph)``
+    (:func:`_chord_inverse`), as an array function of the chord parameter u
+    and the rows at u."""
     if theta is None:
-        return lambda u: -2.0 * f_value(gen, chord(u))
+        return lambda u, Th: -2.0 * f_value(gen, Th)
 
-    def logw(u):
+    def logw(u, Ph):
         # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
-        Ph = chord(u)
         Th = theta(u, Ph)
         return -2.0 * (psi_many(Th - Ph) - f_value(gen, Th))
 
@@ -389,14 +410,15 @@ def _geodesic_log_weight(gen: Generator, chord, theta=None):
 
 def _chord(gen: Generator, q, r, sign: float, flow: bool = False):
     """The theta (``sign`` 1) or phi (-1) rows xi of q and r, the chord
-    u -> xi with its log rate and grid (:func:`_chord_map`), and for phi
-    rows ``theta`` and ``start`` of :func:`_chord_inverse`."""
+    u -> xi, the chord with its log rate, u -> (xi, log rate), and its grid
+    (:func:`_chord_map`), and for phi rows ``theta`` and ``start`` of
+    :func:`_chord_inverse`."""
     Th = to_primal_many(point_rows(q, r))
     xi = Th if sign > 0 else _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
-    line, log_rate, grid = _chord_map(*(sign * xi), flow)
-    chord = lambda u: sign * line(u)
+    rated, grid = _chord_map(xi, sign, flow)
+    chord = lambda u: rated(u)[0]
     inverse = _chord_inverse(gen, chord, grid) if sign < 0 else (None, lambda u: None)
-    return xi, chord, log_rate, grid, *inverse
+    return xi, chord, rated, grid, *inverse
 
 
 def _geodesic(gen: Generator, q, r, grid, sign: float, check_range: bool = False) -> Curve:
@@ -405,16 +427,21 @@ def _geodesic(gen: Generator, q, r, grid, sign: float, check_range: bool = False
     inverted in the u of :func:`_chord_map` with the weight exp(-2 F) dtau/du."""
     t_out = _grid(grid)
     coord = "primal" if sign > 0 else "dual"
-    xi, chord, log_rate, grid, theta, start = _chord(gen, q, r, sign)
+    xi, chord, rated, grid, theta, start = _chord(gen, q, r, sign)
     if np.allclose(xi[0], xi[1], atol=1e-14):
         pts = np.broadcast_to(xi[0], (t_out.size, xi.shape[1])).copy()
         return Curve(t_out, pts, coord, velocities=np.zeros_like(pts))
-    logw = _geodesic_log_weight(gen, chord, theta)
-    u, log_total = _reparam_from_weight(lambda u: logw(u) + log_rate(u), grid, t_out)
+    logw = _geodesic_log_weight(gen, theta)
+
+    def weight(u):
+        rows, log_rate = rated(u)
+        return logw(u, rows) + log_rate
+
+    u, log_total = _reparam_from_weight(weight, grid, t_out)
     pts = chord(u)
     # xi_dot_k = sign tau'(t) (x_r,k - x_q,k) / x_k, with tau'(t) = W exp(2 F)
     x_q, x_r = np.exp(sign * xi)
-    vel = sign * np.exp(log_total - logw(u))[:, None] * (x_r - x_q) * np.exp(-sign * pts)
+    vel = sign * np.exp(log_total - logw(u, pts))[:, None] * (x_r - x_q) * np.exp(-sign * pts)
     curve = Curve(t_out, pts, coord, velocities=vel)
     if check_range:
         _dual_range_guard(gen, curve, start(u))
@@ -503,8 +530,10 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
     F = f or f*.  The chord ends at tau_max, the least 1/|v0_k| over the
     components that drive 1 +- tau v0_k to zero (infinity if none).  In
     u >= 0, tau = expm1(u) / (a + expm1(u) / tau_max) with a = max |v0|,
-    geometric near both ends.  A coarse pass doubles the reach in u from 1
-    until t passes ``t_end``; :func:`_reparam_from_weight` then inverts
+    geometric near both ends.  A coarse pass doubles the reach in u until
+    t passes ``t_end``, from the power of two at least a t_end (t is about
+    u / a for small u) or 1 if less, so that the quadrature table spans the
+    curve at a small velocity too; :func:`_reparam_from_weight` then inverts
     the times by adaptive quadrature.  Raises :class:`GeodesicBlowupError`
     if the chord reaches the simplex boundary (u = ``_REACH``) first, naming
     the exit time t*; ``last_valid_t`` is the last output time before it.
@@ -531,14 +560,14 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
     def log_rate(grid):
         """-2 (F(u) - F(0)) and log dt/du, with inverse dual images on ``grid``."""
         theta = _chord_inverse(gen, chord, grid)[0] if which == "dual" else None
-        logw = _geodesic_log_weight(gen, chord, theta)
-        F0 = logw(grid[:1])[0]
-        dF = lambda u: logw(u) - F0
+        logw = _geodesic_log_weight(gen, theta)
+        F0 = logw(grid[:1], chord(grid[:1]))[0]
+        dF = lambda u: logw(u, chord(u)) - F0
         return dF, lambda u: dF(u) + u - 2.0 * np.log1p(c * np.expm1(u)) - math.log(a)
 
-    reach = lambda grid, rate: _gauss_segment(lambda u: np.exp(rate(u)), grid[:-1], grid[1:]).sum()
+    reach = lambda grid, rate: _gauss_segment(lambda u: np.exp(rate(u)), grid[:-1], grid[1:])[0].sum()
 
-    u_end = 1.0
+    u_end = min(1.0, 2.0 ** math.ceil(math.log2(max(a * t_end, 1e-300))))
     while True:
         coarse = np.linspace(0.0, u_end, max(64, 2 * int(u_end)) + 1)
         if u_end == _REACH or reach(coarse, log_rate(coarse)[1]) >= t_end:
@@ -622,12 +651,12 @@ def _flow(gen: Generator, q, r, horizon: float, steps: int, sign: float) -> Curv
     runs on the chord of :func:`_chord_map` with no far end, t(s) = int_0^s Z
     inverted in its u with the weight Z ds/du, velocities from the rhs."""
     t_out = _flow_times(horizon, steps)
-    xi, chord, log_rate, grid, theta, _ = _chord(gen, q, r, sign, flow=True)
+    xi, chord, rated, grid, theta, _ = _chord(gen, q, r, sign, flow=True)
 
     def logw(u):
-        X = chord(u)
+        X, log_rate = rated(u)
         Th = theta(u, X) if theta else X
-        return _log_tilt(_portfolio_at(gen, Th), sign * (xi[1] - X))[:, 0] + log_rate(u)
+        return _log_tilt(_portfolio_at(gen, Th), sign * (xi[1] - X))[:, 0] + log_rate
 
     u = _reparam_from_weight(logw, grid, t_out, normalized=False)
     pts = chord(u)

@@ -95,10 +95,34 @@ def record_reparam(monkeypatch):
     return calls
 
 
-def gauss_times(logw, s0, s1, s_out):
-    """int_s0^s w / int_s0^s1 w at each of ``s_out`` by a 20-point Gauss rule
-    on cuts uniform on [s0, s1] and geometric toward both of its ends, each
-    prefix summed exactly; the rule has converged when 16 points agree."""
+def prefix_fsums(x, ends):
+    """math.fsum(x[:k]) for each k of the increasing ``ends``, in one pass:
+    the sum so far is kept exactly as nonoverlapping partials (Shewchuk
+    1997, the recipe that math.fsum implements)."""
+    partials, out, start = [], [], 0
+    for k in ends:
+        for v in x[start:k].tolist():
+            i = 0
+            for y in partials:
+                if abs(v) < abs(y):
+                    v, y = y, v
+                hi = v + y
+                lo = y - (hi - v)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                v = hi
+            partials[i:] = [v]
+        out.append(math.fsum(partials))
+        start = k
+    return np.array(out)
+
+
+def gauss_times(logw, s0, s1, s_out, normalized=True):
+    """int_s0^s w / int_s0^s1 w (or int_s0^s w, not ``normalized``) at each
+    of ``s_out`` by a 20-point Gauss rule on cuts uniform on [s0, s1] and
+    geometric toward both of its ends, each prefix summed exactly; the rule
+    has converged when 16 points agree to 2 rounding units of max(1, t)."""
     frac = np.concatenate((np.linspace(0.0, 1.0, 65), 0.5 ** np.arange(1, 48),
                            1.0 - 0.5 ** np.arange(1, 48)))
     cuts = np.unique(np.concatenate((s0 + (s1 - s0) * frac, s_out)))
@@ -109,20 +133,21 @@ def gauss_times(logw, s0, s1, s_out):
         x, wx = np.polynomial.legendre.leggauss(order)
         lw = logw((((a + b)[:, None] + (b - a)[:, None] * x) / 2).ravel()).reshape(-1, order)
         pieces = (b - a) / 2 * (np.exp(lw - lw.max()) @ wx)
-        total = math.fsum(pieces)
-        out.append(np.array([math.fsum(pieces[:k]) for k in np.searchsorted(cuts, s_out)]) / total)
-    assert np.max(np.abs(out[0] - out[1])) < 2 * np.finfo(float).eps
+        total = math.fsum(pieces) if normalized else math.exp(-lw.max())
+        out.append(prefix_fsums(pieces, np.searchsorted(cuts, s_out)) / total)
+    assert np.max(np.abs(out[0] - out[1]) / np.maximum(1.0, out[0])) < 2 * np.finfo(float).eps
     return out[0]
 
 
 def flow_weight_limit(steps):
     """Speed evaluations a flow may take: its adaptive quadrature table (at
-    most about 1,300 rows on random pairs at n = 3 and 10, so 12,000 leaves
-    room for stiff chords), and per output row the velocity and up to four
-    polish steps of six evaluations.  A row retires after the first step
-    whose Newton quadratic term bounds its residual below the stop, so most
-    rows take one step, but a row may still take all four."""
-    return 12_000 + 25 * (steps + 1)
+    most about 1,700 rows on random pairs at n = 3, 5 and 10, so 12,000
+    leaves room for stiff chords), and per output row the velocity and at
+    most the 10 Gauss nodes of the table half that holds it, where the
+    weight becomes the series that Newton inverts.  Rows share halves: at
+    800 steps a flow takes about 1.1 to 1.3 weight rows per output row, its
+    table included."""
+    return 12_000 + 11 * (steps + 1)
 
 
 class TestCurve:
@@ -259,7 +284,7 @@ class TestDualGeodesic:
 
     def test_newton_rows_start_warm_along_the_chord(self, monkeypatch):
         # every 32nd of the 1025 chord nodes is solved cold, and every later
-        # row of the table, the polish and the range guard starts from the
+        # row of the table, the series and the range guard starts from the
         # interpolant through the rows solved before it: about 1.7k rows of
         # u.  A dense solve of all 1025 nodes for a spline took about 3.5k,
         # and a cold start of each row at its own dual coordinate about 34.6k
@@ -420,7 +445,7 @@ class TestChordQuadrature:
             return logw(s)
 
         grid, ends = np.linspace(0.0, 1.0, 17), np.array([0.0, 1.0])
-        h, _ = gd._reparam_from_weight(counted, grid, ends)  # no polish: table levels only
+        h, _ = gd._reparam_from_weight(counted, grid, ends)  # no series: table levels only
         assert np.array_equal(h, ends)
         assert 1 < len(levels) <= 64, len(levels)
         # and the time change is the weight's integral to rounding (a depth
@@ -434,11 +459,13 @@ class TestChordQuadrature:
                        epsabs=0, epsrel=1e-13)[0]
             assert abs(ref / total - ti) < 8 * np.finfo(float).eps, ti
 
-    def test_flow_polish_takes_about_one_step_per_row(self, monkeypatch):
-        # a stop on |F| at the start of each step took a second step on
-        # nearly every row: about 13.7 weight rows per output row here
+    def test_flow_takes_at_most_two_weight_rows_per_output_row(self, monkeypatch):
+        # the table and the series of the halves that hold output rows take
+        # about 1.15 weight rows per output row here; a Newton polish that
+        # evaluated the weight at 6 points per row and step took 6.7, and
+        # with a stop on |F| at the start of each step about 13.7
         steps = 800
-        rows = bound_weight_evaluations(monkeypatch, 9 * (steps + 1), modules=(gd,))
+        rows = bound_weight_evaluations(monkeypatch, 2 * (steps + 1), modules=(gd,))
         gd.primal_flow(G.diversity_weighted(0.5), Q3, R3, horizon=20.0, steps=steps)
         assert sum(rows) > 0
 
@@ -491,6 +518,80 @@ class TestChordQuadrature:
                     t = gauss_times(logw, s_dense[0], s_dense[-1], s[1:])
                     err = np.max(np.abs(t - t_out[1:]) / np.maximum(1.0, t_out[1:]))
                     assert err < 8 * eps, (name, small, end, build.__name__, err / eps)
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_flow_times_match_a_converged_rule(self, monkeypatch, n):
+        # flows at the benchmark's shape, horizon 20 and 800 steps, so about
+        # 20 output rows per table half: t at the returned chord parameter
+        # against the 20-point Gauss rule, which uses the weight but not the
+        # table.  mix dual flows are left out: their weight carries the noise
+        # of the Newton stop of the inverse dual map, and no rule converges on it
+        calls = record_reparam(monkeypatch)
+        eps = np.finfo(float).eps
+        q, r = np.random.default_rng(11).dirichlet(np.ones(n), 2)
+        for name, gen in builtin_zoo(n).items():
+            for flow in (gd.primal_flow, gd.dual_flow) if name != "mix" else (gd.primal_flow,):
+                calls.clear()
+                flow(gen, q, r, horizon=20.0, steps=800)
+                logw, s_dense, t_out, s, _ = calls[0]
+                inside = (s > s_dense[0]) & (s < s_dense[-1])
+                assert inside.sum() == 800, (name, flow.__name__)
+                t = gauss_times(logw, s_dense[0], s_dense[-1], s[inside], normalized=False)
+                err = np.max(np.abs(t - t_out[inside]) / np.maximum(1.0, t_out[inside]))
+                assert err < 8 * eps, (name, flow.__name__, err / eps)
+
+    def test_exponential_map_times_match_a_converged_rule_at_small_velocities(self, monkeypatch):
+        # the reach grid starts near a t_end in u, since t is about u / a for
+        # small u, so the quadrature table spans the curve.  From u = 1 at
+        # every velocity, a curve at 1e-8 lay at the start of the first table
+        # half, whose time was about 1e8 times the curve's, and its times were
+        # off by up to about 50 rounding units of t (the polish that this
+        # series replaced evaluated the weight there, and was within 8)
+        calls = record_reparam(monkeypatch)
+        eps = np.finfo(float).eps
+        gen = G.diversity_weighted(0.5)
+        v = gd.inverse_exp(gen, Q3, R3, "primal")
+        for scale in (1e-8, 1e-4, 1.0):
+            calls.clear()
+            gd.integrate_geodesic(gen, to_primal(Q3).theta, scale * v, "primal", steps=128)
+            logw, s_dense, t_out, s, _ = calls[-1]
+            t = gauss_times(logw, s_dense[0], s_dense[-1], s[1:], normalized=False)
+            err = np.max(np.abs(t - t_out[1:]) / np.maximum(1.0, t_out[1:]))
+            assert err < 8 * eps, (scale, err / eps)
+
+    def test_legendre_rise_keeps_its_precision_near_the_left_end(self):
+        # P_m(d - 1) - P_m(-1) against exact rational arithmetic, to a few
+        # rounding units of its size, also at d = 1e-15, where P_m(d - 1)
+        # minus (-1)^m keeps at most one digit of it
+        from fractions import Fraction
+
+        eps = np.finfo(float).eps
+        d = np.r_[np.geomspace(1e-15, 1.0, 16), 1.5, 2.0]
+        got = gd._legendre_rise(d, 11)
+        for col, x in enumerate(d):
+            xi = Fraction(float(x)) - 1
+            P = [Fraction(1), xi]
+            for m in range(1, 10):
+                P.append(((2 * m + 1) * xi * P[m] - m * P[m - 1]) / (m + 1))
+            exact = np.array([float(p - (-1) ** m) for m, p in enumerate(P)])
+            assert np.all(np.abs(got[:, col] - exact) <= 8 * eps * np.maximum(np.abs(exact), x)), x
+
+    def test_series_constants_are_the_legendre_rule_and_transform(self):
+        # the literal 10-point rule, and the series a degree-9 polynomial
+        # gives at its nodes: its own Legendre coefficients, those of its
+        # integral from -1, and its values, all against numpy.polynomial
+        from numpy.polynomial import legendre as L
+
+        eps = np.finfo(float).eps
+        x, w = L.leggauss(10)
+        assert np.max(np.abs(gd._GL10_X - x)) <= eps and np.max(np.abs(gd._GL10_W - w)) <= eps
+        c = np.random.default_rng(5).normal(size=10)
+        f = L.legval(gd._GL10_X, c)
+        assert np.allclose(gd._LEG @ f, c, rtol=0, atol=1e-14)
+        assert np.allclose(gd._LEG_INT @ f, L.legint(c, lbnd=-1), rtol=0, atol=1e-14)
+        d = np.linspace(0.0, 2.0, 9)
+        rise = gd._legendre_rise(d, 11) + gd._P_LEFT[:, None]
+        assert np.allclose(rise, L.legvander(d - 1.0, 10).T, rtol=0, atol=1e-14)
 
 
 class TestIntegrateGeodesic:
@@ -804,8 +905,8 @@ class TestFlows:
 
     @pytest.mark.parametrize("small", [1e-200, 1e-299])
     def test_flows_from_an_entry_near_the_float_floor(self, small):
-        # the polish's stop test once overflowed here, which the suite's
-        # warning filter turns into an error
+        # a stop test of the former Newton polish once overflowed here,
+        # which the suite's warning filter turns into an error
         q = np.array([small, 0.4, 0.6 - small])
         for name in ("equal", "mix"):
             gen = builtin_zoo(3)[name]
