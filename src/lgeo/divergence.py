@@ -79,16 +79,18 @@ class DivergenceValue:
 
 @dataclass(frozen=True)
 class CouplingSample:
-    """Finite sample of (theta, phi) pairs from a coupling."""
+    """Finite sample of (theta, phi) pairs from a coupling, 1-d of one length."""
 
     pairs: list
 
     def __post_init__(self):
         if len(self.pairs) == 0:
             raise ValueError("a coupling sample must be non-empty")
-        for th, ph in self.pairs:
-            if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ph))):
-                raise ValueError("coupling sample entries must be finite")
+        shapes = {np.shape(x) for th, ph in self.pairs for x in (th, ph)}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"coupling sample entries must be 1-d of one length, not {shapes}")
+        if not np.all(np.isfinite(np.asarray(self.pairs, dtype=float))):
+            raise ValueError("coupling sample entries must be finite")
 
     def __len__(self):
         return len(self.pairs)

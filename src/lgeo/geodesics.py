@@ -19,10 +19,10 @@ already solved.  The exponential map follows the same chords from a point
 and a velocity and names the exact time at which one leaves the simplex.
 The quadrature table is refined under an error estimate until it converges
 (adaptive Gauss quadrature, Gander & Gautschi 2000), and each of its levels
-evaluates the weight at once.  One more evaluation, at the Gauss nodes of
-every table half that holds output times, makes the weight a Legendre series
-on each such half, whose integral Newton inverts at the output times without
-evaluating the weight again.
+evaluates the weight at once, at the nodes of one 10-point Gauss rule.  The
+weight at the nodes of each table half is also a Legendre series on that
+half, whose integral Newton inverts at the output times, so no weight is
+evaluated after the table.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
 time change, which yields inverse exponential maps for free.  On the chord
@@ -115,10 +115,10 @@ class Curve:
     velocities: np.ndarray | None = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        t = self.times = np.asarray(self.times, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("curve times must be strictly increasing")
+        if t.ndim != 1 or not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise ValueError("curve times must be finite and strictly increasing")
         if self.points.shape[0] != self.times.size:
             raise ValueError("one point per time stamp required")
         if not np.all(np.isfinite(self.points)):
@@ -154,7 +154,7 @@ class Curve:
 
 def _grid(grid) -> np.ndarray:
     """Output times on [0, 1]: the default grid, ``grid`` uniform times (at
-    least 2), or an increasing array of times inside [0, 1]."""
+    least 2), or at least 2 finite, strictly increasing times in [0, 1]."""
     if grid is None:
         return np.linspace(0.0, 1.0, DEFAULT_GRID)
     if np.isscalar(grid):
@@ -162,8 +162,8 @@ def _grid(grid) -> np.ndarray:
             raise ValueError(f"a grid needs at least 2 times, got {grid}")
         return np.linspace(0.0, 1.0, int(grid))
     g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or np.any(np.diff(g) <= 0) or g[0] < 0 or g[-1] > 1:
-        raise ValueError("grid must be increasing inside [0, 1]")
+    if g.ndim != 1 or g.size < 2 or not (np.all(np.diff(g) > 0) and g[0] >= 0 and g[-1] <= 1):
+        raise ValueError("grid must be at least 2 finite, strictly increasing times inside [0, 1]")
     return g
 
 
@@ -224,12 +224,8 @@ def _chord_map(xi: np.ndarray, sign: float, flow: bool = False):
     return line, np.linspace(u_a, u_b, _CHORD)
 
 
-# 5-point Gauss-Legendre rule on [-1, 1], the rule of the quadrature table
-_GL_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
-                  0.5384693101056831, 0.906179845938664])
-_GL_W = np.array([0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
-                  0.47862867049936647, 0.23692688505618908])
-# 10-point Gauss-Legendre rule on [-1, 1], the nodes of a table half's series
+# 10-point Gauss-Legendre rule on [-1, 1], the rule of the quadrature table
+# and the nodes of each table half's series
 _GL10_X = np.array([0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
                     0.8650633666889845, 0.9739065285171717])
 _GL10_X = np.concatenate((-_GL10_X[::-1], _GL10_X))
@@ -262,45 +258,39 @@ _LEG_INT[np.arange(1, 11), np.arange(10)] = 1.0 / (2 * np.arange(10) + 1)
 _LEG_INT[np.arange(9), np.arange(1, 10)] -= 1.0 / (2 * np.arange(1, 10) + 1)
 _LEG_INT[0, 0] = 1.0
 _LEG_INT = _LEG_INT @ _LEG
+_LEFT_HALF = _legendre_rise(np.ones(1), 11)[:, 0] @ _LEG_INT  # that integral at xi = 0
 _NEWTON_STEPS = 6   # at most, on a half's series; the curves stop after 2 or 3
 
 
-def _gl_nodes(a: np.ndarray, b: np.ndarray, x: np.ndarray = _GL_X):
-    """The nodes ``x`` on [-1, 1] mapped to the intervals [a_i, b_i],
-    flattened in order, and the half widths of the intervals."""
+def _gauss_segment(logw, a: np.ndarray, b: np.ndarray):
+    """The half widths of the intervals [a_i, b_i], and ``logw`` at their
+    10 Gauss nodes, one row of 10 per interval, from one call of ``logw``."""
     mid, half = (a + b) / 2, (b - a) / 2
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), half
-
-
-def _gauss_segment(w, a: np.ndarray, b: np.ndarray):
-    """10-point Gauss integrals of the weight ``w`` over each [a_i, b_i], and
-    ``w`` at the nodes, one row of 10 per interval."""
-    nodes, half = _gl_nodes(a, b, _GL10_X)
-    values = w(nodes).reshape(-1, _GL10_X.size)
-    return half * (values @ _GL10_W), values
+    return half, logw((mid[:, None] + half[:, None] * _GL10_X).ravel()).reshape(-1, _GL10_X.size)
 
 
 def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalized: bool = True):
     """Invert the time t(s) = int w along a chord from ``s_dense[0]``, where
     w = exp(logw), and ``logw`` maps an array of chord parameters to log w.
 
-    The t(s) table is adaptive: from about ``_TABLE`` intervals of the grid
-    ``s_dense``, each level evaluates the weight once on the 5-point Gauss
-    nodes of every open interval and of its two halves, accepts an interval
-    when the two estimates agree to 3e-15 of the running total or its halves
-    are no longer distinct floats, and splits the others.  Each accepted
-    interval enters the table as its two halves.  Then one call of
-    :func:`_gauss_segment` evaluates w at the 10 Gauss nodes of every half
-    that holds an interior output time, and the discrete orthogonal
-    transform makes w there a Legendre series in the half's xi in [-1, 1],
-    well conditioned at those nodes (Trefethen 2013, "Approximation Theory
-    and Approximation Practice", ch. 15-19).  Each output time t solves
-    F = cum + R int_{-1}^{xi} series - t W = 0, cum the table's time at the
-    half's start and R its half width, by Newton from the linear start on
-    the half, clipped to [-1, 1], until |F| <= 1e-15 max(1, t) W on every
-    row or for ``_NEWTON_STEPS`` steps.  dF/dxi is R times the series, so
-    no weight is evaluated after it.  The integral is summed in the
-    P_m(xi) - P_m(-1), which keeps its relative precision near xi = -1.
+    The t(s) table is adaptive (Gander & Gautschi 2000): from about
+    ``_TABLE`` intervals of the grid ``s_dense``, each level evaluates w once,
+    by :func:`_gauss_segment`, at the 10-point Gauss nodes of every open
+    interval and of its two halves.  The discrete orthogonal transform makes
+    w at an interval's nodes a Legendre series in its xi in [-1, 1]
+    (Trefethen 2013, "Approximation Theory and Approximation Practice",
+    ch. 15-19).  An interval is accepted when its series predicts the
+    integrals of both halves to 3e-15 of the running total (the whole
+    against the sum of the halves alone lets the series be off inside), or
+    its halves are no longer distinct floats; the others split.  It enters
+    the table as its two halves with w at their nodes, which give both the
+    table's times cum and each half's series: no weight is evaluated after
+    the table.  Each output time t solves
+    F = cum + R int_{-1}^{xi} series - t W = 0, R the half width, by Newton
+    from the linear start on the half, clipped to [-1, 1], until
+    |F| <= 1e-15 max(1, t) W on every row or for ``_NEWTON_STEPS`` steps;
+    dF/dxi is R times the series.  The integral is summed in the
+    P_m(xi) - P_m(-1), precise near xi = -1.
     ``normalized`` (geodesics): t(s_dense[-1]) = 1; returns s at the output
     times and log W, W the integral of w.  Otherwise (flows) t grows linearly
     past the grid; returns s at the output times.
@@ -310,38 +300,42 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
     shift, done, parts = -np.inf, 0.0, []  # parts: accepted intervals, log w at their halves' nodes
     while a.size:
         m = (a + b) / 2
-        nodes, half = _gl_nodes(np.hstack((a, a, m)), np.hstack((b, m, b)))
-        lw = logw(nodes).reshape(3, -1, _GL_X.size)
+        half, lw = _gauss_segment(logw, np.hstack((a, a, m)), np.hstack((b, m, b)))
+        lw = lw.reshape(3, -1, _GL10_X.size)
         new = max(shift, lw.max())  # rescale what is accepted so that exp never overflows
         done, shift = done * np.exp(shift - new), new
-        whole, left, right = np.exp(lw - shift) @ _GL_W * half.reshape(3, -1)
+        w = np.exp(lw - shift)
+        whole, left, right = w @ _GL10_W * half.reshape(3, -1)
+        P = w[0] @ _LEFT_HALF * half[:a.size]  # the left half by the whole interval's series
         # NaN is accepted, so that it reaches the output instead of splitting forever
-        ok = ~(np.abs(whole - left - right) > 3e-15 * (done + (left + right).sum()))
+        ok = ~(np.abs(P - left) + np.abs(whole - P - right) > 3e-15 * (done + (left + right).sum()))
         ok |= (a == m) | (m == b)
-        parts.append((a[ok], b[ok], lw[1:, ok].transpose(1, 0, 2).reshape(-1, 2 * _GL_X.size)))
+        parts.append((a[ok], b[ok], lw[1:, ok].transpose(1, 0, 2)))
         done += (left[ok] + right[ok]).sum()
         a, b = np.hstack((a[~ok], m[~ok])), np.hstack((m[~ok], b[~ok]))
     order = np.argsort(np.concatenate([p[0] for p in parts]))
     a, b, lw = (np.concatenate(p)[order] for p in zip(*parts))
-    w_nodes, mid = np.exp(lw - shift), (a + b) / 2
-    halves = np.column_stack(((mid - a) * (w_nodes[:, :5] @ _GL_W),
-                              (b - mid) * (w_nodes[:, 5:] @ _GL_W))) / 2
-    S, cum = np.append(np.column_stack((a, mid)), b[-1]), np.append(0.0, np.cumsum(halves))
+    values = np.exp(lw.reshape(-1, _GL10_X.size) - shift)  # w at the nodes, one row per half
+    S = np.append(np.column_stack((a, (a + b) / 2)), b[-1])
+    rad = np.diff(S) / 2
+    halves = rad * (values @ _GL10_W)
+    # prefix sums with the rounding of each step added back (TwoSum; Ogita, Rump & Oishi 2005)
+    cum = np.cumsum(halves)
+    prev = np.append(0.0, cum[:-1])
+    z = cum - prev
+    cum = np.append(0.0, cum + np.cumsum((prev - (cum - z)) + (halves - z)))
     W = cum[-1] if normalized else np.exp(-shift)
     t_of_s, t_end = cum / W, cum[-1] / W
     h = np.full_like(t_out, S[0])
     tail = t_out >= t_end
-    h[tail] = S[-1] if normalized else S[-1] + (t_out[tail] - t_end) * W / w_nodes[-1, -1]
+    h[tail] = S[-1] if normalized else S[-1] + (t_out[tail] - t_end) * W / values[-1, -1]
     rows = np.flatnonzero((t_out > 0.0) & ~tail)
     if rows.size == 0:
         return (h, math.log(W) + shift) if normalized else h
     t_star = t_out[rows]
     j = np.clip(np.searchsorted(t_of_s, t_star) - 1, 0, S.size - 2)  # the half below
-    held, k = np.unique(j, return_inverse=True)
-    _, values = _gauss_segment(lambda x: np.exp(logw(x) - shift), S[held], S[held + 1])
-    rad = (S[j + 1] - S[j]) / 2
     # R w and R int_{-1}^{xi} w in the P_m(xi) - P_m(-1), and R w(-1)
-    series, integral = (_LEG @ values.T)[:, k] * rad, (_LEG_INT @ values.T)[:, k] * rad
+    series, integral = _LEG @ values[j].T * rad[j], _LEG_INT @ values[j].T * rad[j]
     left = _P_LEFT[:10] @ series
     target, tol = t_star * W - cum[j], 1e-15 * np.maximum(1.0, t_star) * W
     d = 2.0 * (t_star - t_of_s[j]) / (t_of_s[j + 1] - t_of_s[j])  # 1 + xi, linear on the half
@@ -351,7 +345,7 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
         if np.all(np.abs(F) <= tol):
             break
         d = np.clip(d - F / (np.einsum("kr,kr->r", Q[:10], series) + left), 0.0, 2.0)
-    h[rows] = S[j] + rad * d
+    h[rows] = S[j] + rad[j] * d
     return (h, math.log(W) + shift) if normalized else h
 
 
@@ -565,7 +559,9 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
         dF = lambda u: logw(u, chord(u)) - F0
         return dF, lambda u: dF(u) + u - 2.0 * np.log1p(c * np.expm1(u)) - math.log(a)
 
-    reach = lambda grid, rate: _gauss_segment(lambda u: np.exp(rate(u)), grid[:-1], grid[1:])[0].sum()
+    def reach(grid, rate):
+        half, lw = _gauss_segment(rate, grid[:-1], grid[1:])
+        return (half * (np.exp(lw) @ _GL10_W)).sum()
 
     u_end = min(1.0, 2.0 ** math.ceil(math.log2(max(a * t_end, 1e-300))))
     while True:

@@ -279,7 +279,7 @@ def sectional_curvature(gen: Generator, point, u, v, which: str = "primal") -> f
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     g = _metric_for(gen, point, which)
-    R = rc_curvature(gen, point, which)
+    R = _rc_closed(g.entries)
     Ruvv = np.einsum("ijkl,i,j,k->l", R, u, v, v)
     num = float(Ruvv @ g.entries @ u)
     den = g.inner(u, u) * g.inner(v, v) - g.inner(u, v) ** 2

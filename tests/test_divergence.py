@@ -387,6 +387,21 @@ class TestCyclicalMonotonicity:
         with pytest.raises(ValueError):
             D.CouplingSample([])
 
+    @pytest.mark.parametrize("theta_shape, phi_shape", [((4, 2), (4, 1)), ((4, 1), (4, 3)),
+                                                        ((4, 2, 2), (4, 2, 2)), ((4,), (4,))])
+    def test_entries_must_be_1d_of_one_length(self, rng, theta_shape, phi_shape):
+        # unequal lengths broadcast in the cost: with thetas of shape (4, 2)
+        # and phis of shape (4, 1) the certificate answered False and the
+        # coupling cost 7.59; 2-d entries raised TypeError in psi
+        thetas, phis = rng.normal(size=theta_shape), rng.normal(size=phi_shape)
+        with pytest.raises(ValueError, match="1-d of one length"):
+            D.CouplingSample(list(zip(thetas, phis)))
+
+    def test_pairs_must_share_one_length(self):
+        pairs = [(np.zeros(2), np.ones(2)), (np.zeros(3), np.ones(3))]
+        with pytest.raises(ValueError, match="1-d of one length"):
+            D.CouplingSample(pairs)
+
 
 class TestMCM:
     def test_constant_cycle(self):

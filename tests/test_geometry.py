@@ -332,6 +332,32 @@ class TestCurvature:
         k2 = geo.sectional_curvature(gen, th, 2.0 * u + 0.3 * v, -0.7 * v, "primal")
         assert k1 == pytest.approx(k2, rel=1e-10)
 
+    def test_sectional_curvature_builds_one_metric(self, rng, monkeypatch):
+        # the curvature tensor comes from the metric that the plane's inner
+        # products use, so one call builds one metric, and the value is
+        # bitwise that of the tensor from rc_curvature with its own metric
+        metric_for, built = geo._metric_for, []
+
+        def counted(gen, point, which):
+            built.append(which)
+            return metric_for(gen, point, which)
+
+        for name, gen in builtin_zoo(3).items():
+            for which in ("primal", "dual"):
+                point = rng.normal(size=2) * 0.5
+                if which == "dual":
+                    point = dual_coord(gen, point).phi
+                u, v = rng.normal(size=2), rng.normal(size=2)
+                g = geo._metric_for(gen, point, which)
+                Ruvv = np.einsum("ijkl,i,j,k->l", geo.rc_curvature(gen, point, which), u, v, v)
+                den = g.inner(u, u) * g.inner(v, v) - g.inner(u, v) ** 2
+                ref = float(Ruvv @ g.entries @ u) / den
+                monkeypatch.setattr(geo, "_metric_for", counted)
+                built.clear()
+                assert geo.sectional_curvature(gen, point, u, v, which) == ref, (name, which)
+                assert built == [which], (name, which)
+                monkeypatch.setattr(geo, "_metric_for", metric_for)
+
     def test_degenerate_plane_rejected(self, rng):
         gen = G.equal_weighted(4)
         u = rng.normal(size=3)
