@@ -276,8 +276,8 @@ class GeneralizedDiversityWeighted(Generator):
 
     def __init__(self, weights, lam: float):
         w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError(f"weights must be finite and strictly positive, got {w.tolist()}")
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lam must lie in (0, 1), got {lam}")
         self.w = w
@@ -328,8 +328,8 @@ class ConvexCombination(Generator):
         c = np.asarray(coeffs, dtype=float)
         if c.size != len(generators):
             raise ValueError("one coefficient per generator required")
-        if np.any(c < 0) or abs(c.sum() - 1.0) > 1e-12:
-            raise ValueError("coefficients must be a point of the closed simplex")
+        if not (np.all(c >= 0) and abs(c.sum() - 1.0) <= 1e-12):  # in this form NaN and inf fail
+            raise ValueError(f"coefficients must be finite, at least 0 and sum to 1, got {c.tolist()}")
         self.parts = list(generators)
         self.coeffs = c
         self.name = "+".join(f"{ck:g}*{g.name}" for ck, g in zip(c, self.parts))

@@ -15,14 +15,15 @@ chord map, in a parameter logistic in h at the scale of each end, so that
 ends near a face of the simplex resolve to rounding.  Without a closed
 form, the inverse dual images come from a continuation along the chord,
 each batched Newton solve starting from an interpolant through the rows
-already solved.  The exponential map follows the same chords from a point
-and a velocity and names the exact time at which one leaves the simplex.
-The quadrature table is refined under an error estimate until it converges
-(adaptive Gauss quadrature, Gander & Gautschi 2000), and each of its levels
-evaluates the weight at once, at the nodes of one 10-point Gauss rule.  The
-weight at the nodes of each table half is also a Legendre series on that
-half, whose integral Newton inverts at the output times, so no weight is
-evaluated after the table.
+already solved, and the range guard from the rows solved at the output
+times.  The exponential map follows the same chords from a point and a
+velocity and names the exact time at which one leaves the simplex.  The
+quadrature table on a chord's span is refined under an error estimate until
+it converges (adaptive Gauss quadrature, Gander & Gautschi 2000), and each
+of its levels evaluates the weight at once, at the nodes of one 10-point
+Gauss rule.  The weight at the nodes of each table half is also a Legendre
+series on that half, whose integral Newton inverts at the output times, so
+no weight is evaluated after the table.
 
 Gradient flows of T(r | .) and T(. | p) retrace the same geodesics up to a
 time change, which yields inverse exponential maps for free.  On the chord
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import divergence
 from ._table import write_table
-from .divergence import ConvergenceError, _t_euclid, f_value, inverse_dual_coord
+from .divergence import _t_euclid, f_value, inverse_dual_coord
 from .generators import Generator, _dual_rows, _portfolio_at
 from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_exp, _tilt_gradient
 from .simplex import (
@@ -84,9 +85,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 129
-_TABLE = 16         # intervals of the grid that a chord quadrature table starts from
-_COARSE = 32        # stride of the grid nodes that a chord inverse solves cold
-_CHORD = 1025       # uniform grid of a chord's parameter: its cold nodes and row cap
+_TABLE = 16         # uniform intervals of the span that a chord quadrature table starts from
+_SOLVED = 1025      # the most solved rows that a chord inverse keeps
 
 
 class DualRangeError(RuntimeError):
@@ -189,7 +189,7 @@ def _chord_map(xi: np.ndarray, sign: float, flow: bool = False):
     1 - tau = e^-s, s = log1p(e^u) - log1p(l_a).  Returns the map from u to
     the rows ``sign`` log((1 - tau) e^a + tau e^b), exact at the ends, and
     log dtau/du (log ds/du for a flow), both from one softplus of u; and
-    ``_CHORD`` uniform u from u_a to u_b, or for a flow to where
+    the span [u_a, u_b] of u, or for a flow [u_a, u] with u where
     e^-s |x_b - x_a| rounds away (s at least 1).
     """
     a, b = sign * xi
@@ -219,9 +219,7 @@ def _chord_map(xi: np.ndarray, sign: float, flow: bool = False):
         rows = sign * (top + np.log1p(np.exp(np.minimum(x, y) - top)))
         return rows, log_sigmoid if flow else log_scale + u - 2.0 * soft
 
-    if flow:
-        return line, np.linspace(u_a, s_end + math.log1p(la - math.exp(-s_end)), _CHORD)
-    return line, np.linspace(u_a, u_b, _CHORD)
+    return line, np.array([u_a, s_end + math.log1p(la - math.exp(-s_end)) if flow else u_b])
 
 
 # 10-point Gauss-Legendre rule on [-1, 1], the rule of the quadrature table
@@ -269,12 +267,12 @@ def _gauss_segment(logw, a: np.ndarray, b: np.ndarray):
     return half, logw((mid[:, None] + half[:, None] * _GL10_X).ravel()).reshape(-1, _GL10_X.size)
 
 
-def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalized: bool = True):
-    """Invert the time t(s) = int w along a chord from ``s_dense[0]``, where
+def _reparam_from_weight(logw, span: np.ndarray, t_out: np.ndarray, normalized: bool = True):
+    """Invert the time t(s) = int w along a chord from ``span[0]``, where
     w = exp(logw), and ``logw`` maps an array of chord parameters to log w.
 
-    The t(s) table is adaptive (Gander & Gautschi 2000): from about
-    ``_TABLE`` intervals of the grid ``s_dense``, each level evaluates w once,
+    The t(s) table is adaptive (Gander & Gautschi 2000): from ``_TABLE``
+    uniform intervals of ``span``, each level evaluates w once,
     by :func:`_gauss_segment`, at the 10-point Gauss nodes of every open
     interval and of its two halves.  The discrete orthogonal transform makes
     w at an interval's nodes a Legendre series in its xi in [-1, 1]
@@ -291,11 +289,11 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
     |F| <= 1e-15 max(1, t) W on every row or for ``_NEWTON_STEPS`` steps;
     dF/dxi is R times the series.  The integral is summed in the
     P_m(xi) - P_m(-1), precise near xi = -1.
-    ``normalized`` (geodesics): t(s_dense[-1]) = 1; returns s at the output
-    times and log W, W the integral of w.  Otherwise (flows) t grows linearly
-    past the grid; returns s at the output times.
+    Returns s at the output times and log W, W the integral of w over
+    ``span``.  ``normalized`` (geodesics): t(span[-1]) = 1.  Otherwise
+    (flows) t is the integral itself and grows linearly past the span.
     """
-    grid = s_dense[np.unique(np.linspace(0, s_dense.size - 1, _TABLE + 1).astype(int))]
+    grid = np.linspace(span[0], span[-1], _TABLE + 1)
     a, b = grid[:-1], grid[1:]
     shift, done, parts = -np.inf, 0.0, []  # parts: accepted intervals, log w at their halves' nodes
     while a.size:
@@ -326,12 +324,13 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
     cum = np.append(0.0, cum + np.cumsum((prev - (cum - z)) + (halves - z)))
     W = cum[-1] if normalized else np.exp(-shift)
     t_of_s, t_end = cum / W, cum[-1] / W
+    log_total = math.log(cum[-1]) + shift
     h = np.full_like(t_out, S[0])
     tail = t_out >= t_end
     h[tail] = S[-1] if normalized else S[-1] + (t_out[tail] - t_end) * W / values[-1, -1]
     rows = np.flatnonzero((t_out > 0.0) & ~tail)
     if rows.size == 0:
-        return (h, math.log(W) + shift) if normalized else h
+        return h, log_total
     t_star = t_out[rows]
     j = np.clip(np.searchsorted(t_of_s, t_star) - 1, 0, S.size - 2)  # the half below
     # R w and R int_{-1}^{xi} w in the P_m(xi) - P_m(-1), and R w(-1)
@@ -346,21 +345,20 @@ def _reparam_from_weight(logw, s_dense: np.ndarray, t_out: np.ndarray, normalize
             break
         d = np.clip(d - F / (np.einsum("kr,kr->r", Q[:10], series) + left), 0.0, 2.0)
     h[rows] = S[j] + rad[j] * d
-    return (h, math.log(W) + shift) if normalized else h
+    return h, log_total
 
 
-def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
+def _chord_inverse(gen: Generator, chord, span: np.ndarray):
     """The inverse dual map ``theta(s, Ph)`` of rows ``Ph = chord(s)`` on a
-    dual chord, and ``start(s)``, the predictor of its Newton starts (None
-    with a closed form).  Every ``_COARSE``-th node of the increasing ``grid``
-    and its last are solved cold.  Each call is then a predictor-corrector
-    step of a continuation (Allgower & Georg 2003): batched Newton from the
-    Lagrange interpolant through the six nearest solved rows, clipped to
-    their range.  Its rows join the solved rows, thinned evenly in s to at
-    most ``grid.size``; a row at a kept s starts at its solution."""
-    if gen.dual_map_inverse(chord(grid[:1])) is not None:
-        return (lambda s, Ph: inverse_dual_coord(gen, Ph)), lambda s: None
-    S = grid[np.r_[0 : grid.size - 1 : _COARSE, grid.size - 1]]
+    dual chord.  33 uniform nodes of ``span`` are solved cold.  Each
+    call is then a predictor-corrector step of a continuation (Allgower &
+    Georg 2003): batched Newton from the Lagrange interpolant through the six
+    nearest solved rows, clipped to their range.  Its rows join the solved
+    rows, thinned evenly in s to at most ``_SOLVED``; a row at a kept s
+    starts at its solution.  With a closed form, ``theta`` is that form."""
+    if gen.dual_map_inverse(chord(span[:1])) is not None:
+        return lambda s, Ph: inverse_dual_coord(gen, Ph)
+    S = np.linspace(span[0], span[-1], 33)
     Th = inverse_dual_coord(gen, chord(S))  # the solved rows, by increasing s
 
     def start(s):  # in blocks of 256 rows, which bounds the (6, 6, rows) factors below
@@ -379,66 +377,60 @@ def _chord_inverse(gen: Generator, chord, grid: np.ndarray):
         nonlocal S, Th
         th = inverse_dual_coord(gen, Ph, x0=start(s))
         S, first = np.unique(np.concatenate((S, s)), return_index=True)
-        keep = np.linspace(0, S.size - 1, min(S.size, grid.size)).round().astype(int)
+        keep = np.linspace(0, S.size - 1, min(S.size, _SOLVED)).round().astype(int)
         S, Th = S[keep], np.concatenate((Th, th))[first[keep]]
         return th
 
-    return theta, start
+    return theta
 
 
-def _geodesic_log_weight(gen: Generator, theta=None):
-    """The log weight -2 f at primal rows, or -2 f* at the rows ``Ph`` of a
-    dual chord with inverse dual images ``theta(u, Ph)``
-    (:func:`_chord_inverse`), as an array function of the chord parameter u
-    and the rows at u."""
-    if theta is None:
-        return lambda u, Th: -2.0 * f_value(gen, Th)
-
-    def logw(u, Ph):
-        # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
-        Th = theta(u, Ph)
-        return -2.0 * (psi_many(Th - Ph) - f_value(gen, Th))
-
-    return logw
+def _log_weight(gen: Generator, rows: np.ndarray, Th: np.ndarray | None) -> np.ndarray:
+    """The log weight of a geodesic: -2 f at primal ``rows``, or -2 f* at
+    dual ``rows`` whose inverse dual images are ``Th``."""
+    if Th is None:
+        return -2.0 * f_value(gen, rows)
+    # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
+    return -2.0 * (psi_many(Th - rows) - f_value(gen, Th))
 
 
 def _chord(gen: Generator, q, r, sign: float, flow: bool = False):
     """The theta (``sign`` 1) or phi (-1) rows xi of q and r, the chord
-    u -> xi, the chord with its log rate, u -> (xi, log rate), and its grid
-    (:func:`_chord_map`), and for phi rows ``theta`` and ``start`` of
-    :func:`_chord_inverse`."""
+    u -> xi, the chord with its log rate, u -> (xi, log rate), and its span
+    (:func:`_chord_map`), and ``theta(u, rows)``: for phi rows the inverse
+    dual map of :func:`_chord_inverse`, for theta rows None."""
     Th = to_primal_many(point_rows(q, r))
     xi = Th if sign > 0 else _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
-    rated, grid = _chord_map(xi, sign, flow)
+    rated, span = _chord_map(xi, sign, flow)
     chord = lambda u: rated(u)[0]
-    inverse = _chord_inverse(gen, chord, grid) if sign < 0 else (None, lambda u: None)
-    return xi, chord, rated, grid, *inverse
+    theta = _chord_inverse(gen, chord, span) if sign < 0 else lambda u, rows: None
+    return xi, chord, rated, span, theta
 
 
-def _geodesic(gen: Generator, q, r, grid, sign: float, check_range: bool = False) -> Curve:
+def _geodesic(gen: Generator, q, r, grid, sign: float) -> Curve:
     """The primal (``sign`` 1) or dual (-1) geodesic from q to r: x = e^{sign xi}
     runs straight at tau(t), dt/dtau proportional to exp(-2 F), F = f or f*,
     inverted in the u of :func:`_chord_map` with the weight exp(-2 F) dtau/du."""
     t_out = _grid(grid)
     coord = "primal" if sign > 0 else "dual"
-    xi, chord, rated, grid, theta, start = _chord(gen, q, r, sign)
+    xi, chord, rated, span, theta = _chord(gen, q, r, sign)
     if np.allclose(xi[0], xi[1], atol=1e-14):
         pts = np.broadcast_to(xi[0], (t_out.size, xi.shape[1])).copy()
         return Curve(t_out, pts, coord, velocities=np.zeros_like(pts))
-    logw = _geodesic_log_weight(gen, theta)
 
     def weight(u):
         rows, log_rate = rated(u)
-        return logw(u, rows) + log_rate
+        return _log_weight(gen, rows, theta(u, rows)) + log_rate
 
-    u, log_total = _reparam_from_weight(weight, grid, t_out)
+    u, log_total = _reparam_from_weight(weight, span, t_out)
     pts = chord(u)
+    Th = theta(u, pts)
     # xi_dot_k = sign tau'(t) (x_r,k - x_q,k) / x_k, with tau'(t) = W exp(2 F)
     x_q, x_r = np.exp(sign * xi)
-    vel = sign * np.exp(log_total - logw(u, pts))[:, None] * (x_r - x_q) * np.exp(-sign * pts)
+    tau_rate = np.exp(log_total - _log_weight(gen, pts, Th))[:, None]
+    vel = sign * tau_rate * (x_r - x_q) * np.exp(-sign * pts)
     curve = Curve(t_out, pts, coord, velocities=vel)
-    if check_range:
-        _dual_range_guard(gen, curve, start(u))
+    if Th is not None:
+        _dual_range_guard(gen, curve, Th)
     return curve
 
 
@@ -452,45 +444,37 @@ def primal_geodesic(gen: Generator, q, r, grid=None) -> Curve:
     return _geodesic(gen, q, r, grid, 1.0)
 
 
-def dual_geodesic(gen: Generator, q, p, grid=None, check_range: bool = True) -> Curve:
+def dual_geodesic(gen: Generator, q, p, grid=None) -> Curve:
     """Geodesic of the dual connection from q to p on [0, 1].
 
     The dual Euclidean trace is the straight segment between the dual
     Euclidean images of q and p.  Along the way the curve must stay inside
-    the range of the dual coordinate map; with ``check_range`` the Fenchel
-    equality is re-verified through the conjugate minimization at every
-    output node, all nodes at once (:func:`_dual_range_guard`).  h(t) comes
-    from adaptive quadrature of exp(-2 f*) as for the primal geodesic.
+    the range of the dual coordinate map: the Fenchel equality is
+    re-verified through the conjugate minimization at every output node,
+    all nodes at once (:func:`_dual_range_guard`).  h(t) comes from
+    adaptive quadrature of exp(-2 f*) as for the primal geodesic.
     """
-    return _geodesic(gen, q, p, grid, -1.0, check_range)
+    return _geodesic(gen, q, p, grid, -1.0)
 
 
-def _dual_range_guard(gen, curve, start=None):
+def _dual_range_guard(gen, curve, Th0):
     """Re-verify the Fenchel equality at every output node of a dual curve.
 
-    All nodes at once: one :func:`inverse_dual_coord` call on the curve
-    points, started at ``start`` (rows the chord inverse already solved) or
-    else at each row's own dual coordinate, one batched conjugate
-    minimization started at those rows, and the gap f(theta) + f*(phi) -
-    psi(theta - phi) against 1e-6.  Raises :class:`DualRangeError` at the
-    first output time whose row fails to solve or breaks the bound.
+    All nodes at once: one batched conjugate minimization started at
+    ``Th0``, the inverse dual images of the curve points that the curve
+    solved for its velocities, and the gap f(theta) + f*(phi) -
+    psi(theta - phi) at ``Th0`` against 1e-6.  Raises
+    :class:`DualRangeError` at the first output time whose row fails to
+    converge or breaks the bound.
     """
-    times, Ph = curve.times, curve.points
-    solved = times.size  # rows ahead of the first one the inverse fails on
-    try:
-        Th0 = inverse_dual_coord(gen, Ph, x0=start)
-    except ConvergenceError as exc:
-        solved = exc.row
-        Th0 = inverse_dual_coord(gen, Ph[:solved], x0=None if start is None else start[:solved])
-    Ph = Ph[:solved]
+    Ph = curve.points
     Th, _, ok = divergence._newton_max_u(gen, Ph, Th0)
     fstar = psi_many(Th - Ph) - f_value(gen, Th)
     gap = np.abs(f_value(gen, Th0) + fstar - psi_many(Th0 - Ph))
     bad = np.flatnonzero(~ok | ~(gap <= 1e-6))
-    first = bad[0] if bad.size else solved
-    if first < times.size:
-        t = times[first]
-        if first < solved and ok[first]:
+    if bad.size:
+        first, t = bad[0], curve.times[bad[0]]
+        if ok[first]:
             raise DualRangeError(
                 f"Fenchel equality fails by {gap[first]:.2e} at t={t:.6f}", last_valid_t=t
             )
@@ -524,13 +508,14 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
     F = f or f*.  The chord ends at tau_max, the least 1/|v0_k| over the
     components that drive 1 +- tau v0_k to zero (infinity if none).  In
     u >= 0, tau = expm1(u) / (a + expm1(u) / tau_max) with a = max |v0|,
-    geometric near both ends.  A coarse pass doubles the reach in u until
-    t passes ``t_end``, from the power of two at least a t_end (t is about
-    u / a for small u) or 1 if less, so that the quadrature table spans the
-    curve at a small velocity too; :func:`_reparam_from_weight` then inverts
-    the times by adaptive quadrature.  Raises :class:`GeodesicBlowupError`
-    if the chord reaches the simplex boundary (u = ``_REACH``) first, naming
-    the exit time t*; ``last_valid_t`` is the last output time before it.
+    geometric near both ends.  The reach in u doubles until a fixed Gauss
+    sum puts t past ``t_end``, from the power of two at least a t_end (t is
+    about u / a for small u) or 1 if less, so that the quadrature table
+    spans the curve at a small velocity too; :func:`_reparam_from_weight`
+    then inverts the times on the same weight (one :func:`_chord_inverse`
+    per reach).  Raises :class:`GeodesicBlowupError` if the chord reaches
+    the simplex boundary (u = ``_REACH``) first, naming the exit time t*,
+    the table's total; ``last_valid_t`` is the last output time before it.
     Dual curves go through :func:`_dual_range_guard`.
     """
     if which not in ("primal", "dual"):
@@ -551,13 +536,18 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
 
     chord = lambda u: xi + sign * lift(u)
 
-    def log_rate(grid):
-        """-2 (F(u) - F(0)) and log dt/du, with inverse dual images on ``grid``."""
-        theta = _chord_inverse(gen, chord, grid)[0] if which == "dual" else None
-        logw = _geodesic_log_weight(gen, theta)
-        F0 = logw(grid[:1], chord(grid[:1]))[0]
-        dF = lambda u: logw(u, chord(u)) - F0
-        return dF, lambda u: dF(u) + u - 2.0 * np.log1p(c * np.expm1(u)) - math.log(a)
+    def log_rate(span):
+        """u -> (rows, inverse dual images or None, -2 F), -2 F(0) and log dt/du on ``span``."""
+        theta = _chord_inverse(gen, chord, span) if which == "dual" else lambda u, rows: None
+
+        def at(u):
+            rows = chord(u)
+            Th = theta(u, rows)
+            return rows, Th, _log_weight(gen, rows, Th)
+
+        F0 = at(span[:1])[2][0]
+        rate = lambda u: at(u)[2] - F0 + u - 2.0 * np.log1p(c * np.expm1(u)) - math.log(a)
+        return at, F0, rate
 
     def reach(grid, rate):
         half, lw = _gauss_segment(rate, grid[:-1], grid[1:])
@@ -565,22 +555,23 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
 
     u_end = min(1.0, 2.0 ** math.ceil(math.log2(max(a * t_end, 1e-300))))
     while True:
+        span = np.array([0.0, u_end])
+        at, F0, rate = log_rate(span)
         coarse = np.linspace(0.0, u_end, max(64, 2 * int(u_end)) + 1)
-        if u_end == _REACH or reach(coarse, log_rate(coarse)[1]) >= t_end:
-            grid = np.linspace(0.0, u_end, _CHORD)
-            dF, rate = log_rate(grid)
-            u = _reparam_from_weight(rate, grid, times, normalized=False)
+        if u_end == _REACH or reach(coarse, rate) >= t_end:
+            u, log_total = _reparam_from_weight(rate, span, times, normalized=False)
             if u[-1] < u_end:
                 break
             if u_end == _REACH:
                 raise GeodesicBlowupError(
-                    f"geodesic reaches the boundary of the simplex at t*={reach(grid, rate):.17g}",
+                    f"geodesic reaches the boundary of the simplex at t*={math.exp(log_total):.17g}",
                     last_valid_t=times[u < u_end][-1],
                 )
         u_end *= 2.0
-    curve = Curve(times, chord(u), which, velocities=v * np.exp(-lift(u) - dF(u)[:, None]))
+    pts, Th, F = at(u)
+    curve = Curve(times, pts, which, velocities=v * np.exp(-lift(u) - (F - F0)[:, None]))
     if which == "dual":
-        _dual_range_guard(gen, curve)
+        _dual_range_guard(gen, curve, Th)
     return curve
 
 
@@ -647,14 +638,14 @@ def _flow(gen: Generator, q, r, horizon: float, steps: int, sign: float) -> Curv
     runs on the chord of :func:`_chord_map` with no far end, t(s) = int_0^s Z
     inverted in its u with the weight Z ds/du, velocities from the rhs."""
     t_out = _flow_times(horizon, steps)
-    xi, chord, rated, grid, theta, _ = _chord(gen, q, r, sign, flow=True)
+    xi, chord, rated, span, theta = _chord(gen, q, r, sign, flow=True)
 
     def logw(u):
         X, log_rate = rated(u)
-        Th = theta(u, X) if theta else X
+        Th = X if sign > 0 else theta(u, X)
         return _log_tilt(_portfolio_at(gen, Th), sign * (xi[1] - X))[:, 0] + log_rate
 
-    u = _reparam_from_weight(logw, grid, t_out, normalized=False)
+    u, _ = _reparam_from_weight(logw, span, t_out, normalized=False)
     pts = chord(u)
     vel = (_primal_flow_rhs(gen, pts, xi[1]) if sign > 0
            else _dual_flow_rhs(gen, theta(u, pts), xi[1])[0])

@@ -156,9 +156,16 @@ class InterpolationFamily:
         if self.kind not in ("displacement", "market"):
             raise ValueError("kind must be 'displacement' or 'market'")
 
-    def generator_at(self, t: float) -> Generator:
-        if not 0.0 <= t <= 1.0:
+    @staticmethod
+    def _parameter(t) -> np.ndarray:
+        """``t``, one time or an array of them, as floats in [0, 1]."""
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
             raise ValueError("interpolation parameter must lie in [0, 1]")
+        return t
+
+    def generator_at(self, t: float) -> Generator:
+        t = float(self._parameter(t))
         other = UniformCrossEntropy() if self.kind == "displacement" else ZeroGenerator()
         if t == 0.0:
             return other if self.kind == "displacement" else self.base
@@ -171,7 +178,7 @@ class InterpolationFamily:
     def _blend(self, t, p: np.ndarray) -> np.ndarray:
         """Blended weights at the point p for one time t, or one row per time
         of an array t."""
-        t = np.asarray(t, dtype=float)[..., None]
+        t = self._parameter(t)[..., None]
         base_pi = self.base.portfolio(p)
         if self.kind == "displacement":
             return (1.0 - t) / p.size + t * base_pi

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -241,6 +242,25 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: bad generator config") and field in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("spec", ["mix:nan*dw:0.5+1*eq3", "gdw:0.5:1,nan,2",
+                                      "gdw:0.5:1,inf,2", "config"])
+    def test_usage_error_non_finite_parameter(self, tmp_path, capsys, spec):
+        # a NaN or inf coefficient or weight exits 1 with one error line;
+        # it used to print nan and exit 0
+        if spec == "config":
+            cfg = tmp_path / "gen.json"
+            cfg.write_text(json.dumps({"kind": "combination", "coeffs": [math.nan, 1.0],
+                                       "components": [{"kind": "diversity", "lam": 0.5},
+                                                      {"kind": "equal"}]}))
+            source = ("--config", str(cfg))
+        else:
+            source = ("--gen", spec)
+        code = run_cli("divergence", *source, "--p", ".5,.25,.25", "--q", ".25,.5,.25")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: bad generator")
+        assert len(captured.err.splitlines()) == 1
 
     def test_usage_error_unknown_command(self, capsys):
         assert run_cli("no-such-command") == 1

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -138,6 +139,13 @@ class TestGeneratorValues:
         with pytest.raises(ValueError):
             G.generalized_diversity_weighted([1.0, -1.0], 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gdw_weights_must_be_finite(self, bad):
+        # NaN and inf passed the positivity check, and every value was NaN
+        for weights in ([1.0, bad, 2.0], bad):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                G.generalized_diversity_weighted(weights, 0.5)
+
 
 class TestConvexCombination:
     def test_single_component_identity(self, rng):
@@ -160,6 +168,11 @@ class TestConvexCombination:
             G.convex_combination([], [])
         with pytest.raises(ValueError):
             G.convex_combination([G.equal_weighted(2)], [0.5])
+        # NaN passed both the sign and the sum check, and every value was NaN
+        parts = [G.diversity_weighted(0.5), G.equal_weighted(3)]
+        for coeffs in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="coefficients"):
+                G.convex_combination(parts, coeffs)
 
 
 class TestDuality:
@@ -455,6 +468,14 @@ class TestConfig:
         ]
         for record, field in cases:
             with pytest.raises(ValueError, match=field):
+                G.generator_from_config(record)
+        # numbers that no generator takes name their parameter
+        pair = [{"kind": "diversity", "lam": 0.5}, {"kind": "constant", "weights": [0.5, 0.5]}]
+        for record, what in [
+            ({"kind": "combination", "coeffs": [math.nan, 1.0], "components": pair}, "coefficients"),
+            ({"kind": "generalized_diversity", "lam": 0.5, "weights": [1.0, math.inf]}, "weights"),
+        ]:
+            with pytest.raises(ValueError, match=what):
                 G.generator_from_config(record)
         # a scalar gdw weight is a number, as its to_config writes it
         gdw = G.generalized_diversity_weighted(1.0, 0.5)

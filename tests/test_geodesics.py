@@ -82,13 +82,13 @@ def bound_f_rows(monkeypatch, limit):
 
 
 def record_reparam(monkeypatch):
-    """Record each call of the chord quadrature: the log weight, the grid,
+    """Record each call of the chord quadrature: the log weight, the span,
     the output times, the returned chord parameters and ``normalized``."""
     reparam, calls = gd._reparam_from_weight, []
 
-    def recorded(logw, s_dense, t_out, normalized=True):
-        out = reparam(logw, s_dense, t_out, normalized)
-        calls.append((logw, s_dense, t_out, out[0] if normalized else out, normalized))
+    def recorded(logw, span, t_out, normalized=True):
+        out = reparam(logw, span, t_out, normalized)
+        calls.append((logw, span, t_out, out[0], normalized))
         return out
 
     monkeypatch.setattr(gd, "_reparam_from_weight", recorded)
@@ -296,11 +296,12 @@ class TestDualGeodesic:
             assert gd.geodesic_residual(gen, c, trim=3) < 1e-5, name
 
     def test_newton_rows_start_warm_along_the_chord(self, monkeypatch):
-        # every 32nd of the 1025 chord nodes is solved cold, and every later
-        # row of the table, the series and the range guard starts from the
-        # interpolant through the rows solved before it: about 1.7k rows of
-        # u.  A dense solve of all 1025 nodes for a spline took about 3.5k,
-        # and a cold start of each row at its own dual coordinate about 34.6k
+        # 33 uniform nodes of the chord's span are solved cold, every later
+        # row of the table starts from the interpolant through the rows
+        # solved before it, and the range guard at the rows solved for the
+        # velocities: about 0.9k rows of u.  A dense solve of 1025 nodes for
+        # a spline took about 3.5k, and a cold start of each row at its own
+        # dual coordinate about 34.6k
         q, p = np.full(10, 0.1), np.linspace(1.0, 2.0, 10) / 15.0
         rows = bound_newton_evaluations(monkeypatch, 2_400)
         gd.dual_geodesic(builtin_zoo(10)["mix"], q, p)
@@ -312,7 +313,7 @@ class TestDualGeodesic:
         # bounds cost; test_boundary_geodesic_times_match_a_converged_rule
         # checks the accuracy of h(t) this close to the boundary.  Entry k of
         # q (end 0) or p (end 1) is 1e-12.  In a parameter logistic at each
-        # end's scale the chord takes about 2.4k, 2.5k and 2.5k rows of u;
+        # end's scale the chord takes about 1.7k, 1.8k and 1.8k rows of u;
         # the same table uniform in h took 5.0k, 6.3k and 21k, and from a
         # spline through a uniform grid 65k, 105k and 484k
         ends = np.random.default_rng(seed).dirichlet(np.ones(n), 2)
@@ -334,22 +335,28 @@ class TestDualGeodesic:
             raise AssertionError("closed-form family reached the Newton solver")
 
         monkeypatch.setattr(D, "_newton_max_u", no_newton)
+        monkeypatch.setattr(gd, "_dual_range_guard", lambda gen, curve, Th0: None)
         for name, gen in builtin_zoo(3).items():
             if name == "mix":
                 continue
-            gd.dual_geodesic(gen, Q3, P3, check_range=False)
+            gd.dual_geodesic(gen, Q3, P3)
             gd.dual_flow(gen, Q3, P3, horizon=5.0, steps=20)
 
 
 class TestDualRangeGuard:
     """The range guard reports the first output time whose row fails, the
-    same whether its inverse starts cold or at the rows that the chord
-    inverse of the curve solved."""
+    same whether its conjugate minimization starts at rows solved cold or at
+    the rows that the curve solved for its velocities."""
 
     @staticmethod
-    def starts(gen, curve):
-        # cold, and the solved rows that dual_geodesic hands to the guard
-        return None, D.inverse_dual_coord(gen, curve.points)
+    def curve_and_starts(gen):
+        # the dual geodesic, the rows solved cold at its points, and the rows
+        # that dual_geodesic hands to the guard
+        handed = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(gd, "_dual_range_guard", lambda gen, curve, Th0: handed.append(Th0))
+            curve = gd.dual_geodesic(gen, Q3, P3)
+        return curve, (D.inverse_dual_coord(gen, curve.points), handed[0])
 
     @staticmethod
     def guard_error(gen, curve, start):
@@ -361,8 +368,7 @@ class TestDualRangeGuard:
         # dw inverts in closed form, so the guard's own conjugate minimization
         # is the only Newton solve; rows 40 and 90 report no convergence
         gen = G.diversity_weighted(0.5)
-        curve = gd.dual_geodesic(gen, Q3, P3, check_range=False)
-        starts = self.starts(gen, curve)
+        curve, starts = self.curve_and_starts(gen)
         newton = D._newton_max_u
 
         def failing(gen, Ph, X0):
@@ -377,11 +383,11 @@ class TestDualRangeGuard:
             assert "left the dual range" in str(err)
 
     def test_inverse_failure(self, monkeypatch):
-        # mix has no closed form: rows 70 and 30 fail the batched inverse and
-        # its per-row fallback, so the inverse raises at row 30
+        # mix has no closed form: rows 70 and 30 fail the guard's conjugate
+        # minimization, and the guard reports row 30 without falling back
+        # to the per-row solver
         gen = builtin_zoo(3)["mix"]
-        curve = gd.dual_geodesic(gen, Q3, P3, check_range=False)
-        starts = self.starts(gen, curve)
+        curve, starts = self.curve_and_starts(gen)
         newton = D._newton_max_u
 
         def failing(gen, Ph, X0):
@@ -404,8 +410,7 @@ class TestDualRangeGuard:
         # a conjugate minimization that lands off the minimizer at rows 100
         # and 60 leaves a Fenchel gap far above 1e-6 there
         gen = G.diversity_weighted(0.5)
-        curve = gd.dual_geodesic(gen, Q3, P3, check_range=False)
-        starts = self.starts(gen, curve)
+        curve, starts = self.curve_and_starts(gen)
         newton = D._newton_max_u
 
         def off_target(gen, Ph, X0):
@@ -420,20 +425,34 @@ class TestDualRangeGuard:
             assert "Fenchel equality fails" in str(err)
 
     def test_dual_geodesic_starts_the_guard_at_solved_rows(self, monkeypatch):
-        # the chord inverse hands the guard the rows it solved at the output
-        # times, so every row of the guard's inverse ends on one evaluation
+        # a dual geodesic and a dual exponential map hand the guard the rows
+        # they solved for their velocities, so every row of the guard's
+        # conjugate minimization ends on one evaluation of u
         gen = builtin_zoo(3)["mix"]
         guard, seen = gd._dual_range_guard, []
-
-        def spy(gen, curve, start=None):
-            seen.append(start)
-            return guard(gen, curve, start)
-
-        monkeypatch.setattr(gd, "_dual_range_guard", spy)
+        monkeypatch.setattr(gd, "_dual_range_guard", lambda *args: seen.append(args))
         curve = gd.dual_geodesic(gen, Q3, P3)
-        rows = bound_newton_evaluations(monkeypatch, len(curve))
-        D.inverse_dual_coord(gen, curve.points, x0=seen[0])
-        assert sum(rows) == len(curve)
+        gd.integrate_geodesic(gen, curve.points[0], curve.velocities[0], "dual")
+        assert len(seen) == 2
+        for args in seen:
+            with pytest.MonkeyPatch.context() as m:
+                rows = bound_newton_evaluations(m, len(args[1]))
+                guard(*args)
+            assert sum(rows) == len(args[1])
+
+    @pytest.mark.parametrize("n, limit", [(3, 4_500), (10, 4_500)])
+    def test_dual_exponential_map_solves_each_row_once(self, monkeypatch, n, limit):
+        # one chord inverse per doubling of the reach serves both the reach
+        # estimate and the table, and the guard starts at the velocity's
+        # rows: about 3.7k rows of u at n = 3 and 10, where a separate
+        # inverse for the estimate and a cold start of the guard took 8.2k
+        # and 8.5k
+        gen = builtin_zoo(n)["mix"]
+        q, p = np.random.default_rng(3).dirichlet(np.ones(n), 2)
+        ref = gd.dual_geodesic(gen, q, p)
+        rows = bound_newton_evaluations(monkeypatch, limit)
+        gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0], "dual")
+        assert sum(rows) > 0
 
 
 class TestChordQuadrature:
@@ -500,10 +519,10 @@ class TestChordQuadrature:
             gd.dual_geodesic(gen, q, r, grid=17)
             gd.primal_geodesic(gen, q, r, grid=17)
             gd.primal_geodesic(gen, r, q, grid=17)
-            for k, (logw, s_dense, t_out, s, normalized) in enumerate(calls):
+            for k, (logw, span, t_out, s, normalized) in enumerate(calls):
                 w = lambda x: float(np.exp(logw(np.array([x]))[0]))
-                integral = lambda b: quad(w, s_dense[0], b, epsabs=0, epsrel=1e-13, limit=200)[0]
-                total = integral(s_dense[-1]) if normalized else 1.0
+                integral = lambda b: quad(w, span[0], b, epsabs=0, epsrel=1e-13, limit=200)[0]
+                total = integral(span[-1]) if normalized else 1.0
                 err = max(abs(integral(si) / total - ti) / max(1.0, ti)
                           for ti, si in zip(t_out[1:], s[1:]))
                 assert err < 8 * eps, (name, k, err / eps)
@@ -527,8 +546,8 @@ class TestChordQuadrature:
                 for build in (gd.primal_geodesic, gd.dual_geodesic):
                     calls.clear()
                     build(gen, *ends)
-                    logw, s_dense, t_out, s, _ = calls[0]
-                    t = gauss_times(logw, s_dense[0], s_dense[-1], s[1:])
+                    logw, span, t_out, s, _ = calls[0]
+                    t = gauss_times(logw, span[0], span[-1], s[1:])
                     err = np.max(np.abs(t - t_out[1:]) / np.maximum(1.0, t_out[1:]))
                     assert err < 8 * eps, (name, small, end, build.__name__, err / eps)
 
@@ -546,10 +565,10 @@ class TestChordQuadrature:
             for flow in (gd.primal_flow, gd.dual_flow) if name != "mix" else (gd.primal_flow,):
                 calls.clear()
                 flow(gen, q, r, horizon=20.0, steps=800)
-                logw, s_dense, t_out, s, _ = calls[0]
-                inside = (s > s_dense[0]) & (s < s_dense[-1])
+                logw, span, t_out, s, _ = calls[0]
+                inside = (s > span[0]) & (s < span[-1])
                 assert inside.sum() == 800, (name, flow.__name__)
-                t = gauss_times(logw, s_dense[0], s_dense[-1], s[inside], normalized=False)
+                t = gauss_times(logw, span[0], span[-1], s[inside], normalized=False)
                 err = np.max(np.abs(t - t_out[inside]) / np.maximum(1.0, t_out[inside]))
                 assert err < 8 * eps, (name, flow.__name__, err / eps)
 
@@ -566,8 +585,8 @@ class TestChordQuadrature:
         for scale in (1e-8, 1e-4, 1.0):
             calls.clear()
             gd.integrate_geodesic(gen, to_primal(Q3).theta, scale * v, "primal", steps=128)
-            logw, s_dense, t_out, s, _ = calls[-1]
-            t = gauss_times(logw, s_dense[0], s_dense[-1], s[1:], normalized=False)
+            logw, span, t_out, s, _ = calls[-1]
+            t = gauss_times(logw, span[0], span[-1], s[1:], normalized=False)
             err = np.max(np.abs(t - t_out[1:]) / np.maximum(1.0, t_out[1:]))
             assert err < 8 * eps, (scale, err / eps)
 

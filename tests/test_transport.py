@@ -186,6 +186,20 @@ class TestDisplacementFamily:
         assert point_segment_distance(traj.euclidean_trace(), a, b).max() < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["displacement", "market"])
+@pytest.mark.parametrize("t", [-0.1, 1.5, np.nan, -np.inf])
+def test_interpolation_parameter_outside_unit_interval_rejected(rng, kind, t):
+    # portfolio_at and dual_map_at extrapolated such t, or returned NaN
+    fam = T.InterpolationFamily(G.diversity_weighted(0.5), kind)
+    th, p = rng.normal(size=2), rng.dirichlet(np.ones(3))
+    for call in (lambda: fam.generator_at(t), lambda: fam.portfolio_at(t, p),
+                 lambda: fam.dual_map_at(t, th), lambda: fam.portfolio_at([0.5, t], p)):
+        with pytest.raises(ValueError, match="must lie in"):
+            call()
+    with pytest.raises(ValueError):
+        fam.trajectory(th, grid=[0.0, 0.5, t])
+
+
 class TestMarketInterpolation:
     def test_t1_is_market(self, rng):
         gen = G.diversity_weighted(0.5)
