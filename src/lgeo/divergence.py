@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import Generator, NonRegularError, _dual_rows, _portfolio_at
+from .generators import Generator, NonRegularError, _dual_rows, _point_rows_for, _portfolio_at
 from .simplex import (
     _identity,
     _log_tilt,
@@ -33,6 +33,8 @@ from .simplex import (
     point_rows,
     psi,
     psi_many,
+    row_max,
+    row_sum,
     to_primal_many,
 )
 
@@ -102,7 +104,7 @@ class CouplingSample:
 def _t_euclid(gen: Generator, Q, P, Pi_P, logv_Q, logv_P):
     """T(q|p) = log(pi(p) . q/p) - (phi(q) - phi(p)) over rows q of Q and p of P,
     from the portfolios ``Pi_P`` and the log generator values."""
-    ratio = (Pi_P * (Q / P)).sum(axis=-1)
+    ratio = row_sum(Pi_P * (Q / P))
     if (ratio <= 0.0).any():
         raise NonRegularError(f"{gen.name}: log argument {np.min(ratio)!r} <= 0 in divergence")
     return np.log(ratio) - (logv_Q - logv_P)
@@ -110,7 +112,7 @@ def _t_euclid(gen: Generator, Q, P, Pi_P, logv_Q, logv_P):
 
 def l_divergence(gen: Generator, q, p) -> DivergenceValue:
     """T(q|p) computed through the portfolio: log(sum pi_i(p) q_i/p_i) - dphi."""
-    P = point_rows(q, p)
+    P = _point_rows_for(gen, q, p)
     logv = gen.log_gen(P)
     val = _t_euclid(gen, P[0], P[1], gen.portfolio(P[1]), logv[0], logv[1])
     return DivergenceValue(value=float(val), rep="euclidean")
@@ -160,7 +162,7 @@ def bregman(gen, q, p) -> float:
     Accepts any generator-like object with ``log_gen`` and ``euclid_grad``;
     with the Shannon entropy as generator this is the relative entropy.
     """
-    P = point_rows(q, p)
+    P = _point_rows_for(gen, q, p)
     g = gen.euclid_grad(P[1])
     return float(g @ (P[0] - P[1]) - (gen.log_gen(P[0]) - gen.log_gen(P[1])))
 
@@ -171,9 +173,9 @@ def bregman(gen, q, p) -> float:
 def _softmax_psi(X: np.ndarray):
     """Rows of ``from_primal_many(X)`` and ``psi_many(X)`` from one shifted exp."""
     Z = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
-    top = Z.max(axis=1, keepdims=True)
+    top = row_max(Z, keepdims=True)
     W = np.exp(Z - top)
-    total = W.sum(axis=1, keepdims=True)
+    total = row_sum(W, keepdims=True)
     return W / total, (top + np.log(total))[:, 0]
 
 
@@ -245,7 +247,7 @@ def _newton_max_u(gen: Generator, Ph: np.ndarray, X0: np.ndarray):
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row (np.linalg.norm(X, axis=1) in three calls)."""
-    return np.sqrt((X * X).sum(axis=1))
+    return np.sqrt(row_sum(X * X))
 
 
 def _newton_block(gen, Ph, X0):
@@ -297,11 +299,11 @@ def _newton_block(gen, Ph, X0):
             step = np.linalg.solve(A, -grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             step = grad.copy()
-        slope = (step * grad).sum(axis=1)
+        slope = row_sum(step * grad)
         if slope.min() < 0:
             uphill = slope < 0
             step[uphill] = grad[uphill]
-            slope = (step * grad).sum(axis=1)
+            slope = row_sum(step * grad)
         cand = th + step
         u_new, grad_new, S_new = _u_value_grad(gen, cand, ph)
         take = u_new >= u + 1e-4 * slope
@@ -434,7 +436,7 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
 
 def c_divergence(gen: Generator, p, p2) -> float:
     """D(p|p2) = c(theta, phi2) - f(theta) - f*(phi2); equals T(p|p2)."""
-    th, th2 = to_primal_many(point_rows(p, p2))
+    th, th2 = to_primal_many(_point_rows_for(gen, p, p2))
     f = f_value(gen, np.array([th, th2]))
     ph2 = _dual_rows(th2, _portfolio_at(gen, th2), gen.name)
     fstar2 = psi(th2 - ph2) - f[1]
@@ -443,7 +445,7 @@ def c_divergence(gen: Generator, p, p2) -> float:
 
 def c_divergence_dual(gen: Generator, p, p2) -> float:
     """D*(p|p2) = c(theta2, phi) - f*(phi) - f(theta2); equals T(p2|p)."""
-    th, th2 = to_primal_many(point_rows(p, p2))
+    th, th2 = to_primal_many(_point_rows_for(gen, p, p2))
     f = f_value(gen, np.array([th, th2]))
     ph = _dual_rows(th, _portfolio_at(gen, th), gen.name)
     fstar = psi(th - ph) - f[0]
@@ -456,7 +458,7 @@ def pyth_transport_gap(gen: Generator, p, q, r) -> float:
     Couples (q->p's partner, r->q's partner) against (q->q's, r->p's); the
     result coincides with T(q|p) + T(r|q) - T(r|p).
     """
-    Th = to_primal_many(point_rows(p, q, r))
+    Th = to_primal_many(_point_rows_for(gen, p, q, r))
     ph_p, ph_q = _dual_rows(Th[:2], _portfolio_at(gen, Th[:2]), gen.name)
     th_q, th_r = Th[1], Th[2]
     c = psi_many(np.array([th_q - ph_p, th_r - ph_q, th_r - ph_p, th_q - ph_q]))

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._table import write_table
 from .divergence import _t_euclid
-from .generators import Generator
+from .generators import Generator, _check_dim
 from .geodesics import pythagorean_sign
 
 __all__ = [
@@ -113,16 +113,25 @@ def _parse_stamp(text: str):
 
 def _read_rows(source, fields: int, capitalizations: bool, skip: int):
     """Stamps and weights of the rows of ``source``, a path or a list of
-    lines, checked as arrays; raises ValueError at the first failed check."""
-    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=skip)
+    lines, checked as arrays; raises ValueError at the first failed check.
+
+    One ``np.loadtxt`` pass reads every column, so that a row of another
+    length is rejected; the converter of column 0 keeps each stamp's text,
+    unquoted, in row order, and puts 0.0 in the table.
+    """
+    stamps = []
+
+    def stamp(text):
+        stamps.append(text)
+        return 0.0
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows: an empty array
-        stamps = np.loadtxt(source, dtype=str, usecols=0, ndmin=1, **opts)
-        # every column, so that a row of another length is rejected
-        table = np.loadtxt(source, converters={0: lambda text: 0.0}, ndmin=2, **opts)
+        table = np.loadtxt(source, delimiter=",", quotechar='"', comments=None, skiprows=skip,
+                           converters={0: stamp}, ndmin=2)
     if len(table) and table.shape[1] != fields:
         raise ValueError(f"expected {fields} fields")
-    times = [_parse_stamp(text.strip()) for text in stamps.tolist()]
+    times = [_parse_stamp(text.strip()) for text in stamps]
     vals = table[:, 1:]
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite value")
@@ -225,6 +234,7 @@ def fernholz_decompose(gen: Generator, path: MarketPath) -> BacktestReport:
     and stays at rounding level for any interior path.
     """
     W = path.weights
+    _check_dim(gen, W.shape[1])
     phis = gen.log_gen(W)
     ratios = np.log(np.sum(gen.portfolio(W[:-1]) * (W[1:] / W[:-1]), axis=1))
     divs = np.log1p(np.sum(gen.euclid_grad(W[:-1]) * (W[1:] - W[:-1]), axis=1)) - np.diff(phis)
@@ -266,6 +276,7 @@ def _schedule_log_value(gen: Generator, path: MarketPath, schedule) -> tuple:
     so only the rebalance times (plus the terminal time) matter.
     """
     W = path.weights
+    _check_dim(gen, W.shape[1])
     last = len(path) - 1
     stops = list(schedule)
     if stops != sorted(set(stops)):

@@ -52,6 +52,7 @@ from .simplex import (
     point_array,
     point_rows,
     psi_many,
+    row_sum,
     to_primal_many,
 )
 
@@ -101,6 +102,23 @@ def _each_row(one, X):
     return out.reshape(X.shape[:-1] + out.shape[1:])
 
 
+def _check_dim(gen, n: int) -> None:
+    """Raise ValueError unless ``gen`` applies to points of ``n`` entries; a
+    generator-like object without ``dim`` applies to any."""
+    dim = getattr(gen, "dim", None)
+    if dim is not None and n != dim:
+        raise ValueError(f"dimension mismatch: generator {gen.name} of dimension {dim}, "
+                         f"points of dimension {n}")
+
+
+def _point_rows_for(gen, *points) -> np.ndarray:
+    """:func:`~lgeo.simplex.point_rows` of ``points``, checked against the
+    dimension of ``gen``."""
+    P = point_rows(*points)
+    _check_dim(gen, P.shape[1])
+    return P
+
+
 def _softmax_dpi(pi: np.ndarray, lam: float = 1.0) -> np.ndarray:
     """Derivative, shape (..., n, n-1), of ``pi = softmax_with_tail(lam * theta + c)``."""
     return lam * pi[..., :, None] * (_identity(pi.shape[-1])[:, :-1] - pi[..., None, :-1])
@@ -114,6 +132,7 @@ class Generator:
     """
 
     name = "generator"
+    dim = None  # the one number of entries of the points it applies to; None: any
 
     def log_gen(self, P):
         """Value of the log generating function ``phi`` at each point."""
@@ -221,6 +240,7 @@ class ConstantWeighted(Generator):
     def __init__(self, weights):
         self.weights = point_array(weights)
         self._given = np.array(weights, dtype=float)
+        self.dim = self.weights.size
         self.name = "cw[" + ",".join(f"{w:g}" for w in self.weights) + "]"
 
     def _weights(self, n: int) -> np.ndarray:
@@ -230,7 +250,7 @@ class ConstantWeighted(Generator):
     def log_gen(self, P):
         # an elementwise product summed over the last axis rounds the same
         # for every row count, unlike a matrix product
-        return (np.log(P) * self._weights(P.shape[-1])).sum(axis=-1)
+        return row_sum(np.log(P) * self._weights(P.shape[-1]))
 
     def euclid_grad(self, P) -> np.ndarray:
         return self._weights(P.shape[-1]) / P
@@ -281,20 +301,21 @@ class GeneralizedDiversityWeighted(Generator):
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lam must lie in (0, 1), got {lam}")
         self.w = w
+        self.dim = w.size if w.ndim else None
         self.shift = np.log(w[:-1] / w[-1]) if w.ndim else 0.0
         self.lam = float(lam)
         self.name = f"gdw[{self.lam:g}]"
 
     def log_gen(self, P):
-        return np.log((P**self.lam * self.w).sum(axis=-1)) / self.lam
+        return np.log(row_sum(P**self.lam * self.w)) / self.lam
 
     def euclid_grad(self, P) -> np.ndarray:
         Q = self.w * P ** (self.lam - 1.0)
-        return Q / (Q * P).sum(axis=-1, keepdims=True)
+        return Q / row_sum(Q * P, keepdims=True)
 
     def portfolio(self, P) -> np.ndarray:
         Q = self.w * P**self.lam
-        return Q / Q.sum(axis=-1, keepdims=True)
+        return Q / row_sum(Q, keepdims=True)
 
     def dpi_dtheta(self, Theta) -> np.ndarray:
         # pi in exponential coordinates is a softmax of lam * theta + shift
@@ -330,8 +351,12 @@ class ConvexCombination(Generator):
             raise ValueError("one coefficient per generator required")
         if not (np.all(c >= 0) and abs(c.sum() - 1.0) <= 1e-12):  # in this form NaN and inf fail
             raise ValueError(f"coefficients must be finite, at least 0 and sum to 1, got {c.tolist()}")
+        dims = {getattr(g, "dim", None) for g in generators} - {None}
+        if len(dims) > 1:
+            raise ValueError(f"parts of different dimensions {sorted(dims)}")
         self.parts = list(generators)
         self.coeffs = c
+        self.dim = dims.pop() if dims else None
         self.name = "+".join(f"{ck:g}*{g.name}" for ck, g in zip(c, self.parts))
 
     def _blend(self, method: str, X):
@@ -435,7 +460,9 @@ class Portfolio:
 
 def portfolio(gen: Generator, p) -> Portfolio:
     """Portfolio of ``gen`` at the open-simplex point ``p``, validated to sum to one."""
-    return Portfolio(gen.portfolio(point_array(p)))
+    P = point_array(p)
+    _check_dim(gen, P.size)
+    return Portfolio(gen.portfolio(P))
 
 
 def _portfolio_at(gen: Generator, Theta: np.ndarray) -> np.ndarray:
@@ -465,7 +492,9 @@ def dual_coord(gen: Generator, theta) -> DualCoord:
 
 def dual_euclidean(gen: Generator, p) -> SimplexPoint:
     """Dual Euclidean coordinates: the point with exponential coordinate -phi."""
-    th = to_primal_many(point_array(p))
+    P = point_array(p)
+    _check_dim(gen, P.size)
+    th = to_primal_many(P)
     return from_primal(-_dual_rows(th, _portfolio_at(gen, th), gen.name))
 
 
@@ -552,7 +581,7 @@ def check_regularity(gen: Generator, sample_points) -> RegularityReport:
     """
     if len(sample_points) == 0:
         raise ValueError("the regularity audit needs at least one point")
-    P = point_rows(*sample_points)
+    P = _point_rows_for(gen, *sample_points)
     Pi = gen.portfolio(P)
     G = _metric_rows(Pi, gen.dpi_dtheta(to_primal_many(P)))
     min_eig = np.linalg.eigvalsh((G + np.swapaxes(G, -1, -2)) / 2)[:, 0]

@@ -51,14 +51,13 @@ import numpy as np
 from . import divergence
 from ._table import write_table
 from .divergence import _t_euclid, f_value, inverse_dual_coord
-from .generators import Generator, _dual_rows, _portfolio_at
+from .generators import Generator, _dual_rows, _point_rows_for, _portfolio_at
 from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_exp, _tilt_gradient
 from .simplex import (
     _as_vector,
     _log_tilt,
     coord_array,
     from_primal_many,
-    point_rows,
     psi_many,
     to_primal_many,
 )
@@ -398,7 +397,7 @@ def _chord(gen: Generator, q, r, sign: float, flow: bool = False):
     u -> xi, the chord with its log rate, u -> (xi, log rate), and its span
     (:func:`_chord_map`), and ``theta(u, rows)``: for phi rows the inverse
     dual map of :func:`_chord_inverse`, for theta rows None."""
-    Th = to_primal_many(point_rows(q, r))
+    Th = to_primal_many(_point_rows_for(gen, q, r))
     xi = Th if sign > 0 else _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
     rated, span = _chord_map(xi, sign, flow)
     chord = lambda u: rated(u)[0]
@@ -674,7 +673,7 @@ def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
     """
     if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
-    Th = to_primal_many(point_rows(q, target))
+    Th = to_primal_many(_point_rows_for(gen, q, target))
     Pi = _portfolio_at(gen, Th)
     pi_q, dpi_q = Pi[0], gen.dpi_dtheta(Th[0])
     if which == "primal":
@@ -717,7 +716,7 @@ def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     closed-form 1 - sum_k Pi_k(q,p) Pi_k(r,q) / pi_k(q) in the two-point
     weights.  All three agree in sign.
     """
-    P = point_rows(p, q, r)
+    P = _point_rows_for(gen, p, q, r)
     Th = to_primal_many(P)
     Pi = gen.portfolio(P[:2])
     pi_q = Pi[1]
@@ -766,7 +765,7 @@ class RegionSample:
 
 def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
     """Vectorized gap T(q|p) + T(r|q) - T(r|p) over rows q of Q."""
-    pa, ra = point_rows(p, r)
+    pa, ra = _point_rows_for(gen, p, r)
     pi_p = gen.portfolio(pa)
     logv_p = gen.log_gen(pa)
     logv_r = gen.log_gen(ra)
@@ -806,7 +805,7 @@ def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSamp
     """
     if grid_resolution < 3:
         raise ValueError(f"grid_resolution must be at least 3, got {grid_resolution}")
-    pa, ra = point_rows(p, r)
+    pa, ra = _point_rows_for(gen, p, r)
     if pa.size != 3:
         raise ValueError("region sampling draws on the 2-simplex: need n = 3")
     idx, Q, index_map = _barycentric_lattice(grid_resolution)

@@ -26,14 +26,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import inverse_dual_coord
-from .generators import Generator, NonRegularError, _dual_rows, _metric_rows, _portfolio_at
+from .generators import (
+    Generator,
+    NonRegularError,
+    _check_dim,
+    _dual_rows,
+    _metric_rows,
+    _point_rows_for,
+    _portfolio_at,
+)
 from .simplex import (
     _identity,
     _log_tilt,
     _with_tail,
     coord_array,
     point_array,
-    point_rows,
     to_primal_many,
 )
 
@@ -143,6 +150,7 @@ def metric_euclidean(gen: Generator, p, u, v) -> float:
     tangent hyperplane it equals ``-Hess Phi / Phi``.
     """
     arr = point_array(p)
+    _check_dim(gen, arr.size)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if abs(u.sum()) > 1e-10 or abs(v.sum()) > 1e-10:
@@ -304,7 +312,7 @@ def riem_gradient_primal(gen: Generator, r, q) -> np.ndarray:
     Closed form: ((1 - exp(theta^r - theta^q)) / Z)_i with
     Z = sum_l pi_l(q) exp(theta^r_l - theta^q_l).
     """
-    th_r, th_q = to_primal_many(point_rows(r, q))
+    th_r, th_q = to_primal_many(_point_rows_for(gen, r, q))
     return -_tilt_gradient(_portfolio_at(gen, th_q), th_r - th_q)
 
 
@@ -314,7 +322,7 @@ def riem_gradient_dual(gen: Generator, p, q) -> np.ndarray:
     Closed form: ((exp(phi^q - phi^p) - 1) / Z*)_i with
     Z* = sum_l pi_l(q) exp(phi^q_l - phi^p_l).
     """
-    Th = to_primal_many(point_rows(p, q))
+    Th = to_primal_many(_point_rows_for(gen, p, q))
     Pi = _portfolio_at(gen, Th)
     ph_p, ph_q = _dual_rows(Th, Pi, gen.name)
     return _tilt_gradient(Pi[1], ph_q - ph_p)

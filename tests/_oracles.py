@@ -7,15 +7,23 @@ to check.
 """
 
 import itertools
-import math
 
 import numpy as np
 
 from lgeo import geometry as geo
 from lgeo.divergence import f_value, inverse_dual_coord, l_divergence_primal
-from lgeo.generators import Generator, NonRegularError, _portfolio_at, dual_coord, portfolio_theta
+from lgeo.generators import Generator, _portfolio_at, dual_coord, portfolio_theta
 from lgeo.geodesics import Curve, GeodesicBlowupError, RegionSample, _rk4_step, region_gap
-from lgeo.simplex import _log_tilt, coord_array, point_array, point_rows, psi, psi_many, to_primal
+from lgeo.simplex import (
+    _log_tilt,
+    coord_array,
+    from_primal_many,
+    point_array,
+    point_rows,
+    psi,
+    psi_many,
+    to_primal,
+)
 
 FD_STEP_FIRST = 1e-4
 FD_STEP_HIGH = 1e-3
@@ -482,84 +490,109 @@ def integrate_geodesic_stages(gen, xi0, v0, which="primal", steps=128, t_end=1.0
 
 
 def flow_slack(gen, th_target) -> float:
-    """Largest rise of T per step that ``rk4_flow`` accepts as rounding noise:
+    """Largest rise of T per step that ``rk4_flows`` accepts as rounding noise:
     a few ulp of |f(theta_target)|, the size of the potentials T subtracts."""
     return 1e-15 + 16.0 * np.finfo(float).eps * (1.0 + abs(f_value(gen, th_target)))
 
 
-def _primal_rhs(gen, th, th_target):
-    pi = portfolio_theta(gen, th)
-    delta = np.concatenate([th_target - th, [0.0]])
-    m = delta.max()
-    logZ = m + np.log(pi @ np.exp(delta - m))
-    return np.exp(delta[:-1] - logZ) - np.exp(-logZ)
+def rk4_flows(flows, horizon=20.0, steps=800):
+    """Gradient flows by RK4 in exponential coordinates with step control, as
+    the rows of one array.
 
-
-def _dual_rhs(gen, th, ph_target):
-    """(theta_dot, phi_dot, phi) of the dual flow at ``th``, through the
-    Jacobian of the dual coordinate map."""
-    pi = portfolio_theta(gen, th)
-    if np.any(pi <= 0.0):
-        raise NonRegularError(f"{gen.name}: portfolio touches the simplex boundary")
-    ph = th - (np.log(pi[:-1]) - np.log(pi[-1]))
-    delta = np.concatenate([ph - ph_target, [0.0]])
-    m = delta.max()
-    logZ = m + np.log(pi @ np.exp(delta - m))
-    phi_dot = -(np.exp(delta[:-1] - logZ) - np.exp(-logZ))
-    J = geo._jacobian_from_portfolio(pi, gen.dpi_dtheta(th))
-    return np.linalg.solve(J, phi_dot), phi_dot, ph
-
-
-def rk4_flow(gen, q, target, kind="primal", horizon=20.0, steps=800):
-    """Gradient flow by RK4 in exponential coordinates with step control.
-
-    A step of horizon / steps is tried and halved, up to 50 times, while T
-    to the target would rise by more than :func:`flow_slack` or cannot be
-    evaluated (a try that overflows or reaches the simplex boundary).
-    Returns ``(times, points, velocities)``; dual flows report phi and
+    ``flows`` lists ``(gen, q, target, kind)`` of points of one dimension.
+    Each row tries a step of horizon / steps and halves it, up to 50 times,
+    while T to its target would rise by more than :func:`flow_slack` or
+    cannot be evaluated (a try that overflows or reaches the simplex
+    boundary); a finite 50th try is taken.  Returns
+    ``(times, points, velocities)`` per flow; dual flows report phi and
     phi_dot.
     """
-    th_t = to_primal(target).theta
-    if kind == "primal":
-        rhs = lambda x: _primal_rhs(gen, x, th_t)
-        state = lambda x: (rhs(x), x, rhs(x))
-        divergence = lambda x: l_divergence_primal(gen, th_t, x).value
-    else:
-        ph_t = dual_coord(gen, th_t).phi
-        rhs = lambda x: _dual_rhs(gen, x, ph_t)[0]
+    gens = [f[0] for f in flows]
+    dual = np.array([f[3] == "dual" for f in flows])
+    th = np.array([to_primal(f[1]).theta for f in flows])
+    th_t = np.array([to_primal(f[2]).theta for f in flows])
+    # the rows of each generator, and the positions of its dual rows among
+    # the dual rows
+    by_gen = {}
+    for i, gen in enumerate(gens):
+        by_gen.setdefault(id(gen), (gen, []))[1].append(i)
+    groups = [(gen, np.array(rows)) for gen, rows in by_gen.values()]
+    duals = np.flatnonzero(dual)
+    n_dual = duals.size
+    dual_groups = [(gen, _index(rows[dual[rows]]),
+                    _index(np.searchsorted(duals, rows[dual[rows]])))
+                   for gen, rows in groups if dual[rows].any()]
+    groups = [(gen, _index(rows)) for gen, rows in groups]
+    duals = _index(duals)
+    eye = np.eye(th.shape[1])
+    pi_t = np.array([portfolio_theta(gen, x) for gen, x in zip(gens, th_t)])
+    ph_t = th_t - (np.log(pi_t[:, :-1]) - np.log(pi_t[:, -1:]))
+    f_t = np.array([f_value(gen, x) for gen, x in zip(gens, th_t)])
+    slack = np.array([flow_slack(gen, x) for gen, x in zip(gens, th_t)])
 
-        def state(x):
-            th_dot, ph_dot, ph = _dual_rhs(gen, x, ph_t)
-            return th_dot, ph, ph_dot
+    def evaluate(X, with_value=False):
+        """theta_dot, and the reported point and velocity and T to the target
+        if asked, at the rows X; a row that cannot be evaluated is nan."""
+        P = from_primal_many(X)
+        Pi = np.empty_like(P)
+        for gen, rows in groups:
+            Pi[rows] = gen.portfolio(P[rows])
+        ph = X - (np.log(Pi[:, :-1]) - np.log(Pi[:, -1:]))
+        delta = np.where(dual[:, None], ph - ph_t, th_t - X)
+        logZ = _log_tilt(Pi, delta)
+        drift = np.exp(delta - logZ) - np.exp(-logZ)
+        vel = np.where(dual[:, None], -drift, drift)
+        th_dot = drift
+        if dual_groups:
+            dpi = np.empty((n_dual,) + Pi.shape[1:] + X.shape[1:])
+            for gen, rows, at in dual_groups:
+                dpi[at] = gen.dpi_dtheta(X[rows])
+            pi = Pi[duals, :, None]
+            J = eye - dpi[:, :-1] / pi[:, :-1] + dpi[:, -1:] / pi[:, -1:]
+            bad = (pi <= 0.0).any(axis=(1, 2))  # no dual map: solve a stand-in, drop it
+            J[bad] = eye
+            th_dot[duals] = np.where(bad[:, None], np.nan,
+                                     np.linalg.solve(J, vel[duals, :, None])[:, :, 0])
+        if not with_value:
+            return th_dot
+        # primal rows T(target | x), dual rows T(x | target)
+        f = psi_many(X)
+        for gen, rows in groups:
+            f[rows] += gen.log_gen(P[rows])
+        value = np.where(dual, _log_tilt(pi_t, X - th_t)[:, 0] - (f - f_t),
+                         _log_tilt(Pi, th_t - X)[:, 0] - (f_t - f))
+        value[np.isnan(value) | ((Pi <= 0.0).any(axis=1) & ~dual)] = np.inf
+        return th_dot, np.where(dual[:, None], ph, X), vel, value
 
-        divergence = lambda x: l_divergence_primal(gen, x, th_t).value
-    slack = flow_slack(gen, th_t)
-    th = to_primal(q).theta
-    k1, point, vel = state(th)
-    times, pts, vels = [0.0], [point], [vel]
-    value = divergence(th)
     dt = horizon / steps
-    t = 0.0
+    t, tries = np.zeros(len(flows)), np.zeros(len(flows), dtype=int)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while t < horizon - 1e-12:
-            step = min(dt, horizon - t)
-            for _ in range(50):
-                try:
-                    cand = _rk4_step(rhs, th, step, k1)
-                    cand_val = divergence(cand)
-                except ValueError:
-                    cand_val = np.inf
-                if cand_val <= value + slack:
-                    break
-                step *= 0.5
-            if not math.isfinite(cand_val):
-                raise GeodesicBlowupError(f"flow left the finite range at t={t:.6f}")
-            th, value, t = cand, cand_val, t + step
-            k1, point, vel = state(th)
-            times.append(t)
-            pts.append(point)
-            vels.append(vel)
-    return np.array(times), np.array(pts), np.array(vels)
+        k1, point, vel, value = evaluate(th, with_value=True)
+        out = [([0.0], [point[i]], [vel[i]]) for i in range(len(flows))]
+        step = np.minimum(dt, horizon - t)
+        while (live := t < horizon - 1e-12).any():
+            cand = _rk4_step(evaluate, th, np.where(live, step, 0.0)[:, None], k1)
+            k1_c, point_c, vel_c, value_c = evaluate(cand, with_value=True)
+            tries += live
+            take = live & ((value_c <= value + slack) | (tries == 50))
+            if not np.isfinite(value_c[take]).all():
+                raise GeodesicBlowupError(f"flow left the finite range at t={t[take].min():.6f}")
+            th[take], k1[take], value[take] = cand[take], k1_c[take], value_c[take]
+            t[take] += step[take]
+            for i in np.flatnonzero(take):
+                out[i][0].append(t[i])
+                out[i][1].append(point_c[i])
+                out[i][2].append(vel_c[i])
+            tries[take] = 0
+            step = np.where(take, np.minimum(dt, horizon - t), 0.5 * step)
+    return [tuple(np.array(col) for col in row) for row in out]
+
+
+def _index(rows: np.ndarray):
+    """The increasing row numbers ``rows`` as a slice if they are consecutive."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 def point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

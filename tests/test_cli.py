@@ -357,6 +357,24 @@ class TestExitCodes:
         assert "dimension mismatch" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["cw:0.5,0.5", "gdw:0.5:1,2"])
+    @pytest.mark.parametrize("argv", [["divergence", "--p=0.2,0.3,0.5"],
+                                      ["geodesic", "--r=0.2,0.3,0.5", "--out"]])
+    def test_numerical_error_generator_of_another_dimension(self, tmp_path, capsys, spec, argv):
+        out = tmp_path / "g.csv"
+        argv = argv + [str(out)] if argv[-1] == "--out" else argv
+        assert run_cli(*argv, "--gen", spec, "--q=0.5,0.25,0.25") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dimension mismatch: generator ")
+        assert "of dimension 2, points of dimension 3" in err
+        assert not out.exists()
+
+    def test_usage_error_mix_of_parts_of_different_dimensions(self, capsys):
+        assert run_cli("divergence", "--gen", "mix:0.5*eq2+0.5*eq3", "--p=0.2,0.3,0.5",
+                       "--q=0.5,0.25,0.25") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad generator spec") and "different dimensions [2, 3]" in err
+
     def test_version_flag(self, capsys):
         assert run_cli("--version") == 0
 

@@ -107,6 +107,39 @@ class TestIngest:
         assert mp.times == ["2024-01-02", "2024-01-09"]
         assert mp.weights.tolist() == [[0.25, 0.75], [0.5, 0.5]]
 
+    def test_one_loadtxt_pass_per_ingest(self, tmp_path, rng, monkeypatch):
+        p = tmp_path / "m.csv"
+        write_market_csv(p, "t,mu_1,mu_2,mu_3", [[k, *w] for k, w in
+                                                 enumerate(dirichlet_points(rng, 3, 300))])
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        mp = F.ingest_csv(p)
+        assert len(mp) == 300 and len(calls) == 1
+
+    def test_stamps_read_as_the_text_of_column_0(self, tmp_path):
+        # quoted, padded, float and ISO-date stamps give the times that a
+        # separate string read of column 0 gives
+        stamps = ['0', '"1"', '  2 ', '" 3 "', '4.5', '"5.25"', '2024-01-02', '"2024-01-03"',
+                  ' 2024-01-04 ', '" 2024-01-05"']
+        lines = ["t,mu_1,mu_2"] + [f"{s},0.5,0.5" for s in stamps]
+        p = tmp_path / "stamps.csv"
+        p.write_text("\n".join(lines) + "\n")
+        text = np.loadtxt(p, dtype=str, usecols=0, delimiter=",", quotechar='"', comments=None,
+                          skiprows=1).tolist()
+        want = [0, 1, 2, 3, 4.5, 5.25, "2024-01-02", "2024-01-03", "2024-01-04", "2024-01-05"]
+        assert [F._parse_stamp(t.strip()) for t in text] == want
+        times = F.ingest_csv(p).times
+        assert times == want
+        assert [type(t) for t in times] == [type(t) for t in want]
+
+    def test_bad_stamp_among_quoted_stamps_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text('t,mu_1,mu_2\n"0",0.5,0.5\n" 1 ",0.5,0.5\n"2024-13-01",0.5,0.5\n')
+        with pytest.raises(F.MarketDataError) as exc:
+            F.ingest_csv(p)
+        assert str(exc.value).startswith(f"{p}:4: ") and "month" in str(exc.value)
+
     def test_nonfinite_capitalization_rejected_with_line(self, tmp_path):
         p = tmp_path / "caps.csv"
         write_market_csv(p, "t,x_1,x_2,x_3", [[0, 1, "nan", 2], [1, 1, 1, 1]])

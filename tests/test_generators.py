@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import lgeo
+from lgeo import finance as F
 from lgeo import generators as G
+from lgeo import geodesics
 from lgeo.divergence import f_value
 from lgeo.simplex import from_primal, from_primal_many, to_primal
 
@@ -173,6 +176,70 @@ class TestConvexCombination:
         for coeffs in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [np.nan, np.nan]):
             with pytest.raises(ValueError, match="coefficients"):
                 G.convex_combination(parts, coeffs)
+
+    def test_parts_of_different_fixed_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match=r"parts of different dimensions \[2, 3\]"):
+            G.convex_combination([G.equal_weighted(2), G.equal_weighted(3)], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"different dimensions \[2, 3\]"):
+            G.convex_combination([G.generalized_diversity_weighted([1.0, 2.0], 0.5),
+                                  G.diversity_weighted(0.5), G.constant_weighted([0.2, 0.3, 0.5])],
+                                 [0.2, 0.3, 0.5])
+
+    def test_dimension_is_the_one_fixed_dimension_of_its_parts(self):
+        any_n = [G.diversity_weighted(0.5), G.UniformCrossEntropy(), G.ZeroGenerator()]
+        assert G.convex_combination(any_n, [0.2, 0.3, 0.5]).dim is None
+        fixed = G.convex_combination([any_n[0], G.equal_weighted(4), G.constant_weighted(
+            [0.1, 0.2, 0.3, 0.4])], [0.2, 0.3, 0.5])
+        assert fixed.dim == 4
+
+
+class TestFixedDimension:
+    """A generator of fixed weights applies to points of its own dimension
+    only; others are a ValueError naming both dimensions, not a broadcast
+    error."""
+
+    GENS = {"cw": G.constant_weighted([0.5, 0.5]),
+            "gdw": G.generalized_diversity_weighted([1.0, 2.0], 0.5),
+            "mix": G.convex_combination([G.diversity_weighted(0.5), G.equal_weighted(2)],
+                                        [0.5, 0.5])}
+
+    def test_dimensions(self):
+        assert [g.dim for g in self.GENS.values()] == [2, 2, 2]
+        for gen in (G.diversity_weighted(0.5), G.UniformCrossEntropy(), G.ZeroGenerator(),
+                    G.generalized_diversity_weighted(2.0, 0.5), G.CustomGenerator(np.sum)):
+            assert gen.dim is None
+
+    @pytest.mark.parametrize("name", ["cw", "gdw", "mix"])
+    @pytest.mark.parametrize("call", [
+        lambda g, P: lgeo.l_divergence(g, P[0], P[1]),
+        lambda g, P: lgeo.bregman(g, P[0], P[1]),
+        lambda g, P: lgeo.c_divergence(g, P[0], P[1]),
+        lambda g, P: lgeo.pyth_transport_gap(g, *P),
+        lambda g, P: lgeo.pythagorean_sign(g, *P),
+        lambda g, P: lgeo.primal_geodesic(g, P[0], P[1]),
+        lambda g, P: lgeo.dual_geodesic(g, P[0], P[1]),
+        lambda g, P: lgeo.primal_flow(g, P[0], P[1]),
+        lambda g, P: lgeo.dual_flow(g, P[0], P[1]),
+        lambda g, P: lgeo.inverse_exp(g, P[0], P[1]),
+        lambda g, P: lgeo.riem_gradient_primal(g, P[0], P[1]),
+        lambda g, P: lgeo.metric_euclidean(g, P[0], P[1] - P[0], P[2] - P[0]),
+        lambda g, P: geodesics.region_gap(g, P[0], P[1], P),
+        lambda g, P: lgeo.region_sample(g, P[0], P[1]),
+        lambda g, P: G.portfolio(g, P[0]),
+        lambda g, P: G.dual_euclidean(g, P[0]),
+        lambda g, P: G.check_regularity(g, P),
+        lambda g, P: F.fernholz_decompose(g, F.MarketPath(times=[0, 1, 2], weights=P)),
+        lambda g, P: F.rebalance_compare(g, F.MarketPath(times=[0, 1, 2], weights=P), [0], [0, 1]),
+    ], ids=["l_divergence", "bregman", "c_divergence", "pyth_transport_gap", "pythagorean_sign",
+            "primal_geodesic", "dual_geodesic", "primal_flow", "dual_flow", "inverse_exp",
+            "riem_gradient_primal", "metric_euclidean", "region_gap", "region_sample",
+            "portfolio", "dual_euclidean", "check_regularity", "fernholz_decompose",
+            "rebalance_compare"])
+    def test_points_of_another_dimension_are_rejected(self, name, call):
+        P = np.array([[0.2, 0.3, 0.5], [0.5, 0.25, 0.25], [0.4, 0.4, 0.2]])
+        with pytest.raises(ValueError, match=r"dimension mismatch: generator .* of dimension 2, "
+                                             r"points of dimension 3"):
+            call(self.GENS[name], P)
 
 
 class TestDuality:

@@ -24,7 +24,7 @@ from _oracles import (
     point_segment_distance,
     polyline_hausdorff,
     region_sample_scan,
-    rk4_flow,
+    rk4_flows,
 )
 
 Q3 = np.array([0.6, 0.25, 0.15])
@@ -894,13 +894,27 @@ class TestFlows:
                 q, r = Q3, R3
             else:
                 q, r = np.random.default_rng(10).dirichlet(4.0 * np.ones(n), size=2)
-            for name, gen in builtin_zoo(n).items():
-                for kind, flow in (("primal", gd.primal_flow), ("dual", gd.dual_flow)):
-                    c = flow(gen, q, r, horizon=5.0, steps=200)
-                    times, pts, _ = rk4_flow(gen, q, r, kind, horizon=5.0, steps=800)
-                    assert times.size == 801, (n, name, kind)
-                    assert np.max(np.abs(times[::4] - c.times)) < 1e-12
-                    assert np.max(np.abs(pts[::4] - c.points)) < 1e-9, (n, name, kind)
+            cases = [(name, gen, kind, flow) for name, gen in builtin_zoo(n).items()
+                     for kind, flow in (("primal", gd.primal_flow), ("dual", gd.dual_flow))]
+            oracle = rk4_flows([(gen, q, r, kind) for _, gen, kind, _ in cases],
+                               horizon=5.0, steps=800)
+            for (name, gen, kind, flow), (times, pts, _) in zip(cases, oracle):
+                c = flow(gen, q, r, horizon=5.0, steps=200)
+                assert times.size == 801, (n, name, kind)
+                assert np.max(np.abs(times[::4] - c.times)) < 1e-12
+                assert np.max(np.abs(pts[::4] - c.points)) < 1e-9, (n, name, kind)
+
+    def test_rk4_oracle_halves_each_row_on_its_own(self):
+        # steps of 10 make T rise on some rows, which halve their steps while
+        # the others go on: each row as one of ten equals the row alone
+        cases = [(gen, Q3, R3, kind) for gen in builtin_zoo(3).values()
+                 for kind in ("primal", "dual")]
+        together = rk4_flows(cases, horizon=20.0, steps=2)
+        assert len({times.size for times, _, _ in together}) > 1
+        for case, row in zip(cases, together):
+            alone = rk4_flows([case], horizon=20.0, steps=2)[0]
+            assert all(np.array_equal(a, b) for a, b in zip(row, alone))
+            assert row[0][-1] == 20.0 and np.all(np.diff(row[0]) <= 10.0)
 
     def test_flow_time_is_the_speed_integral_near_the_boundary(self):
         # q_1 far below r_1 makes the speed Z = sum pi_i x_{r,i} / x_i + pi_n

@@ -15,9 +15,12 @@ from lgeo.simplex import (
     point_array,
     point_rows,
     psi,
+    row_max,
+    row_sum,
     to_primal,
     to_primal_many,
 )
+from lgeo import simplex as S
 
 from _oracles import fd_hessian
 
@@ -290,3 +293,85 @@ def test_points_of_different_dimension_are_rejected(call):
     # a point of the 2-simplex against points of the 3-simplex must not broadcast
     with pytest.raises(ValueError, match="dimension mismatch"):
         call(G.diversity_weighted(0.5))
+
+
+# ---------------------------------------------------------------------------
+# row_sum and row_max against the ndarray methods
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@st.composite
+def reduction_cases(draw):
+    """A float array of shape (n,), (N, n) or (a, b, n), n = 1..10, with
+    N and a * b on both sides of the column-loop threshold, laid out
+    contiguously, as a column slice, as a transpose or with a row step, and
+    with +-0.0, +-inf and nan entries."""
+    n = draw(st.integers(1, 10))
+    rows = draw(st.sampled_from([1, 3, S._COLUMN_ROWS - 1, S._COLUMN_ROWS, S._COLUMN_ROWS + 1,
+                                 2 * S._COLUMN_ROWS + 5]))
+    shape = draw(st.sampled_from([(n,), (rows, n), (2, rows // 2 + 1, n)]))
+    layout = draw(st.sampled_from(["contiguous", "slice", "transpose", "step"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(sh):
+        return rng.standard_normal(sh) * 10.0 ** rng.integers(-12, 12, size=sh)
+
+    if layout == "contiguous":
+        X = values(shape)
+    elif layout == "slice":  # like Pi[:, :-1]
+        X = values(shape[:-1] + (n + 1,))[..., :-1]
+    elif layout == "transpose":  # every stride reversed, the last axis strided
+        X = values(shape[::-1]).T
+    else:
+        X = values((2 * shape[0],) + shape[1:])[::2]
+    special = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    mask = rng.random(X.shape) < special
+    X[mask] = rng.choice(_SPECIAL, size=int(mask.sum()))
+    if draw(st.booleans()):  # signed zeros only
+        X[...] = rng.choice(np.array([0.0, -0.0]), size=X.shape)
+    return X
+
+
+class TestRowReductions:
+    @given(reduction_cases(), st.booleans())
+    def test_row_sum_is_the_ndarray_sum_bitwise(self, X, keepdims):
+        with np.errstate(all="ignore"):
+            got, want = row_sum(X, keepdims=keepdims), X.sum(axis=-1, keepdims=keepdims)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @given(reduction_cases(), st.booleans(), st.sampled_from([None, 0.0]))
+    def test_row_max_is_the_ndarray_max_bitwise(self, X, keepdims, initial):
+        kwargs = {} if initial is None else {"initial": initial}
+        with np.errstate(all="ignore"):
+            got = row_max(X, keepdims=keepdims, initial=initial)
+            want = X.max(axis=-1, keepdims=keepdims, **kwargs)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @staticmethod
+    def _reduce_calls(monkeypatch, X) -> int:
+        """How many times row_sum and row_max of X call the ufunc reduce."""
+        calls = []
+        for name in ("_add_reduce", "_max_reduce"):
+            reduce = getattr(S, name)
+            monkeypatch.setattr(S, name, lambda *a, reduce=reduce: calls.append(1) or reduce(*a))
+        row_sum(X), row_max(X), row_max(X, initial=0.0)
+        return len(calls)
+
+    @pytest.mark.parametrize("shape", [(3,), (S._COLUMN_ROWS - 1, 3), (S._COLUMN_ROWS, 8),
+                                       (S._COLUMN_ROWS, 1), (3, S._COLUMN_ROWS)])
+    def test_other_shapes_call_the_ndarray_method(self, monkeypatch, shape):
+        # single points, few rows, a long or unit last axis, and the (3, n)
+        # stacks of the single-point calls keep the ndarray method
+        assert self._reduce_calls(monkeypatch, np.ones(shape)) == 3
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_many_rows_of_a_short_axis_loop_over_columns(self, monkeypatch, n):
+        assert self._reduce_calls(monkeypatch, np.ones((S._COLUMN_ROWS, n))) == 0
+        assert self._reduce_calls(monkeypatch, np.ones((2, S._COLUMN_ROWS // 2, n))) == 0
