@@ -23,11 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import Generator, NonRegularError, _dual_rows, _point_rows_for, _portfolio_at
+from .generators import (
+    Generator,
+    NonRegularError,
+    _coord_rows_for,
+    _dual_rows,
+    _point_rows_for,
+    _portfolio_at,
+)
 from .simplex import (
     _identity,
     _log_tilt,
-    coord_array,
     coord_rows,
     from_primal_many,
     point_rows,
@@ -101,11 +107,19 @@ class CouplingSample:
 # ---------------------------------------------------------------------------
 # the divergence in its three coordinate systems
 
-def _t_euclid(gen: Generator, Q, P, Pi_P, logv_Q, logv_P):
-    """T(q|p) = log(pi(p) . q/p) - (phi(q) - phi(p)) over rows q of Q and p of P,
-    from the portfolios ``Pi_P`` and the log generator values."""
-    ratio = row_sum(Pi_P * (Q / P))
-    if (ratio <= 0.0).any():
+def _ratios(Q, P, Pi_P):
+    """The rows X = q/p and the ratios pi(p) . q/p over rows q of Q and p of P
+    with portfolios ``Pi_P``: the argument of the log in T, and (divided by
+    it) the exponentials of the tilt toward q at p."""
+    X = Q / P
+    return X, row_sum(Pi_P * X)
+
+
+def _t_euclid(gen: Generator, ratio, logv_Q, logv_P):
+    """T(q|p) = log(pi(p) . q/p) - (phi(q) - phi(p)) over rows, from the ratios
+    of :func:`_ratios` and the log generator values."""
+    # fmin skips NaN, so this is any(ratio <= 0) in one reduction
+    if np.fmin.reduce(ratio, None) <= 0.0:
         raise NonRegularError(f"{gen.name}: log argument {np.min(ratio)!r} <= 0 in divergence")
     return np.log(ratio) - (logv_Q - logv_P)
 
@@ -114,8 +128,8 @@ def l_divergence(gen: Generator, q, p) -> DivergenceValue:
     """T(q|p) computed through the portfolio: log(sum pi_i(p) q_i/p_i) - dphi."""
     P = _point_rows_for(gen, q, p)
     logv = gen.log_gen(P)
-    val = _t_euclid(gen, P[0], P[1], gen.portfolio(P[1]), logv[0], logv[1])
-    return DivergenceValue(value=float(val), rep="euclidean")
+    _, ratio = _ratios(P[0], P[1], gen.portfolio(P[1]))
+    return DivergenceValue(value=float(_t_euclid(gen, ratio, logv[0], logv[1])), rep="euclidean")
 
 
 def f_value(gen: Generator, theta):
@@ -124,18 +138,19 @@ def f_value(gen: Generator, theta):
     ``theta`` of shape (m,) gives a float; an (N, m) array of rows gives the
     N values as one array.
     """
-    th = coord_rows(theta)
+    th = _coord_rows_for(gen, theta, rows=True)[0]
     val = gen.log_gen(from_primal_many(th)) + psi_many(th)
     return float(val) if th.ndim == 1 else val
 
 
 def l_divergence_primal(gen: Generator, theta, theta2) -> DivergenceValue:
     """T between the points with exponential coordinates theta and theta2."""
-    th, th2 = coord_array(theta), coord_array(theta2)
+    Th = _coord_rows_for(gen, theta, theta2)
+    th, th2 = Th
     pi2 = _portfolio_at(gen, th2)
     if np.any(pi2 <= 0.0):
         raise NonRegularError(f"{gen.name}: boundary portfolio in primal divergence")
-    f = f_value(gen, np.array([th, th2]))
+    f = f_value(gen, Th)
     val = _log_tilt(pi2, th - th2)[0] - (f[0] - f[1])
     return DivergenceValue(value=float(val), rep="primal")
 
@@ -147,9 +162,11 @@ def l_divergence_dual(gen: Generator, phi, phi2) -> DivergenceValue:
     the inverse map is evaluated by Newton iteration unless the family has a
     closed form.
     """
-    ph, ph2 = coord_array(phi), coord_array(phi2)
-    th, th2 = inverse_dual_coord(gen, np.array([ph, ph2]))
-    f = f_value(gen, np.array([th, th2]))
+    Ph = _coord_rows_for(gen, phi, phi2)
+    ph, ph2 = Ph
+    Th = inverse_dual_coord(gen, Ph)
+    th, th2 = Th
+    f = f_value(gen, Th)
     fstar = psi(th - ph) - f[0]
     fstar2 = psi(th2 - ph2) - f[1]
     val = _log_tilt(_portfolio_at(gen, th), ph - ph2)[0] - (fstar2 - fstar)
@@ -367,13 +384,16 @@ def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
     iterate as ``x0``.  The objective is the negative of a strictly
     quasi-concave function, so the minimizer is unique when it exists.
     """
-    ph = coord_array(phi)
+    if x0 is None:
+        ph = _coord_rows_for(gen, phi)[0]
+    else:  # the start is checked with phi, as one array
+        ph, x0 = _coord_rows_for(gen, phi, x0)
     starts = [np.zeros_like(ph)]
     closed = gen.dual_map_inverse(ph)
     if closed is not None:
         starts.insert(0, np.asarray(closed, dtype=float))
     if x0 is not None:
-        starts.insert(0, coord_array(x0))
+        starts.insert(0, x0)
     best = None
     for s in starts:
         th, u, ok = _newton_max_u(gen, ph[None], s[None])
@@ -398,7 +418,7 @@ def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
 
 def c_transform(gen: Generator, phi, x0=None) -> float:
     """The conjugate potential f*(phi) = inf_theta psi(theta - phi) - f(theta)."""
-    ph = coord_array(phi)
+    ph = _coord_rows_for(gen, phi)[0]
     th = c_transform_argmin(gen, ph, x0=x0)
     return float(psi(th - ph) - f_value(gen, th))
 
@@ -416,7 +436,7 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
     :func:`c_transform_argmin` one at a time; if one of them still fails,
     the :class:`ConvergenceError` carries its ``row`` (0 for one point).
     """
-    ph = coord_rows(phi)
+    ph = _coord_rows_for(gen, phi, rows=True)[0]
     closed = gen.dual_map_inverse(ph)
     if closed is not None:
         return np.asarray(closed, dtype=float)

@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from ._table import write_table
-from .divergence import _t_euclid
+from .divergence import _ratios, _t_euclid
 from .generators import Generator, _check_dim
 from .geodesics import pythagorean_sign
 
@@ -290,8 +290,9 @@ def _schedule_log_value(gen: Generator, path: MarketPath, schedule) -> tuple:
     # the rows were validated by MarketPath; all holding periods at once
     P0, P1 = W[stops[:-1]], W[stops[1:]]
     Pi = gen.portfolio(P0)
-    log_v = np.log((Pi * (P1 / P0)).sum(axis=-1)).sum()
-    div_sum = _t_euclid(gen, P1, P0, Pi, gen.log_gen(P1), gen.log_gen(P0)).sum()
+    _, ratio = _ratios(P1, P0, Pi)
+    log_v = np.log(ratio).sum()
+    div_sum = _t_euclid(gen, ratio, gen.log_gen(P1), gen.log_gen(P0)).sum()
     return float(log_v), float(div_sum)
 
 

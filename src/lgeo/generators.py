@@ -44,9 +44,11 @@ import numpy as np
 
 from .simplex import (
     DualCoord,
+    PrimalCoord,
     SimplexPoint,
     _identity,
     coord_array,
+    coord_rows,
     from_primal,
     from_primal_many,
     point_array,
@@ -117,6 +119,38 @@ def _point_rows_for(gen, *points) -> np.ndarray:
     P = point_rows(*points)
     _check_dim(gen, P.shape[1])
     return P
+
+
+def _coord_rows_for(gen, *coords, rows: bool = False) -> np.ndarray:
+    """The coordinates ``coords`` stacked as one float array, checked once.
+
+    Each is a :class:`~lgeo.simplex.PrimalCoord`, a
+    :class:`~lgeo.simplex.DualCoord` or an array-like of m entries or, with
+    ``rows``, an (N, m) array of rows; all of one shape.  The stack is
+    tested for finite entries once, and ``gen`` against points of m + 1
+    entries.  Failing input goes coordinate by coordinate through
+    :func:`~lgeo.simplex.coord_rows`, which raises the first failing
+    coordinate's error; coordinates of different shapes are a dimension
+    mismatch.
+    """
+    arrays = [x.theta if isinstance(x, PrimalCoord) else x.phi if isinstance(x, DualCoord) else x
+              for x in coords]
+    try:
+        # one coordinate (or one array of rows) is stacked as a view, not copied
+        X = (np.asarray(arrays[0], dtype=float)[None] if len(arrays) == 1 else
+             np.array(arrays, dtype=float))
+    except (ValueError, TypeError):
+        X = None  # ragged, or entries that are not numbers
+    # logical_and.reduce is what X.all() calls, without its Python wrapper
+    if X is None or not 2 <= X.ndim <= 2 + rows or not np.logical_and.reduce(np.isfinite(X), None):
+        for x in coords:
+            if np.ndim(x) != 1 and not (rows and np.ndim(x) == 2):
+                coord_array(x)  # names the shape that is not a coordinate
+            coord_rows(x)
+        raise ValueError(f"dimension mismatch: coordinates of shapes "
+                         f"{[np.shape(x) for x in coords]}")
+    _check_dim(gen, X.shape[-1] + 1)
+    return X
 
 
 def _softmax_dpi(pi: np.ndarray, lam: float = 1.0) -> np.ndarray:
@@ -470,23 +504,30 @@ def _portfolio_at(gen: Generator, Theta: np.ndarray) -> np.ndarray:
     return gen.portfolio(from_primal_many(Theta))
 
 
+def _check_interior(Pi: np.ndarray, who: str) -> None:
+    """Raise a :class:`NonRegularError` naming ``who`` if a portfolio of
+    ``Pi`` touches the simplex boundary, where the dual map is undefined."""
+    # fmin skips NaN, so this is any(Pi <= 0) in one reduction
+    if np.fmin.reduce(Pi, None) <= 0.0:
+        raise NonRegularError(f"{who}: portfolio touches the simplex boundary; dual map undefined")
+
+
 def _dual_rows(Theta: np.ndarray, Pi: np.ndarray, who: str) -> np.ndarray:
     """Dual coordinates theta - (log pi_{<n} - log pi_n) over (..., n-1) rows
     ``Theta`` with portfolios ``Pi``; a boundary portfolio is a
     :class:`NonRegularError` naming ``who``."""
-    if (Pi <= 0.0).any():
-        raise NonRegularError(f"{who}: portfolio touches the simplex boundary; dual map undefined")
+    _check_interior(Pi, who)
     return Theta - (np.log(Pi[..., :-1]) - np.log(Pi[..., -1:]))
 
 
 def portfolio_theta(gen: Generator, theta) -> np.ndarray:
     """Portfolio weights at the point with exponential coordinate ``theta``."""
-    return _portfolio_at(gen, coord_array(theta))
+    return _portfolio_at(gen, _coord_rows_for(gen, theta)[0])
 
 
 def dual_coord(gen: Generator, theta) -> DualCoord:
     """Dual coordinates ``phi_i = theta_i - log(pi_i / pi_n)`` of a point."""
-    th = coord_array(theta)
+    th = _coord_rows_for(gen, theta)[0]
     return DualCoord(_dual_rows(th, _portfolio_at(gen, th), gen.name), generator=gen)
 
 
@@ -506,7 +547,7 @@ def jacobian_dual(gen: Generator, theta) -> np.ndarray:
     singular value below 1 counts as 1: the differences carry rounding noise
     of about 1e-11, so a zero Jacobian (the market generator's) is singular.
     """
-    th = coord_array(theta)
+    th = _coord_rows_for(gen, theta)[0]
     h = 1e-5 * max(1.0, np.linalg.norm(th))
     m = th.size
     # rows th + h e_j, then th - h e_j

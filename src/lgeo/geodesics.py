@@ -50,15 +50,22 @@ import numpy as np
 
 from . import divergence
 from ._table import write_table
-from .divergence import _t_euclid, f_value, inverse_dual_coord
-from .generators import Generator, _dual_rows, _point_rows_for, _portfolio_at
-from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_exp, _tilt_gradient
+from .divergence import _ratios, _t_euclid, f_value, inverse_dual_coord
+from .generators import (
+    Generator,
+    _check_interior,
+    _coord_rows_for,
+    _dual_rows,
+    _point_rows_for,
+    _portfolio_at,
+)
+from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_gradient
 from .simplex import (
     _as_vector,
     _log_tilt,
-    coord_array,
     from_primal_many,
     psi_many,
+    row_sum,
     to_primal_many,
 )
 
@@ -520,7 +527,7 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
     if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
     times = _flow_times(t_end, steps)
-    xi, v = coord_array(xi0), _as_vector(v0, "velocity")
+    xi, v = _coord_rows_for(gen, xi0)[0], _as_vector(v0, "velocity")
     if v.shape != xi.shape:
         raise ValueError(f"velocity of shape {v.shape} at a coordinate of shape {xi.shape}")
     a = np.max(np.abs(v)) or 1.0  # any scale serves a zero velocity
@@ -678,12 +685,13 @@ def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
     pi_q, dpi_q = Pi[0], gen.dpi_dtheta(Th[0])
     if which == "primal":
         raw = _tilt_gradient(pi_q, Th[1] - Th[0])
-        G = _metric_entries(gen, pi_q, dpi_q)
+        _, L = _metric_entries(gen, pi_q, dpi_q)
     else:
         ph_q, ph_t = _dual_rows(Th, Pi, gen.name)
         raw = -_tilt_gradient(pi_q, ph_q - ph_t)
-        G = _metric_entries(gen, pi_q, dpi_q, _jacobian_from_portfolio(pi_q, dpi_q))
-    norm = np.sqrt(max(raw @ G @ raw, 0.0))
+        _, L = _metric_entries(gen, pi_q, dpi_q, _jacobian_from_portfolio(pi_q, dpi_q))
+    a = raw @ L
+    norm = math.sqrt(a @ a)
     return np.zeros_like(raw) if norm < 1e-15 else raw / norm
 
 
@@ -715,36 +723,52 @@ def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     dual one pulled back by the dual Jacobian); ``sign_quantity`` is the
     closed-form 1 - sum_k Pi_k(q,p) Pi_k(r,q) / pi_k(q) in the two-point
     weights.  All three agree in sign.
+
+    The three tilts share the gap's normalizers.  With the rows
+    X = (q/p, r/q, r/p) and ratio_k = pi(at_k) . X_k, the arguments of the
+    logs in the gap, the tilt toward q from p is X_0 / ratio_0 and the tilt
+    toward r from q is X_1 / ratio_1.  The dual tilt at q from p is
+    X_0 pi(p) / pi(q) / ratio_0: its normalizer Z* = pi(q) . (X_0 pi(p) /
+    pi(q)) equals ratio_0.  It is formed as the two-point weight
+    Pi(q,p) = pi(p) X_0 / ratio_0 over pi(q), which is at most 1 / pi(q).
+    The checks kept are those of the parts: the points' (one array), a
+    portfolio at p or q on the simplex boundary (a NonRegularError, where
+    the dual tilt is undefined), a ratio <= 0 in the gap, and the metric's
+    symmetry and positive definiteness.  ``inner`` and ``angle_deg`` keep
+    the metric route, the side of the theorem independent of the gap:
+    ``dpi_dtheta`` at q, the dual Jacobian solve for the dual velocity, and
+    the metric, whose Cholesky factor L gives the inner product and both
+    norms from a = L^T u and b = L^T v.
     """
     P = _point_rows_for(gen, p, q, r)
-    Th = to_primal_many(P)
     Pi = gen.portfolio(P[:2])
-    pi_q = Pi[1]
+    pi_p, pi_q = Pi
     # the gap: T(q|p), T(r|q) and T(r|p) as rows, from the rows of p, q, r
     logv = gen.log_gen(P)
     to, at = _PYTH_TO, _PYTH_AT
-    t_qp, t_rq, t_rp = _t_euclid(gen, P[to], P[at], Pi[at], logv[to], logv[at]).tolist()
-    # the three tilts as rows of one log-sum: q from p under pi(p), r from q
-    # under pi(q), and q from p in dual coordinates under pi(q)
-    ph_p, ph_q = _dual_rows(Th[:2], Pi, gen.name)
-    Pi3 = Pi[[0, 1, 1]]
-    E = _tilt_exp(Pi3, np.concatenate([Th[1:] - Th[:2], [ph_q - ph_p]]))
-    W = Pi3[:2] * E[:2]                # the two-point weights Pi(q,p), Pi(r,q)
-    grad = E[1:, :-1] - E[1:, -1:]     # the gradients of T toward r and from p
+    X, ratio = _ratios(P[to], P[at], Pi[at])
+    t_qp, t_rq, t_rp = _t_euclid(gen, ratio, logv[to], logv[at]).tolist()
+    _check_interior(Pi, gen.name)  # the dual tilt needs pi(p), pi(q) > 0
+    # the tilts toward q from p and toward r from q, and the two-point
+    # weights Pi(q,p), Pi(r,q)
+    E = X[:2] / ratio[:2, None]
+    W = Pi * E
+    # the gradients of T toward r and, through the dual tilt W_0 / pi(q), from p
+    v = E[1, :-1] - E[1, -1]
+    dual = W[0] / pi_q
     # the inner product, in primal coordinates at q
-    dpi_q = gen.dpi_dtheta(Th[1])
-    u = np.linalg.solve(_jacobian_from_portfolio(pi_q, dpi_q), -grad[1])
-    v = grad[0]
-    G = _metric_entries(gen, pi_q, dpi_q)
-    uG = u @ G
-    inner = float(uG @ v)
-    nu, nv = math.sqrt(max(uG @ u, 0.0)), math.sqrt(max(v @ G @ v, 0.0))
+    dpi_q = gen.dpi_dtheta(to_primal_many(P[1]))
+    u = np.linalg.solve(_jacobian_from_portfolio(pi_q, dpi_q), dual[-1] - dual[:-1])
+    _, L = _metric_entries(gen, pi_q, dpi_q)
+    a, b = u @ L, v @ L
+    inner = float(a @ b)
+    nu, nv = math.sqrt(a @ a), math.sqrt(b @ b)
     if nu < 1e-15 or nv < 1e-15:
-        angle = float("nan")
+        angle = math.nan
     else:
-        angle = float(np.degrees(np.arccos(min(max(inner / (nu * nv), -1.0), 1.0))))
+        angle = math.degrees(math.acos(min(max(inner / (nu * nv), -1.0), 1.0)))
     # the sign quantity
-    sign_q = 1.0 - float((W[0] * W[1] / pi_q).sum())
+    sign_q = 1.0 - float(row_sum(W[0] * W[1] / pi_q))
     return PythResult(gap=t_qp + t_rq - t_rp, inner=inner, angle_deg=angle, sign_quantity=sign_q)
 
 
@@ -770,9 +794,9 @@ def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
     logv_p = gen.log_gen(pa)
     logv_r = gen.log_gen(ra)
     logv_Q = gen.log_gen(Q)
-    t_qp = _t_euclid(gen, Q, pa, pi_p, logv_Q, logv_p)
-    t_rq = _t_euclid(gen, ra, Q, gen.portfolio(Q), logv_r, logv_Q)
-    t_rp = _t_euclid(gen, ra, pa, pi_p, logv_r, logv_p)
+    t_qp = _t_euclid(gen, _ratios(Q, pa, pi_p)[1], logv_Q, logv_p)
+    t_rq = _t_euclid(gen, _ratios(ra, Q, gen.portfolio(Q))[1], logv_r, logv_Q)
+    t_rp = _t_euclid(gen, _ratios(ra, pa, pi_p)[1], logv_r, logv_p)
     return t_qp + t_rq - t_rp
 
 

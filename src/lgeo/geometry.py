@@ -29,18 +29,18 @@ from .divergence import inverse_dual_coord
 from .generators import (
     Generator,
     NonRegularError,
-    _check_dim,
+    _coord_rows_for,
     _dual_rows,
     _metric_rows,
     _point_rows_for,
     _portfolio_at,
 )
 from .simplex import (
+    _as_vector,
     _identity,
     _log_tilt,
+    _max_reduce,
     _with_tail,
-    coord_array,
-    point_array,
     to_primal_many,
 )
 
@@ -127,19 +127,29 @@ def _tilted(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def pi_quantities(gen: Generator, theta, theta2) -> PiQuantities:
     """Weights Pi_i(theta, theta2): the portfolio at theta2 tilted toward theta."""
-    th, th2 = coord_array(theta), coord_array(theta2)
+    th, th2 = _coord_rows_for(gen, theta, theta2)
     return PiQuantities(values=_tilted(_portfolio_at(gen, th2), th - th2), kind="primal")
 
 
 def pi_quantities_dual(gen: Generator, phi, phi2) -> PiQuantities:
     """Weights Pi*_i(phi, phi2): the portfolio at the *first* point, tilted."""
-    ph, ph2 = coord_array(phi), coord_array(phi2)
+    ph, ph2 = _coord_rows_for(gen, phi, phi2)
     pi = _portfolio_at(gen, inverse_dual_coord(gen, ph))
     return PiQuantities(values=_tilted(pi, ph - ph2), kind="dual")
 
 
 # ---------------------------------------------------------------------------
 # metric
+
+def _tangent_pair(u, v, size: int):
+    """u and v as float vectors, each 1-d with ``size`` finite entries; a
+    ValueError names the one that is not."""
+    u, v = _as_vector(u, "tangent vector u"), _as_vector(v, "tangent vector v")
+    for name, w in (("u", u), ("v", v)):
+        if w.size != size:
+            raise ValueError(f"tangent vector {name} has {w.size} entries, not {size}")
+    return u, v
+
 
 def metric_euclidean(gen: Generator, p, u, v) -> float:
     """Inner product of tangent vectors in Euclidean coordinates.
@@ -149,10 +159,8 @@ def metric_euclidean(gen: Generator, p, u, v) -> float:
     exponential coordinates, d theta_i = u_i / p_i - u_n / p_n; on the
     tangent hyperplane it equals ``-Hess Phi / Phi``.
     """
-    arr = point_array(p)
-    _check_dim(gen, arr.size)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    arr = _point_rows_for(gen, p)[0]
+    u, v = _tangent_pair(u, v, arr.size)
     if abs(u.sum()) > 1e-10 or abs(v.sum()) > 1e-10:
         raise ValueError("tangent vectors must have zero component sum")
     G = _metric_rows(gen.portfolio(arr), gen.dpi_dtheta(to_primal_many(arr)))
@@ -162,7 +170,7 @@ def metric_euclidean(gen: Generator, p, u, v) -> float:
 
 def dual_jacobian(gen: Generator, theta) -> np.ndarray:
     """Analytic Jacobian d phi / d theta of the dual coordinate map."""
-    th = coord_array(theta)
+    th = _coord_rows_for(gen, theta)[0]
     return _jacobian_from_portfolio(_portfolio_at(gen, th), gen.dpi_dtheta(th))
 
 
@@ -171,23 +179,28 @@ def _jacobian_from_portfolio(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
     return _identity(dpi.shape[1]) - dpi[:-1, :] / pi[:-1, None] + dpi[-1, :] / pi[-1]
 
 
-def _metric_entries(gen: Generator, pi: np.ndarray, dpi: np.ndarray, J=None) -> np.ndarray:
+def _metric_entries(gen: Generator, pi: np.ndarray, dpi: np.ndarray, J=None):
     """Metric coefficients from the portfolio pi and dpi / dtheta: primal, or
     dual given the dual Jacobian ``J``.  The primal candidate, and the dual
-    one when asked for, must be symmetric; the result is symmetrized and
-    must be positive definite."""
+    one when asked for, must be symmetric; the result G is symmetrized.
+    Returns G and its lower Cholesky factor L, G = L L^T: the factorization
+    certifies that G is positive definite (it fails otherwise, NaN entries
+    included), and L gives inner products and norms as plain dot products,
+    u^T G v = (L^T u) . (L^T v)."""
     G, what = _metric_rows(pi, dpi), f"{gen.name}: metric"
     if J is not None:
-        if np.abs(G - G.T).max() > 1e-8:
+        if _max_reduce(abs(G - G.T), None) > 1e-8:
             raise NonRegularError(f"{what} candidate not symmetric")
         # the same formula with d pi / d phi = dpi J^-1 and the opposite sign
         G, what = _metric_rows(pi, -(dpi @ np.linalg.inv(J))), f"{gen.name}: dual metric"
-    if np.abs(G - G.T).max() > 1e-8:
+    if _max_reduce(abs(G - G.T), None) > 1e-8:
         raise NonRegularError(f"{what} candidate not symmetric")
     G = (G + G.T) / 2
-    if np.linalg.eigvalsh(G).min() <= 0:
-        raise NonRegularError(f"{what} not positive definite")
-    return G
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise NonRegularError(f"{what} not positive definite") from None
+    return G, L
 
 
 def metric_primal(gen: Generator, theta) -> MetricMatrix:
@@ -197,9 +210,9 @@ def metric_primal(gen: Generator, theta) -> MetricMatrix:
     ``I - 1 pi^T`` with the inverse dual Jacobian, avoiding a generic matrix
     inversion of the metric itself.
     """
-    th = coord_array(theta)
+    th = _coord_rows_for(gen, theta)[0]
     pi, dpi = _portfolio_at(gen, th), gen.dpi_dtheta(th)
-    G = _metric_entries(gen, pi, dpi)
+    G, _ = _metric_entries(gen, pi, dpi)
     M = np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1]
     inv = np.linalg.solve(_jacobian_from_portfolio(pi, dpi), M)
     return MetricMatrix(entries=G, coord="primal", base_point=th.copy(), inv=inv)
@@ -210,10 +223,10 @@ def _dual_point(gen: Generator, phi, theta):
     if (phi is None) == (theta is None):
         raise ValueError("give the point by exactly one of phi and theta")
     if theta is None:
-        phi = coord_array(phi)
+        phi = _coord_rows_for(gen, phi)[0]
         th = inverse_dual_coord(gen, phi)
     else:
-        th = coord_array(theta)
+        th = _coord_rows_for(gen, theta)[0]
     pi = _portfolio_at(gen, th)
     return th, pi, _dual_rows(th, pi, gen.name) if phi is None else phi
 
@@ -224,7 +237,7 @@ def metric_dual(gen: Generator, phi=None, *, theta=None) -> MetricMatrix:
     th, pi, base = _dual_point(gen, phi, theta)
     dpi = gen.dpi_dtheta(th)
     J = _jacobian_from_portfolio(pi, dpi)
-    G = _metric_entries(gen, pi, dpi, J)
+    G, _ = _metric_entries(gen, pi, dpi, J)
     inv = J @ (np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1])
     return MetricMatrix(entries=G, coord="dual", base_point=base, inv=inv)
 
@@ -243,7 +256,7 @@ def _christoffel_raised(pi_trunc: np.ndarray, sign: float) -> np.ndarray:
 
 
 def christoffel_primal(gen: Generator, theta) -> ChristoffelTensor:
-    th = coord_array(theta)
+    th = _coord_rows_for(gen, theta)[0]
     pi = _portfolio_at(gen, th)
     return ChristoffelTensor(
         gamma=_christoffel_raised(pi[:-1], +1.0), coord="primal", base_point=th.copy()
@@ -284,9 +297,8 @@ def ricci(gen: Generator, point, which: str = "primal") -> np.ndarray:
 
 def sectional_curvature(gen: Generator, point, u, v, which: str = "primal") -> float:
     """Sectional curvature of the plane span(u, v); constantly -1 in theory."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     g = _metric_for(gen, point, which)
+    u, v = _tangent_pair(u, v, g.entries.shape[0])
     R = _rc_closed(g.entries)
     Ruvv = np.einsum("ijkl,i,j,k->l", R, u, v, v)
     num = float(Ruvv @ g.entries @ u)

@@ -18,7 +18,11 @@ All exp/log aggregations are max-shifted so that coordinates of order
 Inputs are checked once, at the public boundary: :func:`point_array`
 validates one point through :class:`SimplexPoint`, and :func:`point_rows`
 validates a group of points of one common dimension as one array and returns
-their plain rows.  The kernels below that boundary
+their plain rows.  It tests the stacked array with one whole-array reduction
+(the least entry) and the few row sums as floats, and does per-row work only
+for a :class:`SimplexPoint` argument, whose stored row it keeps; so a
+single-point library call spends a handful of numpy calls on its checks.
+The kernels below that boundary
 (:func:`psi_many`, :func:`from_primal_many`, :func:`to_primal_many` and the
 log-sum ``_log_tilt``) take plain float arrays of shape ``(..., k)``, reduce
 over the last axis and check nothing; the one-point :func:`psi` and
@@ -93,7 +97,8 @@ class SimplexPoint:
         return self.p.size
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.p, dtype=dtype)
+        # np.array(point) asks for a copy, and gets one: p itself is read-only
+        return np.array(self.p, dtype=dtype, copy=copy)
 
     def __len__(self) -> int:
         return self.p.size
@@ -187,26 +192,33 @@ def point_rows(*points) -> np.ndarray:
     """Validate points of one common dimension as one (k, n) array.
 
     Returns the array of their probability rows, each bitwise the row that
-    :func:`point_array` gives: the :class:`SimplexPoint` checks run once on
-    the stacked rows, each row is divided by its own sum, and a
-    :class:`SimplexPoint` argument is taken as stored.  Ragged or failing
-    input goes point by point through :func:`point_array`, which raises the
-    error of the first failing point; a dimension mismatch is a
-    ``ValueError``.  Their exponential coordinates are ``to_primal_many`` of
-    the rows, bitwise equal to :func:`to_primal`.
+    :func:`point_array` gives.  The :class:`SimplexPoint` checks run once on
+    the stacked rows: one whole-array reduction for the least entry, which
+    must exceed ``ENTRY_FLOOR``, and a test of the k row sums as floats,
+    each within ``SUM_TOL`` of 1 (NaN and inf fail both, as in
+    SimplexPoint).  Each row is then divided by its own sum.  A
+    :class:`SimplexPoint` argument is taken as stored; without one, no
+    per-row bookkeeping is done.  Ragged or failing input goes point by
+    point through :func:`point_array`, which raises the error of the first
+    failing point; a dimension mismatch is a ``ValueError``.  Their
+    exponential coordinates are ``to_primal_many`` of the rows, bitwise
+    equal to :func:`to_primal`.
     """
-    stored = [isinstance(x, SimplexPoint) for x in points]
     try:
-        P = np.array([x.p if s else x for x, s in zip(points, stored)], dtype=float)
+        P = np.array([x.p if isinstance(x, SimplexPoint) else x for x in points], dtype=float)
     except (ValueError, TypeError):
         P = None  # ragged rows, or entries that are not numbers
     if P is not None and P.ndim == 2 and P.shape[1] >= 2:
         total = _add_reduce(P, 1)
-        # `> ENTRY_FLOOR` fails on nan and -inf, and an inf entry (or an
-        # overflowing sum) fails the sum test, so these two are the
-        # finiteness, positivity and sum checks of SimplexPoint
-        if (P > ENTRY_FLOOR).all() and (np.abs(total - 1.0) <= SUM_TOL).all():
-            total[stored] = 1.0  # stored rows are already divided
+        # the least entry fails `> ENTRY_FLOOR` on nan and -inf, and an inf
+        # entry (or an overflowing sum) fails the sum test, so these two are
+        # the finiteness, positivity and sum checks of SimplexPoint; the few
+        # sums are tested as floats, which costs less than a reduction
+        if _min_reduce(P, None) > ENTRY_FLOOR and all(
+                abs(t - 1.0) <= SUM_TOL for t in total.tolist()):
+            stored = [k for k, x in enumerate(points) if isinstance(x, SimplexPoint)]
+            if stored:
+                total[stored] = 1.0  # stored rows are already divided
             P /= total[:, None]
             return P
     rows = [point_array(x) for x in points]
@@ -222,9 +234,9 @@ def point_rows(*points) -> np.ndarray:
 _COLUMN_ROWS = 128
 _LOOP_MIN = 2 * _COLUMN_ROWS  # the fewest entries reduced by columns
 
-# what X.sum and X.max call, through a Python wrapper that costs as much
-# again on a single point
-_add_reduce, _max_reduce = np.add.reduce, np.maximum.reduce
+# what X.sum, X.max and X.min call, through a Python wrapper that costs as
+# much again on a single point
+_add_reduce, _max_reduce, _min_reduce = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
 
 def row_sum(X: np.ndarray, keepdims: bool = False) -> np.ndarray:

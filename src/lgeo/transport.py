@@ -38,7 +38,9 @@ from .generators import (
     GeneralizedDiversityWeighted,
     UniformCrossEntropy,
     ZeroGenerator,
+    _coord_rows_for,
     _dual_rows,
+    _point_rows_for,
     _portfolio_at,
     weights_from_gaussian,
 )
@@ -46,7 +48,6 @@ from .geodesics import Curve, _grid
 from .simplex import (
     coord_array,
     from_primal_many,
-    point_array,
     psi,
     psi_many,
     softmax_with_tail,
@@ -186,11 +187,11 @@ class InterpolationFamily:
 
     def portfolio_at(self, t: float, p) -> np.ndarray:
         """Blended weights, directly from the defining linear interpolation."""
-        return self._blend(t, point_array(p))
+        return self._blend(t, _point_rows_for(self.base, p)[0])
 
     def dual_map_at(self, t: float, theta) -> np.ndarray:
         """The transport map F_t in coordinates: theta - log weight ratios."""
-        th = coord_array(theta)
+        th = _coord_rows_for(self.base, theta)[0]
         return _dual_rows(th, self._blend(t, from_primal_many(th)), f"{self.kind} interpolation")
 
     def trajectory(self, theta, grid=None) -> Curve:
@@ -199,7 +200,7 @@ class InterpolationFamily:
         The base portfolio at theta is evaluated once; all grid times are
         blended as one array and mapped together."""
         ts = _grid(grid)
-        th = coord_array(theta)
+        th = _coord_rows_for(self.base, theta)[0]
         Pi = self._blend(ts, from_primal_many(th))
         return Curve(ts, _dual_rows(th, Pi, f"{self.kind} interpolation"), "dual")
 

@@ -369,6 +369,16 @@ class TestExitCodes:
         assert "of dimension 2, points of dimension 3" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["cw:0.5,0.5", "gdw:0.5:1,2"])
+    @pytest.mark.parametrize("kind", ["displacement", "market"])
+    def test_numerical_error_coordinate_of_another_dimension(self, capsys, spec, kind):
+        # a 2-entry theta is a point of the 3-simplex; it used to fail with
+        # numpy's broadcast message
+        assert run_cli("interpolate", "--gen", spec, "--theta", "1.0,-0.5", "--kind", kind) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dimension mismatch: generator ")
+        assert "of dimension 2, points of dimension 3" in err and "broadcast" not in err
+
     def test_usage_error_mix_of_parts_of_different_dimensions(self, capsys):
         assert run_cli("divergence", "--gen", "mix:0.5*eq2+0.5*eq3", "--p=0.2,0.3,0.5",
                        "--q=0.5,0.25,0.25") == 1

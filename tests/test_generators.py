@@ -241,6 +241,67 @@ class TestFixedDimension:
                                              r"points of dimension 3"):
             call(self.GENS[name], P)
 
+    @pytest.mark.parametrize("name", ["cw", "gdw", "mix"])
+    @pytest.mark.parametrize("call", [
+        lambda g, th: lgeo.metric_primal(g, th),
+        lambda g, th: lgeo.metric_dual(g, th),
+        lambda g, th: lgeo.metric_dual(g, theta=th),
+        lambda g, th: lgeo.christoffel_primal(g, th),
+        lambda g, th: lgeo.christoffel_dual(g, th),
+        lambda g, th: lgeo.christoffel_dual(g, theta=th),
+        lambda g, th: lgeo.geometry.dual_jacobian(g, th),
+        lambda g, th: lgeo.pi_quantities(g, th, -th),
+        lambda g, th: lgeo.pi_quantities_dual(g, th, -th),
+        lambda g, th: G.dual_coord(g, th),
+        lambda g, th: G.portfolio_theta(g, th),
+        lambda g, th: G.jacobian_dual(g, th),
+        lambda g, th: lgeo.l_divergence_primal(g, th, -th),
+        lambda g, th: lgeo.l_divergence_dual(g, th, -th),
+        lambda g, th: f_value(g, th),
+        lambda g, th: f_value(g, np.array([th, -th])),
+        lambda g, th: lgeo.c_transform(g, th),
+        lambda g, th: lgeo.c_transform(g, th, x0=th),
+        lambda g, th: lgeo.divergence.c_transform_argmin(g, th),
+        lambda g, th: lgeo.inverse_dual_coord(g, th),
+        lambda g, th: lgeo.inverse_dual_coord(g, np.array([th, -th])),
+        lambda g, th: lgeo.integrate_geodesic(g, th, [0.1, -0.2]),
+        lambda g, th: lgeo.integrate_geodesic(g, th, [0.1, -0.2], which="dual"),
+        lambda g, th: lgeo.displacement_family(g).trajectory(th),
+        lambda g, th: lgeo.market_interpolation(g).dual_map_at(0.5, th),
+        lambda g, th: lgeo.displacement_family(g).portfolio_at(0.5, from_primal(th)),
+    ], ids=["metric_primal", "metric_dual", "metric_dual_theta", "christoffel_primal",
+            "christoffel_dual", "christoffel_dual_theta", "dual_jacobian", "pi_quantities",
+            "pi_quantities_dual", "dual_coord", "portfolio_theta", "jacobian_dual",
+            "l_divergence_primal", "l_divergence_dual", "f_value", "f_value_rows", "c_transform",
+            "c_transform_x0", "c_transform_argmin", "inverse_dual_coord",
+            "inverse_dual_coord_rows", "integrate_geodesic", "integrate_geodesic_dual",
+            "trajectory", "dual_map_at", "portfolio_at"])
+    def test_coordinates_of_another_dimension_are_rejected(self, name, call):
+        # a 2-entry coordinate is a point of the 3-simplex, which numpy would
+        # otherwise try to broadcast against the generator's 2 weights
+        with pytest.raises(ValueError, match=r"^dimension mismatch: generator .* of dimension 2, "
+                                             r"points of dimension 3$"):
+            call(self.GENS[name], np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("coords, message", [
+        (([0.1, 0.2], [0.1]), r"dimension mismatch: coordinates of shapes \[\(2,\), \(1,\)\]"),
+        (([0.1, np.nan],), "coordinate must have finite entries"),
+        (([0.1, np.inf], [0.1, 0.2]), "coordinate must have finite entries"),
+        (([[0.1, 0.2]],), r"coordinate must be a 1-d vector, got shape \(1, 2\)"),
+        ((0.1,), r"coordinate must be a 1-d vector, got shape \(\)"),
+    ], ids=["ragged", "nan", "inf", "2d", "scalar"])
+    def test_coordinate_rows_raise_the_first_coordinates_error(self, coords, message):
+        with pytest.raises(ValueError, match=message):
+            G._coord_rows_for(G.diversity_weighted(0.5), *coords)
+
+    def test_coordinate_rows_take_rows_where_asked(self):
+        gen = G.diversity_weighted(0.5)
+        X = np.zeros((4, 2))
+        assert G._coord_rows_for(gen, X, rows=True).shape == (1, 4, 2)
+        assert G._coord_rows_for(gen, lgeo.PrimalCoord([0.1, 0.2]), [0.3, 0.4]).shape == (2, 2)
+        with pytest.raises(ValueError, match="coordinate rows must have finite entries"):
+            G._coord_rows_for(gen, np.array([[0.0, np.nan]]), rows=True)
+
 
 class TestDuality:
     def test_constant_weighted_translation(self, rng):

@@ -1056,6 +1056,64 @@ class TestPythagoreanSign:
                         assert np.sign(res.gap) == np.sign(res.inner), name
                         assert np.sign(res.inner) == np.sign(res.sign_quantity), name
 
+    @staticmethod
+    def _identity_bounds(gen, P, res):
+        """Rounding-scaled bounds of |gap + log1p(-inner)| and |inner - s|.
+
+        The gap is three Ts, each log(pi(at) . to/at) - (phi(to) - phi(at)),
+        so its rounding scales with the logs and the phi values it adds.  The
+        inner product and the sign quantity s add n-term sums of size about
+        1 + |inner| + |s|, and log1p(-inner) multiplies an error of inner by
+        1 / (1 - inner).
+        """
+        n = P.shape[1]
+        logv = np.abs(gen.log_gen(P))
+        Pi = gen.portfolio(P)
+        logs = [abs(math.log(Pi[a] @ (P[t] / P[a]))) for t, a in ((1, 0), (2, 1), (2, 0))]
+        on_inner = n * (1.0 + abs(res.inner) + abs(res.sign_quantity))
+        on_gap = 1.0 + sum(logs) + 2.0 * logv.sum() + on_inner / (1.0 - res.inner)
+        eps = np.finfo(float).eps
+        return 8 * eps * on_gap, 8 * eps * on_inner
+
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_pythagorean_identity_holds_to_rounding(self, n):
+        # the paper's generalized Pythagorean theorem in exact form:
+        # T(q|p) + T(r|q) - T(r|p) = -log(1 - <dual velocity to p, primal
+        # velocity to r>_q), and the inner product equals the closed form
+        # 1 - sum_k Pi_k(q,p) Pi_k(r,q) / pi_k(q); the gap and the sign
+        # quantity come from the shared ratios, the inner product from the
+        # metric route, so the residuals compare independent computations
+        rng = np.random.default_rng(300 + n)
+        for name, gen in builtin_zoo(n).items():
+            for k in range(12):
+                P = rng.dirichlet(np.ones(n), 3)
+                if k % 3 == 1:  # one asset near the boundary in all three
+                    P[:, rng.integers(n)] = 1e-12 * rng.uniform(0.5, 2.0, 3)
+                    P /= P.sum(axis=1, keepdims=True)
+                if k % 3 == 2:  # q near p
+                    P[1] = P[0] * np.exp(1e-4 * rng.standard_normal(n))
+                    P[1] /= P[1].sum()
+                res = gd.pythagorean_sign(gen, *P)
+                on_gap, on_inner = self._identity_bounds(gen, P, res)
+                assert abs(res.gap + math.log1p(-res.inner)) <= on_gap, (name, k)
+                assert abs(res.inner - res.sign_quantity) <= on_inner, (name, k)
+
+    def test_pythagorean_identity_of_a_custom_generator(self):
+        # a CustomGenerator's dpi_dtheta is a central second difference at
+        # step h = 3e-4 max(1, |theta|), so the metric route to the inner
+        # product carries an error of order h^2 ~ 1e-7 on top of rounding;
+        # the bounds allow it
+        gen = G.CustomGenerator(lambda p: 2.0 * np.log(np.sum(np.sqrt(p))))
+        rng = np.random.default_rng(360)
+        for n in (3, 10):
+            for k in range(6):
+                P = rng.dirichlet(np.ones(n), 3)
+                res = gd.pythagorean_sign(gen, *P)
+                on_gap, on_inner = self._identity_bounds(gen, P, res)
+                fd = 1e-7 * (1.0 + abs(res.inner))
+                assert abs(res.gap + math.log1p(-res.inner)) <= on_gap + fd / (1.0 - res.inner)
+                assert abs(res.inner - res.sign_quantity) <= on_inner + fd
+
     def test_gap_equals_transport_gap(self, rng):
         for name, gen in builtin_zoo(3).items():
             p, q, r = dirichlet_points(rng, 3, 3)

@@ -110,6 +110,21 @@ class TestEuclideanMetric:
                 oracle = fd_second_along(lambda t: l_divergence(gen, p + t * v, p).value)
                 assert quad == pytest.approx(oracle, rel=1e-6), (n, name)
 
+    @pytest.mark.parametrize("u, v, message", [
+        # a 2-entry pair at a 3-entry point used to broadcast w[:-1] / p[:-1]
+        # and return a number (0.0939 for this pair)
+        ([0.1, -0.1], [0.2, -0.2], "tangent vector u has 2 entries, not 3"),
+        ([0.1, -0.1, 0.0], [0.2, -0.2], "tangent vector v has 2 entries, not 3"),
+        # abs(nan) > 1e-10 is False, so a NaN entry used to return nan
+        ([np.nan, -0.1, 0.1], [0.2, -0.2, 0.0], "tangent vector u must have finite entries"),
+        ([0.1, -0.1, 0.0], [np.inf, -0.2, 0.0], "tangent vector v must have finite entries"),
+        ([[0.1, -0.1, 0.0]], [0.2, -0.2, 0.0], r"tangent vector u must be a 1-d vector"),
+    ], ids=["short-u", "short-v", "nan", "inf", "2d"])
+    def test_rejects_tangent_vectors_of_the_wrong_shape_or_entries(self, u, v, message):
+        gen = G.diversity_weighted(0.5)
+        with pytest.raises(ValueError, match=message):
+            geo.metric_euclidean(gen, np.array([0.2, 0.3, 0.5]), u, v)
+
     def test_bilinear_symmetry(self, rng):
         gen = G.diversity_weighted(0.4)
         p = rng.dirichlet(np.ones(4))
@@ -363,6 +378,18 @@ class TestCurvature:
         u = rng.normal(size=3)
         with pytest.raises(ValueError):
             geo.sectional_curvature(gen, np.zeros(3), u, 2 * u, "primal")
+
+    @pytest.mark.parametrize("which", ["primal", "dual"])
+    @pytest.mark.parametrize("u, v, message", [
+        ([np.nan, 0.2], [0.3, -0.1], "tangent vector u must have finite entries"),
+        ([0.1, 0.2], [0.3, np.inf], "tangent vector v must have finite entries"),
+        ([0.1, 0.2, 0.3], [0.3, -0.1], "tangent vector u has 3 entries, not 2"),
+        ([0.1, 0.2], [0.3], "tangent vector v has 1 entries, not 2"),
+    ], ids=["nan", "inf", "long-u", "short-v"])
+    def test_sectional_curvature_rejects_bad_tangent_vectors(self, which, u, v, message):
+        # a NaN entry used to return nan
+        with pytest.raises(ValueError, match=message):
+            geo.sectional_curvature(G.diversity_weighted(0.5), np.zeros(2), u, v, which)
 
     def test_einstein_condition(self, rng):
         for name, gen in builtin_zoo(4).items():

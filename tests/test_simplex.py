@@ -185,6 +185,13 @@ class TestPointRows:
             assert np.array_equal(row, SimplexPoint(p).p)
             assert np.array_equal(th, to_primal(p).theta)
 
+    def test_a_simplex_point_of_a_simplex_point(self):
+        # np.array(point) must copy the read-only p, which the constructor
+        # divides in place
+        p = SimplexPoint([0.2, 0.3, 0.5])
+        assert np.array_equal(SimplexPoint(p).p, p.p)
+        assert np.array(p).flags.writeable and np.asarray(p) is p.p
+
     def test_each_point_validated(self):
         with pytest.raises(ValueError):
             point_rows([0.5, 0.5], [1.0, 0.0])
@@ -267,6 +274,72 @@ def _valid(x) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _first_error(points) -> str:
+    """The message that validating ``points`` one by one raises first."""
+    for x in points:
+        try:
+            SimplexPoint(x)
+        except ValueError as exc:
+            return str(exc)
+    return "dimension mismatch: points of sizes " + str([np.size(x) for x in points])
+
+
+@st.composite
+def point_args(draw, n=None):
+    """k points of one dimension n in 2..50, entries down to about 1e-297
+    before normalizing, sums off by up to 5e-10, each passed as a
+    SimplexPoint, a list or an array."""
+    n = draw(st.integers(2, 50)) if n is None else n
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = 10.0 ** -rng.uniform(0.0, rng.choice([2.0, 20.0, 297.0]), size=(k, n))
+    P /= P.sum(axis=1, keepdims=True)
+    P *= 1.0 + rng.uniform(-5e-10, 5e-10, size=(k, 1))
+    kinds = draw(st.lists(st.sampled_from(["point", "list", "array"]), min_size=k, max_size=k))
+    return [SimplexPoint(x) if kind == "point" else x.tolist() if kind == "list" else x
+            for x, kind in zip(P, kinds)]
+
+
+_BREAKS = {
+    "nan": lambda x: np.where(np.arange(x.size) == 0, np.nan, x),
+    "+inf": lambda x: np.where(np.arange(x.size) == x.size - 1, np.inf, x),
+    "-inf": lambda x: np.where(np.arange(x.size) == 0, -np.inf, x),
+    "zero": lambda x: np.where(np.arange(x.size) == x.size - 1, 0.0, x),
+    "negative": lambda x: np.where(np.arange(x.size) == 0, -x[0], x),
+    "off-sum": lambda x: x * (1.0 + 1e-8),
+    "ragged": lambda x: np.append(x, 0.5) / 1.5,
+    "2-d": lambda x: x[None, :],
+}
+
+
+@given(point_args())
+def test_point_rows_are_the_point_array_rows_bitwise(points):
+    ref = np.array([point_array(x) for x in points])
+    got = point_rows(*points)
+    assert got.tobytes() == ref.tobytes()
+
+
+@given(point_args(), st.data())
+def test_failing_point_rows_raise_the_first_failing_points_error(points, data):
+    # break one or two points (a SimplexPoint cannot be broken, so its
+    # array is); the error is that of the first failing point, or the
+    # dimension mismatch when each point is valid on its own
+    points = list(points)
+    for _ in range(data.draw(st.integers(1, 2))):
+        j = data.draw(st.integers(0, len(points) - 1))
+        points[j] = _BREAKS[data.draw(st.sampled_from(sorted(_BREAKS)))](np.asarray(points[j]))
+    with pytest.raises(ValueError) as got:
+        point_rows(*points)
+    assert str(got.value) == _first_error(points)
+
+
+@given(point_args())
+def test_point_rows_against_a_generator_of_another_dimension(points):
+    gen = G.equal_weighted(np.size(points[0]) + 1)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: generator .* points of dimension"):
+        G._point_rows_for(gen, *points)
 
 
 Q3, R2, P3 = [0.2, 0.3, 0.5], [0.5, 0.5], [0.4, 0.4, 0.2]
