@@ -698,6 +698,26 @@ def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # generalized Pythagorean criterion
 
+def _angle_deg(a: np.ndarray, b: np.ndarray, ab: float) -> float:
+    """The angle in degrees between vectors a and b of inner product ab,
+    NaN when either is shorter than 1e-15, within a few eps (radians) of
+    the exact angle.  acos of the cosine c is off by about eps / sin(angle),
+    so it serves for |c| <= 1/2 only.  Elsewhere Kahan's 2 atan2(|a r - b|,
+    |a r + b|) with r = |b| / |a|: the norm that cancels (the difference
+    when c > 0) is taken from the vectors, the other from
+    |a r -+ b|^2 = 2 r (|a| |b| + |ab|)."""
+    na, nb = math.sqrt(a @ a), math.sqrt(b @ b)
+    if na < 1e-15 or nb < 1e-15:
+        return math.nan
+    c = ab / (na * nb)
+    if abs(c) <= 0.5:
+        return math.degrees(math.acos(c))
+    r = nb / na
+    e = a * r - b if c > 0 else a * r + b
+    g, h = math.sqrt(e @ e), math.sqrt(2.0 * r * (na * nb + abs(ab)))
+    return math.degrees(2.0 * (math.atan2(g, h) if c > 0 else math.atan2(h, g)))
+
+
 @dataclass(frozen=True)
 class PythResult:
     """Outcome of the three-point rebalancing comparison at q."""
@@ -737,8 +757,8 @@ def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     symmetry and positive definiteness.  ``inner`` and ``angle_deg`` keep
     the metric route, the side of the theorem independent of the gap:
     ``dpi_dtheta`` at q, the dual Jacobian solve for the dual velocity, and
-    the metric, whose Cholesky factor L gives the inner product and both
-    norms from a = L^T u and b = L^T v.
+    the metric, whose Cholesky factor L gives the inner product and the
+    angle (``_angle_deg``) from a = L^T u and b = L^T v.
     """
     P = _point_rows_for(gen, p, q, r)
     Pi = gen.portfolio(P[:2])
@@ -762,11 +782,7 @@ def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     _, L = _metric_entries(gen, pi_q, dpi_q)
     a, b = u @ L, v @ L
     inner = float(a @ b)
-    nu, nv = math.sqrt(a @ a), math.sqrt(b @ b)
-    if nu < 1e-15 or nv < 1e-15:
-        angle = math.nan
-    else:
-        angle = math.degrees(math.acos(min(max(inner / (nu * nv), -1.0), 1.0)))
+    angle = _angle_deg(a, b, inner)
     # the sign quantity
     sign_q = 1.0 - float(row_sum(W[0] * W[1] / pi_q))
     return PythResult(gap=t_qp + t_rq - t_rp, inner=inner, angle_deg=angle, sign_quantity=sign_q)

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import inverse_dual_coord
+from .divergence import _ratios, inverse_dual_coord
 from .generators import (
     Generator,
     NonRegularError,
+    _check_interior,
     _coord_rows_for,
     _dual_rows,
     _metric_rows,
@@ -322,19 +323,26 @@ def riem_gradient_primal(gen: Generator, r, q) -> np.ndarray:
     """grad of T(r | .) at q, components in primal coordinates.
 
     Closed form: ((1 - exp(theta^r - theta^q)) / Z)_i with
-    Z = sum_l pi_l(q) exp(theta^r_l - theta^q_l).
+    Z = sum_l pi_l(q) exp(theta^r_l - theta^q_l).  With X = r/q the tilt
+    exp(theta^r - theta^q) / Z is X / (pi(q) . X), the ratio of T(r | q).
     """
-    th_r, th_q = to_primal_many(_point_rows_for(gen, r, q))
-    return -_tilt_gradient(_portfolio_at(gen, th_q), th_r - th_q)
+    R, Q = _point_rows_for(gen, r, q)
+    X, ratio = _ratios(R, Q, gen.portfolio(Q))
+    E = X / ratio
+    return E[-1] - E[:-1]
 
 
 def riem_gradient_dual(gen: Generator, p, q) -> np.ndarray:
     """grad of T(. | p) at q, components in dual coordinates.
 
     Closed form: ((exp(phi^q - phi^p) - 1) / Z*)_i with
-    Z* = sum_l pi_l(q) exp(phi^q_l - phi^p_l).
+    Z* = sum_l pi_l(q) exp(phi^q_l - phi^p_l).  With X = q/p the tilt
+    exp(phi^q - phi^p) / Z* is X pi(p) / pi(q) / (pi(p) . X), the ratio
+    of T(q | p), as in :func:`~lgeo.geodesics.pythagorean_sign`.
     """
-    Th = to_primal_many(_point_rows_for(gen, p, q))
-    Pi = _portfolio_at(gen, Th)
-    ph_p, ph_q = _dual_rows(Th, Pi, gen.name)
-    return _tilt_gradient(Pi[1], ph_q - ph_p)
+    P = _point_rows_for(gen, p, q)
+    Pi = gen.portfolio(P)
+    _check_interior(Pi, gen.name)  # the dual tilt needs pi(p), pi(q) > 0
+    X, ratio = _ratios(P[1], P[0], Pi[0])
+    E = X * Pi[0] / (Pi[1] * ratio)
+    return E[:-1] - E[-1]

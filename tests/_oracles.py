@@ -137,6 +137,21 @@ def riem_gradient_dual_ratio_form(gen: Generator, p, q) -> np.ndarray:
     return Pi[:-1] / pi_q[:-1] - Pi[-1] / pi_q[-1]
 
 
+def riem_gradient_primal_tilt_form(gen: Generator, r, q) -> np.ndarray:
+    """The gradient from primal coordinates: minus the tilt exp(theta^r -
+    theta^q) / Z, by a log-sum-exp, less its last entry."""
+    th_r, th_q = to_primal(r).theta, to_primal(q).theta
+    return -geo._tilt_gradient(portfolio_theta(gen, th_q), th_r - th_q)
+
+
+def riem_gradient_dual_tilt_form(gen: Generator, p, q) -> np.ndarray:
+    """The gradient from dual coordinates: the tilt exp(phi^q - phi^p) / Z*,
+    by a log-sum-exp, less its last entry."""
+    th_p, th_q = to_primal(p).theta, to_primal(q).theta
+    ph_p, ph_q = dual_coord(gen, th_p).phi, dual_coord(gen, th_q).phi
+    return geo._tilt_gradient(portfolio_theta(gen, th_q), ph_q - ph_p)
+
+
 def dual_connection_in_primal_coords(gen: Generator, theta, h: float = FD_STEP_HIGH) -> np.ndarray:
     """Coefficients of the dual connection expressed in primal coordinates.
 

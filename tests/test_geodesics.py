@@ -1131,6 +1131,27 @@ class TestPythagoreanSign:
             elif res.gap < -1e-8:
                 assert res.angle_deg > 90.0
 
+    @pytest.mark.parametrize("deg", [1e-6, 1e-4, 1e-2, 1.0, 30.0, 59.9, 60.1, 90.0, 119.9, 120.1, 150.0,
+                                     179.0, 179.9, 179.999])
+    def test_angle_is_accurate_at_every_angle(self, deg):
+        # against a 60-digit angle of the same float vectors: acos of the
+        # cosine is off by up to 8e7 eps (radians) at 1e-6 degrees
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        rng = np.random.default_rng(int(deg * 1e6))
+        for dim in (2, 3, 5, 9):
+            for _ in range(5):
+                basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+                th = math.radians(deg)
+                a = basis[:, 0] * rng.uniform(0.1, 10.0)
+                b = (math.cos(th) * basis[:, 0] + math.sin(th) * basis[:, 1]) * rng.uniform(0.1, 10.0)
+                A, B = ([mpmath.mpf(float(x)) for x in v] for v in (a, b))
+                dot = mpmath.fsum(x * y for x, y in zip(A, B))
+                cross = mpmath.sqrt(mpmath.fsum(x * x for x in A) * mpmath.fsum(y * y for y in B) - dot**2)
+                ref = mpmath.atan2(cross, dot)
+                got = math.radians(gd._angle_deg(a, b, float(a @ b)))
+                assert abs(got - ref) <= 4 * np.finfo(float).eps
+
     def test_zero_gap_triples_have_orthogonal_geodesics(self, rng):
         # root-find q on a chord so that the gap vanishes; the inner product
         # must vanish with it

@@ -19,7 +19,9 @@ from _oracles import (
     pullback_metric,
     rc_curvature_assembled,
     riem_gradient_dual_ratio_form,
+    riem_gradient_dual_tilt_form,
     riem_gradient_primal_ratio_form,
+    riem_gradient_primal_tilt_form,
 )
 
 
@@ -417,6 +419,19 @@ class TestRiemannianGradients:
             c = geo.riem_gradient_dual(gen, r, q)
             d = riem_gradient_dual_ratio_form(gen, r, q)
             assert np.max(np.abs(c - d)) < 1e-12, name
+
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_ratio_tilts_match_the_coordinate_tilts(self, rng, n):
+        # X / (pi . X) from the points against exp(delta) / Z from the primal
+        # and dual coordinates, to 1e-13 of the gradient's largest entry
+        for name, gen in builtin_zoo(n).items():
+            for _ in range(5):
+                a, b = rng.dirichlet(np.ones(n), 2)
+                for new, old in ((geo.riem_gradient_primal, riem_gradient_primal_tilt_form),
+                                 (geo.riem_gradient_dual, riem_gradient_dual_tilt_form)):
+                    want = old(gen, a, b)
+                    got = new(gen, a, b)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
     def test_matches_metric_solve_of_fd_partials(self, rng):
         from _oracles import fd_gradient
