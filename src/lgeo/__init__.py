@@ -34,13 +34,9 @@ from .generators import (
     UniformCrossEntropy,
     ZeroGenerator,
     check_regularity,
-    constant_weighted,
-    convex_combination,
-    diversity_weighted,
     dual_coord,
     dual_euclidean,
     equal_weighted,
-    generalized_diversity_weighted,
     generator_from_config,
     generator_from_json,
     generator_to_json,

@@ -26,9 +26,7 @@ import numpy as np
 from .generators import (
     Generator,
     NonRegularError,
-    _coord_rows_for,
     _dual_rows,
-    _point_rows_for,
     _portfolio_at,
 )
 from .simplex import (
@@ -126,7 +124,7 @@ def _t_euclid(gen: Generator, ratio, logv_Q, logv_P):
 
 def l_divergence(gen: Generator, q, p) -> DivergenceValue:
     """T(q|p) computed through the portfolio: log(sum pi_i(p) q_i/p_i) - dphi."""
-    P = _point_rows_for(gen, q, p)
+    P = point_rows(q, p, gen=gen)
     logv = gen.log_gen(P)
     _, ratio = _ratios(P[0], P[1], gen.portfolio(P[1]))
     return DivergenceValue(value=float(_t_euclid(gen, ratio, logv[0], logv[1])), rep="euclidean")
@@ -138,14 +136,14 @@ def f_value(gen: Generator, theta):
     ``theta`` of shape (m,) gives a float; an (N, m) array of rows gives the
     N values as one array.
     """
-    th = _coord_rows_for(gen, theta, rows=True)[0]
+    th = coord_rows(theta, gen=gen, rows=True)[0]
     val = gen.log_gen(from_primal_many(th)) + psi_many(th)
     return float(val) if th.ndim == 1 else val
 
 
 def l_divergence_primal(gen: Generator, theta, theta2) -> DivergenceValue:
     """T between the points with exponential coordinates theta and theta2."""
-    Th = _coord_rows_for(gen, theta, theta2)
+    Th = coord_rows(theta, theta2, gen=gen)
     th, th2 = Th
     pi2 = _portfolio_at(gen, th2)
     if np.any(pi2 <= 0.0):
@@ -162,7 +160,7 @@ def l_divergence_dual(gen: Generator, phi, phi2) -> DivergenceValue:
     the inverse map is evaluated by Newton iteration unless the family has a
     closed form.
     """
-    Ph = _coord_rows_for(gen, phi, phi2)
+    Ph = coord_rows(phi, phi2, gen=gen)
     ph, ph2 = Ph
     Th = inverse_dual_coord(gen, Ph)
     th, th2 = Th
@@ -179,7 +177,7 @@ def bregman(gen, q, p) -> float:
     Accepts any generator-like object with ``log_gen`` and ``euclid_grad``;
     with the Shannon entropy as generator this is the relative entropy.
     """
-    P = _point_rows_for(gen, q, p)
+    P = point_rows(q, p, gen=gen)
     g = gen.euclid_grad(P[1])
     return float(g @ (P[0] - P[1]) - (gen.log_gen(P[0]) - gen.log_gen(P[1])))
 
@@ -385,9 +383,9 @@ def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
     quasi-concave function, so the minimizer is unique when it exists.
     """
     if x0 is None:
-        ph = _coord_rows_for(gen, phi)[0]
+        ph = coord_rows(phi, gen=gen)[0]
     else:  # the start is checked with phi, as one array
-        ph, x0 = _coord_rows_for(gen, phi, x0)
+        ph, x0 = coord_rows(phi, x0, gen=gen)
     starts = [np.zeros_like(ph)]
     closed = gen.dual_map_inverse(ph)
     if closed is not None:
@@ -418,7 +416,7 @@ def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
 
 def c_transform(gen: Generator, phi, x0=None) -> float:
     """The conjugate potential f*(phi) = inf_theta psi(theta - phi) - f(theta)."""
-    ph = _coord_rows_for(gen, phi)[0]
+    ph = coord_rows(phi, gen=gen)[0]
     th = c_transform_argmin(gen, ph, x0=x0)
     return float(psi(th - ph) - f_value(gen, th))
 
@@ -431,17 +429,20 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
     would get in any array.  A family's closed-form inverse maps all rows at
     once.  Without one, the rows are solved together by one batched damped
     Newton (:func:`_newton_max_u`); each row starts at ``x0`` (one start for
-    every row, or one per row) or, by default, at its own dual coordinate.
+    every row, or one per row; checked against ``phi`` whether or not it is
+    used) or, by default, at its own dual coordinate.
     The rows that the batch leaves unconverged go to
     :func:`c_transform_argmin` one at a time; if one of them still fails,
     the :class:`ConvergenceError` carries its ``row`` (0 for one point).
     """
-    ph = _coord_rows_for(gen, phi, rows=True)[0]
+    ph = coord_rows(phi, gen=gen, rows=True)[0]
+    Ph = np.atleast_2d(ph)
+    if x0 is not None:  # one start for every row, or one per row
+        x0 = coord_rows(Ph if np.ndim(x0) == 2 else Ph[0], x0, rows=True)[1]
     closed = gen.dual_map_inverse(ph)
     if closed is not None:
         return np.asarray(closed, dtype=float)
-    Ph = np.atleast_2d(ph)
-    start = Ph if x0 is None else np.broadcast_to(coord_rows(x0), Ph.shape)
+    start = Ph if x0 is None else np.broadcast_to(x0, Ph.shape)
     th, _, ok = _newton_max_u(gen, Ph, start)
     for j in np.flatnonzero(~ok):
         try:
@@ -456,7 +457,7 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
 
 def c_divergence(gen: Generator, p, p2) -> float:
     """D(p|p2) = c(theta, phi2) - f(theta) - f*(phi2); equals T(p|p2)."""
-    th, th2 = to_primal_many(_point_rows_for(gen, p, p2))
+    th, th2 = to_primal_many(point_rows(p, p2, gen=gen))
     f = f_value(gen, np.array([th, th2]))
     ph2 = _dual_rows(th2, _portfolio_at(gen, th2), gen.name)
     fstar2 = psi(th2 - ph2) - f[1]
@@ -465,7 +466,7 @@ def c_divergence(gen: Generator, p, p2) -> float:
 
 def c_divergence_dual(gen: Generator, p, p2) -> float:
     """D*(p|p2) = c(theta2, phi) - f*(phi) - f(theta2); equals T(p2|p)."""
-    th, th2 = to_primal_many(_point_rows_for(gen, p, p2))
+    th, th2 = to_primal_many(point_rows(p, p2, gen=gen))
     f = f_value(gen, np.array([th, th2]))
     ph = _dual_rows(th, _portfolio_at(gen, th), gen.name)
     fstar = psi(th - ph) - f[0]
@@ -478,7 +479,7 @@ def pyth_transport_gap(gen: Generator, p, q, r) -> float:
     Couples (q->p's partner, r->q's partner) against (q->q's, r->p's); the
     result coincides with T(q|p) + T(r|q) - T(r|p).
     """
-    Th = to_primal_many(_point_rows_for(gen, p, q, r))
+    Th = to_primal_many(point_rows(p, q, r, gen=gen))
     ph_p, ph_q = _dual_rows(Th[:2], _portfolio_at(gen, Th[:2]), gen.name)
     th_q, th_r = Th[1], Th[2]
     c = psi_many(np.array([th_q - ph_p, th_r - ph_q, th_r - ph_p, th_q - ph_q]))
@@ -497,14 +498,13 @@ def optimal_assignment(P_support, Q_support):
 
     Returns ``(assignment, cost)``: ``assignment[i]`` is the index of the
     target point coupled to source i, and ``cost`` the total transport cost.
-    One O(N^3) solve by ``scipy.optimize.linear_sum_assignment``.
+    The supports are (N, m) arrays of finite rows of one shape (or one point
+    each), checked by :func:`~lgeo.simplex.coord_rows`.  One O(N^3) solve by
+    ``scipy.optimize.linear_sum_assignment``.
     """
     from scipy.optimize import linear_sum_assignment
 
-    P = np.atleast_2d(np.asarray(P_support, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q_support, dtype=float))
-    if Q.shape[0] != P.shape[0]:
-        raise ValueError("equal-mass assignment needs equally sized supports")
+    P, Q = np.atleast_2d(*coord_rows(P_support, Q_support, rows=True))
     # cost matrix C[i, j] = c(theta_i, phi_j)
     C = psi_many(P[:, None, :] - Q[None, :, :])
     rows, cols = linear_sum_assignment(C)

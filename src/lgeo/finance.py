@@ -28,8 +28,9 @@ import numpy as np
 
 from ._table import write_table
 from .divergence import _ratios, _t_euclid
-from .generators import Generator, _check_dim
+from .generators import Generator
 from .geodesics import pythagorean_sign
+from .simplex import point_rows
 
 __all__ = [
     "MarketPath",
@@ -234,7 +235,7 @@ def fernholz_decompose(gen: Generator, path: MarketPath) -> BacktestReport:
     and stays at rounding level for any interior path.
     """
     W = path.weights
-    _check_dim(gen, W.shape[1])
+    point_rows(W[0], gen=gen)  # the rows passed MarketPath; this checks their dimension
     phis = gen.log_gen(W)
     ratios = np.log(np.sum(gen.portfolio(W[:-1]) * (W[1:] / W[:-1]), axis=1))
     divs = np.log1p(np.sum(gen.euclid_grad(W[:-1]) * (W[1:] - W[:-1]), axis=1)) - np.diff(phis)
@@ -276,7 +277,6 @@ def _schedule_log_value(gen: Generator, path: MarketPath, schedule) -> tuple:
     so only the rebalance times (plus the terminal time) matter.
     """
     W = path.weights
-    _check_dim(gen, W.shape[1])
     last = len(path) - 1
     stops = list(schedule)
     if stops != sorted(set(stops)):
@@ -305,6 +305,7 @@ def rebalance_compare(gen: Generator, path: MarketPath, schedule_a, schedule_b) 
     schedules the difference is reported as telescoped divergence sums with
     no sign law asserted.
     """
+    point_rows(path.weights[0], gen=gen)  # the rows passed MarketPath; this checks their dimension
     la, da = _schedule_log_value(gen, path, schedule_a)
     lb, db = _schedule_log_value(gen, path, schedule_b)
     report = CompareReport(

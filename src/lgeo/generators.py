@@ -27,8 +27,10 @@ its last axis: ``log_gen``, ``euclid_grad`` and ``portfolio`` take
 ``(..., n)`` points, ``dpi_dtheta`` ``(..., n-1)`` exponential coordinates.
 One point is the 1-d case (``log_gen`` then returns a float), a stack of
 points gives the stack of results, and no method validates its input.
-Inputs are checked once, at the public functions, through
-:func:`~lgeo.simplex.point_array` and :func:`~lgeo.simplex.point_rows`.
+Inputs are checked once, at the public functions: points through
+:func:`~lgeo.simplex.point_rows` and coordinates through
+:func:`~lgeo.simplex.coord_rows`, each against the generator's ``dim`` (the
+one number of entries of the points it applies to, or None for any).
 Library code below that boundary calls the generator methods and the private
 array kernels directly: ``_portfolio_at`` (portfolio at exponential
 coordinates), ``_dual_rows`` (dual coordinates) and ``_metric_rows``.
@@ -44,14 +46,11 @@ import numpy as np
 
 from .simplex import (
     DualCoord,
-    PrimalCoord,
     SimplexPoint,
     _identity,
-    coord_array,
     coord_rows,
     from_primal,
     from_primal_many,
-    point_array,
     point_rows,
     psi_many,
     row_sum,
@@ -69,10 +68,6 @@ __all__ = [
     "GeneralizedDiversityWeighted",
     "ConvexCombination",
     "CustomGenerator",
-    "constant_weighted",
-    "diversity_weighted",
-    "generalized_diversity_weighted",
-    "convex_combination",
     "equal_weighted",
     "portfolio",
     "dual_coord",
@@ -102,55 +97,6 @@ def _each_row(one, X):
         return one(X)
     out = np.array([one(x) for x in X.reshape(-1, X.shape[-1])])
     return out.reshape(X.shape[:-1] + out.shape[1:])
-
-
-def _check_dim(gen, n: int) -> None:
-    """Raise ValueError unless ``gen`` applies to points of ``n`` entries; a
-    generator-like object without ``dim`` applies to any."""
-    dim = getattr(gen, "dim", None)
-    if dim is not None and n != dim:
-        raise ValueError(f"dimension mismatch: generator {gen.name} of dimension {dim}, "
-                         f"points of dimension {n}")
-
-
-def _point_rows_for(gen, *points) -> np.ndarray:
-    """:func:`~lgeo.simplex.point_rows` of ``points``, checked against the
-    dimension of ``gen``."""
-    P = point_rows(*points)
-    _check_dim(gen, P.shape[1])
-    return P
-
-
-def _coord_rows_for(gen, *coords, rows: bool = False) -> np.ndarray:
-    """The coordinates ``coords`` stacked as one float array, checked once.
-
-    Each is a :class:`~lgeo.simplex.PrimalCoord`, a
-    :class:`~lgeo.simplex.DualCoord` or an array-like of m entries or, with
-    ``rows``, an (N, m) array of rows; all of one shape.  The stack is
-    tested for finite entries once, and ``gen`` against points of m + 1
-    entries.  Failing input goes coordinate by coordinate through
-    :func:`~lgeo.simplex.coord_rows`, which raises the first failing
-    coordinate's error; coordinates of different shapes are a dimension
-    mismatch.
-    """
-    arrays = [x.theta if isinstance(x, PrimalCoord) else x.phi if isinstance(x, DualCoord) else x
-              for x in coords]
-    try:
-        # one coordinate (or one array of rows) is stacked as a view, not copied
-        X = (np.asarray(arrays[0], dtype=float)[None] if len(arrays) == 1 else
-             np.array(arrays, dtype=float))
-    except (ValueError, TypeError):
-        X = None  # ragged, or entries that are not numbers
-    # logical_and.reduce is what X.all() calls, without its Python wrapper
-    if X is None or not 2 <= X.ndim <= 2 + rows or not np.logical_and.reduce(np.isfinite(X), None):
-        for x in coords:
-            if np.ndim(x) != 1 and not (rows and np.ndim(x) == 2):
-                coord_array(x)  # names the shape that is not a coordinate
-            coord_rows(x)
-        raise ValueError(f"dimension mismatch: coordinates of shapes "
-                         f"{[np.shape(x) for x in coords]}")
-    _check_dim(gen, X.shape[-1] + 1)
-    return X
 
 
 def _softmax_dpi(pi: np.ndarray, lam: float = 1.0) -> np.ndarray:
@@ -272,7 +218,8 @@ class ConstantWeighted(Generator):
     writes them as given, since that division is not idempotent."""
 
     def __init__(self, weights):
-        self.weights = point_array(weights)
+        self.weights = point_rows(weights)[0]
+        self.weights.flags.writeable = False  # UniformCrossEntropy caches and shares them
         self._given = np.array(weights, dtype=float)
         self.dim = self.weights.size
         self.name = "cw[" + ",".join(f"{w:g}" for w in self.weights) + "]"
@@ -448,13 +395,7 @@ class CustomGenerator(Generator):
 
 
 # ---------------------------------------------------------------------------
-# constructors matching the config vocabulary
-
-constant_weighted = ConstantWeighted
-diversity_weighted = DiversityWeighted
-generalized_diversity_weighted = GeneralizedDiversityWeighted
-convex_combination = ConvexCombination
-
+# the equal-weighted generator on n assets
 
 def equal_weighted(n: int) -> ConstantWeighted:
     return ConstantWeighted(np.full(n, 1.0 / n))
@@ -494,9 +435,7 @@ class Portfolio:
 
 def portfolio(gen: Generator, p) -> Portfolio:
     """Portfolio of ``gen`` at the open-simplex point ``p``, validated to sum to one."""
-    P = point_array(p)
-    _check_dim(gen, P.size)
-    return Portfolio(gen.portfolio(P))
+    return Portfolio(gen.portfolio(point_rows(p, gen=gen)[0]))
 
 
 def _portfolio_at(gen: Generator, Theta: np.ndarray) -> np.ndarray:
@@ -522,20 +461,18 @@ def _dual_rows(Theta: np.ndarray, Pi: np.ndarray, who: str) -> np.ndarray:
 
 def portfolio_theta(gen: Generator, theta) -> np.ndarray:
     """Portfolio weights at the point with exponential coordinate ``theta``."""
-    return _portfolio_at(gen, _coord_rows_for(gen, theta)[0])
+    return _portfolio_at(gen, coord_rows(theta, gen=gen)[0])
 
 
 def dual_coord(gen: Generator, theta) -> DualCoord:
     """Dual coordinates ``phi_i = theta_i - log(pi_i / pi_n)`` of a point."""
-    th = _coord_rows_for(gen, theta)[0]
+    th = coord_rows(theta, gen=gen)[0]
     return DualCoord(_dual_rows(th, _portfolio_at(gen, th), gen.name), generator=gen)
 
 
 def dual_euclidean(gen: Generator, p) -> SimplexPoint:
     """Dual Euclidean coordinates: the point with exponential coordinate -phi."""
-    P = point_array(p)
-    _check_dim(gen, P.size)
-    th = to_primal_many(P)
+    th = to_primal_many(point_rows(p, gen=gen)[0])
     return from_primal(-_dual_rows(th, _portfolio_at(gen, th), gen.name))
 
 
@@ -547,7 +484,7 @@ def jacobian_dual(gen: Generator, theta) -> np.ndarray:
     singular value below 1 counts as 1: the differences carry rounding noise
     of about 1e-11, so a zero Jacobian (the market generator's) is singular.
     """
-    th = _coord_rows_for(gen, theta)[0]
+    th = coord_rows(theta, gen=gen)[0]
     h = 1e-5 * max(1.0, np.linalg.norm(th))
     m = th.size
     # rows th + h e_j, then th - h e_j
@@ -567,10 +504,7 @@ def weights_from_gaussian(a, b, lam: float) -> np.ndarray:
     ``w_i = exp((1 - lam) a_i - b_i)``, so that
     ``(1 - lam) a_i - log(w_i / w_n) = b_i`` holds exactly.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("a and b must have equal length n-1")
+    a, b = coord_rows(a, b)
     return np.concatenate([np.exp((1.0 - lam) * a - b), [1.0]])
 
 
@@ -622,7 +556,7 @@ def check_regularity(gen: Generator, sample_points) -> RegularityReport:
     """
     if len(sample_points) == 0:
         raise ValueError("the regularity audit needs at least one point")
-    P = _point_rows_for(gen, *sample_points)
+    P = point_rows(*sample_points, gen=gen)
     Pi = gen.portfolio(P)
     G = _metric_rows(Pi, gen.dpi_dtheta(to_primal_many(P)))
     min_eig = np.linalg.eigvalsh((G + np.swapaxes(G, -1, -2)) / 2)[:, 0]

@@ -54,16 +54,16 @@ from .divergence import _ratios, _t_euclid, f_value, inverse_dual_coord
 from .generators import (
     Generator,
     _check_interior,
-    _coord_rows_for,
     _dual_rows,
-    _point_rows_for,
     _portfolio_at,
 )
 from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_gradient
 from .simplex import (
     _as_vector,
     _log_tilt,
+    coord_rows,
     from_primal_many,
+    point_rows,
     psi_many,
     row_sum,
     to_primal_many,
@@ -132,7 +132,8 @@ class Curve:
         if self.velocities is not None:
             self.velocities = np.asarray(self.velocities, dtype=float)
             if self.velocities.shape != self.points.shape:
-                raise ValueError("velocities must match points in shape")
+                raise ValueError(f"velocities of shape {self.velocities.shape} "
+                                 f"at points of shape {self.points.shape}")
 
     def __len__(self):
         return self.times.size
@@ -404,7 +405,7 @@ def _chord(gen: Generator, q, r, sign: float, flow: bool = False):
     u -> xi, the chord with its log rate, u -> (xi, log rate), and its span
     (:func:`_chord_map`), and ``theta(u, rows)``: for phi rows the inverse
     dual map of :func:`_chord_inverse`, for theta rows None."""
-    Th = to_primal_many(_point_rows_for(gen, q, r))
+    Th = to_primal_many(point_rows(q, r, gen=gen))
     xi = Th if sign > 0 else _dual_rows(Th, _portfolio_at(gen, Th), gen.name)
     rated, span = _chord_map(xi, sign, flow)
     chord = lambda u: rated(u)[0]
@@ -527,7 +528,7 @@ def integrate_geodesic(gen: Generator, xi0, v0, which: str = "primal",
     if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
     times = _flow_times(t_end, steps)
-    xi, v = _coord_rows_for(gen, xi0)[0], _as_vector(v0, "velocity")
+    xi, v = coord_rows(xi0, gen=gen)[0], _as_vector(v0, "velocity")
     if v.shape != xi.shape:
         raise ValueError(f"velocity of shape {v.shape} at a coordinate of shape {xi.shape}")
     a = np.max(np.abs(v)) or 1.0  # any scale serves a zero velocity
@@ -680,7 +681,7 @@ def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
     """
     if which not in ("primal", "dual"):
         raise ValueError("which must be 'primal' or 'dual'")
-    Th = to_primal_many(_point_rows_for(gen, q, target))
+    Th = to_primal_many(point_rows(q, target, gen=gen))
     Pi = _portfolio_at(gen, Th)
     pi_q, dpi_q = Pi[0], gen.dpi_dtheta(Th[0])
     if which == "primal":
@@ -760,7 +761,7 @@ def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     the metric, whose Cholesky factor L gives the inner product and the
     angle (``_angle_deg``) from a = L^T u and b = L^T v.
     """
-    P = _point_rows_for(gen, p, q, r)
+    P = point_rows(p, q, r, gen=gen)
     Pi = gen.portfolio(P[:2])
     pi_p, pi_q = Pi
     # the gap: T(q|p), T(r|q) and T(r|p) as rows, from the rows of p, q, r
@@ -805,7 +806,7 @@ class RegionSample:
 
 def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
     """Vectorized gap T(q|p) + T(r|q) - T(r|p) over rows q of Q."""
-    pa, ra = _point_rows_for(gen, p, r)
+    pa, ra = point_rows(p, r, gen=gen)
     pi_p = gen.portfolio(pa)
     logv_p = gen.log_gen(pa)
     logv_r = gen.log_gen(ra)
@@ -845,7 +846,7 @@ def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSamp
     """
     if grid_resolution < 3:
         raise ValueError(f"grid_resolution must be at least 3, got {grid_resolution}")
-    pa, ra = _point_rows_for(gen, p, r)
+    pa, ra = point_rows(p, r, gen=gen)
     if pa.size != 3:
         raise ValueError("region sampling draws on the 2-simplex: need n = 3")
     idx, Q, index_map = _barycentric_lattice(grid_resolution)

@@ -30,10 +30,8 @@ from .generators import (
     Generator,
     NonRegularError,
     _check_interior,
-    _coord_rows_for,
     _dual_rows,
     _metric_rows,
-    _point_rows_for,
     _portfolio_at,
 )
 from .simplex import (
@@ -42,6 +40,8 @@ from .simplex import (
     _log_tilt,
     _max_reduce,
     _with_tail,
+    coord_rows,
+    point_rows,
     to_primal_many,
 )
 
@@ -128,13 +128,13 @@ def _tilted(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def pi_quantities(gen: Generator, theta, theta2) -> PiQuantities:
     """Weights Pi_i(theta, theta2): the portfolio at theta2 tilted toward theta."""
-    th, th2 = _coord_rows_for(gen, theta, theta2)
+    th, th2 = coord_rows(theta, theta2, gen=gen)
     return PiQuantities(values=_tilted(_portfolio_at(gen, th2), th - th2), kind="primal")
 
 
 def pi_quantities_dual(gen: Generator, phi, phi2) -> PiQuantities:
     """Weights Pi*_i(phi, phi2): the portfolio at the *first* point, tilted."""
-    ph, ph2 = _coord_rows_for(gen, phi, phi2)
+    ph, ph2 = coord_rows(phi, phi2, gen=gen)
     pi = _portfolio_at(gen, inverse_dual_coord(gen, ph))
     return PiQuantities(values=_tilted(pi, ph - ph2), kind="dual")
 
@@ -160,7 +160,7 @@ def metric_euclidean(gen: Generator, p, u, v) -> float:
     exponential coordinates, d theta_i = u_i / p_i - u_n / p_n; on the
     tangent hyperplane it equals ``-Hess Phi / Phi``.
     """
-    arr = _point_rows_for(gen, p)[0]
+    arr = point_rows(p, gen=gen)[0]
     u, v = _tangent_pair(u, v, arr.size)
     if abs(u.sum()) > 1e-10 or abs(v.sum()) > 1e-10:
         raise ValueError("tangent vectors must have zero component sum")
@@ -171,7 +171,7 @@ def metric_euclidean(gen: Generator, p, u, v) -> float:
 
 def dual_jacobian(gen: Generator, theta) -> np.ndarray:
     """Analytic Jacobian d phi / d theta of the dual coordinate map."""
-    th = _coord_rows_for(gen, theta)[0]
+    th = coord_rows(theta, gen=gen)[0]
     return _jacobian_from_portfolio(_portfolio_at(gen, th), gen.dpi_dtheta(th))
 
 
@@ -211,7 +211,7 @@ def metric_primal(gen: Generator, theta) -> MetricMatrix:
     ``I - 1 pi^T`` with the inverse dual Jacobian, avoiding a generic matrix
     inversion of the metric itself.
     """
-    th = _coord_rows_for(gen, theta)[0]
+    th = coord_rows(theta, gen=gen)[0]
     pi, dpi = _portfolio_at(gen, th), gen.dpi_dtheta(th)
     G, _ = _metric_entries(gen, pi, dpi)
     M = np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1]
@@ -224,10 +224,10 @@ def _dual_point(gen: Generator, phi, theta):
     if (phi is None) == (theta is None):
         raise ValueError("give the point by exactly one of phi and theta")
     if theta is None:
-        phi = _coord_rows_for(gen, phi)[0]
+        phi = coord_rows(phi, gen=gen)[0]
         th = inverse_dual_coord(gen, phi)
     else:
-        th = _coord_rows_for(gen, theta)[0]
+        th = coord_rows(theta, gen=gen)[0]
     pi = _portfolio_at(gen, th)
     return th, pi, _dual_rows(th, pi, gen.name) if phi is None else phi
 
@@ -257,7 +257,7 @@ def _christoffel_raised(pi_trunc: np.ndarray, sign: float) -> np.ndarray:
 
 
 def christoffel_primal(gen: Generator, theta) -> ChristoffelTensor:
-    th = _coord_rows_for(gen, theta)[0]
+    th = coord_rows(theta, gen=gen)[0]
     pi = _portfolio_at(gen, th)
     return ChristoffelTensor(
         gamma=_christoffel_raised(pi[:-1], +1.0), coord="primal", base_point=th.copy()
@@ -326,7 +326,7 @@ def riem_gradient_primal(gen: Generator, r, q) -> np.ndarray:
     Z = sum_l pi_l(q) exp(theta^r_l - theta^q_l).  With X = r/q the tilt
     exp(theta^r - theta^q) / Z is X / (pi(q) . X), the ratio of T(r | q).
     """
-    R, Q = _point_rows_for(gen, r, q)
+    R, Q = point_rows(r, q, gen=gen)
     X, ratio = _ratios(R, Q, gen.portfolio(Q))
     E = X / ratio
     return E[-1] - E[:-1]
@@ -340,7 +340,7 @@ def riem_gradient_dual(gen: Generator, p, q) -> np.ndarray:
     exp(phi^q - phi^p) / Z* is X pi(p) / pi(q) / (pi(p) . X), the ratio
     of T(q | p), as in :func:`~lgeo.geodesics.pythagorean_sign`.
     """
-    P = _point_rows_for(gen, p, q)
+    P = point_rows(p, q, gen=gen)
     Pi = gen.portfolio(P)
     _check_interior(Pi, gen.name)  # the dual tilt needs pi(p), pi(q) > 0
     X, ratio = _ratios(P[1], P[0], Pi[0])

@@ -15,13 +15,18 @@ the package.
 All exp/log aggregations are max-shifted so that coordinates of order
 +-50, which occur along geodesics, do not overflow.
 
-Inputs are checked once, at the public boundary: :func:`point_array`
-validates one point through :class:`SimplexPoint`, and :func:`point_rows`
-validates a group of points of one common dimension as one array and returns
-their plain rows.  It tests the stacked array with one whole-array reduction
-(the least entry) and the few row sums as floats, and does per-row work only
-for a :class:`SimplexPoint` argument, whose stored row it keeps; so a
-single-point library call spends a handful of numpy calls on its checks.
+Inputs are checked once, at the public boundary, by two functions: every
+public entry point passes its points through :func:`point_rows` and its
+coordinates through :func:`coord_rows`, each with the generator, if any.
+:func:`point_rows` validates points of one common dimension as one array and
+returns their plain rows: it tests the stacked array with one whole-array
+reduction (the least entry) and the few row sums as floats, and does per-row
+work only for a :class:`SimplexPoint` argument, whose stored row it keeps.
+:func:`coord_rows` stacks coordinates of one common shape and tests them for
+finite entries in one reduction.  Both then check the dimension against the
+generator's ``dim``.  So a single-point library call spends a handful of
+numpy calls on its checks; failing input goes one argument at a time, and
+the error of a point is that of :class:`SimplexPoint`.
 The kernels below that boundary
 (:func:`psi_many`, :func:`from_primal_many`, :func:`to_primal_many` and the
 log-sum ``_log_tilt``) take plain float arrays of shape ``(..., k)``, reduce
@@ -160,72 +165,85 @@ class CostValue:
         return self.nats
 
 
-def coord_array(x) -> np.ndarray:
-    """Coerce a PrimalCoord / DualCoord / array-like to a plain 1-d array."""
-    if isinstance(x, PrimalCoord):
-        return x.theta
-    if isinstance(x, DualCoord):
-        return x.phi
-    return _as_vector(x, "coordinate")
-
-
-def coord_rows(x) -> np.ndarray:
-    """Like :func:`coord_array`, but also accepts an (N, n-1) array of rows."""
-    if isinstance(x, (PrimalCoord, DualCoord)):
-        return coord_array(x)
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        return _as_vector(arr, "coordinate")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinate rows must have finite entries")
-    return arr
-
-
-def point_array(x) -> np.ndarray:
-    """Coerce a SimplexPoint or array-like to a plain 1-d probability array."""
-    if isinstance(x, SimplexPoint):
-        return x.p
-    return SimplexPoint(x).p
-
-
-def point_rows(*points) -> np.ndarray:
+def point_rows(*points, gen=None) -> np.ndarray:
     """Validate points of one common dimension as one (k, n) array.
 
-    Returns the array of their probability rows, each bitwise the row that
-    :func:`point_array` gives.  The :class:`SimplexPoint` checks run once on
-    the stacked rows: one whole-array reduction for the least entry, which
-    must exceed ``ENTRY_FLOOR``, and a test of the k row sums as floats,
-    each within ``SUM_TOL`` of 1 (NaN and inf fail both, as in
-    SimplexPoint).  Each row is then divided by its own sum.  A
-    :class:`SimplexPoint` argument is taken as stored; without one, no
-    per-row bookkeeping is done.  Ragged or failing input goes point by
-    point through :func:`point_array`, which raises the error of the first
-    failing point; a dimension mismatch is a ``ValueError``.  Their
-    exponential coordinates are ``to_primal_many`` of the rows, bitwise
-    equal to :func:`to_primal`.
+    Returns the array of their probability rows, each bitwise the ``p`` of
+    a :class:`SimplexPoint` of it (a :class:`SimplexPoint` argument is taken
+    as stored).  The :class:`SimplexPoint` checks run once on the stacked
+    rows: one whole-array reduction for the least entry, which must exceed
+    ``ENTRY_FLOOR``, and a test of the k row sums as floats, each within
+    ``SUM_TOL`` of 1 (NaN and inf fail both, as in SimplexPoint).  Each row
+    is then divided by its own sum; without a :class:`SimplexPoint`
+    argument no per-row bookkeeping is done.  Ragged or failing input goes
+    point by point through :class:`SimplexPoint`, which raises the error of
+    the first failing point; points of different dimensions, or of another
+    dimension than a generator ``gen`` of fixed ``dim``, are a
+    ``ValueError`` naming both dimensions.  Their exponential coordinates
+    are ``to_primal_many`` of the rows, bitwise equal to :func:`to_primal`.
     """
     try:
         P = np.array([x.p if isinstance(x, SimplexPoint) else x for x in points], dtype=float)
     except (ValueError, TypeError):
         P = None  # ragged rows, or entries that are not numbers
-    if P is not None and P.ndim == 2 and P.shape[1] >= 2:
-        total = _add_reduce(P, 1)
-        # the least entry fails `> ENTRY_FLOOR` on nan and -inf, and an inf
-        # entry (or an overflowing sum) fails the sum test, so these two are
-        # the finiteness, positivity and sum checks of SimplexPoint; the few
-        # sums are tested as floats, which costs less than a reduction
-        if _min_reduce(P, None) > ENTRY_FLOOR and all(
-                abs(t - 1.0) <= SUM_TOL for t in total.tolist()):
-            stored = [k for k, x in enumerate(points) if isinstance(x, SimplexPoint)]
-            if stored:
-                total[stored] = 1.0  # stored rows are already divided
-            P /= total[:, None]
-            return P
-    rows = [point_array(x) for x in points]
+    total = _add_reduce(P, 1) if P is not None and P.ndim == 2 and P.shape[1] >= 2 else None
+    # the least entry fails `> ENTRY_FLOOR` on nan and -inf, and an inf entry
+    # (or an overflowing sum) fails the sum test, so these two are the
+    # finiteness, positivity and sum checks of SimplexPoint; the few sums are
+    # tested as floats, which costs less than a reduction
+    if total is not None and _min_reduce(P, None) > ENTRY_FLOOR and all(
+            abs(t - 1.0) <= SUM_TOL for t in total.tolist()):
+        stored = [k for k, x in enumerate(points) if isinstance(x, SimplexPoint)]
+        if stored:
+            total[stored] = 1.0  # stored rows are already divided
+        P /= total[:, None]
+    else:
+        rows = [x.p if isinstance(x, SimplexPoint) else SimplexPoint(x).p for x in points]
+        try:
+            P = np.array(rows)  # rows of unequal length do not stack
+        except ValueError:
+            sizes = [r.size for r in rows]
+            raise ValueError(f"dimension mismatch: points of sizes {sizes}") from None
+    dim = getattr(gen, "dim", None)  # a generator without one applies to any dimension
+    if dim is not None and P.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: generator {gen.name} of dimension {dim}, "
+                         f"points of dimension {P.shape[1]}")
+    return P
+
+
+def coord_rows(*coords, gen=None, rows: bool = False) -> np.ndarray:
+    """Validate coordinates of one common shape as one stacked float array.
+
+    Each is a :class:`PrimalCoord`, a :class:`DualCoord` or an array-like of
+    m entries or, with ``rows``, an (N, m) array of rows; the result has
+    shape ``(len(coords),) + shape``.  The stack is tested for finite
+    entries once.  Failing input goes coordinate by coordinate, which raises
+    the first failing coordinate's error; coordinates of different shapes,
+    or of m + 1 entries other than the ``dim`` of a generator ``gen``, are
+    a ``ValueError`` naming both dimensions.
+    """
+    arrays = [x.theta if isinstance(x, PrimalCoord) else x.phi if isinstance(x, DualCoord) else x
+              for x in coords]
     try:
-        return np.array(rows)  # rows of unequal length do not stack
-    except ValueError:
-        raise ValueError(f"dimension mismatch: points of sizes {[r.size for r in rows]}") from None
+        # one coordinate (or one array of rows) is stacked as a view, not copied
+        X = (np.asarray(arrays[0], dtype=float)[None] if len(arrays) == 1 else
+             np.array(arrays, dtype=float))
+    except (ValueError, TypeError):
+        X = None  # ragged, or entries that are not numbers
+    # logical_and.reduce is what X.all() calls, without its Python wrapper
+    if X is None or not 2 <= X.ndim <= 2 + rows or not np.logical_and.reduce(np.isfinite(X), None):
+        for x in arrays:
+            if rows and np.ndim(x) == 2:
+                _as_vector(np.ravel(x), "coordinate rows")
+            else:
+                _as_vector(x, "coordinate")
+        raise ValueError(f"dimension mismatch: coordinates of shapes "
+                         f"{[np.shape(x) for x in arrays]}")
+    dim = getattr(gen, "dim", None)
+    if dim is not None and X.shape[-1] + 1 != dim:
+        raise ValueError(f"dimension mismatch: generator {gen.name} of dimension {dim}, "
+                         f"points of dimension {X.shape[-1] + 1}")
+    return X
 
 
 # Rows from which a last axis of length 2-7 is reduced column by column.  At
@@ -318,7 +336,7 @@ def softmax_with_tail(x) -> np.ndarray:
 
 def to_primal(p) -> PrimalCoord:
     """Exponential coordinates ``theta_i = log(p_i / p_n)`` of a point."""
-    return PrimalCoord(to_primal_many(point_array(p)))
+    return PrimalCoord(to_primal_many(point_rows(p)[0]))
 
 
 def to_primal_many(P: np.ndarray) -> np.ndarray:
@@ -338,8 +356,7 @@ def from_primal_many(Theta: np.ndarray) -> np.ndarray:
 
 def from_primal(theta) -> SimplexPoint:
     """Inverse of :func:`to_primal`; overflow-safe for large coordinates."""
-    x = coord_array(theta)
-    return SimplexPoint(softmax_with_tail(x))
+    return SimplexPoint(softmax_with_tail(coord_rows(theta)[0]))
 
 
 def cost(theta, phi) -> CostValue:
@@ -349,10 +366,7 @@ def cost(theta, phi) -> CostValue:
     removed, ``psi(x) - log(n) - sum(x)/n``; by Jensen's inequality it is
     non-negative and zero exactly at ``theta == phi``.
     """
-    t = coord_array(theta)
-    f = coord_array(phi)
-    if t.shape != f.shape:
-        raise ValueError(f"dimension mismatch: {t.shape} vs {f.shape}")
+    t, f = coord_rows(theta, phi)
     x = t - f
     n = x.size + 1
     raw = psi(x)

@@ -38,16 +38,16 @@ from .generators import (
     GeneralizedDiversityWeighted,
     UniformCrossEntropy,
     ZeroGenerator,
-    _coord_rows_for,
     _dual_rows,
-    _point_rows_for,
     _portfolio_at,
     weights_from_gaussian,
 )
 from .geodesics import Curve, _grid
 from .simplex import (
-    coord_array,
+    _as_vector,
+    coord_rows,
     from_primal_many,
+    point_rows,
     psi,
     psi_many,
     softmax_with_tail,
@@ -123,10 +123,7 @@ def minimizing_curve(theta, phi, grid=None) -> Curve:
     and the terminal portfolio, so the integrand is constant and the action
     equals the transport cost psi(theta - phi).
     """
-    th = coord_array(theta)
-    ph = coord_array(phi)
-    if th.shape != ph.shape:
-        raise ValueError("theta and phi must have equal dimension")
+    th, ph = coord_rows(theta, phi)
     ts = _grid(grid)
     n = th.size + 1
     q1 = softmax_with_tail(th - ph)
@@ -187,11 +184,11 @@ class InterpolationFamily:
 
     def portfolio_at(self, t: float, p) -> np.ndarray:
         """Blended weights, directly from the defining linear interpolation."""
-        return self._blend(t, _point_rows_for(self.base, p)[0])
+        return self._blend(t, point_rows(p, gen=self.base)[0])
 
     def dual_map_at(self, t: float, theta) -> np.ndarray:
         """The transport map F_t in coordinates: theta - log weight ratios."""
-        th = _coord_rows_for(self.base, theta)[0]
+        th = coord_rows(theta, gen=self.base)[0]
         return _dual_rows(th, self._blend(t, from_primal_many(th)), f"{self.kind} interpolation")
 
     def trajectory(self, theta, grid=None) -> Curve:
@@ -200,7 +197,7 @@ class InterpolationFamily:
         The base portfolio at theta is evaluated once; all grid times are
         blended as one array and mapped together."""
         ts = _grid(grid)
-        th = _coord_rows_for(self.base, theta)[0]
+        th = coord_rows(theta, gen=self.base)[0]
         Pi = self._blend(ts, from_primal_many(th))
         return Curve(ts, _dual_rows(th, Pi, f"{self.kind} interpolation"), "dual")
 
@@ -278,11 +275,15 @@ def gaussian_example_check(a, b, sigma, lam, sample_size: int = 100_000,
     4 sd/sqrt(N), variances within 5% of (1 - lam)^2 sigma_i^2 (the
     variance an affine map with slope 1 - lam produces).  Sampling is
     chunked with per-chunk derived seeds so results are reproducible
-    regardless of chunking.
+    regardless of chunking.  ``a``, ``b`` and ``sigma`` are finite vectors
+    of one length (a number is one entry); a ``ValueError`` names the one
+    that is not.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    a, b, sigma = (_as_vector(np.atleast_1d(x), name)
+                   for x, name in ((a, "a"), (b, "b"), (sigma, "sigma")))
+    if not a.size == b.size == sigma.size:
+        sizes = [a.size, b.size, sigma.size]
+        raise ValueError(f"dimension mismatch: a, b and sigma of sizes {sizes}")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     if np.any(sigma <= 0):

@@ -16,9 +16,8 @@ from lgeo.generators import Generator, _portfolio_at, dual_coord, portfolio_thet
 from lgeo.geodesics import Curve, GeodesicBlowupError, RegionSample, _rk4_step, region_gap
 from lgeo.simplex import (
     _log_tilt,
-    coord_array,
+    coord_rows,
     from_primal_many,
-    point_array,
     point_rows,
     psi,
     psi_many,
@@ -85,7 +84,7 @@ def rc_curvature_assembled(gen: Generator, point, which: str = "primal", h: floa
     The Christoffel field is the closed form; its coordinate derivatives are
     taken by central differences, so this is an independent route to R.
     """
-    xi = coord_array(point)
+    xi = coord_rows(point)[0]
     m = xi.size
 
     if which == "primal":
@@ -159,7 +158,7 @@ def dual_connection_in_primal_coords(gen: Generator, theta, h: float = FD_STEP_H
     analytic dual Jacobian and a finite-difference second derivative of the
     dual coordinate map.
     """
-    th = coord_array(theta)
+    th = coord_rows(theta)[0]
     m = th.size
     J = geo.dual_jacobian(gen, th)  # d phi / d theta
     A = np.linalg.inv(J)  # d theta / d phi
@@ -407,7 +406,7 @@ def brute_force_optimal(P_support, Q_support):
 
 def region_sample_scan(gen, p, r, grid_resolution):
     """``region_sample`` with a tuple-built lattice and a per-point neighbour scan."""
-    pa, ra = point_array(p), point_array(r)
+    pa, ra = point_rows(p)[0], point_rows(r)[0]
     idx = []
     for i in range(1, grid_resolution):
         for j in range(1, grid_resolution - i):
@@ -478,7 +477,7 @@ def geodesic_invariant(gen, xi, v, which, theta_hint=None) -> np.ndarray:
 def integrate_geodesic_stages(gen, xi0, v0, which="primal", steps=128, t_end=1.0):
     """The geodesic equation stepped by fixed-step classical RK4 from
     (xi0, v0), with the four stages of (xi, v) written out."""
-    xi = coord_array(xi0).copy()
+    xi = coord_rows(xi0)[0].copy()
     v = np.asarray(v0, dtype=float).copy()
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)

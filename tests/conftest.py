@@ -20,11 +20,11 @@ def builtin_zoo(n: int) -> dict:
     w = rng.dirichlet(np.ones(n)) * 0.5 + 0.5 / n  # interior, not too skewed
     zoo = {
         "equal": G.equal_weighted(n),
-        "constant": G.constant_weighted(w),
-        "diversity": G.diversity_weighted(0.5),
-        "gdw": G.generalized_diversity_weighted(rng.uniform(0.5, 2.0, size=n), 0.4),
+        "constant": G.ConstantWeighted(w),
+        "diversity": G.DiversityWeighted(0.5),
+        "gdw": G.GeneralizedDiversityWeighted(rng.uniform(0.5, 2.0, size=n), 0.4),
     }
-    zoo["mix"] = G.convex_combination([zoo["constant"], zoo["diversity"]], [0.4, 0.6])
+    zoo["mix"] = G.ConvexCombination([zoo["constant"], zoo["diversity"]], [0.4, 0.6])
     return zoo
 
 

@@ -43,10 +43,10 @@ from _oracles import (
 def acceptance_zoo(n):
     rng = np.random.default_rng(500 + n)
     w = rng.dirichlet(np.ones(n)) * 0.6 + 0.4 / n
-    cw = G.constant_weighted(w)
-    dw = G.diversity_weighted(0.5)
-    gdw = G.generalized_diversity_weighted(rng.uniform(0.5, 2.0, size=n), 0.4)
-    mix = G.convex_combination([cw, dw], [0.5, 0.5])
+    cw = G.ConstantWeighted(w)
+    dw = G.DiversityWeighted(0.5)
+    gdw = G.GeneralizedDiversityWeighted(rng.uniform(0.5, 2.0, size=n), 0.4)
+    mix = G.ConvexCombination([cw, dw], [0.5, 0.5])
     return {"constant": cw, "diversity": dw, "gdw": gdw, "mix": mix}
 
 

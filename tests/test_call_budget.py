@@ -49,8 +49,8 @@ def numpy_calls(call) -> list:
 
 def _families():
     w = np.linspace(1.0, 2.0, 3)
-    dw = G.diversity_weighted(0.5)
-    mix = G.convex_combination([G.constant_weighted(w / w.sum()), dw], [0.4, 0.6])
+    dw = G.DiversityWeighted(0.5)
+    mix = G.ConvexCombination([G.ConstantWeighted(w / w.sum()), dw], [0.4, 0.6])
     return {"dw": dw, "mix": mix}
 
 

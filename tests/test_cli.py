@@ -192,7 +192,7 @@ class TestRegionCommand:
 
     def test_csv_bytes_match_per_row_formatting(self, tmp_path):
         out = tmp_path / "region.csv"
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         p, r = np.array([0.3, 0.3, 0.4]), np.array([0.5, 0.2, 0.3])
         sample = cli.emit_region(gen, p, r, 100, out)  # 4853 rows: two blocks
         expected = "q1,q2,q3,gap,in_region\n" + "".join(
@@ -379,6 +379,19 @@ class TestExitCodes:
         assert err.startswith("error: dimension mismatch: generator ")
         assert "of dimension 2, points of dimension 3" in err and "broadcast" not in err
 
+    @pytest.mark.parametrize("a, b, sigma, message", [
+        ("0.3,-0.2", "0.1,0.4", "0.8,1.2,1.0",
+         "dimension mismatch: a, b and sigma of sizes [2, 2, 3]"),
+        ("0.3,-0.2", "0.1,0.4", "0.8,inf", "sigma must have finite entries"),
+        ("nan,-0.2", "0.1,0.4", "0.8,1.2", "a must have finite entries"),
+    ], ids=["sigma-length", "sigma-inf", "a-nan"])
+    def test_numerical_error_transport_check_names_the_bad_argument(self, capsys, a, b, sigma,
+                                                                    message):
+        assert run_cli("transport-check", f"--a={a}", f"--b={b}", f"--sigma={sigma}",
+                       "--lam", "0.5", "--samples", "100") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_usage_error_mix_of_parts_of_different_dimensions(self, capsys):
         assert run_cli("divergence", "--gen", "mix:0.5*eq2+0.5*eq3", "--p=0.2,0.3,0.5",
                        "--q=0.5,0.25,0.25") == 1
@@ -446,7 +459,7 @@ loaded["cli"] = lazy_modules()
 import numpy as np
 from lgeo import transport
 from lgeo.geodesics import geodesic_residual
-gen = lgeo.diversity_weighted(0.5)
+gen = lgeo.DiversityWeighted(0.5)
 curve = lgeo.primal_geodesic(gen, [.6, .25, .15], [.2, .3, .5])
 mid = (curve.times[1:] + curve.times[:-1]) / 2
 rng = np.random.default_rng(3)
@@ -486,7 +499,7 @@ class TestColdStart:
         assert all(m in got["after"] for m in LAZY_SCIPY)
         # each function returns what it returns in this process, where scipy
         # was loaded long before, and what it is meant to return
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         curve = gd.primal_geodesic(gen, [.6, .25, .15], [.2, .3, .5])
         mid = (curve.times[1:] + curve.times[:-1]) / 2
         assert np.array_equal(got["spline"], curve.spline()(mid))

@@ -37,7 +37,7 @@ class TestLDivergence:
             assert abs(a - b) < 1e-10, name
 
     def test_numeraire_invariance_constant_weighted(self, rng):
-        gen = G.constant_weighted([0.5, 0.3, 0.2])
+        gen = G.ConstantWeighted([0.5, 0.3, 0.2])
         for _ in range(20):
             p = rng.dirichlet(np.ones(3))
             q = rng.dirichlet(np.ones(3))
@@ -59,14 +59,14 @@ class TestLDivergence:
 
 class TestCoordinateRepresentations:
     def test_zero_on_diagonal(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th = rng.normal(size=2)
         assert abs(D.l_divergence_primal(gen, th, th).value) < 1e-14
         ph = G.dual_coord(gen, th).phi
         assert abs(D.l_divergence_dual(gen, ph, ph).value) < 1e-14
 
     def test_translation_invariance_constant_weighted(self, rng):
-        gen = G.constant_weighted([0.4, 0.35, 0.25])
+        gen = G.ConstantWeighted([0.4, 0.35, 0.25])
         th1, th2 = rng.normal(size=2), rng.normal(size=2)
         a = rng.normal(size=2)
         base = D.l_divergence_primal(gen, th1, th2).value
@@ -95,7 +95,7 @@ class TestCoordinateRepresentations:
 
 class TestBregman:
     def test_zero_on_diagonal(self, rng):
-        gen = G.diversity_weighted(0.4)
+        gen = G.DiversityWeighted(0.4)
         p = rng.dirichlet(np.ones(3))
         assert abs(D.bregman(gen, p, p)) < 1e-14
 
@@ -125,7 +125,7 @@ class TestBregman:
 class TestCTransform:
     def test_constant_weighted_conjugate_affine(self, rng):
         w = np.array([0.5, 0.3, 0.2])
-        gen = G.constant_weighted(w)
+        gen = G.ConstantWeighted(w)
         entropy = -float(w @ np.log(w))
         for _ in range(5):
             ph = rng.normal(size=2)
@@ -137,7 +137,7 @@ class TestCTransform:
         assert D.c_transform(gen, np.zeros(3)) == pytest.approx(np.log(4), abs=1e-10)
 
     def test_fenchel_inequality_random_pairs(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         for _ in range(20):
             th = rng.normal(size=2)
             ph = rng.normal(size=2)
@@ -145,7 +145,7 @@ class TestCTransform:
             assert D.f_value(gen, th) + fstar <= psi(th - ph) + 1e-9
 
     def test_fenchel_equality_on_graph_strict_off(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th = rng.normal(size=2)
         ph = G.dual_coord(gen, th).phi
         fstar = D.c_transform(gen, ph)
@@ -219,6 +219,18 @@ class TestCTransform:
         with pytest.raises(D.ConvergenceError, match="did not converge") as info:
             D.inverse_dual_coord(gen, ph)
         assert info.value.row == 0
+
+    @pytest.mark.parametrize("phi, x0", [
+        ([0.1, 0.2], [0.0, 0.0, 0.0]),
+        ([[0.1, 0.2]] * 2, [[0.0, 0.0]] * 3),
+        ([[0.1, 0.2]] * 2, [0.0, 0.0, 0.0]),
+    ], ids=["one-point", "rows", "one-start-for-rows"])
+    def test_start_of_another_shape_is_a_dimension_mismatch(self, phi, x0):
+        # the start used to reach np.broadcast_to, whose message was
+        # "operands could not be broadcast together with remapped shapes"
+        for gen in (builtin_zoo(3)["mix"], G.DiversityWeighted(0.5)):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: coordinates of shapes"):
+                D.inverse_dual_coord(gen, phi, x0=x0)
 
     def test_shifted_row_in_block_matches_its_own_solve(self, monkeypatch):
         # row 2 starts where the Hessian of u has a positive eigenvalue, so the
@@ -310,7 +322,7 @@ class TestNelderMeadFallback:
 
 class TestCDivergence:
     def test_zero_on_diagonal(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         p = rng.dirichlet(np.ones(3))
         assert abs(D.c_divergence(gen, p, p)) < 1e-12
 
@@ -345,7 +357,7 @@ class TestCyclicalMonotonicity:
             assert D.is_c_cyclical_monotone(D.CouplingSample(pairs)), name
 
     def test_swapped_assignment_fails(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         thetas = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 1.5]])
         phis = [G.dual_coord(gen, th).phi for th in thetas]
         # swap the partners of the two far-apart points
@@ -374,7 +386,7 @@ class TestCyclicalMonotonicity:
         assert non_monotone >= 100
 
     def test_large_dual_graph(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         thetas = rng.normal(size=(200, 2)) * 1.2
         phis = [G.dual_coord(gen, th).phi for th in thetas]
         assert D.is_c_cyclical_monotone(D.CouplingSample(list(zip(thetas, phis))))
@@ -410,7 +422,7 @@ class TestMCM:
         assert D.is_mcm(gen.portfolio, [p, p, p])
 
     def test_generated_portfolio_random_cycles(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         for _ in range(100):
             pts = list(dirichlet_points(rng, 3, 5))
             cycle = pts + [pts[0]]
@@ -438,7 +450,7 @@ class TestMCM:
 
 class TestTransportGap:
     def test_degenerate_triple(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         p = rng.dirichlet(np.ones(3))
         r = rng.dirichlet(np.ones(3))
         assert abs(D.pyth_transport_gap(gen, p, p, r)) < 1e-12

@@ -188,7 +188,7 @@ class TestFernholz:
         assert rep.step_divergence[0] == pytest.approx(0.143841, abs=5e-7)
 
     def test_identity_exact_on_random_path(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         W = dirichlet_points(rng, 4, 100)
         mp = F.MarketPath(times=list(range(100)), weights=W)
         rep = F.fernholz_decompose(gen, mp)
@@ -206,7 +206,7 @@ class TestFernholz:
         assert np.max(np.abs(rep.identity_residual)) > 1e-3
 
     def test_divergence_terms_match_library(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         W = dirichlet_points(rng, 3, 5)
         mp = F.MarketPath(times=list(range(5)), weights=W)
         rep = F.fernholz_decompose(gen, mp)
@@ -230,7 +230,7 @@ class TestFernholz:
                                        [f"2024-01-{d:02d}" for d in range(1, 7)]])
     def test_report_csv_bytes_match_csv_writer(self, tmp_path, rng, times):
         mp = F.MarketPath(times=times, weights=dirichlet_points(rng, 3, len(times)))
-        rep = F.fernholz_decompose(G.diversity_weighted(0.5), mp)
+        rep = F.fernholz_decompose(G.DiversityWeighted(0.5), mp)
         out = tmp_path / "report.csv"
         rep.to_csv(out)
         buf = io.StringIO(newline="")
@@ -254,7 +254,7 @@ class TestRebalanceCompare:
 
     def test_three_point_equals_pythagorean_gap(self, rng):
         for _ in range(20):
-            gen = G.diversity_weighted(0.5)
+            gen = G.DiversityWeighted(0.5)
             W = dirichlet_points(rng, 3, 3)
             mp = F.MarketPath(times=[0, 1, 2], weights=W)
             rep = F.rebalance_compare(gen, mp, [0, 1], [0])
@@ -290,7 +290,7 @@ class TestRebalanceCompare:
             assert abs(rep.difference) < 1e-10
 
     def test_general_schedule_telescopes(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         W = dirichlet_points(rng, 3, 8)
         mp = F.MarketPath(times=list(range(8)), weights=W)
         rep = F.rebalance_compare(gen, mp, [0, 2, 5], [0, 4])

@@ -9,7 +9,7 @@ from lgeo import finance as F
 from lgeo import generators as G
 from lgeo import geodesics
 from lgeo.divergence import f_value
-from lgeo.simplex import from_primal, from_primal_many, to_primal
+from lgeo.simplex import coord_rows, from_primal, from_primal_many, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
 from _oracles import fd_gradient, fd_jacobian
@@ -18,7 +18,7 @@ from _oracles import fd_gradient, fd_jacobian
 class TestPortfolioMap:
     def test_constant_weighted_is_constant(self, rng):
         w = np.array([0.5, 0.3, 0.2])
-        gen = G.constant_weighted(w)
+        gen = G.ConstantWeighted(w)
         for p in dirichlet_points(rng, 3, 20):
             assert np.allclose(gen.portfolio(p), w, atol=1e-15)
 
@@ -28,17 +28,17 @@ class TestPortfolioMap:
             assert np.allclose(gen.portfolio(p), p, atol=1e-15)
 
     def test_diversity_weighted_hand_value(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         w = gen.portfolio(np.array([0.64, 0.16, 0.04, 0.16]))
         assert np.allclose(w, np.array([0.8, 0.4, 0.2, 0.4]) / 1.8, atol=1e-15)
 
     def test_diversity_weighted_second_hand_value(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         w = gen.portfolio(np.array([0.81, 0.09, 0.09, 0.01]))
         assert np.allclose(w, np.array([0.9, 0.3, 0.3, 0.1]) / 1.6, atol=1e-15)
 
     def test_diversity_uniform_fixed_point(self):
-        gen = G.diversity_weighted(0.3)
+        gen = G.DiversityWeighted(0.3)
         w = gen.portfolio(np.full(5, 0.2))
         assert np.allclose(w, 0.2, atol=1e-15)
 
@@ -51,14 +51,14 @@ class TestPortfolioMap:
             assert np.allclose(gen.portfolio(p), direct, atol=1e-7), name
 
     def test_portfolio_wrapper_validates(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         w = G.portfolio(gen, np.array([0.3, 0.3, 0.4]))
         assert isinstance(w, G.Portfolio)
         assert w.interior
         assert abs(w.weights.sum() - 1.0) < 1e-15
 
     def test_portfolio_wrapper_rejects_points_off_the_open_simplex(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         for bad in ([0.5, 0.6], [0.5, 0.5, 0.0], [2.0, -1.0], [0.5, np.nan, 0.5], [1.0]):
             with pytest.raises(ValueError, match="simplex point|coordinates sum"):
                 G.portfolio(gen, bad)
@@ -71,7 +71,7 @@ class TestPortfolioMap:
 
 class TestGeneratorValues:
     def test_cross_entropy_value(self):
-        gen = G.constant_weighted([0.5, 0.5])
+        gen = G.ConstantWeighted([0.5, 0.5])
         assert gen.log_gen(np.array([0.25, 0.75])) == pytest.approx(
             0.5 * np.log(3 / 16), rel=1e-15
         )
@@ -83,7 +83,7 @@ class TestGeneratorValues:
     def test_constant_weighted_potential_affine(self, rng):
         # f(theta) = sum w_i theta_i for the cross-entropy generator
         w = np.array([0.5, 0.3, 0.2])
-        gen = G.constant_weighted(w)
+        gen = G.ConstantWeighted(w)
         for _ in range(10):
             th = rng.normal(size=2)
             assert f_value(gen, th) == pytest.approx(w[:2] @ th, abs=1e-12)
@@ -92,7 +92,7 @@ class TestGeneratorValues:
         # dw against its closed forms, written out here; then dw and the
         # weighted variant at unit weights give exactly the same values
         lam = 0.5
-        dw = G.diversity_weighted(lam)
+        dw = G.DiversityWeighted(lam)
         for n in (3, 10):
             P = dirichlet_points(rng, n, 10)
             Theta = rng.normal(size=(10, n - 1))
@@ -102,7 +102,7 @@ class TestGeneratorValues:
             grad = P ** (lam - 1) / Q.sum(axis=1)[:, None]
             assert np.allclose(dw.euclid_grad(P), grad, rtol=1e-14, atol=0)
             assert np.allclose(dw.dual_map_inverse(Theta), Theta / (1 - lam), rtol=1e-15, atol=0)
-            gdw = G.generalized_diversity_weighted(np.ones(n), lam)
+            gdw = G.GeneralizedDiversityWeighted(np.ones(n), lam)
             for method, arg in (("log_gen", P), ("euclid_grad", P), ("portfolio", P),
                                 ("dpi_dtheta", Theta), ("dual_map_inverse", Theta)):
                 assert np.array_equal(getattr(dw, method)(arg), getattr(gdw, method)(arg)), method
@@ -130,65 +130,65 @@ class TestGeneratorValues:
         assert np.sum(G.equal_weighted(7).weights != 1 / 7) == 7
 
     def test_gdw_portfolio_sums_to_one(self, rng):
-        gen = G.generalized_diversity_weighted([0.3, 2.0, 1.1], 0.7)
+        gen = G.GeneralizedDiversityWeighted([0.3, 2.0, 1.1], 0.7)
         for p in dirichlet_points(rng, 3, 50):
             assert gen.portfolio(p).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_range_enforced(self):
         with pytest.raises(ValueError):
-            G.diversity_weighted(1.0)
+            G.DiversityWeighted(1.0)
         with pytest.raises(ValueError):
-            G.diversity_weighted(0.0)
+            G.DiversityWeighted(0.0)
         with pytest.raises(ValueError):
-            G.generalized_diversity_weighted([1.0, -1.0], 0.5)
+            G.GeneralizedDiversityWeighted([1.0, -1.0], 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_gdw_weights_must_be_finite(self, bad):
         # NaN and inf passed the positivity check, and every value was NaN
         for weights in ([1.0, bad, 2.0], bad):
             with pytest.raises(ValueError, match="weights must be finite"):
-                G.generalized_diversity_weighted(weights, 0.5)
+                G.GeneralizedDiversityWeighted(weights, 0.5)
 
 
 class TestConvexCombination:
     def test_single_component_identity(self, rng):
-        base = G.diversity_weighted(0.5)
-        combo = G.convex_combination([base], [1.0])
+        base = G.DiversityWeighted(0.5)
+        combo = G.ConvexCombination([base], [1.0])
         p = rng.dirichlet(np.ones(3))
         assert combo.log_gen(p) == pytest.approx(base.log_gen(p), rel=1e-15)
         assert np.allclose(combo.portfolio(p), base.portfolio(p))
 
     def test_blend_of_constants_is_constant(self, rng):
-        a = G.constant_weighted([0.6, 0.2, 0.2])
-        b = G.constant_weighted([0.2, 0.5, 0.3])
-        combo = G.convex_combination([a, b], [0.25, 0.75])
+        a = G.ConstantWeighted([0.6, 0.2, 0.2])
+        b = G.ConstantWeighted([0.2, 0.5, 0.3])
+        combo = G.ConvexCombination([a, b], [0.25, 0.75])
         blended = 0.25 * np.array([0.6, 0.2, 0.2]) + 0.75 * np.array([0.2, 0.5, 0.3])
         for p in dirichlet_points(rng, 3, 100):
             assert np.allclose(combo.portfolio(p), blended, atol=1e-15)
 
     def test_rejects_empty_and_bad_coeffs(self):
         with pytest.raises(ValueError):
-            G.convex_combination([], [])
+            G.ConvexCombination([], [])
         with pytest.raises(ValueError):
-            G.convex_combination([G.equal_weighted(2)], [0.5])
+            G.ConvexCombination([G.equal_weighted(2)], [0.5])
         # NaN passed both the sign and the sum check, and every value was NaN
-        parts = [G.diversity_weighted(0.5), G.equal_weighted(3)]
+        parts = [G.DiversityWeighted(0.5), G.equal_weighted(3)]
         for coeffs in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf], [np.nan, np.nan]):
             with pytest.raises(ValueError, match="coefficients"):
-                G.convex_combination(parts, coeffs)
+                G.ConvexCombination(parts, coeffs)
 
     def test_parts_of_different_fixed_dimensions_are_rejected(self):
         with pytest.raises(ValueError, match=r"parts of different dimensions \[2, 3\]"):
-            G.convex_combination([G.equal_weighted(2), G.equal_weighted(3)], [0.5, 0.5])
+            G.ConvexCombination([G.equal_weighted(2), G.equal_weighted(3)], [0.5, 0.5])
         with pytest.raises(ValueError, match=r"different dimensions \[2, 3\]"):
-            G.convex_combination([G.generalized_diversity_weighted([1.0, 2.0], 0.5),
-                                  G.diversity_weighted(0.5), G.constant_weighted([0.2, 0.3, 0.5])],
+            G.ConvexCombination([G.GeneralizedDiversityWeighted([1.0, 2.0], 0.5),
+                                  G.DiversityWeighted(0.5), G.ConstantWeighted([0.2, 0.3, 0.5])],
                                  [0.2, 0.3, 0.5])
 
     def test_dimension_is_the_one_fixed_dimension_of_its_parts(self):
-        any_n = [G.diversity_weighted(0.5), G.UniformCrossEntropy(), G.ZeroGenerator()]
-        assert G.convex_combination(any_n, [0.2, 0.3, 0.5]).dim is None
-        fixed = G.convex_combination([any_n[0], G.equal_weighted(4), G.constant_weighted(
+        any_n = [G.DiversityWeighted(0.5), G.UniformCrossEntropy(), G.ZeroGenerator()]
+        assert G.ConvexCombination(any_n, [0.2, 0.3, 0.5]).dim is None
+        fixed = G.ConvexCombination([any_n[0], G.equal_weighted(4), G.ConstantWeighted(
             [0.1, 0.2, 0.3, 0.4])], [0.2, 0.3, 0.5])
         assert fixed.dim == 4
 
@@ -198,15 +198,15 @@ class TestFixedDimension:
     only; others are a ValueError naming both dimensions, not a broadcast
     error."""
 
-    GENS = {"cw": G.constant_weighted([0.5, 0.5]),
-            "gdw": G.generalized_diversity_weighted([1.0, 2.0], 0.5),
-            "mix": G.convex_combination([G.diversity_weighted(0.5), G.equal_weighted(2)],
+    GENS = {"cw": G.ConstantWeighted([0.5, 0.5]),
+            "gdw": G.GeneralizedDiversityWeighted([1.0, 2.0], 0.5),
+            "mix": G.ConvexCombination([G.DiversityWeighted(0.5), G.equal_weighted(2)],
                                         [0.5, 0.5])}
 
     def test_dimensions(self):
         assert [g.dim for g in self.GENS.values()] == [2, 2, 2]
-        for gen in (G.diversity_weighted(0.5), G.UniformCrossEntropy(), G.ZeroGenerator(),
-                    G.generalized_diversity_weighted(2.0, 0.5), G.CustomGenerator(np.sum)):
+        for gen in (G.DiversityWeighted(0.5), G.UniformCrossEntropy(), G.ZeroGenerator(),
+                    G.GeneralizedDiversityWeighted(2.0, 0.5), G.CustomGenerator(np.sum)):
             assert gen.dim is None
 
     @pytest.mark.parametrize("name", ["cw", "gdw", "mix"])
@@ -292,21 +292,21 @@ class TestFixedDimension:
     ], ids=["ragged", "nan", "inf", "2d", "scalar"])
     def test_coordinate_rows_raise_the_first_coordinates_error(self, coords, message):
         with pytest.raises(ValueError, match=message):
-            G._coord_rows_for(G.diversity_weighted(0.5), *coords)
+            coord_rows(*coords, gen=G.DiversityWeighted(0.5))
 
     def test_coordinate_rows_take_rows_where_asked(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         X = np.zeros((4, 2))
-        assert G._coord_rows_for(gen, X, rows=True).shape == (1, 4, 2)
-        assert G._coord_rows_for(gen, lgeo.PrimalCoord([0.1, 0.2]), [0.3, 0.4]).shape == (2, 2)
+        assert coord_rows(X, gen=gen, rows=True).shape == (1, 4, 2)
+        assert coord_rows(lgeo.PrimalCoord([0.1, 0.2]), [0.3, 0.4], gen=gen).shape == (2, 2)
         with pytest.raises(ValueError, match="coordinate rows must have finite entries"):
-            G._coord_rows_for(gen, np.array([[0.0, np.nan]]), rows=True)
+            coord_rows(np.array([[0.0, np.nan]]), gen=gen, rows=True)
 
 
 class TestDuality:
     def test_constant_weighted_translation(self, rng):
         w = np.array([0.5, 0.3, 0.2])
-        gen = G.constant_weighted(w)
+        gen = G.ConstantWeighted(w)
         shift = np.log(w[:2] / w[2])
         for _ in range(5):
             th = rng.normal(size=2)
@@ -315,7 +315,7 @@ class TestDuality:
 
     def test_diversity_weighted_scaling(self, rng):
         lam = 0.3
-        gen = G.diversity_weighted(lam)
+        gen = G.DiversityWeighted(lam)
         for _ in range(5):
             th = rng.normal(size=3)
             phi = G.dual_coord(gen, th).phi
@@ -349,13 +349,13 @@ class TestDuality:
         assert np.allclose(star, 1 / 3, atol=1e-14)
 
     def test_dual_euclidean_is_composition(self, rng):
-        gen = G.diversity_weighted(0.4)
+        gen = G.DiversityWeighted(0.4)
         p = rng.dirichlet(np.ones(4))
         phi = G.dual_coord(gen, to_primal(p).theta).phi
         assert np.allclose(G.dual_euclidean(gen, p).p, from_primal(-phi).p, atol=1e-15)
 
     def test_dual_coord_injective_on_grid(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         grid = np.array([[a, b] for a in np.linspace(-2, 2, 9) for b in np.linspace(-2, 2, 9)])
         images = np.array([G.dual_coord(gen, th).phi for th in grid])
         # pairwise distinct
@@ -366,13 +366,13 @@ class TestDuality:
 
 class TestJacobianDual:
     def test_constant_weighted_identity(self, rng):
-        gen = G.constant_weighted([0.4, 0.35, 0.25])
+        gen = G.ConstantWeighted([0.4, 0.35, 0.25])
         J = G.jacobian_dual(gen, rng.normal(size=2))
         assert np.allclose(J, np.eye(2), atol=1e-9)
 
     def test_diversity_scaling(self, rng):
         lam = 0.45
-        gen = G.diversity_weighted(lam)
+        gen = G.DiversityWeighted(lam)
         J = G.jacobian_dual(gen, rng.normal(size=2))
         assert np.allclose(J, (1 - lam) * np.eye(2), atol=1e-8)
 
@@ -390,7 +390,7 @@ class TestJacobianDual:
     def test_well_conditioned_at_high_dimension(self):
         # J = (1 - lam) I at every n; det J = 0.5^49 at n = 50 is no sign of
         # singularity
-        J = G.jacobian_dual(G.diversity_weighted(0.5), np.zeros(49))
+        J = G.jacobian_dual(G.DiversityWeighted(0.5), np.zeros(49))
         assert np.allclose(J, 0.5 * np.eye(49), atol=1e-9)
 
     def test_singular_jacobians_raise(self):
@@ -404,8 +404,8 @@ class TestJacobianDual:
                 G.jacobian_dual(gen, np.array([0.3, -0.2]))
 
     def test_matches_fd_of_dual_map(self, rng):
-        gen = G.convex_combination(
-            [G.constant_weighted([0.4, 0.3, 0.3]), G.diversity_weighted(0.6)], [0.5, 0.5]
+        gen = G.ConvexCombination(
+            [G.ConstantWeighted([0.4, 0.3, 0.3]), G.DiversityWeighted(0.6)], [0.5, 0.5]
         )
         th = rng.normal(size=2) * 0.3
         J = G.jacobian_dual(gen, th)
@@ -442,13 +442,13 @@ class TestRegularity:
 
     def test_constant_weighted_passes(self, rng):
         report = G.check_regularity(
-            G.constant_weighted([0.3, 0.45, 0.25]), dirichlet_points(rng, 3, 20)
+            G.ConstantWeighted([0.3, 0.45, 0.25]), dirichlet_points(rng, 3, 20)
         )
         assert report.passed, report.summary()
 
     def test_diversity_weighted_passes_100_points(self, rng):
         report = G.check_regularity(
-            G.diversity_weighted(0.5), dirichlet_points(rng, 3, 100)
+            G.DiversityWeighted(0.5), dirichlet_points(rng, 3, 100)
         )
         assert report.passed, report.summary()
 
@@ -469,13 +469,13 @@ class TestRegularity:
 
     def test_needs_a_point(self):
         with pytest.raises(ValueError, match="at least one point"):
-            G.check_regularity(G.diversity_weighted(0.5), [])
+            G.check_regularity(G.DiversityWeighted(0.5), [])
 
     def test_flags_metric_below_the_cut(self):
         # dw(0.9) with an entry of 1e-12 puts about 1e-11 on that asset: the
         # smallest metric eigenvalue, about 1e-12, is under 1e-10 max pi_i
         P = np.array([[1e-12, 0.4, 0.6 - 1e-12], [0.3, 1e-12, 0.7 - 1e-12]])
-        report = G.check_regularity(G.diversity_weighted(0.9), P)
+        report = G.check_regularity(G.DiversityWeighted(0.9), P)
         assert [k for k, _ in report.failures] == [0, 1]
         for rec in report.records:
             assert 0 < rec["metric_min_eig"] <= rec["metric_cut"]
@@ -508,7 +508,7 @@ class TestProperties:
             gens = builtin_zoo(n)
             gens["market"] = G.ZeroGenerator()
             gens["uniform"] = G.UniformCrossEntropy()
-            gens["one-part mix"] = G.convex_combination([gens["diversity"]], [1.0])
+            gens["one-part mix"] = G.ConvexCombination([gens["diversity"]], [1.0])
             # phi alone: rows of the finite-difference fallbacks
             gens["custom"] = G.CustomGenerator(lambda p: 2.0 * np.log(np.sum(np.sqrt(p))))
             for name, gen in gens.items():
@@ -555,7 +555,7 @@ class TestProperties:
             calls.clear()
             dpi = ArrayPhi().dpi_dtheta(Theta)
             assert len(calls) == 1, n
-            assert np.allclose(dpi, G.diversity_weighted(0.5).dpi_dtheta(Theta), atol=1e-6), n
+            assert np.allclose(dpi, G.DiversityWeighted(0.5).dpi_dtheta(Theta), atol=1e-6), n
 
 
 class TestConfig:
@@ -563,11 +563,11 @@ class TestConfig:
         gens = [
             G.ZeroGenerator(),
             G.UniformCrossEntropy(),
-            G.constant_weighted([0.25, 0.75]),
-            G.diversity_weighted(0.5),
-            G.generalized_diversity_weighted([1.0, 2.0], 0.3),
-            G.convex_combination(
-                [G.constant_weighted([0.5, 0.5]), G.diversity_weighted(0.8)], [0.4, 0.6]
+            G.ConstantWeighted([0.25, 0.75]),
+            G.DiversityWeighted(0.5),
+            G.GeneralizedDiversityWeighted([1.0, 2.0], 0.3),
+            G.ConvexCombination(
+                [G.ConstantWeighted([0.5, 0.5]), G.DiversityWeighted(0.8)], [0.4, 0.6]
             ),
         ]
         for gen in gens:
@@ -606,5 +606,5 @@ class TestConfig:
             with pytest.raises(ValueError, match=what):
                 G.generator_from_config(record)
         # a scalar gdw weight is a number, as its to_config writes it
-        gdw = G.generalized_diversity_weighted(1.0, 0.5)
+        gdw = G.GeneralizedDiversityWeighted(1.0, 0.5)
         assert G.generator_from_config(gdw.to_config()).to_config() == gdw.to_config()

@@ -177,7 +177,7 @@ class TestCurve:
     @pytest.mark.parametrize("grid", [129, 801])
     def test_csv_bytes_match_savetxt(self, tmp_path, which, label, grid):
         make = gd.primal_geodesic if which == "primal" else gd.dual_geodesic
-        c = make(G.diversity_weighted(0.5), Q3, R3, grid=grid)
+        c = make(G.DiversityWeighted(0.5), Q3, R3, grid=grid)
         path, ref = tmp_path / "curve.csv", tmp_path / "ref.csv"
         c.to_csv(path)
         np.savetxt(ref, np.column_stack([c.times, c.points]), delimiter=",",
@@ -194,7 +194,7 @@ class TestCurve:
         assert path.read_text() == "t,theta_1,theta_2\n0,0,0\n1,-0,-0\n2,0,1\n3,-0,2\n"
 
     def test_velocities_match_centered_differences(self):
-        c = gd.primal_geodesic(G.diversity_weighted(0.5), Q3, R3, grid=65)
+        c = gd.primal_geodesic(G.DiversityWeighted(0.5), Q3, R3, grid=65)
         dt = c.times[1] - c.times[0]
         centered = (c.points[2:] - c.points[:-2]) / (2 * dt)
         assert np.max(np.abs(centered - c.velocities[1:-1])) < 10 * dt**2
@@ -225,7 +225,7 @@ class TestPrimalGeodesic:
             assert gd.geodesic_residual(gen, c, trim=3) < 1e-5, name
 
     def test_monotone_progress(self):
-        c = gd.primal_geodesic(G.diversity_weighted(0.5), Q3, R3)
+        c = gd.primal_geodesic(G.DiversityWeighted(0.5), Q3, R3)
         # the mixing parameter along the chord must increase strictly
         trace = c.euclidean_trace()
         s = (trace - Q3) @ (R3 - Q3) / ((R3 - Q3) @ (R3 - Q3))
@@ -234,7 +234,7 @@ class TestPrimalGeodesic:
     def test_reparameterized_chord_is_pregeodesic(self):
         # any monotone reparameterization of the trace solves the geodesic
         # equation up to a time change: residual stays parallel to velocity
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th_q, th_r = to_primal(Q3).theta, to_primal(R3).theta
         B = np.exp(th_r) - np.exp(th_q)
         from lgeo.generators import portfolio_theta
@@ -260,18 +260,18 @@ class TestPrimalGeodesic:
         # end outside [0, 1] alone let it through, and an empty grid raised IndexError
         for geodesic in (gd.primal_geodesic, gd.dual_geodesic):
             with pytest.raises(ValueError, match="strictly increasing"):
-                geodesic(G.diversity_weighted(0.5), Q3, R3, grid=grid)
+                geodesic(G.DiversityWeighted(0.5), Q3, R3, grid=grid)
 
     @pytest.mark.parametrize("grid", [1, 0, -3])
     def test_geodesic_grid_needs_two_times(self, grid):
         for geodesic in (gd.primal_geodesic, gd.dual_geodesic):
             with pytest.raises(ValueError, match="at least 2"):
-                geodesic(G.diversity_weighted(0.5), Q3, R3, grid=grid)
+                geodesic(G.DiversityWeighted(0.5), Q3, R3, grid=grid)
 
 
 class TestDualGeodesic:
     def test_constant_when_endpoints_coincide(self):
-        c = gd.dual_geodesic(G.diversity_weighted(0.5), Q3, Q3)
+        c = gd.dual_geodesic(G.DiversityWeighted(0.5), Q3, Q3)
         assert np.allclose(c.points, c.points[0], atol=1e-15)
 
     def test_dual_coordinates_of_equal_weighted_match_primal(self, rng):
@@ -367,7 +367,7 @@ class TestDualRangeGuard:
     def test_conjugate_solve_failure(self, monkeypatch):
         # dw inverts in closed form, so the guard's own conjugate minimization
         # is the only Newton solve; rows 40 and 90 report no convergence
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         curve, starts = self.curve_and_starts(gen)
         newton = D._newton_max_u
 
@@ -409,7 +409,7 @@ class TestDualRangeGuard:
     def test_fenchel_gap_exceeds_bound(self, monkeypatch):
         # a conjugate minimization that lands off the minimizer at rows 100
         # and 60 leaves a Fenchel gap far above 1e-6 there
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         curve, starts = self.curve_and_starts(gen)
         newton = D._newton_max_u
 
@@ -458,7 +458,7 @@ class TestDualRangeGuard:
 class TestChordQuadrature:
     def test_geodesic_evaluates_f_at_few_rows(self, monkeypatch):
         # a fixed table of 4,096 intervals took about 22,100 rows of f
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         rows = bound_f_rows(monkeypatch, 4_000)
         for build in (gd.primal_geodesic, gd.dual_geodesic):
             rows.clear()
@@ -498,7 +498,7 @@ class TestChordQuadrature:
         # and with a stop on |F| at the start of each step about 13.7
         steps = 800
         rows = bound_weight_evaluations(monkeypatch, 2 * (steps + 1), modules=(gd,))
-        gd.primal_flow(G.diversity_weighted(0.5), Q3, R3, horizon=20.0, steps=steps)
+        gd.primal_flow(G.DiversityWeighted(0.5), Q3, R3, horizon=20.0, steps=steps)
         assert sum(rows) > 0
 
     def test_polished_times_match_quad(self, monkeypatch):
@@ -580,7 +580,7 @@ class TestChordQuadrature:
         # off by up to about 50 rounding units of t
         calls = record_reparam(monkeypatch)
         eps = np.finfo(float).eps
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         v = gd.inverse_exp(gen, Q3, R3, "primal")
         for scale in (1e-8, 1e-4, 1.0):
             calls.clear()
@@ -627,7 +627,7 @@ class TestChordQuadrature:
 
 class TestIntegrateGeodesic:
     def test_zero_velocity_stays_put(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th0 = to_primal(Q3).theta
         c = gd.integrate_geodesic(gen, th0, np.zeros(2), "primal", steps=32)
         assert np.allclose(c.points, th0, atol=1e-14)
@@ -646,7 +646,7 @@ class TestIntegrateGeodesic:
             assert polyline_hausdorff(c.euclidean_trace(), rk4.euclidean_trace()) < 1e-6, name
 
     def test_dual_integration_matches_closed_form(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         ref = gd.dual_geodesic(gen, Q3, P3)
         c = gd.integrate_geodesic(gen, ref.points[0], ref.velocities[0], "dual", steps=256)
         rk4 = integrate_geodesic_stages(gen, ref.points[0], ref.velocities[0], "dual", steps=256)
@@ -711,7 +711,7 @@ class TestIntegrateGeodesic:
     def test_first_integral_conserved(self):
         # the oracle's first integral of the geodesic equation, evaluated
         # along the exponential map, stays at its initial value
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         for which, build, target in (("primal", gd.primal_geodesic, R3),
                                      ("dual", gd.dual_geodesic, P3)):
             ref = build(gen, Q3, target)
@@ -724,7 +724,7 @@ class TestIntegrateGeodesic:
     def test_shooting_with_scaled_inverse_exp(self):
         # scale the unit initial direction by a 1-d search on the chord
         # parameter of the endpoint; the hit must land on r
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th_q = to_primal(Q3).theta
         th_r = to_primal(R3).theta
         v = gd.inverse_exp(gen, Q3, R3, "primal")
@@ -745,7 +745,7 @@ class TestIntegrateGeodesic:
     def test_blowup_reported(self):
         # theta_1 = log1p(-3 tau) leaves the simplex at t* = 7/12, between
         # the output times 37/64 and 38/64
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         with pytest.raises(gd.GeodesicBlowupError) as err:
             gd.integrate_geodesic(gen, np.zeros(2), np.array([-3.0, 0.0]),
                                   "primal", steps=64)
@@ -763,7 +763,7 @@ class TestIntegrateGeodesic:
         assert np.max(np.abs(c.points[:, 1])) < 1e-12
 
     def test_arguments_checked(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th0 = to_primal(Q3).theta
         v = np.array([0.5, -0.2])
         bad = [
@@ -782,7 +782,7 @@ class TestIntegrateGeodesic:
 
 class TestFlows:
     def test_stationary_at_target(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         c = gd.primal_flow(gen, Q3, Q3, horizon=1.0, steps=16)
         assert np.allclose(c.points, c.points[0], atol=1e-12)
 
@@ -802,7 +802,7 @@ class TestFlows:
 
     def test_flow_speed_identity(self):
         # d/dt T(r | flow) = -|velocity|^2 in the Riemannian metric
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         c = gd.primal_flow(gen, Q3, R3, horizon=4.0, steps=400)
         th_r = to_primal(R3).theta
         for idx in (40, 120, 240):
@@ -851,7 +851,7 @@ class TestFlows:
         # Near the target T(r | .) is rounding noise of a few ulp of f(theta_r)
         # (here -1.3e-15 at t = 18.3); a fixed 1e-15 acceptance slack once
         # halved RK4 steps on this flow down to 1.5e-9 without end.
-        gen = G.generalized_diversity_weighted([0.5, 0.875, 1.25, 1.625, 2.0], 0.4)
+        gen = G.GeneralizedDiversityWeighted([0.5, 0.875, 1.25, 1.625, 2.0], 0.4)
         q = np.array([0.11778326405148865, 0.39472939220760395, 0.0821531987110853,
                       0.15298074874072848, 0.25235339628909376])
         r = np.array([0.3140016220541149, 0.24460781570134407, 0.10171520919066944,
@@ -867,7 +867,7 @@ class TestFlows:
     def test_flow_halves_a_try_that_leaves_the_finite_range(self, monkeypatch):
         # with dt = 5 the first RK4 tries of a stepped flow overflow or reach
         # the simplex boundary in floating point, where T cannot be evaluated
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         q, r = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.25, 0.15])
         steps = 4
         rows = bound_weight_evaluations(monkeypatch, flow_weight_limit(steps))
@@ -971,7 +971,7 @@ class TestFlows:
         # past the point where e^-s |x_q - x_r| is below rounding the flow
         # time grows linearly, so the quadrature table ends there: both
         # horizons evaluate the same table and the velocity at 51 rows
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th_r = to_primal(R3).theta
         rows = bound_weight_evaluations(monkeypatch, flow_weight_limit(50))
         gd.primal_flow(gen, Q3, R3, horizon=20.0, steps=50)
@@ -988,10 +988,10 @@ class TestFlows:
                                                 (float("nan"), 10), (float("inf"), 10)])
     def test_rejects_bad_horizon_or_steps(self, flow, horizon, steps):
         with pytest.raises(ValueError):
-            flow(G.diversity_weighted(0.5), Q3, R3, horizon=horizon, steps=steps)
+            flow(G.DiversityWeighted(0.5), Q3, R3, horizon=horizon, steps=steps)
 
     def test_uniform_output_times(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         for flow in (gd.primal_flow, gd.dual_flow):
             c = flow(gen, Q3, P3, horizon=7.5, steps=37)
             assert np.array_equal(c.times, np.linspace(0.0, 7.5, 38))
@@ -999,12 +999,12 @@ class TestFlows:
 
 class TestInverseExp:
     def test_zero_at_target(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         assert np.allclose(gd.inverse_exp(gen, Q3, Q3, "primal"), 0.0)
         assert np.allclose(gd.inverse_exp(gen, Q3, Q3, "dual"), 0.0)
 
     def test_unit_metric_norm(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         v = gd.inverse_exp(gen, Q3, R3, "primal")
         g = metric_primal(gen, to_primal(Q3).theta)
         assert g.norm(v) == pytest.approx(1.0, rel=1e-12)
@@ -1041,7 +1041,7 @@ class TestPythagoreanSign:
             assert len(built) <= 3, name
 
     def test_degenerate_triple(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         res = gd.pythagorean_sign(gen, Q3, Q3, R3)
         assert abs(res.gap) < 1e-12
         assert abs(res.inner) < 1e-12
@@ -1155,7 +1155,7 @@ class TestPythagoreanSign:
     def test_zero_gap_triples_have_orthogonal_geodesics(self, rng):
         # root-find q on a chord so that the gap vanishes; the inner product
         # must vanish with it
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         for _ in range(10):
             p, r, a, b = dirichlet_points(rng, 3, 4)
 
@@ -1174,7 +1174,7 @@ class TestPythagoreanSign:
 
 class TestRegion:
     def test_p_and_r_are_boundary_points(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         sample = gd.region_sample(gen, P3, R3, grid_resolution=24)
         # the two appended points are p and r
         assert np.allclose(sample.points[-2], P3)
@@ -1208,7 +1208,7 @@ class TestRegion:
                 assert classification[permuted] == flag
 
     def test_membership_gap_vectorization(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         Q = dirichlet_points(rng, 3, 32)
         gaps = gd.region_gap(gen, P3, R3, Q)
         for q, gval in zip(Q[:8], gaps[:8]):
@@ -1225,16 +1225,16 @@ class TestRegion:
             gd.region_sample(gen, np.full(4, 0.25), np.full(4, 0.25), 10)
 
     def test_resolution_below_three_rejected(self):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         for res in (2, 1, 0, -4):
             with pytest.raises(ValueError, match="at least 3"):
                 gd.region_sample(gen, [0.3, 0.3, 0.4], [0.5, 0.2, 0.3], grid_resolution=res)
 
     def test_matches_lattice_scan_bitwise(self):
         placements = [
-            (G.diversity_weighted(0.5), [0.3, 0.3, 0.4], [0.5, 0.2, 0.3]),
+            (G.DiversityWeighted(0.5), [0.3, 0.3, 0.4], [0.5, 0.2, 0.3]),
             (G.equal_weighted(3), [0.5, 0.25, 0.25], [0.2, 0.3, 0.5]),
-            (G.constant_weighted([0.2, 0.3, 0.5]), [0.6, 0.25, 0.15], [0.2, 0.5, 0.3]),
+            (G.ConstantWeighted([0.2, 0.3, 0.5]), [0.6, 0.25, 0.15], [0.2, 0.5, 0.3]),
         ]
         for gen, p, r in placements:
             for res in (3, 4, 24, 120):
@@ -1249,7 +1249,7 @@ class TestRegion:
 
     def test_membership_gap_general_dimension(self, rng):
         # the gap formula answers membership queries in any dimension
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         p, r = dirichlet_points(rng, 5, 2)
         Q = dirichlet_points(rng, 5, 16)
         gaps = gd.region_gap(gen, p, r, Q)

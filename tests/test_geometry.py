@@ -35,7 +35,7 @@ def T_dual(gen):
 
 class TestPiQuantities:
     def test_collapses_to_portfolio_on_diagonal(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th = rng.normal(size=2)
         Pi = geo.pi_quantities(gen, th, th).values
         pi = gen.portfolio(from_primal(th).p)
@@ -50,7 +50,7 @@ class TestPiQuantities:
     def test_derivative_identities_primal(self, rng):
         # d Pi_i / d theta_j = Pi_i (delta_ij - Pi_j); the theta' derivative
         # picks up relative portfolio-derivative corrections
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th = rng.normal(size=2) * 0.5
         th2 = rng.normal(size=2) * 0.5
         Pi = geo.pi_quantities(gen, th, th2).values
@@ -67,7 +67,7 @@ class TestPiQuantities:
         assert np.max(np.abs(J2 - expected2)) < 1e-6
 
     def test_derivative_identities_dual(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th = rng.normal(size=2) * 0.5
         ph = dual_coord(gen, th).phi
         ph2 = ph + rng.normal(size=2) * 0.3
@@ -80,7 +80,7 @@ class TestPiQuantities:
 
 class TestEuclideanMetric:
     def test_zero_vector(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         p = rng.dirichlet(np.ones(3))
         u = np.array([0.2, -0.5, 0.3])
         assert geo.metric_euclidean(gen, p, u, np.zeros(3)) == 0.0
@@ -123,12 +123,12 @@ class TestEuclideanMetric:
         ([[0.1, -0.1, 0.0]], [0.2, -0.2, 0.0], r"tangent vector u must be a 1-d vector"),
     ], ids=["short-u", "short-v", "nan", "inf", "2d"])
     def test_rejects_tangent_vectors_of_the_wrong_shape_or_entries(self, u, v, message):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         with pytest.raises(ValueError, match=message):
             geo.metric_euclidean(gen, np.array([0.2, 0.3, 0.5]), u, v)
 
     def test_bilinear_symmetry(self, rng):
-        gen = G.diversity_weighted(0.4)
+        gen = G.DiversityWeighted(0.4)
         p = rng.dirichlet(np.ones(4))
         u, v = rng.normal(size=4), rng.normal(size=4)
         u -= u.mean()
@@ -141,7 +141,7 @@ class TestEuclideanMetric:
 class TestCoordinateMetrics:
     def test_constant_weighted_closed_form(self, rng):
         w = np.array([0.5, 0.5])
-        g = geo.metric_primal(G.constant_weighted(w), rng.normal(size=1))
+        g = geo.metric_primal(G.ConstantWeighted(w), rng.normal(size=1))
         assert g.entries[0, 0] == pytest.approx(0.25, rel=1e-12)
 
     def test_primal_matches_fd_oracle(self, rng):
@@ -182,7 +182,7 @@ class TestCoordinateMetrics:
         # a point given by phi or by theta gives the same record, based at
         # its own phi; phi of another point next to theta, or no point, is
         # rejected rather than recorded with the wrong base point
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th = np.array([0.3, -0.2])
         ph = dual_coord(gen, th).phi
         other = dual_coord(gen, [1.0, 0.5]).phi
@@ -342,7 +342,7 @@ class TestCurvature:
                     assert k == pytest.approx(-1.0, abs=1e-10), (name, which)
 
     def test_sectional_invariant_under_basis_change(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         th = rng.normal(size=3) * 0.4
         u, v = rng.normal(size=3), rng.normal(size=3)
         k1 = geo.sectional_curvature(gen, th, u, v, "primal")
@@ -391,7 +391,7 @@ class TestCurvature:
     def test_sectional_curvature_rejects_bad_tangent_vectors(self, which, u, v, message):
         # a NaN entry used to return nan
         with pytest.raises(ValueError, match=message):
-            geo.sectional_curvature(G.diversity_weighted(0.5), np.zeros(2), u, v, which)
+            geo.sectional_curvature(G.DiversityWeighted(0.5), np.zeros(2), u, v, which)
 
     def test_einstein_condition(self, rng):
         for name, gen in builtin_zoo(4).items():
@@ -404,7 +404,7 @@ class TestCurvature:
 
 class TestRiemannianGradients:
     def test_zero_at_target(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         q = rng.dirichlet(np.ones(3))
         assert np.allclose(geo.riem_gradient_primal(gen, q, q), 0.0, atol=1e-14)
         assert np.allclose(geo.riem_gradient_dual(gen, q, q), 0.0, atol=1e-14)

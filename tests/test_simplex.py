@@ -12,7 +12,6 @@ from lgeo.simplex import (
     coord_rows,
     cost,
     from_primal,
-    point_array,
     point_rows,
     psi,
     row_max,
@@ -168,11 +167,11 @@ class TestPrimalCoordType:
         assert PrimalCoord([0.1, 0.2]).n == 3
 
     def test_coordinate_rows_validated(self):
-        assert coord_rows(np.zeros((4, 2))).shape == (4, 2)
-        assert coord_rows(PrimalCoord([0.1, 0.2])).shape == (2,)
+        assert coord_rows(np.zeros((4, 2)), rows=True)[0].shape == (4, 2)
+        assert coord_rows(PrimalCoord([0.1, 0.2]))[0].shape == (2,)
         for bad in (np.array([[0.0, np.nan]]), np.zeros((2, 2, 2))):
             with pytest.raises(ValueError):
-                coord_rows(bad)
+                coord_rows(bad, rows=True)
 
 
 class TestPointRows:
@@ -211,7 +210,7 @@ class TestPointRows:
                 pts *= 1.0 + rng.uniform(-5e-10, 5e-10, size=(k, 1))  # off-sum within SUM_TOL
                 args = [SimplexPoint(x) if rng.random() < 0.4 else
                         (x.tolist() if rng.random() < 0.5 else x) for x in pts]
-                ref = np.array([point_array(x) for x in args])
+                ref = np.array([_one_point(x) for x in args])
                 got = point_rows(*args)
                 assert got.tobytes() == ref.tobytes(), (n, k)
 
@@ -254,7 +253,7 @@ class TestPointRows:
     def test_plain_arrays_build_no_simplex_point(self, monkeypatch):
         # the single-point library calls validate their plain-array points
         # as one array, not one SimplexPoint each
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         p, q, r = np.random.default_rng(3).dirichlet(np.ones(4), size=3)
         ref = (lgeo.l_divergence(gen, q, p), lgeo.pythagorean_sign(gen, p, q, r))
 
@@ -266,6 +265,11 @@ class TestPointRows:
         assert lgeo.pythagorean_sign(gen, p, q, r) == ref[1]
         with pytest.raises(AssertionError):
             point_rows([0.6, 0.6])  # a failing point goes through SimplexPoint
+
+
+def _one_point(x) -> np.ndarray:
+    """The row of one point validated on its own: a SimplexPoint as stored."""
+    return (x if isinstance(x, SimplexPoint) else SimplexPoint(x)).p
 
 
 def _valid(x) -> bool:
@@ -315,8 +319,8 @@ _BREAKS = {
 
 
 @given(point_args())
-def test_point_rows_are_the_point_array_rows_bitwise(points):
-    ref = np.array([point_array(x) for x in points])
+def test_point_rows_are_the_one_point_rows_bitwise(points):
+    ref = np.array([_one_point(x) for x in points])
     got = point_rows(*points)
     assert got.tobytes() == ref.tobytes()
 
@@ -339,7 +343,7 @@ def test_failing_point_rows_raise_the_first_failing_points_error(points, data):
 def test_point_rows_against_a_generator_of_another_dimension(points):
     gen = G.equal_weighted(np.size(points[0]) + 1)
     with pytest.raises(ValueError, match=r"^dimension mismatch: generator .* points of dimension"):
-        G._point_rows_for(gen, *points)
+        point_rows(*points, gen=gen)
 
 
 Q3, R2, P3 = [0.2, 0.3, 0.5], [0.5, 0.5], [0.4, 0.4, 0.2]
@@ -365,7 +369,7 @@ Q3, R2, P3 = [0.2, 0.3, 0.5], [0.5, 0.5], [0.4, 0.4, 0.2]
 def test_points_of_different_dimension_are_rejected(call):
     # a point of the 2-simplex against points of the 3-simplex must not broadcast
     with pytest.raises(ValueError, match="dimension mismatch"):
-        call(G.diversity_weighted(0.5))
+        call(G.DiversityWeighted(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ class TestMinimizingCurve:
 
 class TestDisplacementFamily:
     def test_endpoints(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         fam = T.displacement_family(gen)
         th = rng.normal(size=2)
         # t = 0: equal-weighted portfolio, identity map
@@ -139,7 +139,7 @@ class TestDisplacementFamily:
                 assert np.max(np.abs(blend - generated)) < 1e-10, (name, t)
 
     def test_intermediate_maps_cyclically_monotone(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         fam = T.displacement_family(gen)
         for t in (0.25, 0.5, 0.75):
             thetas = rng.normal(size=(6, 2))
@@ -158,7 +158,7 @@ class TestDisplacementFamily:
                 assert np.array_equal(row, fam.dual_map_at(t, th)), (name, t)
 
     def test_trajectory_traces_dual_geodesic(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         fam = T.displacement_family(gen)
         th = rng.normal(size=2)
         traj = fam.trajectory(th, grid=65)
@@ -171,7 +171,7 @@ class TestDisplacementFamily:
 
     def test_half_time_diversity_weighted_postconditions(self, rng):
         # the spec's worked intermediate case: all three properties at t=1/2
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         fam = T.displacement_family(gen)
         t = 0.5
         p = rng.dirichlet(np.ones(3))
@@ -190,7 +190,7 @@ class TestDisplacementFamily:
 @pytest.mark.parametrize("t", [-0.1, 1.5, np.nan, -np.inf])
 def test_interpolation_parameter_outside_unit_interval_rejected(rng, kind, t):
     # portfolio_at and dual_map_at extrapolated such t, or returned NaN
-    fam = T.InterpolationFamily(G.diversity_weighted(0.5), kind)
+    fam = T.InterpolationFamily(G.DiversityWeighted(0.5), kind)
     th, p = rng.normal(size=2), rng.dirichlet(np.ones(3))
     for call in (lambda: fam.generator_at(t), lambda: fam.portfolio_at(t, p),
                  lambda: fam.dual_map_at(t, th), lambda: fam.portfolio_at([0.5, t], p)):
@@ -202,7 +202,7 @@ def test_interpolation_parameter_outside_unit_interval_rejected(rng, kind, t):
 
 class TestMarketInterpolation:
     def test_t1_is_market(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         fam = T.market_interpolation(gen)
         th = rng.normal(size=2)
         assert np.allclose(fam.dual_map_at(1.0, th), 0.0, atol=1e-13)
@@ -210,13 +210,13 @@ class TestMarketInterpolation:
         assert np.allclose(fam.portfolio_at(1.0, p), p, atol=1e-15)
 
     def test_t0_is_base(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         fam = T.market_interpolation(gen)
         p = rng.dirichlet(np.ones(3))
         assert np.allclose(fam.portfolio_at(0.0, p), gen.portfolio(p), atol=1e-15)
 
     def test_trajectory_collinear_toward_origin(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         fam = T.market_interpolation(gen)
         th = rng.normal(size=2)
         traj = fam.trajectory(th, grid=33)
@@ -225,7 +225,7 @@ class TestMarketInterpolation:
         assert point_segment_distance(traj.euclidean_trace(), a, b).max() < 1e-10
 
     def test_scaled_generator_value(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         fam = T.market_interpolation(gen)
         p = rng.dirichlet(np.ones(3))
         for t in (0.2, 0.7):
@@ -293,6 +293,20 @@ class TestGaussianExample:
             with pytest.raises(ValueError, match="sample_size"):
                 T.gaussian_example_check([0.0], [0.0], [1.0], 0.5, sample_size=size)
 
+    @pytest.mark.parametrize("a, b, sigma, message", [
+        ([0.3, -0.2], [0.1, 0.4], [0.8, 1.2, 1.0],
+         r"^dimension mismatch: a, b and sigma of sizes \[2, 2, 3\]$"),
+        ([0.3, -0.2], [0.1, 0.4], [0.8, np.inf], "^sigma must have finite entries$"),
+        ([np.nan, -0.2], [0.1, 0.4], [0.8, 1.2], "^a must have finite entries$"),
+        ([0.3, -0.2], [0.1, -np.inf], [0.8, 1.2], "^b must have finite entries$"),
+    ], ids=["sigma-length", "sigma-inf", "a-nan", "b-inf"])
+    def test_names_the_bad_argument(self, a, b, sigma, message):
+        # these used to give numpy's broadcast message, a RuntimeWarning and
+        # then a portfolio-boundary error, and bad "generator weights"; the
+        # suite turns a warning into a failure
+        with pytest.raises(ValueError, match=message):
+            T.gaussian_example_check(a, b, sigma, 0.5, sample_size=100)
+
 
 class TestBruteForce:
     """``optimal_assignment``, also against the branch-and-bound oracle."""
@@ -303,7 +317,7 @@ class TestBruteForce:
         assert cost == pytest.approx(psi(-np.ones(2)))
 
     def test_dual_graph_coupling_is_optimal(self, rng):
-        gen = G.diversity_weighted(0.5)
+        gen = G.DiversityWeighted(0.5)
         for _ in range(10):
             thetas = rng.normal(size=(5, 2))
             phis = np.array([G.dual_coord(gen, th).phi for th in thetas])
@@ -339,3 +353,17 @@ class TestBruteForce:
     def test_unequal_supports_rejected(self):
         with pytest.raises(ValueError):
             optimal_assignment(np.zeros((3, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("P, Q, message", [
+        ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]],
+         r"^dimension mismatch: coordinates of shapes \[\(2, 2\), \(2, 3\)\]$"),
+        ([[0.0, np.nan], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+         "^coordinate rows must have finite entries$"),
+        ([[0.0, 1.0], [1.0, 0.0]], [[0.0, np.inf], [1.0, 0.0]],
+         "^coordinate rows must have finite entries$"),
+    ], ids=["ragged", "nan", "inf"])
+    def test_supports_are_finite_rows_of_one_width(self, P, Q, message):
+        # these used to give numpy's broadcast message and scipy's "matrix
+        # contains invalid numeric entries"
+        with pytest.raises(ValueError, match=message):
+            optimal_assignment(P, Q)
