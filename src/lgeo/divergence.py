@@ -11,10 +11,21 @@ divergence of the c-concave function ``f = phi + psi``, and certifies
 optimality of the induced transport map through cyclical monotonicity,
 checked over every cycle by one optimal assignment.
 
+Library code never calls a public function that checks its points or
+coordinates, but the unchecked kernel behind it: ``_f_rows`` behind
+:func:`f_value`, and ``_inverse`` behind :func:`inverse_dual_coord` and
+:func:`c_transform_argmin`, the one solver of the inverse dual map theta(phi)
+(the argmin of the c-transform).  On (N, m) rows it takes (1) the family's
+closed form, if any; else (2) one batched damped Newton solve
+(:func:`_newton_max_u`) from the given starts; (3) the rows left unconverged
+restart together from their last iterates, then those still left from the
+barycenter (``_restart``); (4) Nelder-Mead (:func:`minimize`) from the better
+end of those two by u; (5) a row that still fails raises a
+:class:`ConvergenceError` with that row.
+
 Importing this module loads no scipy.  :func:`optimal_assignment`, and with
 it the monotonicity certificates, imports ``scipy.optimize`` on first use,
-as does :func:`minimize`, the Nelder-Mead fallback of
-:func:`c_transform_argmin`.
+as does :func:`minimize`, the Nelder-Mead stage of the solver.
 """
 
 from __future__ import annotations
@@ -35,7 +46,6 @@ from .simplex import (
     coord_rows,
     from_primal_many,
     point_rows,
-    psi,
     psi_many,
     row_max,
     row_sum,
@@ -137,8 +147,13 @@ def f_value(gen: Generator, theta):
     N values as one array.
     """
     th = coord_rows(theta, gen=gen, rows=True)[0]
-    val = gen.log_gen(from_primal_many(th)) + psi_many(th)
+    val = _f_rows(gen, th)
     return float(val) if th.ndim == 1 else val
+
+
+def _f_rows(gen: Generator, Th: np.ndarray):
+    """f over the last axis of unchecked rows ``Th``: the kernel of :func:`f_value`."""
+    return gen.log_gen(from_primal_many(Th)) + psi_many(Th)
 
 
 def l_divergence_primal(gen: Generator, theta, theta2) -> DivergenceValue:
@@ -148,7 +163,7 @@ def l_divergence_primal(gen: Generator, theta, theta2) -> DivergenceValue:
     pi2 = _portfolio_at(gen, th2)
     if np.any(pi2 <= 0.0):
         raise NonRegularError(f"{gen.name}: boundary portfolio in primal divergence")
-    f = f_value(gen, Th)
+    f = _f_rows(gen, Th)
     val = _log_tilt(pi2, th - th2)[0] - (f[0] - f[1])
     return DivergenceValue(value=float(val), rep="primal")
 
@@ -162,11 +177,11 @@ def l_divergence_dual(gen: Generator, phi, phi2) -> DivergenceValue:
     """
     Ph = coord_rows(phi, phi2, gen=gen)
     ph, ph2 = Ph
-    Th = inverse_dual_coord(gen, Ph)
+    Th = _inverse(gen, Ph)
     th, th2 = Th
-    f = f_value(gen, Th)
-    fstar = psi(th - ph) - f[0]
-    fstar2 = psi(th2 - ph2) - f[1]
+    f = _f_rows(gen, Th)
+    fstar = psi_many(th - ph) - f[0]
+    fstar2 = psi_many(th2 - ph2) - f[1]
     val = _log_tilt(_portfolio_at(gen, th), ph - ph2)[0] - (fstar2 - fstar)
     return DivergenceValue(value=float(val), rep="dual")
 
@@ -372,84 +387,72 @@ def minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
-    """Minimizer theta of psi(theta - phi) - f(theta), for one point.
-
-    Damped Newton (:func:`_newton_max_u` on one row) from ``x0``, from the
-    family's closed-form inverse when available, and from the barycenter;
-    Nelder-Mead as a last resort.  This is the per-row fallback of
-    :func:`inverse_dual_coord`, which passes each unconverged row's last
-    iterate as ``x0``.  The objective is the negative of a strictly
-    quasi-concave function, so the minimizer is unique when it exists.
-    """
-    if x0 is None:
-        ph = coord_rows(phi, gen=gen)[0]
-    else:  # the start is checked with phi, as one array
-        ph, x0 = coord_rows(phi, x0, gen=gen)
-    starts = [np.zeros_like(ph)]
-    closed = gen.dual_map_inverse(ph)
+def _inverse(gen: Generator, Ph: np.ndarray, X0: np.ndarray | None = None) -> np.ndarray:
+    """The inverse dual map of unchecked (N, m) rows ``Ph`` (module docstring),
+    with Newton from the rows of ``X0``, by default from ``Ph``."""
+    closed = gen.dual_map_inverse(Ph)
     if closed is not None:
-        starts.insert(0, np.asarray(closed, dtype=float))
-    if x0 is not None:
-        starts.insert(0, x0)
-    best = None
-    for s in starts:
-        th, u, ok = _newton_max_u(gen, ph[None], s[None])
-        if ok[0]:
-            return th[0]
-        if best is None or u[0] > best[1]:
-            best = (th[0], u[0])
-    res = minimize(
-        lambda t: psi(t - ph) - f_value(gen, t),
-        best[0],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
-    th = res.x
-    _, grad, _ = _u_value_grad(gen, th[None], ph[None])
-    if np.linalg.norm(grad) > 1e-7:
-        raise ConvergenceError(
-            f"{gen.name}: c-transform minimization did not converge at phi={ph}"
-        )
-    return th
+        return np.asarray(closed, dtype=float)
+    Th, _, ok = _newton_max_u(gen, Ph, Ph if X0 is None else X0)
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        Th[rows] = _restart(gen, Ph[rows], Th[rows], rows)
+    return Th
 
 
-def c_transform(gen: Generator, phi, x0=None) -> float:
-    """The conjugate potential f*(phi) = inf_theta psi(theta - phi) - f(theta)."""
-    ph = coord_rows(phi, gen=gen)[0]
-    th = c_transform_argmin(gen, ph, x0=x0)
-    return float(psi(th - ph) - f_value(gen, th))
+def _restart(gen: Generator, Ph: np.ndarray, Th: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Stages 3 to 5 of :func:`_inverse` for the rows ``Ph`` (rows ``rows``
+    of the call) that its Newton solve left unconverged at ``Th``."""
+    Th, U, ok = _newton_max_u(gen, Ph, Th)
+    left = np.flatnonzero(~ok)
+    if left.size:
+        th, u, ok = _newton_max_u(gen, Ph[left], np.zeros((left.size, Ph.shape[1])))
+        better = ok | (u > U[left])
+        Th[left[better]] = th[better]
+        left = left[~ok]
+    for j in left:
+        ph = Ph[j][None]
+        value = lambda t: -_u_value_grad(gen, t[None], ph)[0][0]  # psi(t - phi) - f(t)
+        res = minimize(value, Th[j], method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
+        if np.linalg.norm(_u_value_grad(gen, res.x[None], ph)[1]) > 1e-7:
+            raise ConvergenceError(f"{gen.name}: c-transform minimization did not converge "
+                                   f"at phi={ph[0]}", row=int(rows[j]))
+        Th[j] = res.x
+    return Th
 
 
 def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
     """Exponential coordinate of the point whose dual coordinate is ``phi``.
 
     ``phi`` is one dual coordinate (m,) or an (N, m) array of rows, answered
-    row for row; one point is solved as a single row, so it gets the bits it
-    would get in any array.  A family's closed-form inverse maps all rows at
-    once.  Without one, the rows are solved together by one batched damped
-    Newton (:func:`_newton_max_u`); each row starts at ``x0`` (one start for
-    every row, or one per row; checked against ``phi`` whether or not it is
-    used) or, by default, at its own dual coordinate.
-    The rows that the batch leaves unconverged go to
-    :func:`c_transform_argmin` one at a time; if one of them still fails,
-    the :class:`ConvergenceError` carries its ``row`` (0 for one point).
+    row for row by the solver of the module docstring, from ``x0`` of the
+    same shape (by default ``phi``); one point is solved as a single row, so
+    it gets the bits it would get in any array.  A failing row's
+    :class:`ConvergenceError` carries its ``row`` (0 for one point).
     """
-    ph = coord_rows(phi, gen=gen, rows=True)[0]
-    Ph = np.atleast_2d(ph)
-    if x0 is not None:  # one start for every row, or one per row
-        x0 = coord_rows(Ph if np.ndim(x0) == 2 else Ph[0], x0, rows=True)[1]
-    closed = gen.dual_map_inverse(ph)
-    if closed is not None:
-        return np.asarray(closed, dtype=float)
-    start = Ph if x0 is None else np.broadcast_to(x0, Ph.shape)
-    th, _, ok = _newton_max_u(gen, Ph, start)
-    for j in np.flatnonzero(~ok):
-        try:
-            th[j] = c_transform_argmin(gen, Ph[j], x0=th[j])
-        except ConvergenceError as exc:
-            raise ConvergenceError(str(exc), row=int(j)) from exc
-    return th.reshape(ph.shape)
+    ph, x0 = coord_rows(phi, phi if x0 is None else x0, gen=gen, rows=True)
+    return _inverse(gen, np.atleast_2d(ph), np.atleast_2d(x0)).reshape(ph.shape)
+
+
+def _argmin(gen: Generator, phi, x0):
+    """One point's checked ``phi`` and its inverse dual image, from ``x0``."""
+    ph, x0 = coord_rows(phi, phi if x0 is None else x0, gen=gen)
+    return ph, _inverse(gen, ph[None], x0[None])[0]
+
+
+def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
+    """Minimizer theta of psi(theta - phi) - f(theta), for one point: the
+    one-row case of :func:`inverse_dual_coord`.  The objective is the
+    negative of a strictly quasi-concave function, so the minimizer is
+    unique when it exists."""
+    return _argmin(gen, phi, x0)[1]
+
+
+def c_transform(gen: Generator, phi, x0=None) -> float:
+    """The conjugate potential f*(phi) = inf_theta psi(theta - phi) - f(theta)."""
+    ph, th = _argmin(gen, phi, x0)
+    return float(psi_many(th - ph) - _f_rows(gen, th))
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +460,20 @@ def inverse_dual_coord(gen: Generator, phi, x0=None) -> np.ndarray:
 
 def c_divergence(gen: Generator, p, p2) -> float:
     """D(p|p2) = c(theta, phi2) - f(theta) - f*(phi2); equals T(p|p2)."""
-    th, th2 = to_primal_many(point_rows(p, p2, gen=gen))
-    f = f_value(gen, np.array([th, th2]))
+    th, th2 = Th = to_primal_many(point_rows(p, p2, gen=gen))
+    f = _f_rows(gen, Th)
     ph2 = _dual_rows(th2, _portfolio_at(gen, th2), gen.name)
-    fstar2 = psi(th2 - ph2) - f[1]
-    return float(psi(th - ph2) - f[0] - fstar2)
+    fstar2 = psi_many(th2 - ph2) - f[1]
+    return float(psi_many(th - ph2) - f[0] - fstar2)
 
 
 def c_divergence_dual(gen: Generator, p, p2) -> float:
     """D*(p|p2) = c(theta2, phi) - f*(phi) - f(theta2); equals T(p2|p)."""
-    th, th2 = to_primal_many(point_rows(p, p2, gen=gen))
-    f = f_value(gen, np.array([th, th2]))
+    th, th2 = Th = to_primal_many(point_rows(p, p2, gen=gen))
+    f = _f_rows(gen, Th)
     ph = _dual_rows(th, _portfolio_at(gen, th), gen.name)
-    fstar = psi(th - ph) - f[0]
-    return float(psi(th2 - ph) - fstar - f[1])
+    fstar = psi_many(th - ph) - f[0]
+    return float(psi_many(th2 - ph) - fstar - f[1])
 
 
 def pyth_transport_gap(gen: Generator, p, q, r) -> float:
@@ -502,9 +505,13 @@ def optimal_assignment(P_support, Q_support):
     each), checked by :func:`~lgeo.simplex.coord_rows`.  One O(N^3) solve by
     ``scipy.optimize.linear_sum_assignment``.
     """
+    return _assignment(*np.atleast_2d(*coord_rows(P_support, Q_support, rows=True)))
+
+
+def _assignment(P: np.ndarray, Q: np.ndarray):
+    """:func:`optimal_assignment` of unchecked (N, m) supports."""
     from scipy.optimize import linear_sum_assignment
 
-    P, Q = np.atleast_2d(*coord_rows(P_support, Q_support, rows=True))
     # cost matrix C[i, j] = c(theta_i, phi_j)
     C = psi_many(P[:, None, :] - Q[None, :, :])
     rows, cols = linear_sum_assignment(C)
@@ -520,9 +527,8 @@ def is_c_cyclical_monotone(sample: CouplingSample) -> bool:
     the cycles of every length at once.  The diagonal coupling may cost at
     most 1e-10 more than the optimum.
     """
-    thetas = np.array([np.asarray(t, dtype=float) for t, _ in sample.pairs])
-    phis = np.array([np.asarray(f, dtype=float) for _, f in sample.pairs])
-    _, best = optimal_assignment(thetas, phis)
+    thetas, phis = np.asarray(sample.pairs, dtype=float).transpose(1, 0, 2)
+    _, best = _assignment(thetas, phis)
     return bool(psi_many(thetas - phis).sum() <= best + _CM_SLACK)
 
 

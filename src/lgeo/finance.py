@@ -29,7 +29,7 @@ import numpy as np
 from ._table import write_table
 from .divergence import _ratios, _t_euclid
 from .generators import Generator
-from .geodesics import pythagorean_sign
+from .geodesics import _pyth
 from .simplex import point_rows
 
 __all__ = [
@@ -305,7 +305,14 @@ def rebalance_compare(gen: Generator, path: MarketPath, schedule_a, schedule_b) 
     schedules the difference is reported as telescoped divergence sums with
     no sign law asserted.
     """
-    point_rows(path.weights[0], gen=gen)  # the rows passed MarketPath; this checks their dimension
+    three_point = (
+        len(path) == 3
+        and sorted(set(schedule_a) | {2}) == [0, 1, 2]
+        and sorted(set(schedule_b) | {2}) == [0, 2]
+    )
+    # the rows passed MarketPath: this checks their dimension (and the three
+    # points of the angle criterion as pythagorean_sign does)
+    P = point_rows(*path.weights[: 3 if three_point else 1], gen=gen)
     la, da = _schedule_log_value(gen, path, schedule_a)
     lb, db = _schedule_log_value(gen, path, schedule_b)
     report = CompareReport(
@@ -317,13 +324,8 @@ def rebalance_compare(gen: Generator, path: MarketPath, schedule_a, schedule_b) 
         divergence_sum_a=da,
         divergence_sum_b=db,
     )
-    three_point = (
-        len(path) == 3
-        and sorted(set(schedule_a) | {2}) == [0, 1, 2]
-        and sorted(set(schedule_b) | {2}) == [0, 2]
-    )
     if three_point:
-        pyth = pythagorean_sign(gen, path.weights[0], path.weights[1], path.weights[2])
+        pyth = _pyth(gen, P)
         report.pythagorean_gap = pyth.gap
         report.angle_deg = pyth.angle_deg
     return report

@@ -46,10 +46,10 @@ import numpy as np
 
 from .simplex import (
     DualCoord,
+    NonRegularError,
     SimplexPoint,
     _identity,
     coord_rows,
-    from_primal,
     from_primal_many,
     point_rows,
     psi_many,
@@ -80,10 +80,6 @@ __all__ = [
     "generator_from_json",
     "generator_to_json",
 ]
-
-
-class NonRegularError(ValueError):
-    """Raised when an operation needs regularity the generator lacks."""
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +469,7 @@ def dual_coord(gen: Generator, theta) -> DualCoord:
 def dual_euclidean(gen: Generator, p) -> SimplexPoint:
     """Dual Euclidean coordinates: the point with exponential coordinate -phi."""
     th = to_primal_many(point_rows(p, gen=gen)[0])
-    return from_primal(-_dual_rows(th, _portfolio_at(gen, th), gen.name))
+    return SimplexPoint(from_primal_many(-_dual_rows(th, _portfolio_at(gen, th), gen.name)))
 
 
 def jacobian_dual(gen: Generator, theta) -> np.ndarray:
@@ -504,7 +500,10 @@ def weights_from_gaussian(a, b, lam: float) -> np.ndarray:
     ``w_i = exp((1 - lam) a_i - b_i)``, so that
     ``(1 - lam) a_i - log(w_i / w_n) = b_i`` holds exactly.
     """
-    a, b = coord_rows(a, b)
+    return _gaussian_weights(*coord_rows(a, b), lam)
+
+
+def _gaussian_weights(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     return np.concatenate([np.exp((1.0 - lam) * a - b), [1.0]])
 
 

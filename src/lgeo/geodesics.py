@@ -50,7 +50,7 @@ import numpy as np
 
 from . import divergence
 from ._table import write_table
-from .divergence import _ratios, _t_euclid, f_value, inverse_dual_coord
+from .divergence import _f_rows, _inverse, _ratios, _t_euclid
 from .generators import (
     Generator,
     _check_interior,
@@ -364,9 +364,9 @@ def _chord_inverse(gen: Generator, chord, span: np.ndarray):
     rows, thinned evenly in s to at most ``_SOLVED``; a row at a kept s
     starts at its solution.  With a closed form, ``theta`` is that form."""
     if gen.dual_map_inverse(chord(span[:1])) is not None:
-        return lambda s, Ph: inverse_dual_coord(gen, Ph)
+        return lambda s, Ph: _inverse(gen, Ph)
     S = np.linspace(span[0], span[-1], 33)
-    Th = inverse_dual_coord(gen, chord(S))  # the solved rows, by increasing s
+    Th = _inverse(gen, chord(S))  # the solved rows, by increasing s
 
     def start(s):  # in blocks of 256 rows, which bounds the (6, 6, rows) factors below
         out, i = [], np.arange(min(6, S.size))
@@ -382,7 +382,7 @@ def _chord_inverse(gen: Generator, chord, span: np.ndarray):
 
     def theta(s, Ph):
         nonlocal S, Th
-        th = inverse_dual_coord(gen, Ph, x0=start(s))
+        th = _inverse(gen, Ph, start(s))
         S, first = np.unique(np.concatenate((S, s)), return_index=True)
         keep = np.linspace(0, S.size - 1, min(S.size, _SOLVED)).round().astype(int)
         S, Th = S[keep], np.concatenate((Th, th))[first[keep]]
@@ -395,9 +395,9 @@ def _log_weight(gen: Generator, rows: np.ndarray, Th: np.ndarray | None) -> np.n
     """The log weight of a geodesic: -2 f at primal ``rows``, or -2 f* at
     dual ``rows`` whose inverse dual images are ``Th``."""
     if Th is None:
-        return -2.0 * f_value(gen, rows)
+        return -2.0 * _f_rows(gen, rows)
     # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
-    return -2.0 * (psi_many(Th - rows) - f_value(gen, Th))
+    return -2.0 * (psi_many(Th - rows) - _f_rows(gen, Th))
 
 
 def _chord(gen: Generator, q, r, sign: float, flow: bool = False):
@@ -476,8 +476,8 @@ def _dual_range_guard(gen, curve, Th0):
     """
     Ph = curve.points
     Th, _, ok = divergence._newton_max_u(gen, Ph, Th0)
-    fstar = psi_many(Th - Ph) - f_value(gen, Th)
-    gap = np.abs(f_value(gen, Th0) + fstar - psi_many(Th0 - Ph))
+    fstar = psi_many(Th - Ph) - _f_rows(gen, Th)
+    gap = np.abs(_f_rows(gen, Th0) + fstar - psi_many(Th0 - Ph))
     bad = np.flatnonzero(~ok | ~(gap <= 1e-6))
     if bad.size:
         first, t = bad[0], curve.times[bad[0]]
@@ -592,7 +592,7 @@ def _residual_values(gen, times, points, coord, eval_times, end_velocities=None)
         bc = ((1, end_velocities[0]), (1, end_velocities[1]))
     spl = CubicSpline(times, points, axis=0, bc_type=bc)
     xi, v, a = spl(eval_times), spl.derivative(1)(eval_times), spl.derivative(2)(eval_times)
-    th, sign = (inverse_dual_coord(gen, xi), -1.0) if coord == "dual" else (xi, 1.0)
+    th, sign = (_inverse(gen, xi), -1.0) if coord == "dual" else (xi, 1.0)
     mix = np.sum(_portfolio_at(gen, th)[:, :-1] * v, axis=1, keepdims=True)
     return a + sign * (v * v - 2.0 * v * mix)
 
@@ -761,7 +761,11 @@ def pythagorean_sign(gen: Generator, p, q, r) -> PythResult:
     the metric, whose Cholesky factor L gives the inner product and the
     angle (``_angle_deg``) from a = L^T u and b = L^T v.
     """
-    P = point_rows(p, q, r, gen=gen)
+    return _pyth(gen, point_rows(p, q, r, gen=gen))
+
+
+def _pyth(gen: Generator, P: np.ndarray) -> PythResult:
+    """:func:`pythagorean_sign` of the unchecked rows ``P`` of p, q and r."""
     Pi = gen.portfolio(P[:2])
     pi_p, pi_q = Pi
     # the gap: T(q|p), T(r|q) and T(r|p) as rows, from the rows of p, q, r
@@ -806,7 +810,11 @@ class RegionSample:
 
 def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
     """Vectorized gap T(q|p) + T(r|q) - T(r|p) over rows q of Q."""
-    pa, ra = point_rows(p, r, gen=gen)
+    return _region_gap(gen, *point_rows(p, r, gen=gen), Q)
+
+
+def _region_gap(gen: Generator, pa: np.ndarray, ra: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """:func:`region_gap` at the unchecked rows ``pa`` and ``ra``."""
     pi_p = gen.portfolio(pa)
     logv_p = gen.log_gen(pa)
     logv_r = gen.log_gen(ra)
@@ -850,7 +858,7 @@ def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSamp
     if pa.size != 3:
         raise ValueError("region sampling draws on the 2-simplex: need n = 3")
     idx, Q, index_map = _barycentric_lattice(grid_resolution)
-    gaps = region_gap(gen, pa, ra, Q)
+    gaps = _region_gap(gen, pa, ra, Q)
     in_region = gaps <= 1e-12
     # neighbours of each point along the three edge directions, -1 if none
     nbr = index_map[idx[:, :1] + [1, 0, 1], idx[:, 1:2] + [0, 1, -1]]
@@ -866,7 +874,7 @@ def region_sample(gen: Generator, p, r, grid_resolution: int = 60) -> RegionSamp
     poly = Q[k] + lam[:, None] * (Q[k2] - Q[k])
     # p and r always lie on the boundary of the region (their gap is zero)
     extra = np.array([pa, ra])
-    extra_gap = region_gap(gen, pa, ra, extra)
+    extra_gap = _region_gap(gen, pa, ra, extra)
     points = np.vstack([Q, extra])
     gaps = np.concatenate([gaps, extra_gap])
     in_region = np.concatenate([in_region, np.abs(extra_gap) <= 1e-9])

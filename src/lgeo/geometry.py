@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _ratios, inverse_dual_coord
+from .divergence import _inverse, _ratios
 from .generators import (
     Generator,
     NonRegularError,
@@ -135,7 +135,7 @@ def pi_quantities(gen: Generator, theta, theta2) -> PiQuantities:
 def pi_quantities_dual(gen: Generator, phi, phi2) -> PiQuantities:
     """Weights Pi*_i(phi, phi2): the portfolio at the *first* point, tilted."""
     ph, ph2 = coord_rows(phi, phi2, gen=gen)
-    pi = _portfolio_at(gen, inverse_dual_coord(gen, ph))
+    pi = _portfolio_at(gen, _inverse(gen, ph[None])[0])
     return PiQuantities(values=_tilted(pi, ph - ph2), kind="dual")
 
 
@@ -211,12 +211,7 @@ def metric_primal(gen: Generator, theta) -> MetricMatrix:
     ``I - 1 pi^T`` with the inverse dual Jacobian, avoiding a generic matrix
     inversion of the metric itself.
     """
-    th = coord_rows(theta, gen=gen)[0]
-    pi, dpi = _portfolio_at(gen, th), gen.dpi_dtheta(th)
-    G, _ = _metric_entries(gen, pi, dpi)
-    M = np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1]
-    inv = np.linalg.solve(_jacobian_from_portfolio(pi, dpi), M)
-    return MetricMatrix(entries=G, coord="primal", base_point=th.copy(), inv=inv)
+    return _metric_for(gen, theta, "primal")
 
 
 def _dual_point(gen: Generator, phi, theta):
@@ -225,22 +220,29 @@ def _dual_point(gen: Generator, phi, theta):
         raise ValueError("give the point by exactly one of phi and theta")
     if theta is None:
         phi = coord_rows(phi, gen=gen)[0]
-        th = inverse_dual_coord(gen, phi)
+        th = _inverse(gen, phi[None])[0]
     else:
         th = coord_rows(theta, gen=gen)[0]
     pi = _portfolio_at(gen, th)
+    _check_interior(pi, gen.name)  # the dual metric divides by pi
     return th, pi, _dual_rows(th, pi, gen.name) if phi is None else phi
 
 
 def metric_dual(gen: Generator, phi=None, *, theta=None) -> MetricMatrix:
     """Metric coefficients in dual coordinates, at the point given by its dual
     coordinate ``phi`` or, as a shortcut, by its primal coordinate ``theta``."""
-    th, pi, base = _dual_point(gen, phi, theta)
+    return _metric(gen, *_dual_point(gen, phi, theta), dual=True)
+
+
+def _metric(gen: Generator, th, pi, base, dual: bool = False) -> MetricMatrix:
+    """The primal or dual metric at the unchecked coordinate ``th`` with
+    portfolio ``pi``, recorded at ``base``."""
     dpi = gen.dpi_dtheta(th)
     J = _jacobian_from_portfolio(pi, dpi)
-    G, _ = _metric_entries(gen, pi, dpi, J)
-    inv = J @ (np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1])
-    return MetricMatrix(entries=G, coord="dual", base_point=base, inv=inv)
+    G, _ = _metric_entries(gen, pi, dpi, J if dual else None)
+    M = np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1]
+    inv = J @ M if dual else np.linalg.solve(J, M)
+    return MetricMatrix(entries=G, coord="dual" if dual else "primal", base_point=base, inv=inv)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,10 @@ def christoffel_dual(gen: Generator, phi=None, *, theta=None) -> ChristoffelTens
 # curvature
 
 def _metric_for(gen, point, which) -> MetricMatrix:
-    return metric_primal(gen, point) if which == "primal" else metric_dual(gen, point)
+    if which == "primal":
+        th = coord_rows(point, gen=gen)[0]
+        return _metric(gen, th, _portfolio_at(gen, th), th.copy())
+    return _metric(gen, *_dual_point(gen, point, None), dual=True)
 
 
 def rc_curvature(gen: Generator, point, which: str = "primal") -> np.ndarray:
@@ -293,7 +298,7 @@ def _rc_closed(g: np.ndarray) -> np.ndarray:
 
 def ricci(gen: Generator, point, which: str = "primal") -> np.ndarray:
     """Ricci tensor Ric_jk = R^i_ijk (trace over the first slot)."""
-    return np.einsum("ijki->jk", rc_curvature(gen, point, which))
+    return np.einsum("ijki->jk", _rc_closed(_metric_for(gen, point, which).entries))
 
 
 def sectional_curvature(gen: Generator, point, u, v, which: str = "primal") -> float:

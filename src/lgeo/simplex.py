@@ -16,8 +16,10 @@ All exp/log aggregations are max-shifted so that coordinates of order
 +-50, which occur along geodesics, do not overflow.
 
 Inputs are checked once, at the public boundary, by two functions: every
-public entry point passes its points through :func:`point_rows` and its
-coordinates through :func:`coord_rows`, each with the generator, if any.
+public entry point passes its points through :func:`point_rows` or its
+coordinates through :func:`coord_rows`, each with the generator, if any, in
+exactly one call.  Library code never calls a public function that checks
+its input through these two: it calls the unchecked kernel behind it.
 :func:`point_rows` validates points of one common dimension as one array and
 returns their plain rows: it tests the stacked array with one whole-array
 reduction (the least entry) and the few row sums as floats, and does per-row
@@ -30,8 +32,8 @@ the error of a point is that of :class:`SimplexPoint`.
 The kernels below that boundary
 (:func:`psi_many`, :func:`from_primal_many`, :func:`to_primal_many` and the
 log-sum ``_log_tilt``) take plain float arrays of shape ``(..., k)``, reduce
-over the last axis and check nothing; the one-point :func:`psi` and
-:func:`softmax_with_tail` are their 1-d case.
+over the last axis and check nothing; :func:`softmax_with_tail` is their
+1-d case, and the public :func:`psi` checks its one coordinate first.
 
 The kernels reduce through :func:`row_sum` and :func:`row_max`, which return
 bitwise what ``X.sum(axis=-1)`` and ``X.max(axis=-1)`` return.  numpy
@@ -43,6 +45,7 @@ order numpy uses, which is several times faster.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +66,21 @@ __all__ = [
 # points; sums off by more than SUM_TOL are rejected instead of renormalized.
 ENTRY_FLOOR = 1e-300
 SUM_TOL = 1e-9
+# coordinates of a generator's point that span (with the implicit 0) more than
+# this put an entry of p(theta), or of p(-phi), below ENTRY_FLOOR
+_SPAN = -math.log(ENTRY_FLOOR)
+
+
+class NonRegularError(ValueError):
+    """Raised when an operation needs regularity the generator lacks."""
 
 
 def _as_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} needs at least 1 entry")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must have finite entries")
     return arr
@@ -216,11 +228,12 @@ def coord_rows(*coords, gen=None, rows: bool = False) -> np.ndarray:
 
     Each is a :class:`PrimalCoord`, a :class:`DualCoord` or an array-like of
     m entries or, with ``rows``, an (N, m) array of rows; the result has
-    shape ``(len(coords),) + shape``.  The stack is tested for finite
+    shape ``(len(coords),) + shape``, m >= 1.  The stack is tested for finite
     entries once.  Failing input goes coordinate by coordinate, which raises
     the first failing coordinate's error; coordinates of different shapes,
     or of m + 1 entries other than the ``dim`` of a generator ``gen``, are
-    a ``ValueError`` naming both dimensions.
+    a ``ValueError`` naming both dimensions.  A generator's coordinates that
+    span more than ``_SPAN`` are a :class:`NonRegularError`.
     """
     arrays = [x.theta if isinstance(x, PrimalCoord) else x.phi if isinstance(x, DualCoord) else x
               for x in coords]
@@ -230,8 +243,10 @@ def coord_rows(*coords, gen=None, rows: bool = False) -> np.ndarray:
              np.array(arrays, dtype=float))
     except (ValueError, TypeError):
         X = None  # ragged, or entries that are not numbers
-    # logical_and.reduce is what X.all() calls, without its Python wrapper
-    if X is None or not 2 <= X.ndim <= 2 + rows or not np.logical_and.reduce(np.isfinite(X), None):
+    # the largest |entry| in one reduction: NaN if an entry is NaN
+    top = (_max_reduce(abs(X), None, None, None, False, 0.0)
+           if X is not None and 2 <= X.ndim <= 2 + rows and X.shape[-1] else math.nan)
+    if not top < math.inf:
         for x in arrays:
             if rows and np.ndim(x) == 2:
                 _as_vector(np.ravel(x), "coordinate rows")
@@ -243,6 +258,11 @@ def coord_rows(*coords, gen=None, rows: bool = False) -> np.ndarray:
     if dim is not None and X.shape[-1] + 1 != dim:
         raise ValueError(f"dimension mismatch: generator {gen.name} of dimension {dim}, "
                          f"points of dimension {X.shape[-1] + 1}")
+    # below top = _SPAN / 2 no row spans more than _SPAN
+    if gen is not None and top > _SPAN / 2 and (
+            row_max(X, initial=0.0) + row_max(-X, initial=0.0) > _SPAN).any():
+        raise NonRegularError(f"{gen.name}: coordinates span more than {_SPAN:.6g}; "
+                              f"the point lies on the simplex boundary")
     return X
 
 
@@ -291,9 +311,10 @@ def row_max(X: np.ndarray, keepdims: bool = False, initial=None) -> np.ndarray:
 def psi(x) -> float:
     """Log-partition ``log(1 + sum_i exp(x_i))``, computed with a max shift.
 
-    ``x`` lives in R^(n-1); the implicit n-th entry is 0.
+    ``x`` is one coordinate in R^(n-1), checked by :func:`coord_rows`; the
+    implicit n-th entry is 0.
     """
-    return float(psi_many(np.atleast_1d(np.asarray(x, dtype=float))))
+    return float(psi_many(coord_rows(x)[0]))
 
 
 def psi_many(X: np.ndarray) -> np.ndarray:
@@ -356,7 +377,7 @@ def from_primal_many(Theta: np.ndarray) -> np.ndarray:
 
 def from_primal(theta) -> SimplexPoint:
     """Inverse of :func:`to_primal`; overflow-safe for large coordinates."""
-    return SimplexPoint(softmax_with_tail(coord_rows(theta)[0]))
+    return SimplexPoint(from_primal_many(coord_rows(theta)[0]))
 
 
 def cost(theta, phi) -> CostValue:
@@ -369,5 +390,5 @@ def cost(theta, phi) -> CostValue:
     t, f = coord_rows(theta, phi)
     x = t - f
     n = x.size + 1
-    raw = psi(x)
+    raw = psi_many(x)
     return CostValue(nats=float(raw), normalized=float(raw - np.log(n) - x.sum() / n))

@@ -39,8 +39,8 @@ from .generators import (
     UniformCrossEntropy,
     ZeroGenerator,
     _dual_rows,
+    _gaussian_weights,
     _portfolio_at,
-    weights_from_gaussian,
 )
 from .geodesics import Curve, _grid
 from .simplex import (
@@ -48,9 +48,7 @@ from .simplex import (
     coord_rows,
     from_primal_many,
     point_rows,
-    psi,
     psi_many,
-    softmax_with_tail,
 )
 
 __all__ = [
@@ -126,7 +124,7 @@ def minimizing_curve(theta, phi, grid=None) -> Curve:
     th, ph = coord_rows(theta, phi)
     ts = _grid(grid)
     n = th.size + 1
-    q1 = softmax_with_tail(th - ph)
+    q1 = from_primal_many(th - ph)
     a = (1.0 - ts)[:, None] / n + ts[:, None] * q1[None, :]  # (m, n)
     pts = _dual_rows(th, a, "minimizing curve")
     adot = q1 - 1.0 / n
@@ -290,7 +288,7 @@ def gaussian_example_check(a, b, sigma, lam, sample_size: int = 100_000,
         raise ValueError("sigma must be strictly positive")
     if sample_size < 2:
         raise ValueError(f"the sample variance needs sample_size >= 2, got {sample_size}")
-    w = weights_from_gaussian(a, b, lam)
+    w = _gaussian_weights(a, b, lam)
     gen = GeneralizedDiversityWeighted(w, lam)
     scale = 1.0 - lam
     shift = -gen.shift
@@ -350,4 +348,5 @@ def coupling_cost(sample: CouplingSample) -> float:
 
     :func:`lgeo.divergence.optimal_assignment` gives the least such cost.
     """
-    return float(sum(psi(np.asarray(t) - np.asarray(f)) for t, f in sample.pairs))
+    X = np.asarray(sample.pairs, dtype=float)
+    return float(sum(psi_many(X[:, 0] - X[:, 1])))

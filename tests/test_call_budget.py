@@ -74,20 +74,22 @@ def _ops(gen) -> dict:
 # the counts at n = 3.  Before the stacked checks, the shared tilts and the
 # Cholesky certificate they read, in the order below, 11/37/26/11/18/122
 # (dw) and 14/41/29/13/20/132 (mix); riem_gradient_dual took 15 (dw) and
-# 17 (mix) before its tilt came from the ratio of T(q|p)
+# 17 (mix) before its tilt came from the ratio of T(q|p).  c_transform took
+# 119 (dw) and 129 (mix) while it checked phi three times and refined a
+# closed form by Newton from x0
 BUDGET = {
     ("dw", "l_divergence"): 8,
     ("dw", "pythagorean_sign"): 26,
     ("dw", "metric_primal"): 24,
     ("dw", "christoffel_primal"): 11,
     ("dw", "riem_gradient_dual"): 7,
-    ("dw", "c_transform"): 119,
+    ("dw", "c_transform"): 15,
     ("mix", "l_divergence"): 11,
     ("mix", "pythagorean_sign"): 30,
     ("mix", "metric_primal"): 27,
     ("mix", "christoffel_primal"): 13,
     ("mix", "riem_gradient_dual"): 9,
-    ("mix", "c_transform"): 129,
+    ("mix", "c_transform"): 125,
 }
 
 

@@ -291,9 +291,10 @@ def _stuck_newton(gen, Ph, X0, *args, **kwargs):
 
 
 class TestNelderMeadFallback:
-    # mix has no closed-form inverse, so c_transform_argmin tries Newton from
-    # the barycenter alone and, with Newton stuck, falls back to Nelder-Mead
-    # (scipy.optimize.minimize, imported on its first call) from there
+    # mix has no closed-form inverse, so c_transform_argmin solves by Newton
+    # from phi, restarts from the last iterate and from the barycenter and,
+    # with Newton stuck, falls back to Nelder-Mead (scipy.optimize.minimize,
+    # imported on its first call) from the better of those
     def test_finds_the_newton_minimizer(self, rng, monkeypatch):
         gen = builtin_zoo(3)["mix"]
         Ph = np.array([G.dual_coord(gen, th).phi for th in rng.normal(size=(6, 2)) * 0.8])
@@ -318,6 +319,72 @@ class TestNelderMeadFallback:
         monkeypatch.setattr(D, "minimize", lambda fun, x0, **kw: SimpleNamespace(x=x0 + 1.0))
         with pytest.raises(D.ConvergenceError, match="did not converge"):
             D.c_transform_argmin(gen, ph)
+
+
+class TestSolverStages:
+    """The stages after the first Newton solve of the inverse dual map,
+    reached through real exits of the Newton iteration: a lowered iteration
+    cap ends it unconverged, as the maxiter exit would at full length."""
+
+    @staticmethod
+    def solved(monkeypatch):
+        # six mix rows, their solutions, and a log of (rows, converged) per Newton solve
+        gen = builtin_zoo(3)["mix"]
+        Th = np.random.default_rng(5).normal(size=(6, 2)) * 0.8
+        Ph = np.array([G.dual_coord(gen, th).phi for th in Th])
+        ref = D.inverse_dual_coord(gen, Ph)
+        newton, log = D._newton_max_u, []
+
+        def logged(gen, Ph, X0):
+            out = newton(gen, Ph, X0)
+            log.append((len(Ph), int(out[2].sum())))
+            return out
+
+        monkeypatch.setattr(D, "_newton_max_u", logged)
+        return gen, Ph, ref, log
+
+    def test_rows_restart_from_their_last_iterate_then_the_barycenter(self, monkeypatch):
+        # five Newton steps from 100 off leave every row unconverged; five more
+        # from the last iterates converge some, and the rest converge from
+        # the barycenter, with no Nelder-Mead
+        gen, Ph, ref, log = self.solved(monkeypatch)
+        monkeypatch.setattr(D, "_NEWTON_MAXITER", 5)
+        monkeypatch.setattr(D, "minimize", lambda *a, **k: pytest.fail("reached Nelder-Mead"))
+        th = D.inverse_dual_coord(gen, Ph, x0=Ph + 100.0)
+        first, last, bary = log
+        assert first == (6, 0) and last[0] == 6 and 0 < last[1] < 6
+        assert bary == (6 - last[1], 6 - last[1])
+        assert np.max(np.abs(th - ref)) < 1e-9
+
+    def test_nelder_mead_solves_the_rows_newton_leaves(self, monkeypatch):
+        # with no Newton step allowed, every stage of Newton ends at its cap,
+        # and Nelder-Mead solves each row from the better of its two ends
+        gen, Ph, ref, log = self.solved(monkeypatch)
+        monkeypatch.setattr(D, "_NEWTON_MAXITER", 0)
+        minimize, calls = D.minimize, []
+        monkeypatch.setattr(D, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k))
+        th = D.inverse_dual_coord(gen, Ph, x0=Ph + 3.0)
+        assert log == [(6, 0), (6, 0), (6, 0)] and len(calls) == 6
+        _, grad, H = D._u_value_grad_hess(gen, th, Ph)
+        assert np.all(np.linalg.norm(grad, axis=1) <= 1e-7)
+        stop = (1e-7 + 1e-10) / np.abs(np.linalg.eigvalsh(H)).min(axis=1)
+        assert np.all(np.linalg.norm(th - ref, axis=1) < stop)
+
+    def test_a_row_that_fails_every_stage_raises_with_its_row(self, monkeypatch):
+        # rows 0-2 start at their solutions and end at once; rows 3-5 end at
+        # the cap in every Newton stage, and a Nelder-Mead of two iterations
+        # leaves row 3, the first of them, unsolved
+        gen, Ph, ref, log = self.solved(monkeypatch)
+        monkeypatch.setattr(D, "_NEWTON_MAXITER", 0)
+        minimize = D.minimize
+        monkeypatch.setattr(D, "minimize", lambda fun, x0, method, options:
+                            minimize(fun, x0, method=method, options={**options, "maxiter": 2}))
+        x0 = ref.copy()
+        x0[3:] += 1.0
+        with pytest.raises(D.ConvergenceError, match="did not converge") as info:
+            D.inverse_dual_coord(gen, Ph, x0=x0)
+        assert info.value.row == 3
+        assert log == [(6, 3), (3, 0), (3, 0)]
 
 
 class TestCDivergence:

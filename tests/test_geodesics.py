@@ -68,16 +68,16 @@ def bound_newton_evaluations(monkeypatch, limit):
 
 def bound_f_rows(monkeypatch, limit):
     """Fail once the geodesics evaluate f at more than ``limit`` rows in
-    all; returns the list of rows per call of ``f_value``."""
-    f_value, rows = gd.f_value, []
+    all; returns the list of rows per call of the kernel of ``f_value``."""
+    f_rows, rows = gd._f_rows, []
 
     def bounded(gen, Th):
         rows.append(int(np.prod(np.shape(Th)[:-1])))
         if sum(rows) > limit:
             raise AssertionError("geodesic evaluated f at too many rows")
-        return f_value(gen, Th)
+        return f_rows(gen, Th)
 
-    monkeypatch.setattr(gd, "f_value", bounded)
+    monkeypatch.setattr(gd, "_f_rows", bounded)
     return rows
 
 
@@ -320,11 +320,11 @@ class TestDualGeodesic:
         ends[end, k] = 1e-12
         ends[end] /= ends[end].sum()
 
-        def no_argmin(*args, **kwargs):
-            raise AssertionError("a chord row reached the multi-start fallback")
+        def no_restart(*args, **kwargs):
+            raise AssertionError("a chord row reached the restart stage")
 
         rows = bound_newton_evaluations(monkeypatch, limit)
-        monkeypatch.setattr(D, "c_transform_argmin", no_argmin)
+        monkeypatch.setattr(D, "_restart", no_restart)
         gd.dual_geodesic(builtin_zoo(n)["mix"], *ends)
         assert sum(rows) > 0
 
@@ -384,8 +384,8 @@ class TestDualRangeGuard:
 
     def test_inverse_failure(self, monkeypatch):
         # mix has no closed form: rows 70 and 30 fail the guard's conjugate
-        # minimization, and the guard reports row 30 without falling back
-        # to the per-row solver
+        # minimization, and the guard reports row 30 without going on to
+        # the solver's restart stage
         gen = builtin_zoo(3)["mix"]
         curve, starts = self.curve_and_starts(gen)
         newton = D._newton_max_u
@@ -396,11 +396,11 @@ class TestDualRangeGuard:
                 ok[[70, 30]] = False
             return Th, U, ok
 
-        def no_argmin(gen, phi, x0=None):
+        def no_restart(gen, Ph, Th, rows):
             raise D.ConvergenceError("forced")
 
         monkeypatch.setattr(D, "_newton_max_u", failing)
-        monkeypatch.setattr(D, "c_transform_argmin", no_argmin)
+        monkeypatch.setattr(D, "_restart", no_restart)
         for start in starts:
             err = self.guard_error(gen, curve, start)
             assert err.last_valid_t == curve.times[30]

@@ -8,9 +8,12 @@ here.  Each row that takes points or coordinates also carries a
 wrong-dimension variant, which must raise ``ValueError`` naming both
 dimensions: points and coordinates enter through ``simplex.point_rows`` and
 ``simplex.coord_rows``, and numpy's broadcast message must never reach the
-caller.
+caller.  Such a row makes exactly one call of those two functions, so that
+library code checks nothing twice; some rows carry further bad inputs, each
+rejected by name.
 """
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 import lgeo
+from lgeo import simplex
 from lgeo.simplex import to_primal_many
 
 EXEMPT = {
@@ -36,6 +40,7 @@ PH = {3: np.array([lgeo.dual_coord(CW, th).phi for th in TH[3]]), 4: TH[4]}
 GEN_DIM = (r"^dimension mismatch: generator cw\[0\.2,0\.3,0\.5\] of dimension 3, "
            r"points of dimension 4$")
 SHAPES = r"^dimension mismatch: coordinates of shapes \[\(2,\), \(3,\)\]$"
+EMPTY = r"^coordinate needs at least 1 entry$"
 
 
 @dataclass
@@ -48,12 +53,13 @@ class Row:
     kwargs: dict = field(default_factory=dict)
     wrong: Callable[[], tuple] | None = None
     message: str | None = None
+    bad: tuple = ()  # (arguments, message) of further inputs that raise ValueError
 
 
-def gen_row(args: Callable[[int], tuple], **kwargs) -> Row:
+def gen_row(args: Callable[[int], tuple], bad: tuple = (), **kwargs) -> Row:
     """A row of a callable on ``CW``, whose wrong call takes the points or
     coordinates of dimension 4."""
-    return Row(lambda: args(3), kwargs, lambda: args(4), GEN_DIM)
+    return Row(lambda: args(3), kwargs, lambda: args(4), GEN_DIM, bad)
 
 
 def record(result: Callable[[], object]) -> Row:
@@ -77,14 +83,19 @@ GAUSS = ([0.3, -0.2], [0.1, 0.4], [0.8, 1.2])
 TABLE = {
     # simplex
     "SimplexPoint": Row(lambda: (P[3][0],)),
-    "PrimalCoord": Row(lambda: (TH[3][0],)),
-    "DualCoord": Row(lambda: (PH[3][0], CW)),
+    "PrimalCoord": Row(lambda: (TH[3][0],),
+                       bad=((lambda: ([],), r"^theta needs at least 1 entry$"),)),
+    "DualCoord": Row(lambda: (PH[3][0], CW),
+                     bad=((lambda: ([], CW), r"^phi needs at least 1 entry$"),)),
     "CostValue": record(lambda: lgeo.cost(TH[3][0], TH[3][1])),
-    "psi": Row(lambda: (TH[3][0],)),
+    "psi": Row(lambda: (TH[3][0],), bad=(
+        (lambda: ([np.nan, 0.0],), r"^coordinate must have finite entries$"),
+        (lambda: ([],), EMPTY),
+        (lambda: (TH[3],), r"^coordinate must be a 1-d vector, got shape \(3, 2\)$"))),
     "to_primal": Row(lambda: (P[3][0],)),
-    "from_primal": Row(lambda: (TH[3][0],)),
+    "from_primal": Row(lambda: (TH[3][0],), bad=((lambda: ([],), EMPTY),)),
     "cost": Row(lambda: (TH[3][0], TH[3][1]), wrong=lambda: (TH[3][0], TH[4][0]),
-                message=SHAPES),
+                message=SHAPES, bad=((lambda: ([], []), EMPTY),)),
     # generators
     "Generator": Row(lambda: ()),
     "ZeroGenerator": Row(lambda: ()),
@@ -114,10 +125,11 @@ TABLE = {
                           message=r"^coupling sample entries must be 1-d of one length, "
                                   r"not \{\(\d,\), \(\d,\)\}$"),
     "l_divergence": gen_row(lambda n: (CW, P[n][1], P[n][0])),
-    "l_divergence_primal": gen_row(lambda n: (CW, TH[n][1], TH[n][0])),
+    "l_divergence_primal": gen_row(lambda n: (CW, TH[n][1], TH[n][0]),
+                                   bad=((lambda: (CW, [], []), EMPTY),)),
     "l_divergence_dual": gen_row(lambda n: (CW, PH[n][1], PH[n][0])),
     "bregman": gen_row(lambda n: (CW, P[n][1], P[n][0])),
-    "f_value": gen_row(lambda n: (CW, TH[n])),
+    "f_value": gen_row(lambda n: (CW, TH[n]), bad=((lambda: (CW, []), EMPTY),)),
     "c_transform": gen_row(lambda n: (CW, PH[n][0])),
     "inverse_dual_coord": gen_row(lambda n: (CW, PH[n])),
     "c_divergence": gen_row(lambda n: (CW, P[n][1], P[n][0])),
@@ -137,7 +149,7 @@ TABLE = {
     "pi_quantities": gen_row(lambda n: (CW, TH[n][0], TH[n][1])),
     "pi_quantities_dual": gen_row(lambda n: (CW, PH[n][0], PH[n][1])),
     "metric_euclidean": gen_row(lambda n: (CW, P[n][0], tangent(n), tangent(n, 1))),
-    "metric_primal": gen_row(lambda n: (CW, TH[n][0])),
+    "metric_primal": gen_row(lambda n: (CW, TH[n][0]), bad=((lambda: (CW, []), EMPTY),)),
     "metric_dual": gen_row(lambda n: (CW, PH[n][0])),
     "christoffel_primal": gen_row(lambda n: (CW, TH[n][0])),
     "christoffel_dual": gen_row(lambda n: (CW, PH[n][0])),
@@ -201,3 +213,60 @@ def test_wrong_dimension_names_both_dimensions(name):
     with pytest.raises(ValueError, match=row.message) as info:
         getattr(lgeo, name)(*row.wrong(), **row.kwargs)
     assert "broadcast" not in str(info.value)
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name, row in sorted(TABLE.items())
+                                     for k in range(len(row.bad))])
+def test_bad_input_is_rejected_by_name(name, k):
+    args, message = TABLE[name].bad[k]
+    with pytest.raises(ValueError, match=message):
+        getattr(lgeo, name)(*args(), **TABLE[name].kwargs)
+
+
+# the rows that take points or coordinates; the other rows with a wrong
+# variant check input of their own kind, by their own rules
+BOUNDARY = sorted({name for name, row in TABLE.items() if row.wrong}
+                  - {"CouplingSample", "Curve", "gaussian_example_check"} | {"psi"})
+MIX = lgeo.ConvexCombination([CW, lgeo.DiversityWeighted(0.5)], [0.4, 0.6])
+
+
+@pytest.mark.parametrize("gen", [CW, MIX], ids=["cw", "mix"])
+@pytest.mark.parametrize("name", BOUNDARY)
+def test_one_boundary_call_per_public_call(monkeypatch, name, gen):
+    # library code calls the kernels below the boundary, never a public
+    # entry point that would check its points or coordinates again
+    calls = []
+    for check in (simplex.point_rows, simplex.coord_rows):
+        def counted(*args, _check=check, **kwargs):
+            calls.append(_check.__name__)
+            return _check(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "lgeo"]:
+            for attr, value in list(vars(module).items()):
+                if value is check:
+                    monkeypatch.setattr(module, attr, counted)
+    row = TABLE[name]
+    args = tuple(gen if a is CW else a for a in row.args())
+    getattr(lgeo, name)(*args, **row.kwargs)
+    assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, a, b: lgeo.f_value(g, a),
+    lambda g, a, b: lgeo.c_transform(g, a),
+    lambda g, a, b: lgeo.l_divergence_primal(g, a, b),
+    lambda g, a, b: lgeo.l_divergence_dual(g, a, b),
+    lambda g, a, b: lgeo.pi_quantities(g, a, b),
+    lambda g, a, b: lgeo.metric_dual(g, a),
+    lambda g, a, b: lgeo.geometry.dual_jacobian(g, a),
+    lambda g, a, b: lgeo.integrate_geodesic(g, a, [0.1, -0.2], steps=8),
+], ids=["f_value", "c_transform", "l_divergence_primal", "l_divergence_dual", "pi_quantities",
+        "metric_dual", "dual_jacobian", "integrate_geodesic"])
+@pytest.mark.parametrize("gen", [CW, lgeo.DiversityWeighted(0.5), MIX], ids=["cw", "dw", "mix"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_coordinates_that_underflow_are_non_regular(call, gen, sign):
+    # theta = +-(1e3, -1e3) puts an entry of its point at about e^-2000,
+    # which underflows to 0 and would reach a log as a RuntimeWarning
+    a = sign * np.array([1e3, -1e3])
+    with pytest.raises(lgeo.NonRegularError, match="lies on the simplex boundary"):
+        call(gen, a, -a)
