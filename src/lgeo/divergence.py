@@ -12,8 +12,9 @@ optimality of the induced transport map through cyclical monotonicity,
 checked over every cycle by one optimal assignment.
 
 Library code never calls a public function that checks its points or
-coordinates, but the unchecked kernel behind it: ``_f_rows`` behind
-:func:`f_value`, and ``_inverse`` behind :func:`inverse_dual_coord` and
+coordinates, but the unchecked kernel behind it: ``simplex._f_rows`` behind
+:func:`f_value` (f* is ``simplex._fstar_rows``, and both c-divergences are
+``_c_divergence``), and ``_inverse`` behind :func:`inverse_dual_coord` and
 :func:`c_transform_argmin`, the one solver of the inverse dual map theta(phi)
 (the argmin of the c-transform).  On (N, m) rows it takes (1) the family's
 closed form, if any; else (2) one batched damped Newton solve
@@ -21,7 +22,9 @@ closed form, if any; else (2) one batched damped Newton solve
 restart together from their last iterates, then those still left from the
 barycenter (``_restart``); (4) Nelder-Mead (:func:`minimize`) from the better
 end of those two by u; (5) a row that still fails raises a
-:class:`ConvergenceError` with that row.
+:class:`ConvergenceError` with that row.  A row whose theta spans more than
+``simplex._SPAN`` fails each stage (``_solved``): there u's softmaxes
+saturate and its gradient vanishes with no solution near.
 
 Importing this module loads no scipy.  :func:`optimal_assignment`, and with
 it the monotonicity certificates, imports ``scipy.optimize`` on first use,
@@ -41,10 +44,14 @@ from .generators import (
     _portfolio_at,
 )
 from .simplex import (
+    _SPAN,
+    _f_rows,
+    _fstar_rows,
     _identity,
     _log_tilt,
+    _max_reduce,
+    _softmax_psi,
     coord_rows,
-    from_primal_many,
     point_rows,
     psi_many,
     row_max,
@@ -151,11 +158,6 @@ def f_value(gen: Generator, theta):
     return float(val) if th.ndim == 1 else val
 
 
-def _f_rows(gen: Generator, Th: np.ndarray):
-    """f over the last axis of unchecked rows ``Th``: the kernel of :func:`f_value`."""
-    return gen.log_gen(from_primal_many(Th)) + psi_many(Th)
-
-
 def l_divergence_primal(gen: Generator, theta, theta2) -> DivergenceValue:
     """T between the points with exponential coordinates theta and theta2."""
     Th = coord_rows(theta, theta2, gen=gen)
@@ -176,13 +178,9 @@ def l_divergence_dual(gen: Generator, phi, phi2) -> DivergenceValue:
     closed form.
     """
     Ph = coord_rows(phi, phi2, gen=gen)
-    ph, ph2 = Ph
     Th = _inverse(gen, Ph)
-    th, th2 = Th
-    f = _f_rows(gen, Th)
-    fstar = psi_many(th - ph) - f[0]
-    fstar2 = psi_many(th2 - ph2) - f[1]
-    val = _log_tilt(_portfolio_at(gen, th), ph - ph2)[0] - (fstar2 - fstar)
+    fstar, fstar2 = _fstar_rows(gen, Th, Ph)
+    val = _log_tilt(_portfolio_at(gen, Th[0]), Ph[0] - Ph[1])[0] - (fstar2 - fstar)
     return DivergenceValue(value=float(val), rep="dual")
 
 
@@ -200,15 +198,6 @@ def bregman(gen, q, p) -> float:
 # ---------------------------------------------------------------------------
 # c-transform and the dual potential
 
-def _softmax_psi(X: np.ndarray):
-    """Rows of ``from_primal_many(X)`` and ``psi_many(X)`` from one shifted exp."""
-    Z = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
-    top = row_max(Z, keepdims=True)
-    W = np.exp(Z - top)
-    total = row_sum(W, keepdims=True)
-    return W / total, (top + np.log(total))[:, 0]
-
-
 def _u_value_grad(gen: Generator, Th: np.ndarray, Ph: np.ndarray):
     """Value and gradient of u(theta) = f(theta) - psi(theta - phi), row by row.
 
@@ -218,12 +207,11 @@ def _u_value_grad(gen: Generator, Th: np.ndarray, Ph: np.ndarray):
     graze the simplex boundary give u = -inf (rejected by the line search)
     instead of raising.
     """
-    P, psi_th = _softmax_psi(Th)
     S, psi_x = _softmax_psi(Th - Ph)
     S = S[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = gen.log_gen(P) + psi_th - psi_x
-    return u, gen.portfolio(P)[:, :-1] - S, S
+        f, P = _f_rows(gen, Th, points=True)
+    return f - psi_x, gen.portfolio(P)[:, :-1] - S, S
 
 
 def _u_hess(gen: Generator, Th: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -394,19 +382,29 @@ def _inverse(gen: Generator, Ph: np.ndarray, X0: np.ndarray | None = None) -> np
     if closed is not None:
         return np.asarray(closed, dtype=float)
     Th, _, ok = _newton_max_u(gen, Ph, Ph if X0 is None else X0)
-    rows = np.flatnonzero(~ok)
+    rows = np.flatnonzero(~_solved(Th, ok))
     if rows.size:
         Th[rows] = _restart(gen, Ph[rows], Th[rows], rows)
     return Th
+
+
+def _solved(Th: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``ok`` without the rows of ``Th`` that span more than ``_SPAN`` (with
+    the implicit 0): there the softmaxes of u saturate, and its gradient
+    vanishes far from any solution.  One reduction when no row comes near."""
+    if _max_reduce(abs(Th), None) > _SPAN / 2:
+        ok = ok & (row_max(Th, initial=0.0) + row_max(-Th, initial=0.0) <= _SPAN)
+    return ok
 
 
 def _restart(gen: Generator, Ph: np.ndarray, Th: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Stages 3 to 5 of :func:`_inverse` for the rows ``Ph`` (rows ``rows``
     of the call) that its Newton solve left unconverged at ``Th``."""
     Th, U, ok = _newton_max_u(gen, Ph, Th)
-    left = np.flatnonzero(~ok)
+    left = np.flatnonzero(~_solved(Th, ok))
     if left.size:
         th, u, ok = _newton_max_u(gen, Ph[left], np.zeros((left.size, Ph.shape[1])))
+        ok = _solved(th, ok)
         better = ok | (u > U[left])
         Th[left[better]] = th[better]
         left = left[~ok]
@@ -415,7 +413,8 @@ def _restart(gen: Generator, Ph: np.ndarray, Th: np.ndarray, rows: np.ndarray) -
         value = lambda t: -_u_value_grad(gen, t[None], ph)[0][0]  # psi(t - phi) - f(t)
         res = minimize(value, Th[j], method="Nelder-Mead",
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        if np.linalg.norm(_u_value_grad(gen, res.x[None], ph)[1]) > 1e-7:
+        x = res.x[None]
+        if not _solved(x, _row_norms(_u_value_grad(gen, x, ph)[1]) <= 1e-7)[0]:
             raise ConvergenceError(f"{gen.name}: c-transform minimization did not converge "
                                    f"at phi={ph[0]}", row=int(rows[j]))
         Th[j] = res.x
@@ -452,7 +451,7 @@ def c_transform_argmin(gen: Generator, phi, x0=None) -> np.ndarray:
 def c_transform(gen: Generator, phi, x0=None) -> float:
     """The conjugate potential f*(phi) = inf_theta psi(theta - phi) - f(theta)."""
     ph, th = _argmin(gen, phi, x0)
-    return float(psi_many(th - ph) - _f_rows(gen, th))
+    return float(_fstar_rows(gen, th, ph))
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +459,19 @@ def c_transform(gen: Generator, phi, x0=None) -> float:
 
 def c_divergence(gen: Generator, p, p2) -> float:
     """D(p|p2) = c(theta, phi2) - f(theta) - f*(phi2); equals T(p|p2)."""
-    th, th2 = Th = to_primal_many(point_rows(p, p2, gen=gen))
-    f = _f_rows(gen, Th)
-    ph2 = _dual_rows(th2, _portfolio_at(gen, th2), gen.name)
-    fstar2 = psi_many(th2 - ph2) - f[1]
-    return float(psi_many(th - ph2) - f[0] - fstar2)
+    return _c_divergence(gen, to_primal_many(point_rows(p, p2, gen=gen)))
 
 
 def c_divergence_dual(gen: Generator, p, p2) -> float:
-    """D*(p|p2) = c(theta2, phi) - f*(phi) - f(theta2); equals T(p2|p)."""
-    th, th2 = Th = to_primal_many(point_rows(p, p2, gen=gen))
-    f = _f_rows(gen, Th)
-    ph = _dual_rows(th, _portfolio_at(gen, th), gen.name)
-    fstar = psi_many(th - ph) - f[0]
-    return float(psi_many(th2 - ph) - fstar - f[1])
+    """D*(p|p2) = c(theta2, phi) - f*(phi) - f(theta2) = D(p2|p); equals T(p2|p)."""
+    return _c_divergence(gen, to_primal_many(point_rows(p, p2, gen=gen))[::-1])
+
+
+def _c_divergence(gen: Generator, Th: np.ndarray) -> float:
+    """D(p|p2) at the unchecked primal rows ``Th`` of p and p2: the objective
+    psi(. - phi2) - f of f*(phi2) at theta, less its minimum f*(phi2) at theta2."""
+    u = _fstar_rows(gen, Th, _dual_rows(Th[1], _portfolio_at(gen, Th[1]), gen.name))
+    return float(u[0] - u[1])
 
 
 def pyth_transport_gap(gen: Generator, p, q, r) -> float:

@@ -48,11 +48,11 @@ from .simplex import (
     DualCoord,
     NonRegularError,
     SimplexPoint,
+    _f_rows,
     _identity,
     coord_rows,
     from_primal_many,
     point_rows,
-    psi_many,
     row_sum,
     to_primal_many,
 )
@@ -160,7 +160,7 @@ class Generator:
         block = max(1, (1 << 14) // len(D))
         for lo in range(0, len(X), block):
             S = X[lo : lo + block, None, :] + h[lo : lo + block, :, None] * D
-            F[lo : lo + block] = self.log_gen(from_primal_many(S)) + psi_many(S)
+            F[lo : lo + block] = _f_rows(self, S)
         f0, fp, fm, fpp, fpm, fmp, fmm = np.split(F, np.cumsum([1, m, m] + 3 * [i.size]), axis=-1)
         H = np.empty((len(X), m, m))
         H[:, range(m), range(m)] = (fp - 2 * f0 + fm) / h**2

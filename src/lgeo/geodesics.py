@@ -50,7 +50,7 @@ import numpy as np
 
 from . import divergence
 from ._table import write_table
-from .divergence import _f_rows, _inverse, _ratios, _t_euclid
+from .divergence import _inverse, _ratios, _t_euclid
 from .generators import (
     Generator,
     _check_interior,
@@ -60,11 +60,12 @@ from .generators import (
 from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_gradient
 from .simplex import (
     _as_vector,
+    _f_rows,
+    _fstar_rows,
     _log_tilt,
     coord_rows,
     from_primal_many,
     point_rows,
-    psi_many,
     row_sum,
     to_primal_many,
 )
@@ -394,10 +395,7 @@ def _chord_inverse(gen: Generator, chord, span: np.ndarray):
 def _log_weight(gen: Generator, rows: np.ndarray, Th: np.ndarray | None) -> np.ndarray:
     """The log weight of a geodesic: -2 f at primal ``rows``, or -2 f* at
     dual ``rows`` whose inverse dual images are ``Th``."""
-    if Th is None:
-        return -2.0 * _f_rows(gen, rows)
-    # f*(phi) = psi(theta - phi) - f(theta) at theta = inverse dual image
-    return -2.0 * (psi_many(Th - rows) - _f_rows(gen, Th))
+    return -2.0 * (_f_rows(gen, rows) if Th is None else _fstar_rows(gen, Th, rows))
 
 
 def _chord(gen: Generator, q, r, sign: float, flow: bool = False):
@@ -476,8 +474,7 @@ def _dual_range_guard(gen, curve, Th0):
     """
     Ph = curve.points
     Th, _, ok = divergence._newton_max_u(gen, Ph, Th0)
-    fstar = psi_many(Th - Ph) - _f_rows(gen, Th)
-    gap = np.abs(_f_rows(gen, Th0) + fstar - psi_many(Th0 - Ph))
+    gap = np.abs(_fstar_rows(gen, Th, Ph) - _fstar_rows(gen, Th0, Ph))
     bad = np.flatnonzero(~ok | ~(gap <= 1e-6))
     if bad.size:
         first, t = bad[0], curve.times[bad[0]]
@@ -685,13 +682,12 @@ def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
     Pi = _portfolio_at(gen, Th)
     pi_q, dpi_q = Pi[0], gen.dpi_dtheta(Th[0])
     if which == "primal":
-        raw = _tilt_gradient(pi_q, Th[1] - Th[0])
-        _, L = _metric_entries(gen, pi_q, dpi_q)
-    else:
+        u = raw = _tilt_gradient(pi_q, Th[1] - Th[0])
+    else:  # the dual velocity measured as the primal one J^-1 raw, as in _pyth
         ph_q, ph_t = _dual_rows(Th, Pi, gen.name)
         raw = -_tilt_gradient(pi_q, ph_q - ph_t)
-        _, L = _metric_entries(gen, pi_q, dpi_q, _jacobian_from_portfolio(pi_q, dpi_q))
-    a = raw @ L
+        u = np.linalg.solve(_jacobian_from_portfolio(pi_q, dpi_q), raw)
+    a = u @ _metric_entries(gen, pi_q, dpi_q)[1]
     norm = math.sqrt(a @ a)
     return np.zeros_like(raw) if norm < 1e-15 else raw / norm
 
@@ -809,8 +805,10 @@ class RegionSample:
 
 
 def region_gap(gen: Generator, p, r, Q: np.ndarray) -> np.ndarray:
-    """Vectorized gap T(q|p) + T(r|q) - T(r|p) over rows q of Q."""
-    return _region_gap(gen, *point_rows(p, r, gen=gen), Q)
+    """Vectorized gap T(q|p) + T(r|q) - T(r|p) over rows q of Q, each checked
+    (and divided by its sum) as a point."""
+    P = point_rows(p, r, *Q, gen=gen)
+    return _region_gap(gen, P[0], P[1], P[2:])
 
 
 def _region_gap(gen: Generator, pa: np.ndarray, ra: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -13,6 +13,12 @@ whose coefficients close in terms of the portfolio alone:
 curvature -1.  Every closed form here is validated by the test suite
 against finite differences of T itself.
 
+The metric is certified in one place, ``_metric_entries``: the primal
+candidate must be symmetric and pass a Cholesky factorization G = L L^T.
+The dual metric is the congruence J^-T G J^-1 = B B^T, B = J^-T L, by the
+dual Jacobian J (``_metric``): positive definite exactly when G is, so it
+needs no certificate of its own; a singular J is a NonRegularError.
+
 Index conventions: Christoffel arrays are stored as ``gamma[i, j, k]``
 meaning the raised symbol with lower pair (i, j); curvature arrays as
 ``R[i, j, k, l]`` meaning the coefficient of ``d/d xi_l`` in
@@ -121,22 +127,18 @@ def _tilt_exp(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.exp(_with_tail(delta) - _log_tilt(pi, delta))
 
 
-def _tilted(pi: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Normalized two-point weights pi_l e^{delta_l} / Z, delta_n = 0 implicit."""
-    return pi * _tilt_exp(pi, delta)
-
-
 def pi_quantities(gen: Generator, theta, theta2) -> PiQuantities:
     """Weights Pi_i(theta, theta2): the portfolio at theta2 tilted toward theta."""
     th, th2 = coord_rows(theta, theta2, gen=gen)
-    return PiQuantities(values=_tilted(_portfolio_at(gen, th2), th - th2), kind="primal")
+    pi = _portfolio_at(gen, th2)
+    return PiQuantities(values=pi * _tilt_exp(pi, th - th2), kind="primal")
 
 
 def pi_quantities_dual(gen: Generator, phi, phi2) -> PiQuantities:
     """Weights Pi*_i(phi, phi2): the portfolio at the *first* point, tilted."""
     ph, ph2 = coord_rows(phi, phi2, gen=gen)
     pi = _portfolio_at(gen, _inverse(gen, ph[None])[0])
-    return PiQuantities(values=_tilted(pi, ph - ph2), kind="dual")
+    return PiQuantities(values=pi * _tilt_exp(pi, ph - ph2), kind="dual")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ def metric_euclidean(gen: Generator, p, u, v) -> float:
     u, v = _tangent_pair(u, v, arr.size)
     if abs(u.sum()) > 1e-10 or abs(v.sum()) > 1e-10:
         raise ValueError("tangent vectors must have zero component sum")
-    G = _metric_rows(gen.portfolio(arr), gen.dpi_dtheta(to_primal_many(arr)))
+    G, _ = _metric_entries(gen, gen.portfolio(arr), gen.dpi_dtheta(to_primal_many(arr)))
     du, dv = (w[:-1] / arr[:-1] - w[-1] / arr[-1] for w in (u, v))
     return float(du @ G @ dv)
 
@@ -180,27 +182,22 @@ def _jacobian_from_portfolio(pi: np.ndarray, dpi: np.ndarray) -> np.ndarray:
     return _identity(dpi.shape[1]) - dpi[:-1, :] / pi[:-1, None] + dpi[-1, :] / pi[-1]
 
 
-def _metric_entries(gen: Generator, pi: np.ndarray, dpi: np.ndarray, J=None):
-    """Metric coefficients from the portfolio pi and dpi / dtheta: primal, or
-    dual given the dual Jacobian ``J``.  The primal candidate, and the dual
-    one when asked for, must be symmetric; the result G is symmetrized.
+def _metric_entries(gen: Generator, pi: np.ndarray, dpi: np.ndarray):
+    """The primal metric from the portfolio pi and dpi / dtheta, certified:
+    the candidate must be symmetric, and the result G is symmetrized.
     Returns G and its lower Cholesky factor L, G = L L^T: the factorization
     certifies that G is positive definite (it fails otherwise, NaN entries
     included), and L gives inner products and norms as plain dot products,
-    u^T G v = (L^T u) . (L^T v)."""
-    G, what = _metric_rows(pi, dpi), f"{gen.name}: metric"
-    if J is not None:
-        if _max_reduce(abs(G - G.T), None) > 1e-8:
-            raise NonRegularError(f"{what} candidate not symmetric")
-        # the same formula with d pi / d phi = dpi J^-1 and the opposite sign
-        G, what = _metric_rows(pi, -(dpi @ np.linalg.inv(J))), f"{gen.name}: dual metric"
+    u^T G v = (L^T u) . (L^T v).  The dual metric J^-T G J^-1 is positive
+    definite exactly when G is, so it needs no certificate of its own."""
+    G = _metric_rows(pi, dpi)
     if _max_reduce(abs(G - G.T), None) > 1e-8:
-        raise NonRegularError(f"{what} candidate not symmetric")
+        raise NonRegularError(f"{gen.name}: metric candidate not symmetric")
     G = (G + G.T) / 2
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        raise NonRegularError(f"{what} not positive definite") from None
+        raise NonRegularError(f"{gen.name}: metric not positive definite") from None
     return G, L
 
 
@@ -239,9 +236,15 @@ def _metric(gen: Generator, th, pi, base, dual: bool = False) -> MetricMatrix:
     portfolio ``pi``, recorded at ``base``."""
     dpi = gen.dpi_dtheta(th)
     J = _jacobian_from_portfolio(pi, dpi)
-    G, _ = _metric_entries(gen, pi, dpi, J if dual else None)
+    G, L = _metric_entries(gen, pi, dpi)
     M = np.diag(1.0 / pi[:-1]) + 1.0 / pi[-1]
-    inv = J @ M if dual else np.linalg.solve(J, M)
+    try:
+        inv = J @ M if dual else np.linalg.solve(J, M)
+        if dual:  # the congruence J^-T G J^-1 = B B^T, B = J^-T L; inverse J G^-1 J^T = J M
+            B = np.linalg.solve(J.T, L)
+            G = B @ B.T
+    except np.linalg.LinAlgError:
+        raise NonRegularError(f"{gen.name}: singular dual Jacobian") from None
     return MetricMatrix(entries=G, coord="dual" if dual else "primal", base_point=base, inv=inv)
 
 

@@ -34,6 +34,10 @@ The kernels below that boundary
 log-sum ``_log_tilt``) take plain float arrays of shape ``(..., k)``, reduce
 over the last axis and check nothing; :func:`softmax_with_tail` is their
 1-d case, and the public :func:`psi` checks its one coordinate first.
+``_softmax_psi`` gives the softmax with its tail and psi of the same rows
+from one shifted exp.  Every module computes the c-concave potential
+f = phi + psi through ``_f_rows``, which takes both from it, and its
+conjugate f*(phi) = psi(theta - phi) - f(theta) through ``_fstar_rows``.
 
 The kernels reduce through :func:`row_sum` and :func:`row_max`, which return
 bitwise what ``X.sum(axis=-1)`` and ``X.max(axis=-1)`` return.  numpy
@@ -322,6 +326,29 @@ def psi_many(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     m = row_max(X, initial=0.0)
     return m + np.log(np.exp(-m) + row_sum(np.exp(X - m[..., None])))
+
+
+def _softmax_psi(X: np.ndarray):
+    """``from_primal_many(X)`` and ``psi_many(X)`` from one shifted exp; bitwise
+    theirs, but at n = 8k, where numpy's unrolled sum regroups psi's terms."""
+    Z = _with_tail(X)
+    top = row_max(Z, keepdims=True)
+    W = np.exp(Z - top)
+    total = row_sum(W, keepdims=True)
+    return W / total, (top + np.log(total))[..., 0]
+
+
+def _f_rows(gen, Th: np.ndarray, points: bool = False):
+    """f = phi(p(theta)) + psi(theta) over unchecked rows ``Th``; with ``points`` also p(theta)."""
+    P, psi_th = _softmax_psi(Th)
+    f = gen.log_gen(P) + psi_th
+    return (f, P) if points else f
+
+
+def _fstar_rows(gen, Th: np.ndarray, Ph: np.ndarray):
+    """f*(phi) = psi(theta - phi) - f(theta) over rows ``Ph`` with inverse dual
+    images ``Th``; at other ``Th``, the objective that f* minimizes."""
+    return psi_many(Th - Ph) - _f_rows(gen, Th)
 
 
 @functools.cache

@@ -45,6 +45,7 @@ from .generators import (
 from .geodesics import Curve, _grid
 from .simplex import (
     _as_vector,
+    _softmax_psi,
     coord_rows,
     from_primal_many,
     point_rows,
@@ -105,8 +106,8 @@ def action(curve: Curve) -> ActionValue:
         points, derivs = spl(ts), spl.derivative(1)(ts)
     x = gamma0[None, :] - points
     n = gamma0.size + 1
-    qn = np.exp(-psi_many(x))
-    heads = from_primal_many(x)[:, :-1]
+    P, psi_x = _softmax_psi(x)
+    qn, heads = np.exp(-psi_x), P[:, :-1]
     qdot_n = qn * np.sum(heads * derivs, axis=1)
     arg = 1.0 / n + qdot_n
     if np.any(arg <= 0.0):

@@ -13,7 +13,7 @@ import numpy as np
 from lgeo import geometry as geo
 from lgeo.divergence import f_value, inverse_dual_coord, l_divergence_primal
 from lgeo.generators import Generator, _portfolio_at, dual_coord, portfolio_theta
-from lgeo.geodesics import Curve, GeodesicBlowupError, RegionSample, _rk4_step, region_gap
+from lgeo.geodesics import Curve, GeodesicBlowupError, RegionSample, _region_gap, _rk4_step
 from lgeo.simplex import (
     _log_tilt,
     coord_rows,
@@ -413,7 +413,7 @@ def region_sample_scan(gen, p, r, grid_resolution):
             idx.append((i, j, grid_resolution - i - j))
     idx = np.array(idx, dtype=int)
     Q = idx / grid_resolution
-    gaps = region_gap(gen, pa, ra, Q)
+    gaps = _region_gap(gen, pa, ra, Q)
     in_region = gaps <= 1e-12
     index_map = {(i, j): k for k, (i, j, _) in enumerate(idx)}
     boundary = np.zeros(Q.shape[0], dtype=bool)
@@ -430,7 +430,7 @@ def region_sample_scan(gen, p, r, grid_resolution):
                     lam = g1 / (g1 - g2)
                     segments.append(Q[k] + lam * (Q[k2] - Q[k]))
     extra = np.array([pa, ra])
-    extra_gap = region_gap(gen, pa, ra, extra)
+    extra_gap = _region_gap(gen, pa, ra, extra)
     points = np.vstack([Q, extra])
     gaps = np.concatenate([gaps, extra_gap])
     in_region = np.concatenate([in_region, np.abs(extra_gap) <= 1e-9])

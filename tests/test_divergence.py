@@ -387,6 +387,31 @@ class TestSolverStages:
         assert log == [(6, 3), (3, 0), (3, 0)]
 
 
+class TestMarketGenerator:
+    """The market generator (phi = 0) maps every point to phi = 0, so no other
+    phi has an inverse dual image.  There u's two softmaxes saturate far out,
+    where its gradient vanishes exactly; such a row is no solution."""
+
+    def test_a_phi_off_the_dual_range_raises_with_its_row(self):
+        gen = G.ZeroGenerator()
+        with pytest.raises(D.ConvergenceError, match="did not converge") as info:
+            D.inverse_dual_coord(gen, [0.5, -0.2])
+        assert info.value.row == 0
+        with pytest.raises(D.ConvergenceError) as info:
+            D.inverse_dual_coord(gen, [[0.0, 0.0], [0.5, -0.2]])
+        assert info.value.row == 1
+        with pytest.raises(D.ConvergenceError):
+            D.c_transform(gen, [0.5, -0.2])
+
+    def test_phi_zero_is_solved_where_newton_starts(self):
+        # u is constant at phi = 0: every theta solves, and f*(0) = 0
+        gen = G.ZeroGenerator()
+        assert np.array_equal(D.inverse_dual_coord(gen, [0.0, 0.0]), [0.0, 0.0])
+        assert np.array_equal(D.c_transform_argmin(gen, [0.0, 0.0], x0=[1.0, -2.0]), [1.0, -2.0])
+        assert D.c_transform(gen, [0.0, 0.0]) == 0.0
+        assert D.c_transform(gen, [0.0, 0.0], x0=[1.0, -2.0]) == 0.0
+
+
 class TestCDivergence:
     def test_zero_on_diagonal(self, rng):
         gen = G.DiversityWeighted(0.5)

@@ -68,16 +68,18 @@ def bound_newton_evaluations(monkeypatch, limit):
 
 def bound_f_rows(monkeypatch, limit):
     """Fail once the geodesics evaluate f at more than ``limit`` rows in
-    all; returns the list of rows per call of the kernel of ``f_value``."""
-    f_rows, rows = gd._f_rows, []
+    all; returns the list of rows per call of the kernel of ``f_value``,
+    which the geodesics call for f and, through ``_fstar_rows``, for f*."""
+    f_rows, rows = S._f_rows, []
 
-    def bounded(gen, Th):
+    def bounded(gen, Th, points=False):
         rows.append(int(np.prod(np.shape(Th)[:-1])))
         if sum(rows) > limit:
             raise AssertionError("geodesic evaluated f at too many rows")
-        return f_rows(gen, Th)
+        return f_rows(gen, Th, points)
 
-    monkeypatch.setattr(gd, "_f_rows", bounded)
+    for module in (S, gd):
+        monkeypatch.setattr(module, "_f_rows", bounded)
     return rows
 
 

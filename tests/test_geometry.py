@@ -211,6 +211,36 @@ class TestCoordinateMetrics:
             assert np.max(np.abs(dpi - dpi.T)) < 1e-6, name
 
 
+class TestMarketMetric:
+    """The market generator is not regular: its metric cancels to rounding
+    noise, and its dual Jacobian to (near) zero.  Every metric function
+    answers with a NonRegularError, never a raw LinAlgError or a negative
+    inner product."""
+
+    TH = np.random.default_rng(0).normal(size=(200, 2))
+    U = np.array([1.0, -1.0, 0.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda gen, th: geo.metric_primal(gen, th),
+        lambda gen, th: geo.metric_dual(gen, theta=th),
+        lambda gen, th: geo.metric_euclidean(gen, from_primal(th).p, TestMarketMetric.U,
+                                             TestMarketMetric.U),
+    ], ids=["primal", "dual", "euclidean"])
+    def test_metric_functions_raise_only_non_regular_error(self, call):
+        gen, refused = G.ZeroGenerator(), 0
+        for th in self.TH:
+            try:
+                call(gen, th)
+            except G.NonRegularError:
+                refused += 1
+        assert refused >= 188
+
+    def test_a_negative_euclidean_inner_product_is_refused(self):
+        # the noise metric gave u.G.u = -1.5e-16 when not certified
+        with pytest.raises(G.NonRegularError, match="not positive definite"):
+            geo.metric_euclidean(G.ZeroGenerator(), (0.2, 0.3, 0.5), self.U, self.U)
+
+
 class TestChristoffels:
     def test_two_asset_closed_form(self, rng):
         gen = G.equal_weighted(2)

@@ -270,3 +270,23 @@ def test_coordinates_that_underflow_are_non_regular(call, gen, sign):
     a = sign * np.array([1e3, -1e3])
     with pytest.raises(lgeo.NonRegularError, match="lies on the simplex boundary"):
         call(gen, a, -a)
+
+
+def test_region_gap_checks_the_rows_of_q():
+    # region_gap is public in lgeo.geodesics but not a package export, so it
+    # has no row in the table.  The rows q of Q are points like p and r:
+    # a Q of another width names the sizes (under dw:0.5, of any dimension)
+    # or both dimensions (under CW), and a NaN row fails by name, where
+    # numpy's broadcast message and a nan gap with a RuntimeWarning came out
+    region_gap, dw = lgeo.geodesics.region_gap, lgeo.DiversityWeighted(0.5)
+    p, r = P[3][0], P[3][2]
+    assert region_gap(dw, p, r, P[3]).shape == (3,)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: points of sizes "
+                                         r"\[3, 3, 4, 4, 4\]$"):
+        region_gap(dw, p, r, P[4])
+    with pytest.raises(ValueError, match=GEN_DIM):
+        region_gap(CW, P[4][0], P[4][2], P[4])
+    Q = P[3].copy()
+    Q[1, 0] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        region_gap(dw, p, r, Q)

@@ -122,6 +122,35 @@ class TestPsi:
             assert np.linalg.eigvalsh((H + H.T) / 2).min() > 0
 
 
+class TestSoftmaxPsi:
+    """``_softmax_psi``, behind f, takes the softmax and psi of the same rows
+    from one shifted exp: the same terms as from_primal_many and psi_many,
+    added in the same order unless numpy's 8-way unrolled sum groups the n
+    terms of the softmax's total otherwise than psi's n - 1 and its tail."""
+
+    @staticmethod
+    def rows(n, k):
+        return np.random.default_rng([n, k]).normal(scale=3.0, size=(k, n - 1))
+
+    @pytest.mark.parametrize("n", [*range(2, 8), *range(9, 16), 50])
+    @pytest.mark.parametrize("k", [1, 50, 1000])
+    def test_bitwise_the_two_kernels(self, n, k):
+        X = self.rows(n, k)
+        P, psi_x = S._softmax_psi(X)
+        assert np.array_equal(_bits(P), _bits(S.from_primal_many(X)))
+        assert np.array_equal(_bits(psi_x), _bits(S.psi_many(X)))
+        assert _bits(S._softmax_psi(X[0])[1]) == _bits(psi_x[0])
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("k", [1, 50, 1000])
+    def test_within_rounding_where_the_sum_regroups(self, n, k):
+        X = self.rows(n, k)
+        P, psi_x = S._softmax_psi(X)
+        want = S.psi_many(X)
+        assert np.array_equal(_bits(P), _bits(S.from_primal_many(X)))
+        assert np.all(np.abs(psi_x - want) <= 1e-15 * np.abs(want))
+
+
 class TestCost:
     def test_equal_arguments(self):
         c = cost([0.3, -0.5], [0.3, -0.5])
