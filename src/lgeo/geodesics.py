@@ -57,7 +57,7 @@ from .generators import (
     _dual_rows,
     _portfolio_at,
 )
-from .geometry import _jacobian_from_portfolio, _metric_entries, _tilt_gradient
+from .geometry import _jacobian_from_portfolio, _jacobian_solve, _metric_entries, _tilt_gradient
 from .simplex import (
     _as_vector,
     _f_rows,
@@ -681,13 +681,14 @@ def inverse_exp(gen: Generator, q, target, which: str = "primal") -> np.ndarray:
     Th = to_primal_many(point_rows(q, target, gen=gen))
     Pi = _portfolio_at(gen, Th)
     pi_q, dpi_q = Pi[0], gen.dpi_dtheta(Th[0])
+    L = _metric_entries(gen, pi_q, dpi_q)[1]
     if which == "primal":
         u = raw = _tilt_gradient(pi_q, Th[1] - Th[0])
     else:  # the dual velocity measured as the primal one J^-1 raw, as in _pyth
         ph_q, ph_t = _dual_rows(Th, Pi, gen.name)
         raw = -_tilt_gradient(pi_q, ph_q - ph_t)
-        u = np.linalg.solve(_jacobian_from_portfolio(pi_q, dpi_q), raw)
-    a = u @ _metric_entries(gen, pi_q, dpi_q)[1]
+        u = _jacobian_solve(gen, _jacobian_from_portfolio(pi_q, dpi_q), raw)
+    a = u @ L
     norm = math.sqrt(a @ a)
     return np.zeros_like(raw) if norm < 1e-15 else raw / norm
 
@@ -779,8 +780,8 @@ def _pyth(gen: Generator, P: np.ndarray) -> PythResult:
     dual = W[0] / pi_q
     # the inner product, in primal coordinates at q
     dpi_q = gen.dpi_dtheta(to_primal_many(P[1]))
-    u = np.linalg.solve(_jacobian_from_portfolio(pi_q, dpi_q), dual[-1] - dual[:-1])
     _, L = _metric_entries(gen, pi_q, dpi_q)
+    u = _jacobian_solve(gen, _jacobian_from_portfolio(pi_q, dpi_q), dual[-1] - dual[:-1])
     a, b = u @ L, v @ L
     inner = float(a @ b)
     angle = _angle_deg(a, b, inner)

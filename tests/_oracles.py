@@ -190,6 +190,25 @@ def dual_connection_in_primal_coords(gen: Generator, theta, h: float = FD_STEP_H
     return np.einsum("abk,ck->abc", inner, A)
 
 
+def christoffel_raised_broadcast(pi_trunc: np.ndarray, sign: float) -> np.ndarray:
+    """sign * (d_ijk - d_ik pi_j - d_jk pi_i) as gamma[i, j, k], from a
+    Kronecker cube and two broadcast products of the identity."""
+    m = pi_trunc.size
+    eye = np.eye(m)
+    d3 = np.zeros((m, m, m))
+    idx = np.arange(m)
+    d3[idx, idx, idx] = 1.0
+    gamma = d3 - eye[:, None, :] * pi_trunc[None, :, None] - eye[None, :, :] * pi_trunc[:, None, None]
+    return sign * gamma
+
+
+def rc_closed_einsum(g: np.ndarray) -> np.ndarray:
+    """R[i,j,k,l] = d_lj g_ik - d_li g_jk as the difference of two outer
+    products of the identity and the metric."""
+    eye = np.eye(g.shape[0])
+    return np.einsum("lj,ik->ijkl", eye, g) - np.einsum("li,jk->ijkl", eye, g)
+
+
 def christoffel_lowered(gen: Generator, point, which: str) -> np.ndarray:
     """Lowered coefficients Gamma_ijk obtained by contracting with the metric."""
     if which == "primal":

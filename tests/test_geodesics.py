@@ -1026,6 +1026,34 @@ class TestInverseExp:
             assert np.arccos(np.clip(cosang, -1, 1)) < 1e-6, name
 
 
+class TestMarketGenerator:
+    """The market generator is not regular: its metric cancels to rounding
+    noise and its dual Jacobian to (near) zero.  The metric route of
+    inverse_exp and pythagorean_sign answers with a NonRegularError, never
+    numpy's LinAlgError, over consecutive triples of random points."""
+
+    P = S.from_primal_many(np.random.default_rng(0).normal(size=(200, 2)))
+
+    @pytest.mark.parametrize("call", [
+        lambda gen, p, q, r: gd.inverse_exp(gen, q, r, "primal"),
+        lambda gen, p, q, r: gd.inverse_exp(gen, q, r, "dual"),
+        lambda gen, p, q, r: gd.pythagorean_sign(gen, p, q, r),
+    ], ids=["inverse_exp-primal", "inverse_exp-dual", "pythagorean_sign"])
+    def test_raises_only_non_regular_error(self, call):
+        gen, refused, k = G.ZeroGenerator(), 0, len(self.P)
+        for i in range(k):
+            try:
+                call(gen, self.P[i], self.P[(i + 1) % k], self.P[(i + 2) % k])
+            except G.NonRegularError:
+                refused += 1
+        assert refused >= 150
+
+    def test_a_singular_dual_jacobian_is_refused(self):
+        # numpy's LinAlgError: Singular matrix, before the metric came first
+        with pytest.raises(G.NonRegularError):
+            gd.inverse_exp(G.ZeroGenerator(), (0.2, 0.3, 0.5), (0.5, 0.2, 0.3), "dual")
+
+
 class TestPythagoreanSign:
     def test_validates_each_point_once(self, monkeypatch):
         # p, q and r are coerced once at the boundary; nothing below it

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lgeo import generators as G
 from lgeo import geometry as geo
 from lgeo.divergence import l_divergence, l_divergence_dual, l_divergence_primal
-from lgeo.generators import dual_coord
+from lgeo.generators import _portfolio_at, dual_coord
 from lgeo.simplex import from_primal, to_primal
 
 from conftest import builtin_zoo, dirichlet_points
 from _oracles import (
     christoffel_lowered,
+    christoffel_raised_broadcast,
     dual_connection_in_primal_coords,
     fd_jacobian,
     fd_lowered_dual_connection,
@@ -17,6 +20,7 @@ from _oracles import (
     fd_metric_from_divergence,
     fd_second_along,
     pullback_metric,
+    rc_closed_einsum,
     rc_curvature_assembled,
     riem_gradient_dual_ratio_form,
     riem_gradient_dual_tilt_form,
@@ -262,6 +266,19 @@ class TestChristoffels:
                 )
                 assert np.max(np.abs(t.gamma - t.gamma.transpose(1, 0, 2))) < 1e-14, name
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    def test_bytes_equal_to_the_broadcast_build(self, rng, n):
+        # the tensor written entry by entry into one array against the
+        # Kronecker cube minus two broadcast products: the same bytes,
+        # signed zeros of the dual tensor included
+        for name, gen in builtin_zoo(n).items():
+            th = rng.normal(size=n - 1) * 0.5
+            pi = _portfolio_at(gen, th)[:-1]
+            primal = geo.christoffel_primal(gen, th).gamma
+            dual = geo.christoffel_dual(gen, theta=th).gamma
+            assert primal.tobytes() == christoffel_raised_broadcast(pi, +1.0).tobytes(), name
+            assert dual.tobytes() == christoffel_raised_broadcast(pi, -1.0).tobytes(), name
+
     def test_lowered_primal_matches_fd(self, rng):
         for name, gen in builtin_zoo(3).items():
             th = rng.normal(size=2) * 0.5
@@ -360,8 +377,63 @@ class TestCurvature:
             assembled_d = rc_curvature_assembled(gen, ph, "dual")
             assert np.max(np.abs(closed_d - assembled_d)) < 1e-4, name
 
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_equal_to_the_einsum_build(self, rng, n):
+        # two slice writes into one array against the difference of two
+        # outer products: equal, and bitwise so where nonzero
+        for name, gen in builtin_zoo(n).items():
+            for which in ("primal", "dual"):
+                point = rng.normal(size=n - 1) * 0.5
+                if which == "dual":
+                    point = dual_coord(gen, point).phi
+                R = geo.rc_curvature(gen, point, which)
+                want = rc_closed_einsum(geo._metric_for(gen, point, which).entries)
+                assert np.array_equal(R, want), (name, which)
+                nz = want != 0
+                assert R[nz].tobytes() == want[nz].tobytes(), (name, which)
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_ricci_is_the_trace_of_the_curvature_tensor(self, rng, n):
+        # (1 - m) g, one rounding, against the trace R^i_ijk of the einsum
+        # build, a sum of m - 1 copies of -g whose rounding grows with m: to
+        # 8 ulps of the trace's largest entry (up to 128 ulps of the metric's
+        # at n = 30)
+        for name, gen in builtin_zoo(n).items():
+            for which in ("primal", "dual"):
+                point = rng.normal(size=n - 1) * 0.5
+                if which == "dual":
+                    point = dual_coord(gen, point).phi
+                g = geo._metric_for(gen, point, which).entries
+                want = np.einsum("ijki->jk", rc_closed_einsum(g))
+                got = geo.ricci(gen, point, which)
+                assert np.max(np.abs(got - want)) <= 8 * np.spacing(np.max(np.abs(want))), (name, which)
+
+    def test_tensors_at_50_assets_take_one_array_each(self, rng):
+        # traced peaks: the Christoffel tensors within 1.1 x 8 m^3 bytes,
+        # the curvature tensor within 1.1 x 8 m^4 bytes, and the Ricci
+        # tensor, which forms no curvature tensor, under 1 MB
+        m = 49
+        gen = builtin_zoo(50)["mix"]
+        th = rng.normal(size=m) * 0.5
+        ph = dual_coord(gen, th).phi
+        limits = [
+            (lambda: geo.christoffel_primal(gen, th), 1.1 * 8 * m**3),
+            (lambda: geo.christoffel_dual(gen, ph), 1.1 * 8 * m**3),
+            (lambda: geo.rc_curvature(gen, th), 1.1 * 8 * m**4),
+            (lambda: geo.ricci(gen, th), 1e6),
+        ]
+        for k, (call, limit) in enumerate(limits):
+            call()  # caches fill on the first call
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit, (k, peak, limit)
+
     def test_sectional_curvature_minus_one(self, rng):
-        for n in (3, 4):
+        for n in (3, 4, 10):
             for name, gen in builtin_zoo(n).items():
                 for which in ("primal", "dual"):
                     point = rng.normal(size=n - 1) * 0.5
